@@ -62,7 +62,7 @@ def main():
 
     banner("Cells and the m-statistic")
     two_sided = cell_partition(s, "two-sided")
-    poset = cell_poset(s, two_sided)
+    poset = cell_poset(s)
     print(f"  two-sided cells: {len(two_sided.classes)} (a chain, covers {poset.covers})")
     for i, cls in enumerate(two_sided.classes):
         names = sorted(e.name for e in cls)

@@ -5,11 +5,18 @@ a <= b iff the principal ideal generated by b is contained in the one
 generated by a. Identities are minimal for their own object, and in the
 divided-power families the cell of the identity at object 0 comes out
 maximal. Cells are the equivalence classes of mutual comparability.
+
+Cell data is memoised on the shadow: the first question about a kind of
+cell computes the one-round ideal of every element once, with
+principal_ideal, and every later partition, poset, regularity check,
+m-statistic and cell module of that kind reads it. A shadow must not be
+mutated after construction, or these answers go stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,15 +69,6 @@ def principal_ideal(s: Shadow, a: Element, kind: str) -> frozenset[Element]:
     return frozenset(out)
 
 
-def _all_ideals(s: Shadow, kind: str) -> dict[Element, frozenset[Element]]:
-    return {a: principal_ideal(s, a, kind) for a in s.elements}
-
-
-def leq(s: Shadow, a: Element, b: Element, kind: str) -> bool:
-    """a <= b iff principal_ideal(b) is contained in principal_ideal(a)."""
-    return principal_ideal(s, b, kind) <= principal_ideal(s, a, kind)
-
-
 @dataclass(frozen=True)
 class CellPartition:
     kind: str
@@ -83,24 +81,36 @@ class CellPartition:
         raise InputError(f"{member!r} is not in any class")
 
 
-def cell_partition(s: Shadow, kind: str) -> CellPartition:
-    """Equivalence classes of mutual ideal containment, in canonical order.
+class CellData(NamedTuple):
+    """The one-round ideals of one kind, in element order, and their cells."""
 
-    Classes are ordered by their smallest member in canonical element order;
-    the partition is deterministic for a given shadow.
+    ideals: tuple[frozenset[Element], ...]
+    partition: CellPartition
+
+
+def cell_data(s: Shadow, kind: str) -> CellData:
+    """The memoised ideals and cells of s for one kind; built on first use.
+
+    Cells are the classes of equal ideals, ordered by their smallest member
+    in canonical element order.
     """
     _check_kind(kind)
-    ideals = _all_ideals(s, kind)
-    seen: set[Element] = set()
-    classes: list[frozenset[Element]] = []
-    for a in s.elements:
-        if a in seen:
-            continue
-        cls = frozenset(b for b in s.elements if ideals[b] == ideals[a])
-        seen.update(cls)
-        classes.append(cls)
-    classes.sort(key=lambda cls: min(s.index_of(e) for e in cls))
-    return CellPartition(kind=kind, classes=tuple(classes))
+    data = s._cells.get(kind)
+    if data is None:
+        ideals = tuple(principal_ideal(s, a, kind) for a in s.elements)
+        classes: dict[frozenset[Element], list[Element]] = {}
+        for a, ideal in zip(s.elements, ideals):
+            classes.setdefault(ideal, []).append(a)
+        partition = CellPartition(
+            kind=kind, classes=tuple(frozenset(cls) for cls in classes.values())
+        )
+        data = s._cells[kind] = CellData(ideals, partition)
+    return data
+
+
+def cell_partition(s: Shadow, kind: str) -> CellPartition:
+    """Equivalence classes of mutual ideal containment, in canonical order."""
+    return cell_data(s, kind).partition
 
 
 @dataclass(frozen=True)
@@ -121,16 +131,14 @@ class CellPoset:
         raise InputError(f"{e.name!r} is not in any cell")
 
 
-def cell_poset(s: Shadow, partition: CellPartition | None = None) -> CellPoset:
-    if partition is None:
-        partition = cell_partition(s, "two-sided")
-    ideals = _all_ideals(s, "two-sided")
+def cell_poset(s: Shadow) -> CellPoset:
+    ideals, partition = cell_data(s, "two-sided")
     cells = partition.classes
-    reps = [min(cls, key=s.index_of) for cls in cells]
+    rep_ideals = [ideals[min(s.index_of(e) for e in cls)] for cls in cells]
     relation = set()
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            if ideals[b] <= ideals[a]:
+    for i, a in enumerate(rep_ideals):
+        for j, b in enumerate(rep_ideals):
+            if b <= a:
                 relation.add((i, j))
     covers = []
     for i, j in sorted(relation):
@@ -170,24 +178,20 @@ class RegularityResult:
 def is_strongly_regular(s: Shadow, two_sided_cell: frozenset[Element]) -> RegularityResult:
     """Check one two-sided cell: its left cells are pairwise incomparable and
     every left-right intersection inside it is a singleton."""
-    left = [
-        cls & two_sided_cell
-        for cls in cell_partition(s, "left").classes
-        if cls & two_sided_cell
-    ]
+    ideals, left_cells = cell_data(s, "left")
+    left = [cls & two_sided_cell for cls in left_cells.classes if cls & two_sided_cell]
     right = [
         cls & two_sided_cell
         for cls in cell_partition(s, "right").classes
         if cls & two_sided_cell
     ]
-    ideals = _all_ideals(s, "left")
     for i, li in enumerate(left):
         for j, lj in enumerate(left):
             if i == j:
                 continue
             a = min(li, key=s.index_of)
             b = min(lj, key=s.index_of)
-            if ideals[b] <= ideals[a]:
+            if ideals[s.index_of(b)] <= ideals[s.index_of(a)]:
                 return RegularityResult(
                     ok=False, witness=("comparable-left-cells", a.name, b.name)
                 )

@@ -3,8 +3,7 @@
 Verbs: build, check, cells, ideals, cell-module, export, verify. All
 reports are canonical JSON (stable ordering, no timestamps), so identical
 invocations produce byte-identical output. Exit codes: 0 all good, 1 a
-check reported a failure, 2 bad input. FIATCELL_THREADS caps worker
-processes for the associativity sweeps.
+check reported a failure, 2 bad input or a structurally invalid file.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .shadow import (
     check_associativity,
     dumps_shadow,
     load_shadow,
-    max_workers,
     validate_shadow,
 )
 from .udot import build_bn, verify_bn
@@ -93,7 +91,7 @@ def cmd_build(args) -> int:
 
 def cmd_check(args) -> int:
     s = load_shadow(args.path)
-    report = check_associativity(s, workers=max_workers())
+    report = check_associativity(s)
     doc = {
         "format": 1,
         "verb": "check",
@@ -106,6 +104,8 @@ def cmd_check(args) -> int:
     if report.message:
         doc["message"] = report.message
     _emit(doc, args.output)
+    if report.status == "structural-error":
+        return 2
     return 0 if report.ok else 1
 
 
@@ -116,14 +116,14 @@ def cmd_cells(args) -> int:
         "format": 1,
         "kind": args.kind,
         "classes": [
-            [e.name for e in sorted(cls, key=s.sort_key)]
+            [e.name for e in sorted(cls, key=s.index_of)]
             for cls in partition.classes
         ],
     }
     if args.dot is not None:
         if args.kind != "two-sided":
             raise InputError("--dot draws the two-sided cell poset; use --kind two-sided")
-        poset = cell_poset(s, partition)
+        poset = cell_poset(s)
         _write_text(poset_to_dot(s, poset), args.dot)
     _emit(doc, args.output)
     return 0
@@ -142,9 +142,9 @@ def cmd_ideals(args) -> int:
         "ideals": [
             {
                 "antichain": [
-                    [e.name for e in sorted(cls, key=s.sort_key)] for cls in cells
+                    [e.name for e in sorted(cls, key=s.index_of)] for cls in cells
                 ],
-                "members": [e.name for e in sorted(members, key=s.sort_key)],
+                "members": [e.name for e in sorted(members, key=s.index_of)],
             }
             for cells, members in ideals
         ],
@@ -164,7 +164,7 @@ def cmd_cell_module(args) -> int:
         "basis": [b.name for b in cm.basis],
         "matrices": {
             a.name: cm.matrices[a].tolist()
-            for a in sorted(cm.matrices, key=s.sort_key)
+            for a in sorted(cm.matrices, key=s.index_of)
         },
     }
     _emit(doc, args.output)
@@ -180,12 +180,11 @@ def cmd_export(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    workers = max_workers()
     results = []
     if args.construction == "bn":
         for n in parse_range(args.n):
             s = build_bn(n)
-            checks = verify_bn(n, workers=workers)
+            checks = verify_bn(n)
             results.append(
                 {
                     "n": n,
@@ -237,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     schur = bsub.add_parser("schur", help="margin-matrix cells report")
     schur.add_argument("--n", type=int, required=True)
     schur.add_argument("--r", type=int, required=True)
-    schur.add_argument("--report", dest="output", default=None, help="report file")
-    schur.add_argument("-o", "--output", dest="output", default=None)
+    _add_output(schur)
     schur.set_defaults(func=cmd_build)
 
     check = sub.add_parser("check", help="validate a shadow file and sweep associativity")

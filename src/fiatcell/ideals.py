@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .cells import CellPoset, cell_poset, principal_ideal
+from .cells import CellPoset, cell_data, cell_poset
 from .shadow import Decomposition, Element, InputError, Shadow
 
 
@@ -79,8 +79,9 @@ def quotient_by_upset(s: Shadow, upset: frozenset[Element]) -> Shadow:
     for e in upset:
         if not s.has_element(e):
             raise InputError(f"unknown element id {e.name!r}")
+    ideals = cell_data(s, "two-sided").ideals
     for a in sorted(upset, key=s.index_of):
-        for b in sorted(principal_ideal(s, a, "two-sided"), key=s.index_of):
+        for b in sorted(ideals[s.index_of(a)], key=s.index_of):
             if b not in upset:
                 raise InputError(
                     f"set is not up-closed: {a.name} is in it, {b.name} above it is not"

@@ -16,8 +16,6 @@ and read as zero, and exhaustive checks skip triples that touch them.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 
@@ -96,6 +94,8 @@ class Shadow:
     _index: dict[Element, int] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    # kind -> cells.CellData, filled on first use by cells.cell_data
+    _cells: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         for i, e in enumerate(self.elements):
@@ -120,12 +120,6 @@ class Shadow:
                 return e
         raise InputError(f"no identity at object {obj}")
 
-    def composable(self, a: Element, b: Element) -> bool:
-        return a.source == b.target
-
-    def sort_key(self, e: Element) -> int:
-        return self._index[e]
-
 
 def compose(s: Shadow, a: Element, b: Element) -> Decomposition:
     """Decomposition of "a after b"; the formal zero when not composable.
@@ -148,29 +142,11 @@ def compose(s: Shadow, a: Element, b: Element) -> Decomposition:
     return entry
 
 
-def compose_sets(s: Shadow, xs, ys) -> frozenset[Element]:
-    """Union of supports of x after y over all pairs; the Boolean extension."""
-    out: set[Element] = set()
-    for x in xs:
-        for y in ys:
-            if x.source == y.target:
-                out.update(compose(s, x, y).support())
-    return frozenset(out)
-
-
 def compose_left(s: Shadow, a: Element, d: Decomposition) -> Decomposition:
     """a after each term of d, summed with multiplicities."""
     out: dict[Element, int] = {}
     for t, m in d.items():
         for e, k in compose(s, a, t).items():
-            out[e] = out.get(e, 0) + m * k
-    return Decomposition(out)
-
-
-def compose_right(s: Shadow, d: Decomposition, b: Element) -> Decomposition:
-    out: dict[Element, int] = {}
-    for t, m in d.items():
-        for e, k in compose(s, t, b).items():
             out[e] = out.get(e, 0) + m * k
     return Decomposition(out)
 
@@ -283,102 +259,49 @@ def _triple_sides(s, a, b, c):
     return left, right
 
 
-def _assoc_chunk(s: Shadow, triples: list[tuple[int, int, int]]):
-    checked = 0
-    skipped = 0
-    failures = []
-    for ia, ib, ic in triples:
-        a, b, c = s.elements[ia], s.elements[ib], s.elements[ic]
-        sides = _triple_sides(s, a, b, c)
-        if sides is None:
-            skipped += 1
-            continue
-        checked += 1
-        left, right = sides
-        if left != right:
-            failures.append(
-                (
-                    (ia, ib, ic),
-                    {
-                        "triple": [a.name, b.name, c.name],
-                        "left": {e.name: m for e, m in sorted(left.items(), key=lambda t: s.index_of(t[0]))},
-                        "right": {e.name: m for e, m in sorted(right.items(), key=lambda t: s.index_of(t[0]))},
-                    },
-                )
-            )
-    return checked, skipped, failures
-
-
-def max_workers() -> int:
-    """Worker cap from the FIATCELL_THREADS environment variable (default 1)."""
-    raw = os.environ.get("FIATCELL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def check_associativity(s: Shadow, workers: int = 1) -> AssociativityReport:
+def check_associativity(s: Shadow) -> AssociativityReport:
     """Exhaustively compare (a b) c with a (b c) at the multiplicity level.
 
     Returns a report rather than raising: structural problems yield status
     "structural-error", a genuine counterexample yields "fail" with the
     first failing triple in canonical order. Partial shadows skip triples
-    that touch an absent table entry. The triple space may be partitioned
-    across worker processes; the result is schedule-independent.
+    that touch an absent table entry.
     """
     try:
         validate_shadow(s)
     except StructureError as err:
         return AssociativityReport(status="structural-error", message=str(err))
 
-    by_source: dict[int, list[int]] = {}
-    by_target: dict[int, list[int]] = {}
-    for i, e in enumerate(s.elements):
-        by_source.setdefault(e.source, []).append(i)
-        by_target.setdefault(e.target, []).append(i)
-    triples = [
-        (ia, ib, ic)
-        for ib, b in enumerate(s.elements)
-        for ia in by_source.get(b.target, ())
-        for ic in by_target.get(b.source, ())
-    ]
-
-    workers = max(1, min(workers, max_workers()))
-    if workers == 1 or len(triples) < 1000:
-        results = [_assoc_chunk(s, triples)]
-    else:
-        chunks = [triples[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_assoc_chunk, [s] * workers, chunks))
-
-    checked = sum(r[0] for r in results)
-    skipped = sum(r[1] for r in results)
-    failures = sorted((f for r in results for f in r[2]), key=lambda t: t[0])
-    if failures:
+    by_target: dict[int, list[Element]] = {}
+    for e in s.elements:
+        by_target.setdefault(e.target, []).append(e)
+    checked = 0
+    skipped = 0
+    failure = None
+    for a in s.elements:
+        for b in by_target.get(a.source, ()):
+            for c in by_target.get(b.source, ()):
+                sides = _triple_sides(s, a, b, c)
+                if sides is None:
+                    skipped += 1
+                    continue
+                checked += 1
+                left, right = sides
+                if left != right and failure is None:
+                    failure = {
+                        "triple": [a.name, b.name, c.name],
+                        "left": _named(s, left),
+                        "right": _named(s, right),
+                    }
+    if failure is not None:
         return AssociativityReport(
-            status="fail", checked=checked, skipped=skipped, failure=failures[0][1]
+            status="fail", checked=checked, skipped=skipped, failure=failure
         )
     return AssociativityReport(status="pass", checked=checked, skipped=skipped)
 
 
-def check_associativity_sets(s: Shadow) -> bool:
-    """Set-level associativity (supports only), implied by the multiplicity
-    level but asserted separately."""
-    for b in s.elements:
-        for a in s.elements:
-            if a.source != b.target:
-                continue
-            for c in s.elements:
-                if b.source != c.target:
-                    continue
-                sides = _triple_sides(s, a, b, c)
-                if sides is None:
-                    continue
-                left, right = sides
-                if set(left) != set(right):
-                    return False
-    return True
+def _named(s: Shadow, terms: dict[Element, int]) -> dict[str, int]:
+    return {e.name: m for e, m in sorted(terms.items(), key=lambda t: s.index_of(t[0]))}
 
 
 FORMAT_VERSION = 1
@@ -403,7 +326,7 @@ def shadow_to_dict(s: Shadow) -> dict:
     else:
         data["involution"] = {
             e.name: s.involution[e].name
-            for e in sorted(s.involution, key=s.sort_key)
+            for e in sorted(s.involution, key=s.index_of)
         }
     rows = []
     for (a, b) in sorted(s.table, key=lambda p: (s.index_of(p[0]), s.index_of(p[1]))):
@@ -412,10 +335,7 @@ def shadow_to_dict(s: Shadow) -> dict:
             {
                 "left": a.name,
                 "right": b.name,
-                "result": {
-                    e.name: m
-                    for e, m in sorted(d.items(), key=lambda t: s.index_of(t[0]))
-                },
+                "result": _named(s, d.terms),
             }
         )
     data["table"] = rows

@@ -592,7 +592,7 @@ def bn_cells_report(n: int, s: Shadow | None = None) -> list[dict]:
         )
     )
 
-    poset = cell_poset(s, two_sided)
+    poset = cell_poset(s)
     k_cells = len(poset.cells)
     chain_ok = all(
         poset.leq(a, b) or poset.leq(b, a)
@@ -731,7 +731,7 @@ def recursion_check(n: int) -> dict:
     return _check("rank-reduction-index-shift", not witnesses, witnesses)
 
 
-def verify_bn(n: int, workers: int = 1) -> list[dict]:
+def verify_bn(n: int) -> list[dict]:
     """Full check suite for the rank-n shadow."""
     s = build_bn(n)
     checks = []
@@ -742,7 +742,7 @@ def verify_bn(n: int, workers: int = 1) -> list[dict]:
         checks.append(_check("structure", False, [str(err)]))
         return checks
 
-    report = check_associativity(s, workers=workers)
+    report = check_associativity(s)
     checks.append(
         _check(
             "associativity-multiplicity-level",

@@ -13,12 +13,15 @@ from fiatcell import (
     compose,
     decomposition_matrix_identity,
     is_strongly_regular,
-    leq,
     m_values,
     poset_to_dot,
     principal_ideal,
+    quotient_by_upset,
     window_shadow,
 )
+from fiatcell import cells
+from fiatcell.shadow import shadow_from_dict, shadow_to_dict
+from fiatcell.udot import bn_cells_report
 
 B2_LEFT = {
     frozenset({"1_0", "F0^(1)", "F0^(2)"}),
@@ -104,9 +107,9 @@ def test_bad_kind_and_unknown_element():
 def test_identity_at_zero_is_maximal():
     for n in (1, 2, 3):
         s = build_bn(n)
-        top = s.element("1_0")
+        top = principal_ideal(s, s.element("1_0"), "two-sided")
         for e in s.elements:
-            assert leq(s, e, top, "two-sided")
+            assert top <= principal_ideal(s, e, "two-sided")
 
 
 def test_b2_left_and_right_cells():
@@ -247,3 +250,22 @@ def test_m_value_consistency_guard_unreachable_on_regular_cells():
     for cls in cell_partition(s, "two-sided").classes:
         values, constant = m_values(s, cls)
         assert constant and all(v >= 1 for v in values.values())
+
+
+def test_each_ideal_is_computed_once_per_shadow(monkeypatch):
+    # a fresh shadow: the cached build_bn(6) may already hold its cell data
+    s = shadow_from_dict(shadow_to_dict(build_bn(6)))
+    calls = []
+    original = cells.principal_ideal
+
+    def counting(shadow, a, kind):
+        calls.append((a, kind))
+        return original(shadow, a, kind)
+
+    monkeypatch.setattr(cells, "principal_ideal", counting)
+    assert all(c["status"] == "pass" for c in bn_cells_report(6, s))
+    cell_poset(s)
+    cell_module(s, cell_partition(s, "left").class_of(s.element("1_0")))
+    top = cell_partition(s, "two-sided").class_of(s.element("1_0"))
+    quotient_by_upset(s, top)
+    assert len(calls) == len(set(calls)) == len(cells.KINDS) * len(s.elements)

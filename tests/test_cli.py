@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -70,7 +69,7 @@ def test_build_clebsch_zero(capsys):
 
 def test_build_schur_report(tmp_path):
     out = tmp_path / "schur.json"
-    assert main(["build", "schur", "--n", "2", "--r", "2", "--report", str(out)]) == 0
+    assert main(["build", "schur", "--n", "2", "--r", "2", "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["matrices"] == 10
     assert all(c["status"] == "pass" for c in doc["checks"])
@@ -92,6 +91,19 @@ def test_check_reports_failure(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "fail"
     assert doc["failure"]["triple"] == ["t", "t", "t"]
+
+
+def test_check_structural_error_exits_two(tmp_path, capsys):
+    path = tmp_path / "no-identity.json"
+    t = Element("t", 0, 0)
+    table = {(t, t): Decomposition({t: 1})}
+    save_shadow(Shadow(objects=(0,), elements=(t,), table=table), str(path))
+    assert main(["check", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "structural-error"
+    assert "identities" in doc["message"]
+    assert main(["cells", str(path)]) == 2
+    capsys.readouterr()
 
 
 def test_check_missing_and_malformed(tmp_path, capsys):
@@ -195,15 +207,6 @@ def test_unknown_verb_exits_two():
     assert exc.value.code == 2
 
 
-def test_module_entry_point_and_thread_env(tmp_path):
-    serial = run_cli("verify", "bn", "--n", "4")
-    assert serial.returncode == 0, serial.stderr
-    env = dict(os.environ, FIATCELL_THREADS="4")
-    parallel = subprocess.run(
-        [sys.executable, "-m", "fiatcell", "verify", "bn", "--n", "4"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert parallel.returncode == 0, parallel.stderr
-    assert parallel.stdout == serial.stdout
+def test_module_entry_point(tmp_path):
+    proc = run_cli("verify", "bn", "--n", "4")
+    assert proc.returncode == 0, proc.stderr

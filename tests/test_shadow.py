@@ -12,15 +12,13 @@ from fiatcell import (
     check_associativity,
     compose,
     compose_left,
-    compose_right,
-    compose_sets,
     dumps_shadow,
     load_shadow,
     save_shadow,
     validate_shadow,
     window_shadow,
 )
-from fiatcell.shadow import check_associativity_sets, shadow_from_dict, shadow_to_dict
+from fiatcell.shadow import shadow_from_dict, shadow_to_dict
 
 E = Element("e", 0, 0, is_identity=True)
 T = Element("t", 0, 0)
@@ -110,9 +108,7 @@ def test_missing_entry_strict_vs_partial():
 
 def test_compose_helpers():
     s = associative_toy()
-    assert compose_sets(s, [T], [T, U]) == frozenset({U})
     assert compose_left(s, T, Decomposition({T: 2, U: 1})).terms == {U: 3}
-    assert compose_right(s, Decomposition({T: 5}), T).terms == {U: 5}
 
 
 def test_incomplete_table_is_an_error():
@@ -199,8 +195,6 @@ def test_associativity_failure_reported():
     assert report.status == "fail"
     assert report.failure is not None
     assert set(report.failure) == {"triple", "left", "right"}
-    assert not check_associativity_sets(non_associative_toy())
-    assert check_associativity_sets(build_bn(2))
 
 
 def test_associativity_structural_error_status():
@@ -216,18 +210,6 @@ def test_partial_window_skips_boundary_triples():
     report = check_associativity(s)
     assert report.ok
     assert report.skipped > 0
-
-
-def test_parallel_matches_serial(monkeypatch):
-    monkeypatch.setenv("FIATCELL_THREADS", "4")
-    s = build_bn(5)
-    serial = check_associativity(s, workers=1)
-    parallel = check_associativity(s, workers=4)
-    assert (serial.status, serial.checked, serial.skipped) == (
-        parallel.status,
-        parallel.checked,
-        parallel.skipped,
-    )
 
 
 def test_json_roundtrip_is_identity():
