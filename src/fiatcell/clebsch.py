@@ -9,7 +9,8 @@ so window shadows omit those table entries and are marked partial.
 
 from __future__ import annotations
 
-from .shadow import Decomposition, Element, InputError, Shadow
+from .checks import check
+from .shadow import Decomposition, Element, InputError, Shadow, check_associativity
 
 
 def cg_op(m: int, n: int) -> frozenset[int]:
@@ -83,44 +84,20 @@ def associativity_unbounded(max_value: int) -> tuple[bool, tuple | None]:
 
 def verify_clebsch(max_value: int) -> list[dict]:
     """Check suite for the fusion structure and its window shadow."""
-    from .shadow import check_associativity
-
-    checks = []
     ok, witness = associativity_unbounded(max_value)
-    checks.append(
-        {
-            "check": "fusion-associativity-unbounded",
-            "status": "pass" if ok else "fail",
-            "witnesses": [] if ok else [list(witness)],
-        }
-    )
     unit_ok = all(
         cg_op(0, a) == {a} and cg_op(a, 0) == {a} for a in range(max_value + 1)
     )
-    checks.append(
-        {
-            "check": "zero-is-strict-unit",
-            "status": "pass" if unit_ok else "fail",
-            "witnesses": [],
-        }
-    )
-    single = single_cell_check(max_value)
-    checks.append(
-        {
-            "check": "single-cell-witness",
-            "status": "pass" if single else "fail",
-            "witnesses": [],
-        }
-    )
-    s = window_shadow(max_value)
-    report = check_associativity(s)
-    checks.append(
-        {
-            "check": "window-associativity-complete-triples",
-            "status": "pass" if report.ok else "fail",
-            "witnesses": [] if report.ok else [report.failure or report.message],
-            "checked": report.checked,
-            "skipped": report.skipped,
-        }
-    )
-    return checks
+    report = check_associativity(window_shadow(max_value))
+    return [
+        check("fusion-associativity-unbounded", ok, [] if ok else [list(witness)]),
+        check("zero-is-strict-unit", unit_ok),
+        check("single-cell-witness", single_cell_check(max_value)),
+        check(
+            "window-associativity-complete-triples",
+            report.ok,
+            [] if report.ok else [report.failure or report.message],
+            checked=report.checked,
+            skipped=report.skipped,
+        ),
+    ]

@@ -13,6 +13,7 @@ import json
 import sys
 
 from .cells import cell_module, cell_partition, cell_poset, poset_to_dot
+from .checks import status
 from .clebsch import verify_clebsch, window_shadow
 from .ideals import thick_ideals, upsets_by_enumeration
 from .schur import schur_report, verify_schur
@@ -73,10 +74,6 @@ def _load(path: str) -> Shadow:
     return s
 
 
-def _status(checks: list[dict]) -> str:
-    return "pass" if all(c["status"] == "pass" for c in checks) else "fail"
-
-
 def cmd_build(args) -> int:
     if args.construction == "bn":
         _write_text(dumps_shadow(build_bn(args.n)), args.output)
@@ -86,7 +83,7 @@ def cmd_build(args) -> int:
         return 0
     report = schur_report(args.n, args.r)
     _emit(report, args.output)
-    return 0 if _status(report["checks"]) == "pass" else 1
+    return 0 if status(report["checks"]) == "pass" else 1
 
 
 def cmd_check(args) -> int:
@@ -191,23 +188,23 @@ def cmd_verify(args) -> int:
                     "elements": len(s.elements),
                     "two-sided-cells": len(cell_partition(s, "two-sided").classes),
                     "checks": checks,
-                    "status": _status(checks),
+                    "status": status(checks),
                 }
             )
         doc = {"format": 1, "construction": "bn", "results": results}
     elif args.construction == "clebsch":
         checks = verify_clebsch(args.max)
-        results.append({"max": args.max, "checks": checks, "status": _status(checks)})
+        results.append({"max": args.max, "checks": checks, "status": status(checks)})
         doc = {"format": 1, "construction": "clebsch", "results": results}
     else:
         for n in parse_range(args.n):
             for r in parse_range(args.r):
                 checks = verify_schur(n, r)
                 results.append(
-                    {"n": n, "r": r, "checks": checks, "status": _status(checks)}
+                    {"n": n, "r": r, "checks": checks, "status": status(checks)}
                 )
         doc = {"format": 1, "construction": "schur", "results": results}
-    doc["status"] = "pass" if all(r["status"] == "pass" for r in results) else "fail"
+    doc["status"] = status(results)
     _emit(doc, args.output)
     return 0 if doc["status"] == "pass" else 1
 

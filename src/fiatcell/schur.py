@@ -13,12 +13,13 @@ intersection half of strong regularity is checked.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations_with_replacement, groupby, permutations
+from itertools import combinations_with_replacement, groupby
 from math import comb
 
 from .cells import CellPartition
+from .checks import check
 from .shadow import ConsistencyError, InputError
 
 SCHUR_LIMIT_N = 4
@@ -130,15 +131,6 @@ def enumerate_basis(n: int, r: int) -> list[MarginMatrix]:
         for flat in _sum_compositions(r, n * n)
     ]
     out.sort(key=lambda a: (a.row_margins, a.col_margins, a.entries))
-    return out
-
-
-def basis_by_margins(
-    n: int, r: int
-) -> dict[tuple[tuple[int, ...], tuple[int, ...]], list[MarginMatrix]]:
-    out: dict = {}
-    for a in enumerate_basis(n, r):
-        out.setdefault((a.row_margins, a.col_margins), []).append(a)
     return out
 
 
@@ -318,15 +310,13 @@ def cells_via_rsk(n: int, r: int) -> RskCells:
     the recording tableau, two-sided cells fibers of the shape."""
     matrices = tuple(enumerate_basis(n, r))
     pairs = {a: rsk(a) for a in matrices}
-    index = {a: i for i, a in enumerate(matrices)}
 
     def fibers(key) -> tuple[frozenset, ...]:
+        # dicts keep first-seen order, so classes come ordered by first member
         groups: dict = {}
         for a in matrices:
             groups.setdefault(key(a), []).append(a)
-        classes = [frozenset(v) for v in groups.values()]
-        classes.sort(key=lambda cls: min(index[a] for a in cls))
-        return tuple(classes)
+        return tuple(frozenset(v) for v in groups.values())
 
     return RskCells(
         matrices=matrices,
@@ -347,10 +337,7 @@ def schur_strong_regularity(n: int, r: int, cells: RskCells | None = None) -> di
     if cells is None:
         cells = cells_via_rsk(n, r)
     witnesses = []
-    seen: dict[tuple[Tableau, Tableau], int] = {}
-    for a in cells.matrices:
-        pair = cells.pairs[a]
-        seen[(pair.p, pair.q)] = seen.get((pair.p, pair.q), 0) + 1
+    seen = Counter((pair.p, pair.q) for pair in cells.pairs.values())
     for (p, q), count in seen.items():
         if count != 1:
             witnesses.append({"p-shape": list(p.shape), "count": count})
@@ -360,11 +347,7 @@ def schur_strong_regularity(n: int, r: int, cells: RskCells | None = None) -> di
         witnesses.append(
             {"pair-count": expected, "matrix-count": len(cells.matrices)}
         )
-    return {
-        "check": "left-right-intersections-singleton",
-        "status": "pass" if not witnesses else "fail",
-        "witnesses": witnesses,
-    }
+    return check("left-right-intersections-singleton", not witnesses, witnesses)
 
 
 def antidominant_pair(a: MarginMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -408,108 +391,91 @@ def antidominant_count(n: int, v) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def _symmetric_group(r: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(permutations(range(1, r + 1)))
+def _words(content: tuple[int, ...]):
+    """Distinct words with content[i] letters i, lexicographically."""
+    if not any(content):
+        yield ()
+        return
+    for i, c in enumerate(content):
+        if c:
+            rest = content[:i] + (c - 1,) + content[i + 1 :]
+            for w in _words(rest):
+                yield (i,) + w
 
 
 def double_coset_count(r: int, mu, nu) -> int:
     """Number of double cosets of the Young subgroups of compositions mu
     (acting on values, from the left) and nu (acting on positions, from the
-    right), by direct orbit enumeration."""
+    right), by direct orbit enumeration. A left coset of the mu-subgroup is
+    a word of content mu (each value replaced by the index of its mu-block);
+    the nu-subgroup acts on words by swapping adjacent positions inside a
+    nu-block. No margin matrix is read."""
     mu = tuple(m for m in mu if m)
     nu = tuple(m for m in nu if m)
     if sum(mu) != r or sum(nu) != r:
         raise InputError("compositions must sum to r")
-    if r > 7:
-        raise InputError("direct coset enumeration is limited to r <= 7")
-
-    def block_gens(comp):
-        gens = []
-        start = 1
-        for b in comp:
-            gens.extend(range(start, start + b - 1))
-            start += b
-        return gens
-
-    left_gens = block_gens(mu)  # swap values j, j+1
-    right_gens = block_gens(nu)  # swap positions j, j+1
-    perms = _symmetric_group(r)
-    index = {w: i for i, w in enumerate(perms)}
-    seen = [False] * len(perms)
+    swaps: list[int] = []  # position j swaps with j + 1
+    start = 0
+    for b in nu:
+        swaps.extend(range(start, start + b - 1))
+        start += b
+    words = list(_words(mu))
+    index = {w: i for i, w in enumerate(words)}
+    seen = [False] * len(words)
     orbits = 0
-    for start in range(len(perms)):
-        if seen[start]:
+    for first in range(len(words)):
+        if seen[first]:
             continue
         orbits += 1
-        stack = [start]
-        seen[start] = True
+        seen[first] = True
+        stack = [words[first]]
         while stack:
-            w = perms[stack.pop()]
-            images = []
-            for j in left_gens:
-                images.append(
-                    tuple(j + 1 if c == j else j if c == j + 1 else c for c in w)
-                )
-            for j in right_gens:
-                u = list(w)
-                u[j - 1], u[j] = u[j], u[j - 1]
-                images.append(tuple(u))
-            for u in images:
+            w = stack.pop()
+            for j in swaps:
+                u = w[:j] + (w[j + 1], w[j]) + w[j + 2 :]
                 i = index[u]
                 if not seen[i]:
                     seen[i] = True
-                    stack.append(i)
+                    stack.append(u)
     return orbits
 
 
-def verify_schur(n: int, r: int) -> list[dict]:
-    """Full check suite for the rank-(n, r) matrix combinatorics."""
-    _check_rank(n, r)
-    checks = []
-
-    def check(name: str, ok: bool, witnesses: list | None = None) -> None:
-        checks.append(
-            {
-                "check": name,
-                "status": "pass" if ok else "fail",
-                "witnesses": witnesses or [],
-            }
-        )
-
-    dominant = enumerate_dominant(n, r)
-    check(
-        "dominant-vector-count",
-        len(dominant) == comb(n + r - 1, r)
-        and dominant == sorted(dominant, reverse=True),
-        [len(dominant)],
-    )
-
-    basis = enumerate_basis(n, r)
-    check("margin-matrix-count", len(basis) == comb(n * n + r - 1, r), [len(basis)])
-
-    cells = cells_via_rsk(n, r)
-    content_bad = []
+def _suite(n: int, r: int, cells: RskCells, dominant: list) -> list[dict]:
+    """The check suite over one insertion of the basis: one pass reads each
+    matrix's pair, margins, round trip, transpose and antidominant pair."""
+    basis, pairs = cells.matrices, cells.pairs
+    by_margins: Counter = Counter()  # (row margins, column margins) -> matrices
+    by_columns: Counter = Counter()  # column margins -> matrices
+    content_bad, roundtrip_bad, transpose_bad, anti_bad = [], [], [], []
     for a in basis:
-        pair = cells.pairs[a]
+        pair = pairs[a]
+        rows, cols = a.row_margins, a.col_margins
+        by_margins[rows, cols] += 1
+        by_columns[cols] += 1
         if (
-            pair.p.content(n) != a.col_margins
-            or pair.q.content(n) != a.row_margins
+            pair.p.content(n) != cols
+            or pair.q.content(n) != rows
             or pair.p.shape != pair.q.shape
         ):
             content_bad.append(a.as_lists())
-    check("rsk-content-laws", not content_bad, content_bad)
+        if rsk_inverse(pair, n) != a:
+            roundtrip_bad.append(a.as_lists())
+        t = involution_transpose(a)
+        tpair = pairs.get(t)
+        if (
+            involution_transpose(t) != a
+            or tpair is None
+            or tpair.p != pair.q
+            or tpair.q != pair.p
+        ):
+            transpose_bad.append(a.as_lists())
+        if pair_matrix(n, *antidominant_pair(a)) != a:
+            anti_bad.append(a.as_lists())
+    for v in dominant:
+        if by_columns[vector_content(v, n)] != antidominant_count(n, v):
+            anti_bad.append({"vector": list(v)})
 
-    roundtrip_bad = [
-        a.as_lists() for a in basis if rsk_inverse(cells.pairs[a], n) != a
-    ]
-    distinct = len({(cells.pairs[a].p, cells.pairs[a].q) for a in basis})
-    check(
-        "rsk-roundtrip-bijection",
-        not roundtrip_bad and distinct == len(basis),
-        roundtrip_bad,
-    )
-
+    distinct = len({(pair.p, pair.q) for pair in pairs.values()})
     shapes = list(partitions_at_most(r, n))
     by_enum = {shape: len(ssyt_of_shape(shape, n)) for shape in shapes}
     by_hook = {shape: count_ssyt(shape, n) for shape in shapes}
@@ -517,78 +483,73 @@ def verify_schur(n: int, r: int) -> list[dict]:
         by_enum == by_hook
         and sum(c * c for c in by_enum.values()) == comb(n * n + r - 1, r)
     )
-    check(
-        "ssyt-counting-identity",
-        identity_ok,
-        [] if identity_ok else [{" ".join(map(str, k)): v for k, v in by_enum.items()}],
-    )
-
-    check(
-        "two-sided-cells-are-shapes",
-        len(cells.two_sided.classes) == len(shapes),
-        [len(cells.two_sided.classes), len(shapes)],
-    )
 
     size_bad = []
     for cls in cells.two_sided.classes:
-        shape = cells.pairs[next(iter(cls))].p.shape
-        lefts = {cells.pairs[a].p for a in cls}
-        rights = {cells.pairs[a].q for a in cls}
+        shape = pairs[next(iter(cls))].p.shape
+        lefts = {pairs[a].p for a in cls}
+        rights = {pairs[a].q for a in cls}
         expected = count_ssyt(shape, n)
         if len(lefts) != expected or len(rights) != expected:
             size_bad.append(
                 {"shape": list(shape), "left": len(lefts), "right": len(rights)}
             )
-    check("cells-per-shape-count", not size_bad, size_bad)
-
-    checks.append(schur_strong_regularity(n, r, cells))
-
-    transpose_bad = []
-    for a in basis:
-        t = involution_transpose(a)
-        if involution_transpose(t) != a:
-            transpose_bad.append(a.as_lists())
-            continue
-        pair, tpair = cells.pairs[a], rsk(t)
-        if tpair.p != pair.q or tpair.q != pair.p:
-            transpose_bad.append(a.as_lists())
-    check("transpose-swaps-tableaux", not transpose_bad, transpose_bad)
-
-    anti_bad = []
-    for a in basis:
-        v, x = antidominant_pair(a)
-        if pair_matrix(n, v, x) != a:
-            anti_bad.append(a.as_lists())
-    for v in dominant:
-        content = vector_content(v, n)
-        matching = sum(1 for a in basis if a.col_margins == content)
-        if matching != antidominant_count(n, v):
-            anti_bad.append({"vector": list(v)})
-    check("antidominant-indexing-bijection", not anti_bad, anti_bad)
 
     if r <= 5:
-        margin_pairs = sorted(basis_by_margins(n, r))
+        margin_pairs = sorted(by_margins)
     else:
-        margin_pairs = sorted(
-            {(m, m) for m, _ in basis_by_margins(n, r)}
-        )
+        margin_pairs = sorted({(m, m) for m, _ in by_margins})
     coset_bad = []
-    counts = basis_by_margins(n, r)
     for mu, nu in margin_pairs:
         got = double_coset_count(r, mu, nu)
-        expected = len(counts.get((mu, nu), []))
+        expected = by_margins[mu, nu]
         if got != expected:
             coset_bad.append(
                 {"row": list(mu), "col": list(nu), "orbits": got, "matrices": expected}
             )
-    check("double-coset-counts", not coset_bad, coset_bad)
-    return checks
+
+    return [
+        check(
+            "dominant-vector-count",
+            len(dominant) == comb(n + r - 1, r)
+            and dominant == sorted(dominant, reverse=True),
+            [len(dominant)],
+        ),
+        check("margin-matrix-count", len(basis) == comb(n * n + r - 1, r), [len(basis)]),
+        check("rsk-content-laws", not content_bad, content_bad),
+        check(
+            "rsk-roundtrip-bijection",
+            not roundtrip_bad and distinct == len(basis),
+            roundtrip_bad,
+        ),
+        check(
+            "ssyt-counting-identity",
+            identity_ok,
+            [] if identity_ok else [{" ".join(map(str, k)): v for k, v in by_enum.items()}],
+        ),
+        check(
+            "two-sided-cells-are-shapes",
+            len(cells.two_sided.classes) == len(shapes),
+            [len(cells.two_sided.classes), len(shapes)],
+        ),
+        check("cells-per-shape-count", not size_bad, size_bad),
+        schur_strong_regularity(n, r, cells),
+        check("transpose-swaps-tableaux", not transpose_bad, transpose_bad),
+        check("antidominant-indexing-bijection", not anti_bad, anti_bad),
+        check("double-coset-counts", not coset_bad, coset_bad),
+    ]
+
+
+def verify_schur(n: int, r: int) -> list[dict]:
+    """Full check suite for the rank-(n, r) matrix combinatorics."""
+    return _suite(n, r, cells_via_rsk(n, r), enumerate_dominant(n, r))
 
 
 def schur_report(n: int, r: int) -> dict:
     """Cells report: shapes with tableau and matrix counts, plus the check
     suite."""
     cells = cells_via_rsk(n, r)
+    dominant = enumerate_dominant(n, r)
     shape_rows = []
     for cls in cells.two_sided.classes:
         shape = cells.pairs[next(iter(cls))].p.shape
@@ -605,9 +566,9 @@ def schur_report(n: int, r: int) -> dict:
         "format": 1,
         "n": n,
         "r": r,
-        "dominant-vectors": len(enumerate_dominant(n, r)),
+        "dominant-vectors": len(dominant),
         "matrices": len(cells.matrices),
         "two-sided-cells": len(cells.two_sided.classes),
         "shapes": shape_rows,
-        "checks": verify_schur(n, r),
+        "checks": _suite(n, r, cells, dominant),
     }

@@ -342,14 +342,24 @@ def shadow_to_dict(s: Shadow) -> dict:
     return data
 
 
+def _int(x) -> int:
+    """A JSON integer; booleans, floats and strings are refused, not cast."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise InputError(f"expected an integer, got {json.dumps(x)}")
+    return x
+
+
 def shadow_from_dict(data: dict) -> Shadow:
+    version = _int(data.get("format", FORMAT_VERSION))
+    if version != FORMAT_VERSION:
+        raise InputError(f"unsupported format {version}, expected {FORMAT_VERSION}")
     try:
-        objects = tuple(int(o) for o in data["objects"])
+        objects = tuple(_int(o) for o in data["objects"])
         elements = tuple(
             Element(
                 name=str(row["id"]),
-                source=int(row["source"]),
-                target=int(row["target"]),
+                source=_int(row["source"]),
+                target=_int(row["target"]),
                 is_identity=bool(row["identity"]),
             )
             for row in data["elements"]
@@ -365,8 +375,10 @@ def shadow_from_dict(data: dict) -> Shadow:
         for row in data["table"]:
             a = by_name[row["left"]]
             b = by_name[row["right"]]
+            if (a, b) in table:
+                raise InputError(f"duplicate table row ({a.name}, {b.name})")
             table[(a, b)] = Decomposition(
-                {by_name[k]: int(v) for k, v in row["result"].items()}
+                {by_name[k]: _int(v) for k, v in row["result"].items()}
             )
         return Shadow(
             objects=objects,

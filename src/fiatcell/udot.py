@@ -32,6 +32,7 @@ from .cells import (
     is_strongly_regular,
     m_values,
 )
+from .checks import check
 from .ideals import quotient_by_upset, thick_ideals, upsets_by_enumeration
 from .shadow import (
     ConsistencyError,
@@ -42,7 +43,6 @@ from .shadow import (
     check_associativity,
     compose,
     compose_left,
-    validate_shadow,
 )
 
 DESK_LIMIT = 8
@@ -411,14 +411,6 @@ def bn_element_monomials(n: int) -> dict[str, DPMonomial]:
     return out
 
 
-def _check(name: str, ok: bool, witnesses: list | None = None) -> dict:
-    return {
-        "check": name,
-        "status": "pass" if ok else "fail",
-        "witnesses": witnesses or [],
-    }
-
-
 def _decomp_to_names(s: Shadow, d: Decomposition) -> dict[str, int]:
     return {e.name: m for e, m in sorted(d.items(), key=lambda t: s.index_of(t[0]))}
 
@@ -459,7 +451,7 @@ def verify_relations(n: int, s: Shadow | None = None) -> list[dict]:
             bad_55.append(
                 {"i": i, "left": _decomp_to_names(s, lhs), "right": _decomp_to_names(s, rhs)}
             )
-    checks.append(_check("exchange-relation", not bad_55, bad_55))
+    checks.append(check("exchange-relation", not bad_55, bad_55))
 
     bad_65 = []
     for i in range(n + 1):
@@ -482,7 +474,7 @@ def verify_relations(n: int, s: Shadow | None = None) -> list[dict]:
                 )
                 if d != expected:
                     bad_65.append({"family": "F", "i": i, "k": k})
-    checks.append(_check("merge-relation", not bad_65, bad_65))
+    checks.append(check("merge-relation", not bad_65, bad_65))
     return checks
 
 
@@ -574,7 +566,7 @@ def bn_cells_report(n: int, s: Shadow | None = None) -> list[dict]:
         for j in range(n + 1)
         if by_pair.get((i, j), 0) != min(i, j, n - i, n - j) + 1
     ]
-    checks.append(_check("hom-pair-basis-count", not bad_counts, bad_counts))
+    checks.append(check("hom-pair-basis-count", not bad_counts, bad_counts))
 
     two_sided = cell_partition(s, "two-sided")
     left = cell_partition(s, "left")
@@ -585,7 +577,7 @@ def bn_cells_report(n: int, s: Shadow | None = None) -> list[dict]:
         and len(set(identity_cells)) == half + 1
     )
     checks.append(
-        _check(
+        check(
             "two-sided-cells-are-identity-cells",
             ok_two_sided,
             [] if ok_two_sided else [len(two_sided.classes)],
@@ -605,7 +597,7 @@ def bn_cells_report(n: int, s: Shadow | None = None) -> list[dict]:
         lo = poset.cell_index(s.element(f"1_{m}"))
         hi = poset.cell_index(s.element(f"1_{m - 1}"))
         chain_ok = chain_ok and poset.leq(lo, hi) and not poset.leq(hi, lo)
-    checks.append(_check("cell-poset-chain-top-at-identity-0", chain_ok))
+    checks.append(check("cell-poset-chain-top-at-identity-0", chain_ok))
 
     pairs = cell_index_pairs(n)
     gens = {pair: s.element(cell_generator(n, *pair).name) for pair in pairs}
@@ -616,7 +608,7 @@ def bn_cells_report(n: int, s: Shadow | None = None) -> list[dict]:
         and len(set(gen_right.values())) == len(pairs) == len(right.classes)
     )
     checks.append(
-        _check(
+        check(
             "cell-generators-distinct-and-complete",
             distinct_ok,
             [] if distinct_ok else [len(pairs), len(left.classes), len(right.classes)],
@@ -629,7 +621,7 @@ def bn_cells_report(n: int, s: Shadow | None = None) -> list[dict]:
         if two_sided.class_of(g) != identity_cells[expected]:
             bad_membership.append({"pair": [i, k], "generator": g.name})
     checks.append(
-        _check("generator-two-sided-membership", not bad_membership, bad_membership)
+        check("generator-two-sided-membership", not bad_membership, bad_membership)
     )
 
     reg_witnesses = []
@@ -637,7 +629,7 @@ def bn_cells_report(n: int, s: Shadow | None = None) -> list[dict]:
         result = is_strongly_regular(s, cls)
         if not result.ok:
             reg_witnesses.append(list(result.witness))
-    checks.append(_check("strong-regularity", not reg_witnesses, reg_witnesses))
+    checks.append(check("strong-regularity", not reg_witnesses, reg_witnesses))
 
     m_bad = []
     if not reg_witnesses:
@@ -647,7 +639,7 @@ def bn_cells_report(n: int, s: Shadow | None = None) -> list[dict]:
                 m_bad.append(
                     {e.name: v for e, v in sorted(values.items(), key=lambda t: s.index_of(t[0]))}
                 )
-    checks.append(_check("m-constant-on-right-cells", not m_bad, m_bad))
+    checks.append(check("m-constant-on-right-cells", not m_bad, m_bad))
 
     formula_bad = []
     if not reg_witnesses:
@@ -667,7 +659,7 @@ def bn_cells_report(n: int, s: Shadow | None = None) -> list[dict]:
                         {"pair": [i, k], "expected": expected, "got": sorted(got)}
                     )
     checks.append(
-        _check("m-value-identity-multiplicity-formula", not formula_bad, formula_bad)
+        check("m-value-identity-multiplicity-formula", not formula_bad, formula_bad)
     )
     return checks
 
@@ -728,34 +720,29 @@ def recursion_check(n: int) -> dict:
     quotient = quotient_by_upset(big, top_cell)
     if quotient != shifted:
         witnesses.append({"quotient": "differs from shifted lower-rank shadow"})
-    return _check("rank-reduction-index-shift", not witnesses, witnesses)
+    return check("rank-reduction-index-shift", not witnesses, witnesses)
 
 
 def verify_bn(n: int) -> list[dict]:
     """Full check suite for the rank-n shadow."""
     s = build_bn(n)
-    checks = []
-    try:
-        validate_shadow(s)
-        checks.append(_check("structure", True))
-    except Exception as err:  # noqa: BLE001 - reported, not raised
-        checks.append(_check("structure", False, [str(err)]))
-        return checks
-
     report = check_associativity(s)
-    checks.append(
-        _check(
+    if report.status == "structural-error":
+        return [check("structure", False, [report.message])]
+    checks = [
+        check("structure", True),
+        check(
             "associativity-multiplicity-level",
             report.ok,
-            [] if report.ok else [report.failure or report.message],
-        )
-    )
+            [] if report.ok else [report.failure],
+        ),
+    ]
     checks.extend(verify_relations(n, s))
     try:
         defining_action(n, s, validate=True)
-        checks.append(_check("defining-action-multiplicative", True))
+        checks.append(check("defining-action-multiplicative", True))
     except ConsistencyError as err:
-        checks.append(_check("defining-action-multiplicative", False, [str(err)]))
+        checks.append(check("defining-action-multiplicative", False, [str(err)]))
 
     left = cell_partition(s, "left")
     cm = cell_module(s, left.class_of(s.element("1_0")))
@@ -766,7 +753,7 @@ def verify_bn(n: int) -> list[dict]:
     matrices_ok = names_ok and all(
         np.array_equal(cm.matrices[e], action[e]) for e in s.elements
     )
-    checks.append(_check("cell-module-is-defining-action", matrices_ok))
+    checks.append(check("cell-module-is-defining-action", matrices_ok))
 
     checks.extend(bn_cells_report(n, s))
 
@@ -776,7 +763,7 @@ def verify_bn(n: int) -> list[dict]:
     upsets = upsets_by_enumeration(poset)
     ok_ideals = len(ideals) == expected == len(upsets)
     checks.append(
-        _check(
+        check(
             "thick-ideal-count",
             ok_ideals,
             [] if ok_ideals else [len(ideals), expected, len(upsets)],

@@ -201,6 +201,13 @@ def test_verify_schur(capsys):
     assert doc["status"] == "pass"
 
 
+def test_verify_schur_at_rank_limit(capsys):
+    assert main(["verify", "schur", "--n", "1..2", "--r", "8"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "pass"
+    assert [len(row["checks"]) for row in doc["results"]] == [11, 11]
+
+
 def test_unknown_verb_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -1,3 +1,4 @@
+from collections import Counter
 from math import comb
 
 import pytest
@@ -17,10 +18,10 @@ from fiatcell import (
     schur_report,
     verify_schur,
 )
+from fiatcell import schur
 from fiatcell.schur import (
     antidominant_count,
     antidominant_pair,
-    basis_by_margins,
     count_ssyt,
     double_coset_count,
     involution_transpose,
@@ -219,17 +220,21 @@ def test_double_coset_frozen_value():
     assert double_coset_count(3, (2, 1), (2, 1)) == 2
 
 
+def margin_counts(n, r):
+    return Counter((a.row_margins, a.col_margins) for a in enumerate_basis(n, r))
+
+
 def test_double_coset_counts_match_matrices():
     for r in (2, 3, 4):
-        for (mu, nu), group in basis_by_margins(2, r).items():
-            assert double_coset_count(r, mu, nu) == len(group)
+        for (mu, nu), count in margin_counts(2, r).items():
+            assert double_coset_count(r, mu, nu) == count
 
 
 def test_double_coset_guards():
     with pytest.raises(InputError, match="sum to"):
         double_coset_count(3, (2, 2), (3,))
-    with pytest.raises(InputError, match="r <= 7"):
-        double_coset_count(8, (8,), (8,))
+    for (mu, nu), count in margin_counts(2, 8).items():
+        assert double_coset_count(8, mu, nu) == count
 
 
 @pytest.mark.parametrize("n,r", [(2, 3), (3, 2)])
@@ -250,6 +255,21 @@ def test_verify_schur_passes(n, r):
         "antidominant-indexing-bijection",
         "double-coset-counts",
     ]
+
+
+def test_schur_report_inserts_each_matrix_once(monkeypatch):
+    calls = Counter()
+    for name in ("enumerate_basis", "rsk"):
+        real = getattr(schur, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(schur, name, counted)
+    report = schur_report(3, 3)
+    assert all(c["status"] == "pass" for c in report["checks"])
+    assert calls == {"enumerate_basis": 1, "rsk": report["matrices"]}
 
 
 def test_schur_report_shape():

@@ -18,6 +18,7 @@ from fiatcell import (
     validate_shadow,
     window_shadow,
 )
+from fiatcell.cli import main
 from fiatcell.shadow import shadow_from_dict, shadow_to_dict
 
 E = Element("e", 0, 0, is_identity=True)
@@ -265,3 +266,35 @@ def test_duplicate_ids_in_file_rejected():
     }
     with pytest.raises(InputError):
         shadow_from_dict(data)
+
+
+def _format_99(data):
+    data["format"] = 99
+
+
+def _duplicate_row(data):
+    data["table"].append(dict(data["table"][0], result={}))
+
+
+def _boolean_multiplicity(data):
+    row = data["table"][0]
+    row["result"] = {name: True for name in row["result"]}
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (_format_99, "unsupported format 99"),
+        (_duplicate_row, "duplicate table row"),
+        (_boolean_multiplicity, "expected an integer, got true"),
+    ],
+)
+def test_loader_refuses_instead_of_fixing_up(tmp_path, capsys, corrupt, message):
+    data = shadow_to_dict(build_bn(1))
+    corrupt(data)
+    with pytest.raises(InputError, match=message):
+        shadow_from_dict(data)
+    path = tmp_path / "corrupt.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 2
+    assert message in capsys.readouterr().err
