@@ -15,10 +15,9 @@ mutated after construction, or these answers go stale.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .shadow import (
     ConsistencyError,
@@ -247,20 +246,27 @@ def m_values(s: Shadow, two_sided_cell: frozenset[Element]) -> tuple[dict[Elemen
     return values, constant
 
 
+Matrix = tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class CellModuleMatrices:
     left_cell: frozenset[Element]
     basis: tuple[Element, ...]
-    matrices: dict[Element, np.ndarray]
+    matrices: dict[Element, Matrix]
 
 
 def cell_module(s: Shadow, left_cell: frozenset[Element]) -> CellModuleMatrices:
     """Integer matrices of the action on a left cell, truncated to the cell.
 
     The matrix of a has (h, f) entry the multiplicity of h in a after f,
-    for h, f in the cell. Truncation is exact here: a term of a product
-    landing above the cell can never fall back in, so matrix products agree
-    with composition (checked exhaustively in tests).
+    for h, f in the cell; each matrix is a tuple of rows of Python ints.
+    On a full table truncation is exact: a term of a product landing above
+    the cell can never fall back in, so matrix products agree with
+    composition (checked exhaustively in tests). On a partial shadow it
+    need not be: the window omits the products it cannot see, a product can
+    leave the cell and come back, and the matrices need not form a
+    representation (on window_shadow(6), M_1 M_1 != M_0 + M_2).
     """
     partition = cell_partition(s, "left")
     if left_cell not in partition.classes:
@@ -269,24 +275,45 @@ def cell_module(s: Shadow, left_cell: frozenset[Element]) -> CellModuleMatrices:
     pos = {e: i for i, e in enumerate(basis)}
     matrices = {}
     for a in s.elements:
-        mat = np.zeros((len(basis), len(basis)), dtype=np.int64)
+        rows = [[0] * len(basis) for _ in basis]
         for f in basis:
             if a.source != f.target:
                 continue
             for h, m in compose(s, a, f).items():
                 if h in pos:
-                    mat[pos[h], pos[f]] = m
-        matrices[a] = mat
+                    rows[pos[h]][pos[f]] = m
+        matrices[a] = tuple(map(tuple, rows))
     return CellModuleMatrices(left_cell=left_cell, basis=basis, matrices=matrices)
+
+
+def _product_is_sum(x: Matrix, y: Matrix, terms: Iterable[tuple[Matrix, int]]) -> bool:
+    """x y equals the sum of m z over (z, m) in terms.
+
+    Both sides are kept as dicts of their nonzero entries, and zero entries
+    are skipped: every defining-action matrix has one nonzero entry, and
+    verify bn checks one product per table entry (3,333 at rank 8).
+    """
+    lhs: dict[tuple[int, int], int] = {}
+    for i, row in enumerate(x):
+        if any(row):
+            for a, y_row in zip(row, y):
+                if a:
+                    for j, b in enumerate(y_row):
+                        if b:
+                            lhs[i, j] = lhs.get((i, j), 0) + a * b
+    rhs: dict[tuple[int, int], int] = {}
+    for z, m in terms:
+        for i, row in enumerate(z):
+            if any(row):
+                for j, c in enumerate(row):
+                    if c:
+                        rhs[i, j] = rhs.get((i, j), 0) + m * c
+    return {k: v for k, v in lhs.items() if v} == {k: v for k, v in rhs.items() if v}
 
 
 def decomposition_matrix_identity(
     s: Shadow, cm: CellModuleMatrices, a: Element, b: Element
 ) -> bool:
     """M_a M_b equals the multiplicity-weighted sum of M_c over a after b."""
-    lhs = cm.matrices[a] @ cm.matrices[b]
-    rhs = np.zeros_like(lhs)
-    if a.source == b.target:
-        for c, m in compose(s, a, b).items():
-            rhs = rhs + m * cm.matrices[c]
-    return bool(np.array_equal(lhs, rhs))
+    terms = ((cm.matrices[c], m) for c, m in compose(s, a, b).items())
+    return _product_is_sum(cm.matrices[a], cm.matrices[b], terms)

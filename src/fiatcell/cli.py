@@ -160,7 +160,7 @@ def cmd_cell_module(args) -> int:
         "left-cell-of": args.left_cell_of,
         "basis": [b.name for b in cm.basis],
         "matrices": {
-            a.name: cm.matrices[a].tolist()
+            a.name: [list(row) for row in cm.matrices[a]]
             for a in sorted(cm.matrices, key=s.index_of)
         },
     }

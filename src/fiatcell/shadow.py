@@ -342,25 +342,29 @@ def shadow_to_dict(s: Shadow) -> dict:
     return data
 
 
-def _int(x) -> int:
-    """A JSON integer; booleans, floats and strings are refused, not cast."""
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise InputError(f"expected an integer, got {json.dumps(x)}")
+_JSON_TYPES = {int: "an integer", bool: "a boolean", str: "a string", dict: "an object"}
+
+
+def _json(x, kind: type):
+    """x if it is a JSON value of the given type; nothing is cast, and a
+    boolean is not an integer."""
+    if not isinstance(x, kind) or (kind is int and isinstance(x, bool)):
+        raise InputError(f"expected {_JSON_TYPES[kind]}, got {json.dumps(x)}")
     return x
 
 
 def shadow_from_dict(data: dict) -> Shadow:
-    version = _int(data.get("format", FORMAT_VERSION))
+    version = _json(data.get("format", FORMAT_VERSION), int)
     if version != FORMAT_VERSION:
         raise InputError(f"unsupported format {version}, expected {FORMAT_VERSION}")
     try:
-        objects = tuple(_int(o) for o in data["objects"])
+        objects = tuple(_json(o, int) for o in data["objects"])
         elements = tuple(
             Element(
-                name=str(row["id"]),
-                source=_int(row["source"]),
-                target=_int(row["target"]),
-                is_identity=bool(row["identity"]),
+                name=_json(row["id"], str),
+                source=_json(row["source"], int),
+                target=_json(row["target"], int),
+                is_identity=_json(row["identity"], bool),
             )
             for row in data["elements"]
         )
@@ -370,6 +374,7 @@ def shadow_from_dict(data: dict) -> Shadow:
         inv_data = data.get("involution")
         involution = None
         if inv_data is not None:
+            inv_data = _json(inv_data, dict)
             involution = {by_name[k]: by_name[v] for k, v in inv_data.items()}
         table = {}
         for row in data["table"]:
@@ -377,15 +382,16 @@ def shadow_from_dict(data: dict) -> Shadow:
             b = by_name[row["right"]]
             if (a, b) in table:
                 raise InputError(f"duplicate table row ({a.name}, {b.name})")
+            result = _json(row["result"], dict)
             table[(a, b)] = Decomposition(
-                {by_name[k]: _int(v) for k, v in row["result"].items()}
+                {by_name[k]: _json(v, int) for k, v in result.items()}
             )
         return Shadow(
             objects=objects,
             elements=elements,
             table=table,
             involution=involution,
-            partial=bool(data.get("partial", False)),
+            partial=_json(data.get("partial", False), bool),
         )
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"malformed shadow JSON: {err}") from err

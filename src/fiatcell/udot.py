@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
-import numpy as np
-
 from .cells import (
+    Matrix,
+    _product_is_sum,
     cell_module,
     cell_partition,
     cell_poset,
@@ -480,41 +480,35 @@ def verify_relations(n: int, s: Shadow | None = None) -> list[dict]:
 
 def defining_action(
     n: int, s: Shadow | None = None, validate: bool = True
-) -> dict[Element, np.ndarray]:
+) -> dict[Element, Matrix]:
     """Integer matrices of the action on the direct sum of vector spaces, one
     dimension per object: an F-block from object m acts by C(m + k, k), an
-    E-block into object m by C(n - m, k). Validated against the table."""
+    E-block into object m by C(n - m, k). Each matrix is a tuple of rows of
+    Python ints with one nonzero entry. Validated against the table."""
     if s is None:
         s = build_bn(n)
     mons = bn_element_monomials(n)
 
-    def block_matrix(letter: str, src: int, p: int) -> np.ndarray:
-        mat = np.zeros((n + 1, n + 1), dtype=np.int64)
-        if letter == "F":
-            mat[src + p, src] = comb(src + p, p)
-        else:
-            mat[src - p, src] = comb(n - (src - p), p)
-        return mat
-
-    action: dict[Element, np.ndarray] = {}
+    action: dict[Element, Matrix] = {}
     for e in s.elements:
         m = mons[e.name]
-        # start from the projector onto the source object, then apply blocks
-        mat = np.zeros((n + 1, n + 1), dtype=np.int64)
-        mat[m.base, m.base] = 1
-        word = m.blocks
-        sources = _word_sources(word, m.base)
-        for (letter, p), src in reversed(list(zip(word, sources))):
-            mat = block_matrix(letter, src, p) @ mat
-        action[e] = mat
+        # follow the source object through the blocks, right to left
+        obj, coeff = m.base, 1
+        for letter, p in reversed(m.blocks):
+            if letter == "F":
+                obj += p
+                coeff *= comb(obj, p)
+            else:
+                obj -= p
+                coeff *= comb(n - obj, p)
+        rows = [[0] * (n + 1) for _ in range(n + 1)]
+        rows[obj][m.base] = coeff
+        action[e] = tuple(map(tuple, rows))
 
     if validate:
         for (a, b), d in s.table.items():
-            lhs = action[a] @ action[b]
-            rhs = np.zeros_like(lhs)
-            for c, mult in d.items():
-                rhs = rhs + mult * action[c]
-            if not np.array_equal(lhs, rhs):
+            terms = ((action[c], mult) for c, mult in d.items())
+            if not _product_is_sum(action[a], action[b], terms):
                 raise ConsistencyError(
                     f"defining action is not multiplicative at ({a.name}, {b.name})"
                 )
@@ -751,7 +745,7 @@ def verify_bn(n: int) -> list[dict]:
         f"F0^({k})" for k in range(1, n + 1)
     ]
     matrices_ok = names_ok and all(
-        np.array_equal(cm.matrices[e], action[e]) for e in s.elements
+        cm.matrices[e] == action[e] for e in s.elements
     )
     checks.append(check("cell-module-is-defining-action", matrices_ok))
 

@@ -1,9 +1,17 @@
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fiatcell
 from fiatcell import (
     Decomposition,
     Element,
@@ -12,8 +20,10 @@ from fiatcell import (
     build_bn,
     dumps_shadow,
     save_shadow,
+    window_shadow,
 )
 from fiatcell.cli import main, parse_range
+from fiatcell.shadow import shadow_to_dict
 
 
 def run_cli(*argv):
@@ -217,3 +227,84 @@ def test_unknown_verb_exits_two():
 def test_module_entry_point(tmp_path):
     proc = run_cli("verify", "bn", "--n", "4")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_runs_on_the_standard_library_alone(tmp_path):
+    # -I -S: no site-packages and no PYTHONPATH, so no third-party import works
+    path = tmp_path / "b2.json"
+    save_shadow(build_bn(2), str(path))
+    src = str(Path(fiatcell.__file__).parent.parent)
+    run = f"import sys, runpy; sys.path.insert(0, {src!r}); "
+    run += "runpy.run_module('fiatcell', run_name='__main__', alter_sys=True)"
+    for argv in (
+        ["verify", "bn", "--n", "2"],
+        ["cell-module", str(path), "--left-cell-of", "F0^(1)"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", run, *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+VALID_FILES = [shadow_to_dict(build_bn(1)), shadow_to_dict(window_shadow(2))]
+OTHER_JSON = [None, True, 0, 1.5, "x", [], [1], {}, {"x": 1}]
+
+
+def _locations(value, path=()):
+    """(path, value) for every member and item below the root."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,), child
+        yield from _locations(child, path + (key,))
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_files(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_FILES)))
+    for _ in range(draw(st.integers(1, 3))):
+        locations = list(_locations(doc))
+        how = draw(st.sampled_from(["replace", "drop", "duplicate"]))
+        if how == "replace":
+            path, old = draw(st.sampled_from(locations))
+            others = [v for v in OTHER_JSON if type(v) is not type(old)]
+            _parent(doc, path)[path[-1]] = copy.deepcopy(draw(st.sampled_from(others)))
+        elif how == "drop":
+            keyed = [p for p, _ in locations if isinstance(_parent(doc, p), dict)]
+            path = draw(st.sampled_from(keyed))
+            del _parent(doc, path)[path[-1]]
+        else:
+            rows = [p for p, _ in locations if isinstance(_parent(doc, p), list)]
+            if rows:
+                path = draw(st.sampled_from(rows))
+                parent = _parent(doc, path)
+                parent.append(copy.deepcopy(parent[path[-1]]))
+    return doc
+
+
+@settings(max_examples=60)
+@given(mutated_files(), st.sampled_from(["1_0", "0", "F0^(1)", "1"]))
+def test_mutated_files_exit_cleanly(doc, element):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "mutated.json")
+        Path(path).write_text(json.dumps(doc))
+        for argv in (
+            ["check", path],
+            ["cells", path],
+            ["ideals", path],
+            ["cell-module", path, "--left-cell-of", element],
+        ):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2), argv

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -281,18 +282,43 @@ def _boolean_multiplicity(data):
     row["result"] = {name: True for name in row["result"]}
 
 
+def _string_partial(data):
+    data["partial"] = "false"
+
+
+def _numeric_identity_flag(data):
+    data["elements"][0]["identity"] = 1
+
+
+def _numeric_id(data):
+    data["elements"][0]["id"] = 5
+
+
+def _list_result(data):
+    data["table"][0]["result"] = [1]
+
+
+def _list_involution(data):
+    data["involution"] = []
+
+
 @pytest.mark.parametrize(
     "corrupt,message",
     [
         (_format_99, "unsupported format 99"),
         (_duplicate_row, "duplicate table row"),
         (_boolean_multiplicity, "expected an integer, got true"),
+        (_string_partial, 'expected a boolean, got "false"'),
+        (_numeric_identity_flag, "expected a boolean, got 1"),
+        (_numeric_id, "expected a string, got 5"),
+        (_list_result, "expected an object, got [1]"),
+        (_list_involution, "expected an object, got []"),
     ],
 )
 def test_loader_refuses_instead_of_fixing_up(tmp_path, capsys, corrupt, message):
     data = shadow_to_dict(build_bn(1))
     corrupt(data)
-    with pytest.raises(InputError, match=message):
+    with pytest.raises(InputError, match=re.escape(message)):
         shadow_from_dict(data)
     path = tmp_path / "corrupt.json"
     path.write_text(json.dumps(data))

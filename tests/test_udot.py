@@ -2,7 +2,6 @@ import random
 from itertools import product
 from math import comb, factorial
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -293,13 +292,13 @@ def test_cells_report_passes(n):
 def test_defining_action_entries():
     act = defining_action(3)
     s = build_bn(3)
-    f = act[s.element("F1^(2)")]
-    assert f[3, 1] == comb(3, 2)
-    assert np.count_nonzero(f) == 1
-    e = act[s.element("E3^(2)")]
-    assert e[1, 3] == comb(2, 2)
-    one = act[s.element("1_2")]
-    assert one[2, 2] == 1 and np.count_nonzero(one) == 1
+    for mat in act.values():
+        entries = [x for row in mat for x in row]
+        assert all(type(x) is int and x >= 0 for x in entries)
+        assert sum(x != 0 for x in entries) == 1
+    assert act[s.element("F1^(2)")][3][1] == comb(3, 2)
+    assert act[s.element("E3^(2)")][1][3] == comb(2, 2)
+    assert act[s.element("1_2")][2][2] == 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -311,7 +310,7 @@ def test_cell_module_of_top_cell_is_defining_action(n):
         f"F0^({k})" for k in range(1, n + 1)
     ]
     for e in s.elements:
-        assert np.array_equal(cm.matrices[e], act[e])
+        assert cm.matrices[e] == act[e]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
