@@ -6,16 +6,16 @@ generated by a. Identities are minimal for their own object, and in the
 divided-power families the cell of the identity at object 0 comes out
 maximal. Cells are the equivalence classes of mutual comparability.
 
-Cell data is memoised on the shadow: the first question about a kind of
-cell computes the one-round ideal of every element once, with
-principal_ideal, and every later partition, poset, regularity check,
-m-statistic and cell module of that kind reads it. A shadow must not be
-mutated after construction, or these answers go stale.
+Cell data is memoised on the shadow: the first question about cells builds
+the one-round left, right and two-sided ideals of every element as int
+bitsets (bit i is s.elements[i]), in one pass over the shadow's integer
+view, and every later partition, poset, regularity check, m-statistic and
+cell module reads them. Shadows are immutable, so the memo cannot go stale.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,6 +24,7 @@ from .shadow import (
     Element,
     InputError,
     Shadow,
+    StructureError,
     compose,
 )
 
@@ -35,6 +36,14 @@ def _check_kind(kind: str) -> None:
         raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
+def _bits(x: int) -> Iterator[int]:
+    """The positions of the set bits of x, in increasing order."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def principal_ideal(s: Shadow, a: Element, kind: str) -> frozenset[Element]:
     """Elements reachable from a by composing on the given side(s).
 
@@ -44,28 +53,44 @@ def principal_ideal(s: Shadow, a: Element, kind: str) -> frozenset[Element]:
     _check_kind(kind)
     if not s.has_element(a):
         raise InputError(f"unknown element id {a.name!r}")
-    if kind == "left":
-        out = {a}
-        for x in s.elements:
-            if x.source == a.target:
-                out.update(compose(s, x, a).support())
-        return frozenset(out)
-    if kind == "right":
-        out = {a}
-        for y in s.elements:
-            if a.source == y.target:
-                out.update(compose(s, a, y).support())
-        return frozenset(out)
-    right_part = {a}
-    for y in s.elements:
-        if a.source == y.target:
-            right_part.update(compose(s, a, y).support())
-    out = set(right_part)
-    for b in right_part:
-        for x in s.elements:
-            if x.source == b.target:
-                out.update(compose(s, x, b).support())
-    return frozenset(out)
+    ideal = cell_data(s, kind).ideals[s.index_of(a)]
+    return frozenset(s.elements[i] for i in _bits(ideal))
+
+
+def _ideal_bitsets(s: Shadow) -> dict[str, tuple[int, ...]]:
+    """The one-round ideals of every element, per kind, in one pass.
+
+    Each element's own bit is set. For every composable pair (a, b) the
+    support of a after b joins the left ideal of b and the right ideal of
+    a; the two-sided ideal of a is the union of the left ideals over its
+    right ideal. A composable pair without an entry reads as zero on a
+    partial shadow and is a StructureError otherwise.
+    """
+    source, by_target, rows = s._view
+    n = len(s.elements)
+    left = [1 << i for i in range(n)]
+    right = list(left)
+    for a in range(n):
+        a_row = a * n
+        for b in by_target.get(source[a], ()):
+            row = rows[a_row + b]
+            if row is None:
+                if s.partial:
+                    continue
+                a_name, b_name = s.elements[a].name, s.elements[b].name
+                raise StructureError(f"missing table entry for ({a_name}, {b_name})")
+            support = 0
+            for t in row[::2]:
+                support |= 1 << t
+            left[b] |= support
+            right[a] |= support
+    two_sided = []
+    for r in right:
+        ideal = 0
+        for k in _bits(r):
+            ideal |= left[k]
+        two_sided.append(ideal)
+    return {"left": tuple(left), "right": tuple(right), "two-sided": tuple(two_sided)}
 
 
 @dataclass(frozen=True)
@@ -81,30 +106,31 @@ class CellPartition:
 
 
 class CellData(NamedTuple):
-    """The one-round ideals of one kind, in element order, and their cells."""
+    """The one-round ideals of one kind as int bitsets, in element order,
+    and their cells."""
 
-    ideals: tuple[frozenset[Element], ...]
+    ideals: tuple[int, ...]
     partition: CellPartition
 
 
 def cell_data(s: Shadow, kind: str) -> CellData:
-    """The memoised ideals and cells of s for one kind; built on first use.
+    """The memoised ideals and cells of s for one kind; all three kinds are
+    built together on first use.
 
     Cells are the classes of equal ideals, ordered by their smallest member
     in canonical element order.
     """
     _check_kind(kind)
-    data = s._cells.get(kind)
-    if data is None:
-        ideals = tuple(principal_ideal(s, a, kind) for a in s.elements)
-        classes: dict[frozenset[Element], list[Element]] = {}
-        for a, ideal in zip(s.elements, ideals):
-            classes.setdefault(ideal, []).append(a)
-        partition = CellPartition(
-            kind=kind, classes=tuple(frozenset(cls) for cls in classes.values())
-        )
-        data = s._cells[kind] = CellData(ideals, partition)
-    return data
+    if not s._cells:
+        for k, ideals in _ideal_bitsets(s).items():
+            classes: dict[int, list[Element]] = {}
+            for a, ideal in zip(s.elements, ideals):
+                classes.setdefault(ideal, []).append(a)
+            partition = CellPartition(
+                kind=k, classes=tuple(frozenset(cls) for cls in classes.values())
+            )
+            s._cells[k] = CellData(ideals, partition)
+    return s._cells[kind]
 
 
 def cell_partition(s: Shadow, kind: str) -> CellPartition:
@@ -137,7 +163,7 @@ def cell_poset(s: Shadow) -> CellPoset:
     relation = set()
     for i, a in enumerate(rep_ideals):
         for j, b in enumerate(rep_ideals):
-            if b <= a:
+            if not b & ~a:
                 relation.add((i, j))
     covers = []
     for i, j in sorted(relation):
@@ -190,7 +216,7 @@ def is_strongly_regular(s: Shadow, two_sided_cell: frozenset[Element]) -> Regula
                 continue
             a = min(li, key=s.index_of)
             b = min(lj, key=s.index_of)
-            if ideals[s.index_of(b)] <= ideals[s.index_of(a)]:
+            if not ideals[s.index_of(b)] & ~ideals[s.index_of(a)]:
                 return RegularityResult(
                     ok=False, witness=("comparable-left-cells", a.name, b.name)
                 )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .cells import CellPoset, cell_data, cell_poset
+from .cells import CellPoset, _bits, cell_data, cell_poset
 from .shadow import Decomposition, Element, InputError, Shadow
 
 
@@ -81,7 +81,8 @@ def quotient_by_upset(s: Shadow, upset: frozenset[Element]) -> Shadow:
             raise InputError(f"unknown element id {e.name!r}")
     ideals = cell_data(s, "two-sided").ideals
     for a in sorted(upset, key=s.index_of):
-        for b in sorted(ideals[s.index_of(a)], key=s.index_of):
+        for i in _bits(ideals[s.index_of(a)]):
+            b = s.elements[i]
             if b not in upset:
                 raise InputError(
                     f"set is not up-closed: {a.name} is in it, {b.name} above it is not"

@@ -16,7 +16,11 @@ and read as zero, and exhaustive checks skip triples that touch them.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
+from typing import NamedTuple
 
 
 class FiatcellError(Exception):
@@ -43,14 +47,20 @@ class Element:
     is_identity: bool = False
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True, init=False)
 class Decomposition:
     """Formal N-combination of elements sharing one (source, target) pair.
 
-    The empty decomposition is the formal zero.
+    The empty decomposition is the formal zero. Immutable: terms is a
+    read-only mapping over a copy of the given one.
     """
 
-    terms: dict[Element, int] = field(default_factory=dict)
+    terms: Mapping[Element, int]
+
+    # sets terms once; the generated __init__ plus a __post_init__ would set
+    # it twice, and a loaded shadow builds one decomposition per table row
+    def __init__(self, terms: Mapping[Element, int] | None = None) -> None:
+        object.__setattr__(self, "terms", MappingProxyType(dict(terms or {})))
 
     @staticmethod
     def zero() -> "Decomposition":
@@ -81,12 +91,36 @@ class Decomposition:
         return Decomposition({e: k * m for e, m in self.terms.items()})
 
 
-@dataclass(eq=True)
+class IntView(NamedTuple):
+    """A shadow's table on element ids, the positions in s.elements.
+
+    rows[a * n + b], for n elements, holds the entry of the pair (a, b) as
+    a flat (id, mult, id, mult, ...) tuple in the entry's term order, and
+    None when the pair has no entry. by_target lists, for each object, the
+    ids of the elements with that target, in element order.
+    """
+
+    source: tuple[int, ...]
+    by_target: dict[int, tuple[int, ...]]
+    rows: tuple[tuple[int, ...] | None, ...]
+
+
+@dataclass(frozen=True)
 class Shadow:
+    """Objects, elements in canonical order, the composition table, an
+    optional involution and the partial flag. Immutable: table and
+    involution are read-only mappings over copies made at construction, so
+    a cached shadow cannot be changed under its other holders.
+
+    Derived data is memoised on the shadow: the integer view of the table
+    (_view, an IntView) for the associativity sweep and the cell engine,
+    and the cell data of cells.cell_data.
+    """
+
     objects: tuple[int, ...]
     elements: tuple[Element, ...]
-    table: dict[tuple[Element, Element], Decomposition]
-    involution: dict[Element, Element] | None = None
+    table: Mapping[tuple[Element, Element], Decomposition]
+    involution: Mapping[Element, Element] | None = None
     partial: bool = False
     _by_name: dict[str, Element] = field(
         init=False, repr=False, compare=False, default_factory=dict
@@ -98,9 +132,18 @@ class Shadow:
     _cells: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
+        if self.involution is not None:
+            object.__setattr__(
+                self, "involution", MappingProxyType(dict(self.involution))
+            )
         for i, e in enumerate(self.elements):
             self._by_name[e.name] = e
             self._index[e] = i
+
+    @cached_property
+    def _view(self) -> IntView:
+        return _build_view(self)
 
     def element(self, name: str) -> Element:
         try:
@@ -119,6 +162,30 @@ class Shadow:
             if e.is_identity and e.source == obj:
                 return e
         raise InputError(f"no identity at object {obj}")
+
+
+def _build_view(s: Shadow) -> IntView:
+    index = s._index
+    n = len(s.elements)
+    rows: list[tuple[int, ...] | None] = [None] * (n * n)
+    try:
+        for (a, b), d in s.table.items():
+            row: list[int] = []
+            for e, m in d.items():
+                row += (index[e], m)
+            rows[index[a] * n + index[b]] = tuple(row)
+    except KeyError as err:
+        raise StructureError(
+            f"table names {err.args[0].name!r}, which is not an element"
+        ) from None
+    by_target: dict[int, list[int]] = {}
+    for i, e in enumerate(s.elements):
+        by_target.setdefault(e.target, []).append(i)
+    return IntView(
+        source=tuple(e.source for e in s.elements),
+        by_target={obj: tuple(ids) for obj, ids in by_target.items()},
+        rows=tuple(rows),
+    )
 
 
 def compose(s: Shadow, a: Element, b: Element) -> Decomposition:
@@ -237,26 +304,19 @@ class AssociativityReport:
         return self.status == "pass"
 
 
-def _triple_sides(s, a, b, c):
-    ab = s.table.get((a, b))
-    bc = s.table.get((b, c))
-    if ab is None or bc is None:
-        return None
-    left: dict[Element, int] = {}
-    for t, m in ab.items():
-        tc = s.table.get((t, c))
-        if tc is None:
+def _combine(rows, row, base: int, stride: int) -> dict[int, int] | None:
+    """The sum of m * rows[base + stride * t] over the terms (t, m) of row,
+    or None when one of those entries is absent."""
+    out: dict[int, int] = {}
+    it = iter(row)
+    for t, m in zip(it, it):
+        entry = rows[base + stride * t]
+        if entry is None:
             return None
-        for e, k in tc.items():
-            left[e] = left.get(e, 0) + m * k
-    right: dict[Element, int] = {}
-    for u, m in bc.items():
-        au = s.table.get((a, u))
-        if au is None:
-            return None
-        for e, k in au.items():
-            right[e] = right.get(e, 0) + m * k
-    return left, right
+        terms = iter(entry)
+        for e, k in zip(terms, terms):
+            out[e] = out.get(e, 0) + m * k
+    return out
 
 
 def check_associativity(s: Shadow) -> AssociativityReport:
@@ -265,34 +325,53 @@ def check_associativity(s: Shadow) -> AssociativityReport:
     Returns a report rather than raising: structural problems yield status
     "structural-error", a genuine counterexample yields "fail" with the
     first failing triple in canonical order. Partial shadows skip triples
-    that touch an absent table entry.
+    that touch an absent table entry. The sweep runs on the integer view.
     """
     try:
         validate_shadow(s)
+        source, by_target, rows = s._view
     except StructureError as err:
         return AssociativityReport(status="structural-error", message=str(err))
 
-    by_target: dict[int, list[Element]] = {}
-    for e in s.elements:
-        by_target.setdefault(e.target, []).append(e)
+    n = len(s.elements)
     checked = 0
     skipped = 0
     failure = None
-    for a in s.elements:
-        for b in by_target.get(a.source, ()):
-            for c in by_target.get(b.source, ()):
-                sides = _triple_sides(s, a, b, c)
-                if sides is None:
+    for a in range(n):
+        a_row = a * n
+        for b in by_target.get(source[a], ()):
+            ab = rows[a_row + b]
+            cs = by_target.get(source[b], ())
+            if ab is None:
+                skipped += len(cs)
+                continue
+            b_row = b * n
+            for c in cs:
+                bc = rows[b_row + c]
+                if bc is None:
+                    skipped += 1
+                    continue
+                if len(ab) == 2 == len(bc):
+                    # the common case, one term a side: m (t c) against k (a u)
+                    (t, m), (u, k) = ab, bc
+                    tc, au = rows[t * n + c], rows[a_row + u]
+                    if tc is None or au is None:
+                        skipped += 1
+                        continue
+                    if len(tc) == 2 == len(au) and tc[0] == au[0]:
+                        checked += 1
+                        if m * tc[1] != k * au[1] and failure is None:
+                            left, right = {tc[0]: m * tc[1]}, {au[0]: k * au[1]}
+                            failure = _witness(s, (a, b, c), left, right)
+                        continue
+                left = _combine(rows, ab, c, n)
+                right = None if left is None else _combine(rows, bc, a_row, 1)
+                if right is None:
                     skipped += 1
                     continue
                 checked += 1
-                left, right = sides
                 if left != right and failure is None:
-                    failure = {
-                        "triple": [a.name, b.name, c.name],
-                        "left": _named(s, left),
-                        "right": _named(s, right),
-                    }
+                    failure = _witness(s, (a, b, c), left, right)
     if failure is not None:
         return AssociativityReport(
             status="fail", checked=checked, skipped=skipped, failure=failure
@@ -300,7 +379,16 @@ def check_associativity(s: Shadow) -> AssociativityReport:
     return AssociativityReport(status="pass", checked=checked, skipped=skipped)
 
 
-def _named(s: Shadow, terms: dict[Element, int]) -> dict[str, int]:
+def _witness(s: Shadow, triple, left: dict[int, int], right: dict[int, int]) -> dict:
+    elements = s.elements
+    return {
+        "triple": [elements[i].name for i in triple],
+        "left": {elements[i].name: m for i, m in sorted(left.items())},
+        "right": {elements[i].name: m for i, m in sorted(right.items())},
+    }
+
+
+def _named(s: Shadow, terms: Mapping[Element, int]) -> dict[str, int]:
     return {e.name: m for e, m in sorted(terms.items(), key=lambda t: s.index_of(t[0]))}
 
 

@@ -18,7 +18,7 @@ from fiatcell import (
     quotient_by_upset,
     window_shadow,
 )
-from fiatcell import cells
+from fiatcell import cells, shadow
 from fiatcell.shadow import shadow_from_dict, shadow_to_dict
 from fiatcell.udot import bn_cells_report
 
@@ -257,16 +257,16 @@ def test_each_ideal_is_computed_once_per_shadow(monkeypatch):
     # a fresh shadow: the cached build_bn(6) may already hold its cell data
     s = shadow_from_dict(shadow_to_dict(build_bn(6)))
     calls = []
-    original = cells.principal_ideal
+    for module, name in ((shadow, "_build_view"), (cells, "_ideal_bitsets")):
 
-    def counting(shadow, a, kind):
-        calls.append((a, kind))
-        return original(shadow, a, kind)
+        def counting(t, original=getattr(module, name), name=name):
+            calls.append((name, t is s))
+            return original(t)
 
-    monkeypatch.setattr(cells, "principal_ideal", counting)
+        monkeypatch.setattr(module, name, counting)
     assert all(c["status"] == "pass" for c in bn_cells_report(6, s))
     cell_poset(s)
     cell_module(s, cell_partition(s, "left").class_of(s.element("1_0")))
     top = cell_partition(s, "two-sided").class_of(s.element("1_0"))
     quotient_by_upset(s, top)
-    assert len(calls) == len(set(calls)) == len(cells.KINDS) * len(s.elements)
+    assert sorted(calls) == [("_build_view", True), ("_ideal_bitsets", True)]

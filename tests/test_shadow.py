@@ -1,7 +1,10 @@
 import json
 import re
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiatcell import (
     Decomposition,
@@ -10,6 +13,7 @@ from fiatcell import (
     Shadow,
     StructureError,
     build_bn,
+    cell_partition,
     check_associativity,
     compose,
     compose_left,
@@ -121,14 +125,14 @@ def test_incomplete_table_is_an_error():
 
 def test_identity_must_act_strictly():
     s = associative_toy()
-    s.table[(E, T)] = Decomposition({T: 2})
+    s = replace(s, table={**s.table, (E, T): Decomposition({T: 2})})
     with pytest.raises(StructureError, match="strictly"):
         validate_shadow(s)
 
 
 def test_nonpositive_multiplicity_rejected():
     s = associative_toy()
-    s.table[(T, T)] = Decomposition({U: 0})
+    s = replace(s, table={**s.table, (T, T): Decomposition({U: 0})})
     with pytest.raises(StructureError, match="multiplicity"):
         validate_shadow(s)
 
@@ -168,19 +172,17 @@ def test_identity_endpoints():
 
 
 def test_involution_must_be_self_inverse_bijection():
-    s = associative_toy()
-    s.involution = {E: E, T: U, U: T}
+    s = replace(associative_toy(), involution={E: E, T: U, U: T})
     # t* = u breaks the anti-homomorphism: (t t)* = u* = t but t* t* = u
     with pytest.raises(StructureError, match="anti-homomorphism"):
         validate_shadow(s)
-    s.involution = {E: E, T: T}
+    s = replace(associative_toy(), involution={E: E, T: T})
     with pytest.raises(StructureError, match="bijection"):
         validate_shadow(s)
 
 
 def test_involution_fixes_identities():
-    s = associative_toy()
-    s.involution = {E: T, T: E, U: U}
+    s = replace(associative_toy(), involution={E: T, T: E, U: U})
     with pytest.raises(StructureError, match="moves identity"):
         validate_shadow(s)
 
@@ -195,8 +197,143 @@ def test_associativity_pass_and_counts():
 def test_associativity_failure_reported():
     report = check_associativity(non_associative_toy())
     assert report.status == "fail"
-    assert report.failure is not None
-    assert set(report.failure) == {"triple", "left", "right"}
+    # every triple starting with e, with (t, e) or with (t, t, e) agrees;
+    # then (t t) t = u t = t while t (t t) = t u = u
+    assert report.failure == {
+        "triple": ["t", "t", "t"],
+        "left": {"t": 1},
+        "right": {"u": 1},
+    }
+    assert (report.checked, report.skipped) == (27, 0)
+
+
+def reference_sweep(s):
+    """(status, checked, skipped, failure) of a sweep on Elements through
+    compose; a triple is skipped when a product it needs has no entry."""
+    try:
+        validate_shadow(s)
+    except StructureError:
+        return "structural-error", 0, 0, None
+
+    def product(x, terms, on_left):
+        out = {}
+        for t, m in terms.items():
+            pair = (x, t) if on_left else (t, x)
+            if pair not in s.table:
+                return None
+            for e, k in compose(s, *pair).items():
+                out[e] = out.get(e, 0) + m * k
+        return out
+
+    checked = skipped = 0
+    failure = None
+    for a in s.elements:
+        for b in (b for b in s.elements if b.target == a.source):
+            for c in (c for c in s.elements if c.target == b.source):
+                if (a, b) not in s.table or (b, c) not in s.table:
+                    skipped += 1
+                    continue
+                left = product(c, compose(s, a, b), on_left=False)
+                right = product(a, compose(s, b, c), on_left=True)
+                if left is None or right is None:
+                    skipped += 1
+                    continue
+                checked += 1
+                if left != right and failure is None:
+                    failure = {
+                        "triple": [a.name, b.name, c.name],
+                        "left": {e.name: left[e] for e in s.elements if e in left},
+                        "right": {e.name: right[e] for e in s.elements if e in right},
+                    }
+    return ("pass" if failure is None else "fail"), checked, skipped, failure
+
+
+@st.composite
+def random_shadows(draw):
+    """Valid one- or two-object shadows with random products, in a random
+    element order; partial ones drop some entries between non-identities."""
+    objects = tuple(range(draw(st.integers(1, 2))))
+    ends = st.tuples(st.sampled_from(objects), st.sampled_from(objects))
+    elements = [Element(f"1_{o}", o, o, is_identity=True) for o in objects]
+    for i, (src, tgt) in enumerate(draw(st.lists(ends, max_size=3))):
+        elements.append(Element(f"x{i}", src, tgt))
+    elements = draw(st.permutations(elements))
+    partial = draw(st.booleans())
+    table = {}
+    for a in elements:
+        for b in elements:
+            if a.source != b.target:
+                continue
+            if a.is_identity or b.is_identity:
+                table[(a, b)] = Decomposition({b if a.is_identity else a: 1})
+                continue
+            if partial and draw(st.booleans()):
+                continue
+            fits = [e for e in elements if (e.source, e.target) == (b.source, a.target)]
+            if fits:
+                terms = draw(st.dictionaries(st.sampled_from(fits), st.integers(1, 2)))
+                table[(a, b)] = Decomposition(terms)
+            else:
+                table[(a, b)] = Decomposition.zero()
+    return Shadow(objects=objects, elements=tuple(elements), table=table, partial=partial)
+
+
+@settings(max_examples=60)
+@given(random_shadows())
+def test_sweep_matches_reference_on_random_shadows(s):
+    report = check_associativity(s)
+    status, checked, skipped, failure = reference_sweep(s)
+    assert (report.status, report.checked, report.skipped) == (status, checked, skipped)
+    # key order too: a witness is printed as JSON
+    assert json.dumps(report.failure) == json.dumps(failure)
+
+
+def test_cached_shadows_are_read_only():
+    s = build_bn(2)
+    pair, entry = next(iter(s.table.items()))
+    with pytest.raises(AttributeError):
+        s.table.clear()
+    with pytest.raises(TypeError):
+        s.table[pair] = Decomposition.zero()
+    with pytest.raises(TypeError):
+        del s.table[pair]
+    with pytest.raises(TypeError):
+        s.involution[pair[0]] = pair[0]
+    with pytest.raises(TypeError):
+        entry.terms[pair[0]] = 5
+    with pytest.raises(FrozenInstanceError):
+        s.table = {}
+    with pytest.raises(FrozenInstanceError):
+        entry.terms = {}
+    assert check_associativity(build_bn(2)).ok
+
+
+def test_construction_copies_the_given_mappings():
+    terms = {U: 1}
+    table = {**associative_toy().table, (T, T): Decomposition(terms)}
+    involution = {E: E, T: T, U: U}
+    s = Shadow(objects=(0,), elements=(E, T, U), table=table, involution=involution)
+    terms.clear()
+    table.clear()
+    involution.clear()
+    assert s == replace(associative_toy(), involution={E: E, T: T, U: U})
+
+
+@pytest.mark.parametrize("kind", ["left", "right", "two-sided"])
+def test_cells_refuse_a_missing_entry_of_a_full_shadow(kind):
+    s = one_object_shadow({(T, T): Decomposition({U: 1})})
+    with pytest.raises(StructureError, match=r"missing table entry for \("):
+        cell_partition(s, kind)
+
+
+def test_a_term_outside_the_elements_is_a_structure_error():
+    ghost = Element("ghost", 0, 0)
+    s = one_object_shadow({**associative_toy().table, (T, T): Decomposition({ghost: 1})})
+    report = check_associativity(s)
+    assert report.status == "structural-error"
+    assert report.message == "table names 'ghost', which is not an element"
+    with pytest.raises(StructureError, match="not an element"):
+        cell_partition(s, "left")
 
 
 def test_associativity_structural_error_status():
