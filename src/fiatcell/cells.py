@@ -66,7 +66,7 @@ def _ideal_bitsets(s: Shadow) -> dict[str, tuple[int, ...]]:
     right ideal. A composable pair without an entry reads as zero on a
     partial shadow and is a StructureError otherwise.
     """
-    source, by_target, rows = s._view
+    source, by_target, rows, _ = s._view
     n = len(s.elements)
     left = [1 << i for i in range(n)]
     right = list(left)

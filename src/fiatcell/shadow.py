@@ -70,9 +70,6 @@ class Decomposition:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self) -> frozenset[Element]:
-        return frozenset(self.terms)
-
     def mult(self, e: Element) -> int:
         return self.terms.get(e, 0)
 
@@ -85,24 +82,22 @@ class Decomposition:
             out[e] = out.get(e, 0) + m
         return Decomposition(out)
 
-    def scaled(self, k: int) -> "Decomposition":
-        if k == 0:
-            return Decomposition.zero()
-        return Decomposition({e: k * m for e, m in self.terms.items()})
-
 
 class IntView(NamedTuple):
     """A shadow's table on element ids, the positions in s.elements.
 
     rows[a * n + b], for n elements, holds the entry of the pair (a, b) as
     a flat (id, mult, id, mult, ...) tuple in the entry's term order, and
-    None when the pair has no entry. by_target lists, for each object, the
-    ids of the elements with that target, in element order.
+    None when the pair has no entry; _build_view checked every entry.
+    order lists the entries' positions a * n + b in table order. by_target
+    lists, for each object, the ids of the elements with that target, in
+    element order.
     """
 
     source: tuple[int, ...]
     by_target: dict[int, tuple[int, ...]]
     rows: tuple[tuple[int, ...] | None, ...]
+    order: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -113,8 +108,8 @@ class Shadow:
     a cached shadow cannot be changed under its other holders.
 
     Derived data is memoised on the shadow: the integer view of the table
-    (_view, an IntView) for the associativity sweep and the cell engine,
-    and the cell data of cells.cell_data.
+    (_view, an IntView) for validation, the associativity sweep and the
+    cell engine, and the cell data of cells.cell_data.
     """
 
     objects: tuple[int, ...]
@@ -152,28 +147,39 @@ class Shadow:
             raise InputError(f"unknown element id {name!r}") from None
 
     def has_element(self, e: Element) -> bool:
-        return self._index.get(e) is not None and self.elements[self._index[e]] == e
+        return e in self._index
 
     def index_of(self, e: Element) -> int:
         return self._index[e]
 
-    def identity_at(self, obj: int) -> Element:
-        for e in self.elements:
-            if e.is_identity and e.source == obj:
-                return e
-        raise InputError(f"no identity at object {obj}")
-
 
 def _build_view(s: Shadow) -> IntView:
+    """The integer view, from one walk of the table in table order that
+    raises StructureError on the first entry whose keys are not composable
+    elements, or with a term that is not an element, has a nonpositive
+    multiplicity or lacks the entry's endpoints."""
     index = s._index
     n = len(s.elements)
     rows: list[tuple[int, ...] | None] = [None] * (n * n)
+    order: list[int] = []
     try:
         for (a, b), d in s.table.items():
+            at = index[a] * n + index[b]
+            if a.source != b.target:
+                raise StructureError(f"table entry ({a.name}, {b.name}) is not composable")
             row: list[int] = []
-            for e, m in d.items():
+            for e, m in d.terms.items():
                 row += (index[e], m)
-            rows[index[a] * n + index[b]] = tuple(row)
+                if m < 1:
+                    raise StructureError(
+                        f"nonpositive multiplicity {m} in ({a.name}, {b.name})"
+                    )
+                if e.source != b.source or e.target != a.target:
+                    raise StructureError(
+                        f"term {e.name} of ({a.name}, {b.name}) has wrong source/target"
+                    )
+            rows[at] = tuple(row)
+            order.append(at)
     except KeyError as err:
         raise StructureError(
             f"table names {err.args[0].name!r}, which is not an element"
@@ -185,6 +191,7 @@ def _build_view(s: Shadow) -> IntView:
         source=tuple(e.source for e in s.elements),
         by_target={obj: tuple(ids) for obj, ids in by_target.items()},
         rows=tuple(rows),
+        order=tuple(order),
     )
 
 
@@ -219,76 +226,68 @@ def compose_left(s: Shadow, a: Element, d: Decomposition) -> Decomposition:
 
 
 def validate_shadow(s: Shadow) -> None:
-    """Raise StructureError on the first violated invariant."""
+    """Raise StructureError on the first violated invariant: objects and
+    elements first, then each table entry in the walk that builds the
+    integer view, then, on the view, completeness unless the shadow is
+    partial, strict identities and the involution."""
     if len(set(s.objects)) != len(s.objects):
         raise StructureError("duplicate object ids")
-    objset = set(s.objects)
     names = [e.name for e in s.elements]
     if len(set(names)) != len(names):
         raise StructureError("duplicate element ids")
-    for e in s.elements:
-        if e.source not in objset or e.target not in objset:
+    identities: dict[int, list[int]] = {obj: [] for obj in s.objects}
+    for i, e in enumerate(s.elements):
+        if e.source not in identities or e.target not in identities:
             raise StructureError(f"element {e.name} touches an unknown object")
         if e.is_identity and e.source != e.target:
             raise StructureError(f"identity {e.name} has source != target")
-    for obj in s.objects:
-        ids = [e for e in s.elements if e.is_identity and e.source == obj]
+        if e.is_identity:
+            identities[e.source].append(i)
+    for obj, ids in identities.items():
         if len(ids) != 1:
             raise StructureError(f"object {obj} has {len(ids)} identities")
 
-    for (a, b), d in s.table.items():
-        if a.source != b.target:
-            raise StructureError(f"table entry ({a.name}, {b.name}) is not composable")
-        for e, m in d.items():
-            if m < 1:
-                raise StructureError(
-                    f"nonpositive multiplicity {m} in ({a.name}, {b.name})"
-                )
-            if e.source != b.source or e.target != a.target:
-                raise StructureError(
-                    f"term {e.name} of ({a.name}, {b.name}) has wrong source/target"
-                )
+    source, by_target, rows, order = s._view
+    n = len(names)
     if not s.partial:
-        for a in s.elements:
-            for b in s.elements:
-                if a.source == b.target and (a, b) not in s.table:
-                    raise StructureError(
-                        f"incomplete table: missing entry ({a.name}, {b.name})"
-                    )
-    for a in s.elements:
-        one_t = s.identity_at(a.target)
-        one_s = s.identity_at(a.source)
-        for one, pair in ((one_t, (one_t, a)), (one_s, (a, one_s))):
-            entry = s.table.get(pair)
-            if entry is None and s.partial:
-                continue
-            if entry is None or entry.terms != {a: 1}:
-                raise StructureError(f"identity does not act strictly on {a.name}")
+        for a in range(n):
+            for b in by_target.get(source[a], ()):
+                if rows[a * n + b] is None:
+                    pair = f"({names[a]}, {names[b]})"
+                    raise StructureError(f"incomplete table: missing entry {pair}")
+    one = {obj: ids[0] for obj, ids in identities.items()}
+    for a, e in enumerate(s.elements):
+        for row in (rows[one[e.target] * n + a], rows[a * n + one[e.source]]):
+            if row != (a, 1) and not (row is None and s.partial):
+                raise StructureError(f"identity does not act strictly on {e.name}")
 
-    if s.involution is not None:
-        inv = s.involution
-        if set(inv) != set(s.elements) or set(inv.values()) != set(s.elements):
-            raise StructureError("involution is not a bijection on elements")
-        for e, f in inv.items():
-            if inv[f] != e:
-                raise StructureError(f"involution not self-inverse at {e.name}")
-            if f.source != e.target or f.target != e.source:
-                raise StructureError(f"involution of {e.name} does not swap endpoints")
-            if e.is_identity and f != e:
-                raise StructureError(f"involution moves identity {e.name}")
-        for (a, b), d in s.table.items():
-            dual = s.table.get((inv[b], inv[a]))
-            if dual is None:
-                if s.partial:
-                    continue
-                raise StructureError(
-                    f"missing dual entry for ({a.name}, {b.name})"
-                )
-            starred = {inv[e]: m for e, m in d.items()}
-            if starred != dual.terms:
-                raise StructureError(
-                    f"involution is not an anti-homomorphism at ({a.name}, {b.name})"
-                )
+    inv = s.involution
+    if inv is None:
+        return
+    if set(inv) != set(s.elements) or set(inv.values()) != set(s.elements):
+        raise StructureError("involution is not a bijection on elements")
+    for e, f in inv.items():
+        if inv[f] != e:
+            raise StructureError(f"involution not self-inverse at {e.name}")
+        if f.source != e.target or f.target != e.source:
+            raise StructureError(f"involution of {e.name} does not swap endpoints")
+        if e.is_identity and f != e:
+            raise StructureError(f"involution moves identity {e.name}")
+    star = [s._index[inv[e]] for e in s.elements]
+    for at in order:
+        a, b = divmod(at, n)
+        dual, terms = rows[star[b] * n + star[a]], rows[at]
+        if dual is None:  # the dual pair is composable: absent only when partial
+            continue
+        if len(terms) == 2:  # one term, the common case
+            same = dual == (star[terms[0]], terms[1])
+        else:
+            starred = {star[t]: m for t, m in zip(terms[::2], terms[1::2])}
+            same = starred == dict(zip(dual[::2], dual[1::2]))
+        if not same:
+            raise StructureError(
+                f"involution is not an anti-homomorphism at ({names[a]}, {names[b]})"
+            )
 
 
 @dataclass
@@ -329,7 +328,7 @@ def check_associativity(s: Shadow) -> AssociativityReport:
     """
     try:
         validate_shadow(s)
-        source, by_target, rows = s._view
+        source, by_target, rows, _ = s._view
     except StructureError as err:
         return AssociativityReport(status="structural-error", message=str(err))
 
@@ -389,6 +388,7 @@ def _witness(s: Shadow, triple, left: dict[int, int], right: dict[int, int]) -> 
 
 
 def _named(s: Shadow, terms: Mapping[Element, int]) -> dict[str, int]:
+    """terms keyed by element name, in element order."""
     return {e.name: m for e, m in sorted(terms.items(), key=lambda t: s.index_of(t[0]))}
 
 

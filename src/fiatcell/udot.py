@@ -40,6 +40,7 @@ from .shadow import (
     Element,
     InputError,
     Shadow,
+    _named,
     check_associativity,
     compose,
     compose_left,
@@ -364,11 +365,11 @@ def canonical_monomial(n: int, m: DPMonomial) -> DPMonomial:
 
 
 @lru_cache(maxsize=None)
-def build_bn(n: int, limit: int = DESK_LIMIT) -> Shadow:
+def build_bn(n: int) -> Shadow:
     """The rank-n divided-power shadow: objects 0..n, the quadrant monomial
     basis, the straightened composition table and the adjoint involution."""
-    if not 1 <= n <= limit:
-        raise InputError(f"rank must be between 1 and {limit}, got {n}")
+    if not 1 <= n <= DESK_LIMIT:
+        raise InputError(f"rank must be between 1 and {DESK_LIMIT}, got {n}")
     basis = bn_basis(n)
     monomials: list[DPMonomial] = []
     for i in range(n + 1):
@@ -411,10 +412,6 @@ def bn_element_monomials(n: int) -> dict[str, DPMonomial]:
     return out
 
 
-def _decomp_to_names(s: Shadow, d: Decomposition) -> dict[str, int]:
-    return {e.name: m for e, m in sorted(d.items(), key=lambda t: s.index_of(t[0]))}
-
-
 def verify_relations(n: int, s: Shadow | None = None) -> list[dict]:
     """The defining exchange and merge relations, evaluated in the table.
 
@@ -449,7 +446,7 @@ def verify_relations(n: int, s: Shadow | None = None) -> list[dict]:
             rhs = rhs + Decomposition({one: n - i})
         if lhs != rhs:
             bad_55.append(
-                {"i": i, "left": _decomp_to_names(s, lhs), "right": _decomp_to_names(s, rhs)}
+                {"i": i, "left": _named(s, lhs.terms), "right": _named(s, rhs.terms)}
             )
     checks.append(check("exchange-relation", not bad_55, bad_55))
 
@@ -630,9 +627,7 @@ def bn_cells_report(n: int, s: Shadow | None = None) -> list[dict]:
         for cls in two_sided.classes:
             values, constant = m_values(s, cls)
             if not constant:
-                m_bad.append(
-                    {e.name: v for e, v in sorted(values.items(), key=lambda t: s.index_of(t[0]))}
-                )
+                m_bad.append(_named(s, values))
     checks.append(check("m-constant-on-right-cells", not m_bad, m_bad))
 
     formula_bad = []

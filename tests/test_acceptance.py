@@ -4,12 +4,14 @@ pytest -v. Time budgets are asserted where the guarantee includes one."""
 import hashlib
 import io
 import json
+import runpy
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from math import comb
+from pathlib import Path
 
 from fiatcell import (
     Decomposition,
@@ -205,6 +207,12 @@ RECORDED_DIGESTS = {
     "cg6 cell-module": (
         "22c2557818ecbe532804399b78f84d0822f5e4e0b92a19ec520a236b723fcd5f"
     ),
+    "bn4 export": (
+        "99890404f1a3346d0b9db0101a62b17c1bf4eb2ee8095c5c8079819dfa29092a"
+    ),
+    "cg6 export": (
+        "b6cece0015658dd648a9df79275b85cec4142169257a609b489959485b788482"
+    ),
     "non-associative check": (
         "818a25aa45e4322877f8b89f3f464d0fd160b77bf1262d42c8226a194a217291"
     ),
@@ -252,9 +260,42 @@ def test_cli_outputs_match_recorded_digests(tmp_path):
         runs[f"{stem} cells --dot"] = (["cells", path, "--dot", str(dot)], dot)
         runs[f"{stem} ideals"] = (["ideals", path], None)
         runs[f"{stem} cell-module"] = (["cell-module", path, "--left-cell-of", element], None)
+        runs[f"{stem} export"] = (["export", path], None)
     path = tmp_path / "toy.json"
     save_shadow(_non_associative_shadow(), str(path))
     runs["non-associative check"] = (["check", str(path)], None)
 
     got = {label: _cli_digest(argv, written) for label, (argv, written) in runs.items()}
     assert got == RECORDED_DIGESTS
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+# SHA-256 of the stdout of each demo.
+RECORDED_DEMO_DIGESTS = {
+    "custom_shadow.py": (
+        "f8a089431c248ae70cd5f2ef9859810cf58ca3721fc9eb64dfc2a5364e681e6f"
+    ),
+    "divided_power_tour.py": (
+        "5db2dbd3d2c95235efb7fb256579469c7d839c539884c2b294a82c134cef4bba"
+    ),
+    "fusion_window.py": (
+        "20b233256a41721ba1a1186f9e4458d72e195b43102f1e55154dcb4e850605de"
+    ),
+    "ideals_and_quotients.py": (
+        "f94d0c81ff961194dc16be1daa0fee664753c7956990631db3749a9a9d9ecf8e"
+    ),
+    "rsk_cells.py": (
+        "e05bcd84e588d675caff29ffc2f44855fae6713802badbe541df12303b6d96f9"
+    ),
+}
+
+
+def test_demos_match_recorded_digests():
+    got = {}
+    for path in sorted(DEMOS.glob("*.py")):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            runpy.run_path(str(path), run_name="__main__")
+        got[path.name] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert got == RECORDED_DEMO_DIGESTS

@@ -60,11 +60,11 @@ def ideal_fixpoint(s, a, kind):
             if kind in ("left", "two-sided"):
                 for x in s.elements:
                     if x.source == b.target:
-                        grown |= compose(s, x, b).support()
+                        grown |= frozenset(compose(s, x, b).terms)
             if kind in ("right", "two-sided"):
                 for y in s.elements:
                     if b.source == y.target:
-                        grown |= compose(s, b, y).support()
+                        grown |= frozenset(compose(s, b, y).terms)
             for e in grown:
                 if e not in members:
                     members.add(e)

@@ -72,11 +72,9 @@ def non_associative_toy():
 def test_decomposition_algebra():
     d = Decomposition({T: 2}) + Decomposition({T: 1, U: 3})
     assert d.terms == {T: 3, U: 3}
-    assert d.scaled(2).terms == {T: 6, U: 6}
-    assert d.scaled(0).is_zero
     assert Decomposition.zero().is_zero
     assert d.mult(T) == 3 and d.mult(E) == 0
-    assert d.support() == frozenset({T, U})
+    assert frozenset(d.terms) == frozenset({T, U})
 
 
 def test_compose_identity_and_zero():
@@ -135,6 +133,10 @@ def test_nonpositive_multiplicity_rejected():
     s = replace(s, table={**s.table, (T, T): Decomposition({U: 0})})
     with pytest.raises(StructureError, match="multiplicity"):
         validate_shadow(s)
+    # the cell engine reads the same checked view, validated or not
+    s = replace(s, table=dict(s.table))
+    with pytest.raises(StructureError, match="nonpositive multiplicity 0 in"):
+        cell_partition(s, "left")
 
 
 def test_result_endpoints_checked():
@@ -207,11 +209,87 @@ def test_associativity_failure_reported():
     assert (report.checked, report.skipped) == (27, 0)
 
 
+def reference_validate(s):
+    """validate_shadow on Elements, without the integer view: the same
+    invariants, checked in the same order, with the same messages. It does
+    not check that table keys and terms are elements."""
+    if len(set(s.objects)) != len(s.objects):
+        raise StructureError("duplicate object ids")
+    objset = set(s.objects)
+    names = [e.name for e in s.elements]
+    if len(set(names)) != len(names):
+        raise StructureError("duplicate element ids")
+    for e in s.elements:
+        if e.source not in objset or e.target not in objset:
+            raise StructureError(f"element {e.name} touches an unknown object")
+        if e.is_identity and e.source != e.target:
+            raise StructureError(f"identity {e.name} has source != target")
+    for obj in s.objects:
+        ids = [e for e in s.elements if e.is_identity and e.source == obj]
+        if len(ids) != 1:
+            raise StructureError(f"object {obj} has {len(ids)} identities")
+
+    def identity_at(obj):
+        return next(e for e in s.elements if e.is_identity and e.source == obj)
+
+    for (a, b), d in s.table.items():
+        if a.source != b.target:
+            raise StructureError(f"table entry ({a.name}, {b.name}) is not composable")
+        for e, m in d.terms.items():
+            if m < 1:
+                raise StructureError(
+                    f"nonpositive multiplicity {m} in ({a.name}, {b.name})"
+                )
+            if e.source != b.source or e.target != a.target:
+                raise StructureError(
+                    f"term {e.name} of ({a.name}, {b.name}) has wrong source/target"
+                )
+    if not s.partial:
+        for a in s.elements:
+            for b in s.elements:
+                if a.source == b.target and (a, b) not in s.table:
+                    raise StructureError(
+                        f"incomplete table: missing entry ({a.name}, {b.name})"
+                    )
+    for a in s.elements:
+        one_t = identity_at(a.target)
+        one_s = identity_at(a.source)
+        for pair in ((one_t, a), (a, one_s)):
+            entry = s.table.get(pair)
+            if entry is None and s.partial:
+                continue
+            if entry is None or entry.terms != {a: 1}:
+                raise StructureError(f"identity does not act strictly on {a.name}")
+
+    if s.involution is not None:
+        inv = s.involution
+        if set(inv) != set(s.elements) or set(inv.values()) != set(s.elements):
+            raise StructureError("involution is not a bijection on elements")
+        for e, f in inv.items():
+            if inv[f] != e:
+                raise StructureError(f"involution not self-inverse at {e.name}")
+            if f.source != e.target or f.target != e.source:
+                raise StructureError(f"involution of {e.name} does not swap endpoints")
+            if e.is_identity and f != e:
+                raise StructureError(f"involution moves identity {e.name}")
+        for (a, b), d in s.table.items():
+            dual = s.table.get((inv[b], inv[a]))
+            if dual is None:
+                if s.partial:
+                    continue
+                raise StructureError(f"missing dual entry for ({a.name}, {b.name})")
+            starred = {inv[e]: m for e, m in d.terms.items()}
+            if starred != dual.terms:
+                raise StructureError(
+                    f"involution is not an anti-homomorphism at ({a.name}, {b.name})"
+                )
+
+
 def reference_sweep(s):
     """(status, checked, skipped, failure) of a sweep on Elements through
     compose; a triple is skipped when a product it needs has no entry."""
     try:
-        validate_shadow(s)
+        reference_validate(s)
     except StructureError:
         return "structural-error", 0, 0, None
 
@@ -288,6 +366,101 @@ def test_sweep_matches_reference_on_random_shadows(s):
     assert json.dumps(report.failure) == json.dumps(failure)
 
 
+def _set_multiplicity(draw, table, s, scale):
+    filled = [pair for pair, d in table.items() if d.terms]
+    if filled:
+        pair = draw(st.sampled_from(filled))
+        terms = dict(table[pair].terms)
+        term = draw(st.sampled_from(sorted(terms, key=s.index_of)))
+        terms[term] *= scale
+        table[pair] = Decomposition(terms)
+
+
+def _zero_multiplicity(draw, table, s):
+    _set_multiplicity(draw, table, s, 0)
+
+
+def _doubled_multiplicity(draw, table, s):
+    # on an identity's entry this breaks strictness, elsewhere often duality
+    _set_multiplicity(draw, table, s, 2)
+
+
+def _wrong_endpoints(draw, table, s):
+    pair = draw(st.sampled_from(list(table)))
+    ends = (pair[1].source, pair[0].target)
+    strays = [e for e in s.elements if (e.source, e.target) != ends]
+    if strays:
+        table[pair] = table[pair] + Decomposition({draw(st.sampled_from(strays)): 1})
+
+
+def _dropped_entry(draw, table, s):
+    del table[draw(st.sampled_from(list(table)))]
+
+
+def _non_composable_key(draw, table, s):
+    pairs = [(a, b) for a in s.elements for b in s.elements if a.source != b.target]
+    if pairs:
+        pair = draw(st.sampled_from(pairs))
+        table[pair] = Decomposition({pair[0]: 1})
+
+
+CORRUPTIONS = (
+    _zero_multiplicity,
+    _doubled_multiplicity,
+    _wrong_endpoints,
+    _dropped_entry,
+    _non_composable_key,
+)
+
+
+def _reversed_twin(s, e):
+    """An element with e's endpoints swapped, e itself when it has them, or
+    None."""
+    ends = (e.target, e.source)
+    return next((f for f in (e, *s.elements) if (f.source, f.target) == ends), None)
+
+
+@st.composite
+def corrupted_shadows(draw):
+    """A random shadow, or a small built one with an involution, with one to
+    three corruptions and its table in a random insertion order."""
+    s = draw(
+        st.one_of(
+            random_shadows(),
+            st.sampled_from([build_bn(1), build_bn(2), window_shadow(4)]),
+        )
+    )
+    involution = None if s.involution is None else dict(s.involution)
+    if involution is None and draw(st.booleans()):
+        involution = {e: _reversed_twin(s, e) for e in s.elements}
+        if None in involution.values():
+            involution = None
+    table = dict(s.table)
+    for _ in range(draw(st.integers(1, 3))):
+        swap = involution is not None and len(s.elements) > 1
+        if swap and draw(st.integers(0, len(CORRUPTIONS))) == 0:
+            x, y = draw(st.permutations(s.elements))[:2]
+            involution[x], involution[y] = involution[y], involution[x]
+        elif table:
+            draw(st.sampled_from(CORRUPTIONS))(draw, table, s)
+    table = dict(draw(st.permutations(list(table.items()))))
+    return replace(s, table=table, involution=involution)
+
+
+def _outcome(validate, s):
+    try:
+        validate(s)
+    except StructureError as err:
+        return type(err), str(err)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_shadows())
+def test_validate_matches_reference_on_corrupted_shadows(s):
+    assert _outcome(validate_shadow, s) == _outcome(reference_validate, s)
+
+
 def test_cached_shadows_are_read_only():
     s = build_bn(2)
     pair, entry = next(iter(s.table.items()))
@@ -328,12 +501,17 @@ def test_cells_refuse_a_missing_entry_of_a_full_shadow(kind):
 
 def test_a_term_outside_the_elements_is_a_structure_error():
     ghost = Element("ghost", 0, 0)
-    s = one_object_shadow({**associative_toy().table, (T, T): Decomposition({ghost: 1})})
-    report = check_associativity(s)
-    assert report.status == "structural-error"
-    assert report.message == "table names 'ghost', which is not an element"
-    with pytest.raises(StructureError, match="not an element"):
-        cell_partition(s, "left")
+    message = "table names 'ghost', which is not an element"
+    # a ghost term, then a ghost key
+    for entry in ({(T, T): Decomposition({ghost: 1})}, {(ghost, T): Decomposition({T: 1})}):
+        s = one_object_shadow({**associative_toy().table, **entry})
+        with pytest.raises(StructureError, match=re.escape(message)):
+            validate_shadow(s)
+        report = check_associativity(s)
+        assert report.status == "structural-error"
+        assert report.message == message
+        with pytest.raises(StructureError, match=re.escape(message)):
+            cell_partition(s, "left")
 
 
 def test_associativity_structural_error_status():

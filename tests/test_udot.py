@@ -206,6 +206,8 @@ def test_build_desk_limit():
         build_bn(0)
     with pytest.raises(InputError):
         build_bn(9)
+    with pytest.raises(TypeError):  # the limit is DESK_LIMIT, not an argument
+        build_bn(9, 9)
 
 
 def test_b2_products_frozen():
