@@ -216,6 +216,21 @@ RECORDED_DIGESTS = {
     "non-associative check": (
         "818a25aa45e4322877f8b89f3f464d0fd160b77bf1262d42c8226a194a217291"
     ),
+    "verify schur": (
+        "1a2dd1dcc2124377f66bd79c018f04377e9084fd9899bb3b3f800c9d1a62df26"
+    ),
+    "verify schur --n 1..2 --r 8": (
+        "59b239b0ef52e36c09f9ae23d8a9e6e8b928bcafc7a89d413a28beb68de41a21"
+    ),
+    "verify schur --n 3 --r 8": (
+        "f6941161bc858b263be9b8ccca79fba664c7e96e433cfa9cc6ef9865d0cdd9c1"
+    ),
+    "build schur --n 4 --r 4": (
+        "a69f6ded87cd176e81f459f436054289a713d9b76c34bfb26578904838ff2dfe"
+    ),
+    "build schur --n 2 --r 3 -o FILE": (
+        "2416cfe774d4d7f504dfa381d4031880bf67bdfa40d1574f54aa70bdef99faac"
+    ),
 }
 
 
@@ -264,6 +279,15 @@ def test_cli_outputs_match_recorded_digests(tmp_path):
     path = tmp_path / "toy.json"
     save_shadow(_non_associative_shadow(), str(path))
     runs["non-associative check"] = (["check", str(path)], None)
+    runs["verify schur"] = (["verify", "schur"], None)
+    runs["verify schur --n 1..2 --r 8"] = (["verify", "schur", "--n", "1..2", "--r", "8"], None)
+    runs["verify schur --n 3 --r 8"] = (["verify", "schur", "--n", "3", "--r", "8"], None)
+    runs["build schur --n 4 --r 4"] = (["build", "schur", "--n", "4", "--r", "4"], None)
+    report = tmp_path / "schur.json"
+    runs["build schur --n 2 --r 3 -o FILE"] = (
+        ["build", "schur", "--n", "2", "--r", "3", "-o", str(report)],
+        report,
+    )
 
     got = {label: _cli_digest(argv, written) for label, (argv, written) in runs.items()}
     assert got == RECORDED_DIGESTS
