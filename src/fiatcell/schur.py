@@ -81,10 +81,6 @@ class MarginMatrix:
         return len(self.entries)
 
     @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.entries)
-
-    @property
     def row_margins(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.entries)
 
@@ -97,11 +93,6 @@ class MarginMatrix:
 
     def as_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
-
-
-def involution_transpose(a: MarginMatrix) -> MarginMatrix:
-    """The adjoint on the matrix model; swaps insertion and recording."""
-    return a.transpose()
 
 
 def biword(a: MarginMatrix) -> list[tuple[int, int]]:
@@ -250,9 +241,18 @@ def partitions_at_most(r: int, parts: int, max_part: int | None = None):
             yield (first,) + rest
 
 
+def _partition(shape) -> tuple[int, ...]:
+    """A shape as a tuple; refused unless its parts are positive and weakly
+    decreasing."""
+    shape = tuple(shape)
+    if any(p < 1 for p in shape) or any(a < b for a, b in zip(shape, shape[1:])):
+        raise InputError(f"{shape} is not a partition")
+    return shape
+
+
 def ssyt_of_shape(shape, n: int) -> list[Tableau]:
     """All semistandard tableaux of a shape with entries at most n."""
-    shape = tuple(shape)
+    shape = _partition(shape)
     if not shape:
         return [Tableau(())]
     rows = [[0] * c for c in shape]
@@ -281,7 +281,7 @@ def ssyt_of_shape(shape, n: int) -> list[Tableau]:
 def count_ssyt(shape, n: int) -> int:
     """Number of semistandard tableaux via the hook content product; the
     enumeration route is compared against this in checks."""
-    shape = tuple(shape)
+    shape = _partition(shape)
     conj = [sum(1 for part in shape if part > j) for j in range(shape[0])] if shape else []
     num = 1
     den = 1
@@ -327,27 +327,6 @@ def cells_via_rsk(n: int, r: int) -> RskCells:
             kind="two-sided", classes=fibers(lambda a: pairs[a].p.shape)
         ),
     )
-
-
-def schur_strong_regularity(n: int, r: int, cells: RskCells | None = None) -> dict:
-    """Intersection half of strong regularity: inside one shape every left
-    cell meets every right cell in exactly one matrix, across shapes in
-    none. Cell incomparability needs structure constants and is out of
-    scope here."""
-    if cells is None:
-        cells = cells_via_rsk(n, r)
-    witnesses = []
-    seen = Counter((pair.p, pair.q) for pair in cells.pairs.values())
-    for (p, q), count in seen.items():
-        if count != 1:
-            witnesses.append({"p-shape": list(p.shape), "count": count})
-    shapes = {pair.p.shape for pair in cells.pairs.values()}
-    expected = sum(count_ssyt(shape, n) ** 2 for shape in shapes)
-    if expected != len(cells.matrices):
-        witnesses.append(
-            {"pair-count": expected, "matrix-count": len(cells.matrices)}
-        )
-    return check("left-right-intersections-singleton", not witnesses, witnesses)
 
 
 def antidominant_pair(a: MarginMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -412,6 +391,8 @@ def double_coset_count(r: int, mu, nu) -> int:
     nu-block. No margin matrix is read."""
     mu = tuple(m for m in mu if m)
     nu = tuple(m for m in nu if m)
+    if any(m < 0 for m in mu + nu):
+        raise InputError("compositions must have nonnegative parts")
     if sum(mu) != r or sum(nu) != r:
         raise InputError("compositions must sum to r")
     swaps: list[int] = []  # position j swaps with j + 1
@@ -440,30 +421,41 @@ def double_coset_count(r: int, mu, nu) -> int:
     return orbits
 
 
-def _suite(n: int, r: int, cells: RskCells, dominant: list) -> list[dict]:
-    """The check suite over one insertion of the basis: one pass reads each
-    matrix's pair, margins, round trip, transpose and antidominant pair."""
-    basis, pairs = cells.matrices, cells.pairs
+def _suite(n: int, r: int) -> tuple[list[dict], dict]:
+    """The check suite over one enumeration and insertion of the basis, with
+    the report's counts read from the same pass.
+
+    One loop reads each matrix's pair, margins, round trip, transpose and
+    antidominant pair, and fills a (P, Q) counter and a per-shape table of
+    matrix counts and sets of P and of Q; the shapes come in first-seen
+    order, the order of `cells_via_rsk`'s two-sided classes. The
+    double-coset cross-check covers every (row, column) margin pair for
+    r <= 5 and only the diagonal pairs (mu, mu) for r >= 6."""
+    dominant = enumerate_dominant(n, r)
+    basis = enumerate_basis(n, r)
+    pairs = {a: rsk(a) for a in basis}
     by_margins: Counter = Counter()  # (row margins, column margins) -> matrices
     by_columns: Counter = Counter()  # column margins -> matrices
+    by_pair: Counter = Counter()  # (P, Q) -> matrices
+    by_shape: dict = {}  # shape -> [matrices, set of P, set of Q]
     content_bad, roundtrip_bad, transpose_bad, anti_bad = [], [], [], []
-    for a in basis:
-        pair = pairs[a]
+    for a, pair in pairs.items():
         rows, cols = a.row_margins, a.col_margins
         by_margins[rows, cols] += 1
         by_columns[cols] += 1
-        if (
-            pair.p.content(n) != cols
-            or pair.q.content(n) != rows
-            or pair.p.shape != pair.q.shape
-        ):
+        by_pair[pair.p, pair.q] += 1
+        cell = by_shape.setdefault(pair.p.shape, [0, set(), set()])
+        cell[0] += 1
+        cell[1].add(pair.p)
+        cell[2].add(pair.q)
+        if pair.p.content(n) != cols or pair.q.content(n) != rows:
             content_bad.append(a.as_lists())
         if rsk_inverse(pair, n) != a:
             roundtrip_bad.append(a.as_lists())
-        t = involution_transpose(a)
+        t = a.transpose()
         tpair = pairs.get(t)
         if (
-            involution_transpose(t) != a
+            t.transpose() != a
             or tpair is None
             or tpair.p != pair.q
             or tpair.q != pair.p
@@ -475,7 +467,6 @@ def _suite(n: int, r: int, cells: RskCells, dominant: list) -> list[dict]:
         if by_columns[vector_content(v, n)] != antidominant_count(n, v):
             anti_bad.append({"vector": list(v)})
 
-    distinct = len({(pair.p, pair.q) for pair in pairs.values()})
     shapes = list(partitions_at_most(r, n))
     by_enum = {shape: len(ssyt_of_shape(shape, n)) for shape in shapes}
     by_hook = {shape: count_ssyt(shape, n) for shape in shapes}
@@ -484,16 +475,32 @@ def _suite(n: int, r: int, cells: RskCells, dominant: list) -> list[dict]:
         and sum(c * c for c in by_enum.values()) == comb(n * n + r - 1, r)
     )
 
-    size_bad = []
-    for cls in cells.two_sided.classes:
-        shape = pairs[next(iter(cls))].p.shape
-        lefts = {pairs[a].p for a in cls}
-        rights = {pairs[a].q for a in cls}
+    shape_rows, size_bad, pair_total = [], [], 0
+    for shape, (matrices, lefts, rights) in by_shape.items():
         expected = count_ssyt(shape, n)
+        pair_total += expected * expected
+        shape_rows.append(
+            {
+                "shape": list(shape),
+                "matrices": matrices,
+                "ssyt": expected,
+                "left-cells": len(lefts),
+                "right-cells": len(rights),
+            }
+        )
         if len(lefts) != expected or len(rights) != expected:
             size_bad.append(
                 {"shape": list(shape), "left": len(lefts), "right": len(rights)}
             )
+    # intersection half of strong regularity: inside one shape every left
+    # cell meets every right cell in exactly one matrix, across shapes in none
+    meet_bad = [
+        {"p-shape": list(p.shape), "count": count}
+        for (p, _), count in by_pair.items()
+        if count != 1
+    ]
+    if pair_total != len(basis):
+        meet_bad.append({"pair-count": pair_total, "matrix-count": len(basis)})
 
     if r <= 5:
         margin_pairs = sorted(by_margins)
@@ -508,7 +515,7 @@ def _suite(n: int, r: int, cells: RskCells, dominant: list) -> list[dict]:
                 {"row": list(mu), "col": list(nu), "orbits": got, "matrices": expected}
             )
 
-    return [
+    checks = [
         check(
             "dominant-vector-count",
             len(dominant) == comb(n + r - 1, r)
@@ -519,7 +526,7 @@ def _suite(n: int, r: int, cells: RskCells, dominant: list) -> list[dict]:
         check("rsk-content-laws", not content_bad, content_bad),
         check(
             "rsk-roundtrip-bijection",
-            not roundtrip_bad and distinct == len(basis),
+            not roundtrip_bad and len(by_pair) == len(basis),
             roundtrip_bad,
         ),
         check(
@@ -529,46 +536,31 @@ def _suite(n: int, r: int, cells: RskCells, dominant: list) -> list[dict]:
         ),
         check(
             "two-sided-cells-are-shapes",
-            len(cells.two_sided.classes) == len(shapes),
-            [len(cells.two_sided.classes), len(shapes)],
+            len(by_shape) == len(shapes),
+            [len(by_shape), len(shapes)],
         ),
         check("cells-per-shape-count", not size_bad, size_bad),
-        schur_strong_regularity(n, r, cells),
+        check("left-right-intersections-singleton", not meet_bad, meet_bad),
         check("transpose-swaps-tableaux", not transpose_bad, transpose_bad),
         check("antidominant-indexing-bijection", not anti_bad, anti_bad),
         check("double-coset-counts", not coset_bad, coset_bad),
     ]
+    counts = {
+        "dominant-vectors": len(dominant),
+        "matrices": len(basis),
+        "two-sided-cells": len(by_shape),
+        "shapes": shape_rows,
+    }
+    return checks, counts
 
 
 def verify_schur(n: int, r: int) -> list[dict]:
     """Full check suite for the rank-(n, r) matrix combinatorics."""
-    return _suite(n, r, cells_via_rsk(n, r), enumerate_dominant(n, r))
+    return _suite(n, r)[0]
 
 
 def schur_report(n: int, r: int) -> dict:
     """Cells report: shapes with tableau and matrix counts, plus the check
     suite."""
-    cells = cells_via_rsk(n, r)
-    dominant = enumerate_dominant(n, r)
-    shape_rows = []
-    for cls in cells.two_sided.classes:
-        shape = cells.pairs[next(iter(cls))].p.shape
-        shape_rows.append(
-            {
-                "shape": list(shape),
-                "matrices": len(cls),
-                "ssyt": count_ssyt(shape, n),
-                "left-cells": len({cells.pairs[a].p for a in cls}),
-                "right-cells": len({cells.pairs[a].q for a in cls}),
-            }
-        )
-    return {
-        "format": 1,
-        "n": n,
-        "r": r,
-        "dominant-vectors": len(dominant),
-        "matrices": len(cells.matrices),
-        "two-sided-cells": len(cells.two_sided.classes),
-        "shapes": shape_rows,
-        "checks": _suite(n, r, cells, dominant),
-    }
+    checks, counts = _suite(n, r)
+    return {"format": 1, "n": n, "r": r, **counts, "checks": checks}

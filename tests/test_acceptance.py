@@ -84,7 +84,7 @@ def test_top_cell_module_matches_defining_action():
         assert [e.name for e in cm.basis] == ["1_0"] + [
             f"F0^({k})" for k in range(1, n + 1)
         ]
-        action = defining_action(n, s, validate=True)
+        action = defining_action(n, s)
         for e in s.elements:
             assert cm.matrices[e] == action[e], (n, e.name)
 

@@ -24,10 +24,8 @@ from fiatcell.schur import (
     antidominant_pair,
     count_ssyt,
     double_coset_count,
-    involution_transpose,
     pair_matrix,
     partitions_at_most,
-    schur_strong_regularity,
     ssyt_of_shape,
     stabilizer_composition,
     vector_content,
@@ -71,7 +69,7 @@ def test_margin_matrix_validation():
     with pytest.raises(InputError):
         mm([[1, -1], [0, 0]])
     a = mm([[1, 2], [0, 3]])
-    assert a.total == 6
+    assert sum(map(sum, a.entries)) == 6
     assert a.row_margins == (3, 3)
     assert a.col_margins == (1, 5)
     assert a.transpose() == mm([[1, 0], [2, 3]])
@@ -102,7 +100,7 @@ def test_rsk_transpose_example():
     pair = rsk(a)
     assert pair.p.rows == ((1, 2, 2),)
     assert pair.q.rows == ((1, 1, 2),)
-    t = involution_transpose(a)
+    t = a.transpose()
     assert t == mm([[1, 0], [1, 1]])
     tpair = rsk(t)
     assert tpair.p == pair.q and tpair.q == pair.p
@@ -170,8 +168,11 @@ def test_two_sided_cells_count_partitions():
 
 @pytest.mark.parametrize("n,r", [(1, 3), (2, 2), (2, 3), (3, 3)])
 def test_strong_regularity_intersections(n, r):
-    result = schur_strong_regularity(n, r)
-    assert result["check"] == "left-right-intersections-singleton"
+    (result,) = [
+        c
+        for c in verify_schur(n, r)
+        if c["check"] == "left-right-intersections-singleton"
+    ]
     assert result["status"] == "pass"
 
 
@@ -187,6 +188,16 @@ def test_ssyt_counting():
                 assert enum == count_ssyt(shape, n), shape
                 total += enum * enum
             assert total == comb(n * n + r - 1, r)
+
+
+def test_count_ssyt_refuses_non_partition():
+    with pytest.raises(InputError, match="not a partition"):
+        count_ssyt((1, 2), 2)
+
+
+def test_ssyt_of_shape_refuses_non_partition():
+    with pytest.raises(InputError, match="not a partition"):
+        ssyt_of_shape((1, 2), 2)
 
 
 @given(st.integers(1, 8), st.integers(1, 4), st.randoms(use_true_random=False))
@@ -218,6 +229,16 @@ def test_antidominant_roundtrip_and_counts(n, r):
 
 def test_double_coset_frozen_value():
     assert double_coset_count(3, (2, 1), (2, 1)) == 2
+
+
+def test_double_coset_refuses_negative_row_part():
+    with pytest.raises(InputError, match="nonnegative"):
+        double_coset_count(1, (-1, 2), (1,))
+
+
+def test_double_coset_refuses_negative_column_part():
+    with pytest.raises(InputError, match="nonnegative"):
+        double_coset_count(2, (2,), (3, -1))
 
 
 def margin_counts(n, r):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import product
 from math import comb, factorial
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from fiatcell import (
     ConsistencyError,
+    Decomposition,
     InputError,
     basis_change,
     bn_basis,
@@ -21,8 +23,10 @@ from fiatcell import (
     gen_binom,
     normalize_blocks,
     recursion_check,
+    verify_bn,
     verify_relations,
 )
+from fiatcell import udot
 from fiatcell.udot import (
     DPMonomial,
     bn_cells_report,
@@ -303,11 +307,55 @@ def test_defining_action_entries():
     assert act[s.element("1_2")][2][2] == 1
 
 
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(udot, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(udot, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_verify_bn_builds_defining_action_once(monkeypatch, n):
+    calls = _counting(monkeypatch, "defining_action")
+    assert all(c["status"] == "pass" for c in verify_bn(n))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_bn_cells_report_reads_m_values_once_per_class(monkeypatch, n):
+    calls = _counting(monkeypatch, "m_values")
+    s = build_bn(n)
+    assert all(c["status"] == "pass" for c in bn_cells_report(n, s))
+    assert [cls for _, cls in calls] == list(cell_partition(s, "two-sided").classes)
+
+
+def test_verify_bn_reports_non_multiplicative_action(monkeypatch):
+    s = build_bn(2)
+    key = next(
+        k for k in s.table if (k[0].name, k[1].name) == ("E1^(1)", "F0^(1)")
+    )
+    table = {**s.table, key: Decomposition({s.element("1_0"): 3})}
+    monkeypatch.setattr(udot, "build_bn", lambda n: dataclasses.replace(s, table=table))
+    records = {c["check"]: c for c in verify_bn(2)}
+    assert records["defining-action-multiplicative"] == {
+        "check": "defining-action-multiplicative",
+        "status": "fail",
+        "witnesses": [
+            "defining action is not multiplicative at (E1^(1), F0^(1))"
+        ],
+    }
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_cell_module_of_top_cell_is_defining_action(n):
     s = build_bn(n)
     cm = cell_module(s, cell_partition(s, "left").classes[0])
-    act = defining_action(n, s, validate=False)
+    act = defining_action(n, s)
     assert [e.name for e in cm.basis] == ["1_0"] + [
         f"F0^({k})" for k in range(1, n + 1)
     ]
