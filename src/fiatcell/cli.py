@@ -16,7 +16,13 @@ from .cells import cell_module, cell_partition, cell_poset, poset_to_dot
 from .checks import status
 from .clebsch import verify_clebsch, window_shadow
 from .ideals import thick_ideals, upsets_by_enumeration
-from .schur import schur_report, verify_schur
+from .schur import (
+    SCHUR_LIMIT_N,
+    SCHUR_LIMIT_R,
+    check_schur_rank,
+    schur_report,
+    verify_schur,
+)
 from .shadow import (
     ConsistencyError,
     InputError,
@@ -27,7 +33,7 @@ from .shadow import (
     load_shadow,
     validate_shadow,
 )
-from .udot import build_bn, verify_bn
+from .udot import DESK_LIMIT, build_bn, check_bn_rank, verify_bn
 
 BN_DEFAULT_RANGE = "1..6"
 SCHUR_DEFAULT_N = "1..3"
@@ -35,7 +41,7 @@ SCHUR_DEFAULT_R = "1..6"
 CLEBSCH_DEFAULT_MAX = 25
 
 
-def parse_range(text: str) -> list[int]:
+def parse_range(text: str) -> range:
     """A single integer "4" or an inclusive range "2..6"."""
     try:
         if ".." in text:
@@ -47,7 +53,14 @@ def parse_range(text: str) -> list[int]:
         raise InputError(f"cannot parse range {text!r}") from None
     if hi < lo:
         raise InputError(f"empty range {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
+
+
+def _probes(ranks: range, limit: int) -> tuple[int, int]:
+    """The ranks that decide whether a whole range lies in 1..limit: its
+    first rank, and the first one past limit if there is one. Checking
+    them in this order meets the first bad rank a loop over the range would."""
+    return ranks[0], min(ranks[-1], limit + 1)
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -179,7 +192,10 @@ def cmd_export(args) -> int:
 def cmd_verify(args) -> int:
     results = []
     if args.construction == "bn":
-        for n in parse_range(args.n):
+        ranks = parse_range(args.n)
+        for n in _probes(ranks, DESK_LIMIT):
+            check_bn_rank(n)
+        for n in ranks:
             s = build_bn(n)
             checks = verify_bn(n)
             results.append(
@@ -197,8 +213,12 @@ def cmd_verify(args) -> int:
         results.append({"max": args.max, "checks": checks, "status": status(checks)})
         doc = {"format": 1, "construction": "clebsch", "results": results}
     else:
-        for n in parse_range(args.n):
-            for r in parse_range(args.r):
+        ns, rs = parse_range(args.n), parse_range(args.r)
+        for n in _probes(ns, SCHUR_LIMIT_N):
+            for r in _probes(rs, SCHUR_LIMIT_R):
+                check_schur_rank(n, r)
+        for n in ns:
+            for r in rs:
                 checks = verify_schur(n, r)
                 results.append(
                     {"n": n, "r": r, "checks": checks, "status": status(checks)}

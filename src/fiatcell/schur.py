@@ -26,7 +26,7 @@ SCHUR_LIMIT_N = 4
 SCHUR_LIMIT_R = 8
 
 
-def _check_rank(n: int, r: int) -> None:
+def check_schur_rank(n: int, r: int) -> None:
     if not 1 <= n <= SCHUR_LIMIT_N:
         raise InputError(f"n must be between 1 and {SCHUR_LIMIT_N}, got {n}")
     if not 1 <= r <= SCHUR_LIMIT_R:
@@ -36,7 +36,7 @@ def _check_rank(n: int, r: int) -> None:
 def enumerate_dominant(n: int, r: int) -> list[tuple[int, ...]]:
     """All weakly decreasing vectors in {1..n}^r, lexicographically from
     (n,...,n) down to (1,...,1)."""
-    _check_rank(n, r)
+    check_schur_rank(n, r)
     return [v for v in combinations_with_replacement(range(n, 0, -1), r)]
 
 
@@ -116,7 +116,7 @@ def _sum_compositions(total: int, parts: int):
 def enumerate_basis(n: int, r: int) -> list[MarginMatrix]:
     """All n-by-n nonnegative integer matrices with entry sum r, grouped by
     (row margins, column margins) and ordered within a group."""
-    _check_rank(n, r)
+    check_schur_rank(n, r)
     out = [
         MarginMatrix(tuple(flat[i * n : (i + 1) * n] for i in range(n)))
         for flat in _sum_compositions(r, n * n)

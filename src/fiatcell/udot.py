@@ -14,6 +14,21 @@ classes and honest multiplicities only appear after changing to the
 EF-ordered basis. The indecomposables of the hom-pair (i, j) are exactly
 the in-range monomials of the quadrant orientation (FE when i + j < n,
 EF when i + j >= n), min(i, j, n-i, n-j) + 1 of them.
+
+build_bn does not run the rewriter. It expands each basis monomial into FE
+form once (an EF monomial by the exchange formula, dropping terms whose
+middle object leaves 0..n) and multiplies FE monomials in closed form: one
+exchange and two merges give
+
+    F^(f1) E^(e1) . F^(f2) E^(e2) 1_i
+        =  sum_j C(e1 - f2 + w, j) C(f1 + f2 - j, f1) C(e1 + e2 - j, e2)
+                 F^(f1 + f2 - j) E^(e1 + e2 - j) 1_i
+
+with w the weight of the object i - e2, a term being zero when its middle
+object i - e1 - e2 + j is negative. The generic rewriter (normalize_blocks,
+dp_normalize, basis_change, compose_monomials) stays public as the oracle
+the tests compare build_bn's table with, and tests/udot_oracle.py checks
+the rewriter with single-step rules alone.
 """
 
 from __future__ import annotations
@@ -47,6 +62,11 @@ from .shadow import (
 )
 
 DESK_LIMIT = 8
+
+
+def check_bn_rank(n: int) -> None:
+    if not 1 <= n <= DESK_LIMIT:
+        raise InputError(f"rank must be between 1 and {DESK_LIMIT}, got {n}")
 
 
 def weight(n: int, i: int) -> int:
@@ -364,12 +384,36 @@ def canonical_monomial(n: int, m: DPMonomial) -> DPMonomial:
     return next(iter(vec))
 
 
+def _fe_expansion(n: int, m: DPMonomial) -> tuple[tuple[int, int, int], ...]:
+    """m as (fpow, epow, coeff) terms of FE monomials from m.base: an EF
+    monomial through the exchange formula, dropping terms whose middle
+    object is negative."""
+    if m.kind == "fe":
+        return ((m.fpow, m.epow, 1),)
+    a, b, i = m.epow, m.fpow, m.base
+    top = a - b + weight(n, i)
+    return tuple(
+        (b - j, a - j, c)
+        for j in range(max(0, a - i), min(a, b) + 1)
+        if (c := gen_binom(top, j))
+    )
+
+
 @lru_cache(maxsize=None)
 def build_bn(n: int) -> Shadow:
     """The rank-n divided-power shadow: objects 0..n, the quadrant monomial
-    basis, the straightened composition table and the adjoint involution."""
-    if not 1 <= n <= DESK_LIMIT:
-        raise InputError(f"rank must be between 1 and {DESK_LIMIT}, got {n}")
+    basis, the composition table and the adjoint involution.
+
+    Products come in closed form (module docstring): each basis monomial is
+    expanded into FE form once, each pair of FE terms multiplies by the
+    one-exchange, two-merge formula, and each resulting FE monomial is
+    mapped to the quadrant basis once per rank. Both exchanges are written
+    out here rather than taken from basis_change, so that
+    compose_monomials, which runs the generic rewriter, stays an
+    independent oracle for this table (compared on every pair in the
+    tests). A negative multiplicity, or a term outside the basis, raises
+    ConsistencyError."""
+    check_bn_rank(n)
     basis = bn_basis(n)
     monomials: list[DPMonomial] = []
     for i in range(n + 1):
@@ -384,17 +428,62 @@ def build_bn(n: int) -> Shadow:
         )
         for m in monomials
     )
-    by_mon = dict(zip(monomials, elements))
-    table = {}
-    for b_mon, b_elt in zip(monomials, elements):
-        for a_mon, a_elt in zip(monomials, elements):
-            if a_mon.source != b_mon.target:
-                continue
-            vec = compose_monomials(n, a_mon, b_mon)
-            table[(a_elt, b_elt)] = Decomposition(
-                {by_mon[m]: c for m, c in vec.items()}
+    index = {m: k for k, m in enumerate(monomials)}
+    expansions = [_fe_expansion(n, m) for m in monomials]
+    by_source: dict[int, list[int]] = {}
+    for k, m in enumerate(monomials):
+        by_source.setdefault(m.source, []).append(k)
+
+    @lru_cache(maxsize=None)
+    def to_basis(f: int, e: int, i: int) -> tuple[tuple[int, int], ...]:
+        """F^(f) E^(e) 1_i, an in-range FE monomial, as (element id, coeff)
+        terms: itself on an FE-quadrant pair, else exchanged to EF form by
+        F^(b) E^(a) 1_i = sum_j C(b - a - w, j) E^(a-j) F^(b-j) 1_i."""
+        if f == 0 or e == 0 or 2 * i + f - e < n:
+            mons = ((dp("fe", f, e, i), 1),)
+        else:
+            top = f - e - weight(n, i)
+            mons = tuple(
+                (dp("ef", f - j, e - j, i), c)
+                for j in range(max(0, i + f - n), min(e, f) + 1)
+                if (c := gen_binom(top, j))
             )
-    involution = {by_mon[m]: by_mon[m.star()] for m in monomials}
+        for m, _ in mons:
+            if m not in index:
+                raise ConsistencyError(f"{m.name} is not a basis monomial")
+        return tuple((index[m], c) for m, c in mons)
+
+    table = {}
+    for kb, b_mon in enumerate(monomials):
+        i = b_mon.base
+        for ka in by_source[b_mon.target]:
+            fe: dict[tuple[int, int], int] = {}
+            for f1, e1, c1 in expansions[ka]:
+                for f2, e2, c2 in expansions[kb]:
+                    top = e1 - f2 + weight(n, i - e2)
+                    for j in range(max(0, e1 + e2 - i), min(e1, f2) + 1):
+                        c = gen_binom(top, j)
+                        if c:
+                            f, e = f1 + f2 - j, e1 + e2 - j
+                            c *= c1 * c2 * comb(f, f1) * comb(e, e2)
+                            fe[(f, e)] = fe.get((f, e), 0) + c
+            out: dict[int, int] = {}
+            for (f, e), c in fe.items():
+                if c:
+                    for k, ck in to_basis(f, e, i):
+                        out[k] = out.get(k, 0) + c * ck
+            terms = {}
+            for k in sorted(out):
+                if out[k] < 0:
+                    raise ConsistencyError(
+                        f"negative multiplicity {out[k]} at {elements[k].name}"
+                    )
+                if out[k]:
+                    terms[elements[k]] = out[k]
+            table[(elements[ka], elements[kb])] = Decomposition(terms)
+    involution = {
+        elements[k]: elements[index[m.star()]] for k, m in enumerate(monomials)
+    }
     return Shadow(
         objects=tuple(range(n + 1)),
         elements=elements,
@@ -568,19 +657,33 @@ def bn_cells_report(n: int, s: Shadow | None = None) -> list[dict]:
     )
 
     poset = cell_poset(s)
-    k_cells = len(poset.cells)
-    chain_ok = all(
-        poset.leq(a, b) or poset.leq(b, a)
-        for a in range(k_cells)
-        for b in range(k_cells)
+    cells = range(len(poset.cells))
+    ids = [poset.cell_index(s.element(f"1_{m}")) for m in range(half + 1)]
+    chain_bad = (
+        [
+            ("comparable", a, b)
+            for a in cells
+            for b in cells
+            if not (poset.leq(a, b) or poset.leq(b, a))
+        ]
+        + [("below", c, ids[0]) for c in cells if not poset.leq(c, ids[0])]
+        + [
+            ("strictly below", lo, hi)
+            for lo, hi in zip(ids[1:], ids)
+            if not poset.leq(lo, hi) or poset.leq(hi, lo)
+        ]
     )
-    top = poset.cell_index(s.element("1_0"))
-    chain_ok = chain_ok and all(poset.leq(c, top) for c in range(k_cells))
-    for m in range(1, half + 1):
-        lo = poset.cell_index(s.element(f"1_{m}"))
-        hi = poset.cell_index(s.element(f"1_{m - 1}"))
-        chain_ok = chain_ok and poset.leq(lo, hi) and not poset.leq(hi, lo)
-    checks.append(check("cell-poset-chain-top-at-identity-0", chain_ok))
+    # the first failing pair, each cell named by its first element
+    chain_witness = [
+        {
+            "pair": [min(poset.cells[c], key=s.index_of).name for c in (a, b)],
+            "expected": relation,
+        }
+        for relation, a, b in chain_bad[:1]
+    ]
+    checks.append(
+        check("cell-poset-chain-top-at-identity-0", not chain_bad, chain_witness)
+    )
 
     pairs = cell_index_pairs(n)
     gens = {pair: s.element(cell_generator(n, *pair).name) for pair in pairs}
@@ -730,13 +833,14 @@ def verify_bn(n: int) -> list[dict]:
 
     left = cell_partition(s, "left")
     cm = cell_module(s, left.class_of(s.element("1_0")))
-    names_ok = [e.name for e in cm.basis] == ["1_0"] + [
-        f"F0^({k})" for k in range(1, n + 1)
-    ]
-    matrices_ok = names_ok and all(
-        cm.matrices[e] == action[e] for e in s.elements
-    )
-    checks.append(check("cell-module-is-defining-action", matrices_ok))
+    names = [e.name for e in cm.basis]
+    if names != ["1_0"] + [f"F0^({k})" for k in range(1, n + 1)]:
+        module_bad = [{"basis": names}]
+    else:
+        module_bad = [
+            {"element": e.name} for e in s.elements if cm.matrices[e] != action[e]
+        ][:1]
+    checks.append(check("cell-module-is-defining-action", not module_bad, module_bad))
 
     checks.extend(bn_cells_report(n, s))
 

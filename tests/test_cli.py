@@ -22,6 +22,7 @@ from fiatcell import (
     save_shadow,
     window_shadow,
 )
+from fiatcell import cli
 from fiatcell.cli import main, parse_range
 from fiatcell.shadow import shadow_to_dict
 
@@ -51,8 +52,9 @@ def non_associative_file(path):
 
 
 def test_parse_range():
-    assert parse_range("4") == [4]
-    assert parse_range("2..6") == [2, 3, 4, 5, 6]
+    assert parse_range("4") == range(4, 5)
+    assert parse_range("2..6") == range(2, 7)
+    assert parse_range("1..1000000000000") == range(1, 10**12 + 1)
     with pytest.raises(InputError):
         parse_range("x")
     with pytest.raises(InputError):
@@ -195,6 +197,45 @@ def test_verify_bn_deterministic(capsys):
 def test_verify_bad_range(capsys):
     assert main(["verify", "bn", "--n", "0..2"]) == 2
     capsys.readouterr()
+
+
+def _refused_before_work(monkeypatch, capsys, argv, *work):
+    calls = []
+    for name in work:
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+    assert main(argv) == 2
+    assert calls == []
+    return capsys.readouterr().err
+
+
+def test_verify_bn_refuses_range_past_limit_before_any_rank(monkeypatch, capsys):
+    argv = ["verify", "bn", "--n", "8..9"]
+    err = _refused_before_work(monkeypatch, capsys, argv, "build_bn", "verify_bn")
+    assert err == "error: rank must be between 1 and 8, got 9\n"
+
+
+def test_verify_bn_refuses_huge_range_at_once(monkeypatch, capsys):
+    argv = ["verify", "bn", "--n", "1..1000000000000"]
+    err = _refused_before_work(monkeypatch, capsys, argv, "build_bn", "verify_bn")
+    assert err == "error: rank must be between 1 and 8, got 9\n"
+
+
+@pytest.mark.parametrize(
+    "n, r, message",
+    [
+        ("1", "8..9", "r must be between 1 and 8, got 9"),
+        ("0..2", "9", "n must be between 1 and 4, got 0"),
+        ("1..5", "9", "r must be between 1 and 8, got 9"),
+        ("3..6", "2..8", "n must be between 1 and 4, got 5"),
+    ],
+)
+def test_verify_schur_refuses_range_past_limit_before_any_rank(
+    monkeypatch, capsys, n, r, message
+):
+    argv = ["verify", "schur", "--n", n, "--r", r]
+    err = _refused_before_work(monkeypatch, capsys, argv, "verify_schur")
+    # the message a loop over the ranges would have met first
+    assert err == f"error: {message}\n"
 
 
 def test_verify_clebsch(capsys):

@@ -230,6 +230,44 @@ def test_b2_products_frozen():
     assert prod("F1^(1)", "F0^(1)") == {"F0^(2)": 2}
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_build_bn_table_matches_rewriter_oracle(n):
+    s = build_bn(n)
+    mons = [m for ms in bn_basis(n).values() for m in ms]
+    assert [e.name for e in s.elements] == [m.name for m in mons]
+    pairs = [(a, b) for b in mons for a in mons if a.source == b.target]
+    assert [(a.name, b.name) for a, b in s.table] == [
+        (a.name, b.name) for a, b in pairs
+    ]
+    for (a, b), d in zip(pairs, s.table.values()):
+        oracle = {m.name: c for m, c in compose_monomials(n, a, b).items()}
+        assert {e.name: c for e, c in d.items()} == oracle, (n, a.name, b.name)
+
+
+def test_build_bn_runs_no_rewriter(monkeypatch):
+    calls = _counting(monkeypatch, "normalize_blocks")
+    build_bn.cache_clear()
+    build_bn(8)
+    assert calls == []
+
+
+def test_build_bn_refuses_negative_product(monkeypatch):
+    real = udot.weight
+    monkeypatch.setattr(udot, "weight", lambda n, i: real(n, i) + 2)
+    with pytest.raises(ConsistencyError, match="negative multiplicity -2 at 1_1"):
+        build_bn.__wrapped__(2)
+
+
+def test_build_bn_refuses_product_outside_basis(monkeypatch):
+    real = udot.pair_basis
+    # drop E2^(1)F1^(1), the second basis monomial of the pair (1, 1)
+    monkeypatch.setattr(
+        udot, "pair_basis", lambda n, i, j: real(n, i, j)[: 1 if (i, j) == (1, 1) else None]
+    )
+    with pytest.raises(ConsistencyError, match=r"E2\^\(1\)F1\^\(1\) is not a basis"):
+        build_bn.__wrapped__(2)
+
+
 def test_b2_involution():
     s = build_bn(2)
     pairs = {e.name: f.name for e, f in s.involution.items()}
@@ -349,6 +387,52 @@ def test_verify_bn_reports_non_multiplicative_action(monkeypatch):
             "defining action is not multiplicative at (E1^(1), F0^(1))"
         ],
     }
+    assert records["cell-module-is-defining-action"] == {
+        "check": "cell-module-is-defining-action",
+        "status": "fail",
+        "witnesses": [{"element": "E1^(1)"}],
+    }
+
+
+def test_verify_bn_lists_cell_module_basis_on_name_mismatch(monkeypatch):
+    s = build_bn(2)
+    elements = list(s.elements)
+    i, j = elements.index(s.element("F0^(1)")), elements.index(s.element("F0^(2)"))
+    elements[i], elements[j] = elements[j], elements[i]
+    shuffled = dataclasses.replace(s, elements=tuple(elements))
+    monkeypatch.setattr(udot, "build_bn", lambda n: shuffled)
+    records = {c["check"]: c for c in verify_bn(2)}
+    assert records["cell-module-is-defining-action"] == {
+        "check": "cell-module-is-defining-action",
+        "status": "fail",
+        "witnesses": [{"basis": ["1_0", "F0^(2)", "F0^(1)"]}],
+    }
+
+
+@pytest.mark.parametrize(
+    "corrupt, witness",
+    [
+        (lambda rel, k: {(a, a) for a in range(k)}, ["1_0", "1_1", "comparable"]),
+        (lambda rel, k: {(b, a) for a, b in rel}, ["1_1", "1_0", "below"]),
+        (
+            lambda rel, k: {(a, b) for a in range(k) for b in range(k)},
+            ["1_1", "1_0", "strictly below"],
+        ),
+    ],
+    ids=["incomparable", "reversed", "not-strict"],
+)
+def test_cells_report_names_first_failing_pair_of_cells(monkeypatch, corrupt, witness):
+    s = build_bn(2)
+    real = udot.cell_poset(s)
+    poset = dataclasses.replace(
+        real, relation=frozenset(corrupt(real.relation, len(real.cells)))
+    )
+    monkeypatch.setattr(udot, "cell_poset", lambda s: poset)
+    records = {c["check"]: c for c in bn_cells_report(2, s)}
+    record = records["cell-poset-chain-top-at-identity-0"]
+    assert record["status"] == "fail"
+    (first,) = record["witnesses"]
+    assert [*first["pair"], first["expected"]] == witness
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
