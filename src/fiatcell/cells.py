@@ -15,7 +15,7 @@ cell module reads them. Shadows are immutable, so the memo cannot go stale.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -312,34 +312,16 @@ def cell_module(s: Shadow, left_cell: frozenset[Element]) -> CellModuleMatrices:
     return CellModuleMatrices(left_cell=left_cell, basis=basis, matrices=matrices)
 
 
-def _product_is_sum(x: Matrix, y: Matrix, terms: Iterable[tuple[Matrix, int]]) -> bool:
-    """x y equals the sum of m z over (z, m) in terms.
-
-    Both sides are kept as dicts of their nonzero entries, and zero entries
-    are skipped: every defining-action matrix has one nonzero entry, and
-    verify bn checks one product per table entry (3,333 at rank 8).
-    """
-    lhs: dict[tuple[int, int], int] = {}
-    for i, row in enumerate(x):
-        if any(row):
-            for a, y_row in zip(row, y):
-                if a:
-                    for j, b in enumerate(y_row):
-                        if b:
-                            lhs[i, j] = lhs.get((i, j), 0) + a * b
-    rhs: dict[tuple[int, int], int] = {}
-    for z, m in terms:
-        for i, row in enumerate(z):
-            if any(row):
-                for j, c in enumerate(row):
-                    if c:
-                        rhs[i, j] = rhs.get((i, j), 0) + m * c
-    return {k: v for k, v in lhs.items() if v} == {k: v for k, v in rhs.items() if v}
-
-
 def decomposition_matrix_identity(
     s: Shadow, cm: CellModuleMatrices, a: Element, b: Element
 ) -> bool:
-    """M_a M_b equals the multiplicity-weighted sum of M_c over a after b."""
-    terms = ((cm.matrices[c], m) for c, m in compose(s, a, b).items())
-    return _product_is_sum(cm.matrices[a], cm.matrices[b], terms)
+    """M_a M_b equals the multiplicity-weighted sum of M_c over a after b,
+    as dense integer matrices."""
+    x, y = cm.matrices[a], cm.matrices[b]
+    terms = [(cm.matrices[c], m) for c, m in compose(s, a, b).items()]
+    size = range(len(cm.basis))
+    return all(
+        sum(x[i][k] * y[k][j] for k in size) == sum(m * z[i][j] for z, m in terms)
+        for i in size
+        for j in size
+    )

@@ -452,14 +452,8 @@ def _suite(n: int, r: int) -> tuple[list[dict], dict]:
             content_bad.append(a.as_lists())
         if rsk_inverse(pair, n) != a:
             roundtrip_bad.append(a.as_lists())
-        t = a.transpose()
-        tpair = pairs.get(t)
-        if (
-            t.transpose() != a
-            or tpair is None
-            or tpair.p != pair.q
-            or tpair.q != pair.p
-        ):
+        tpair = pairs.get(a.transpose())
+        if tpair is None or tpair.p != pair.q or tpair.q != pair.p:
             transpose_bad.append(a.as_lists())
         if pair_matrix(n, *antidominant_pair(a)) != a:
             anti_bad.append(a.as_lists())

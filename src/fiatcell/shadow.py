@@ -496,11 +496,14 @@ def save_shadow(s: Shadow, path: str) -> None:
 
 def load_shadow(path: str) -> Shadow:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    # ValueError covers a syntax error, bytes that are not UTF-8 and an
+    # integer past the interpreter's digit limit; json raises
+    # RecursionError on deeply nested arrays or objects
+    except (ValueError, RecursionError) as err:
         raise InputError(f"{path} is not valid JSON: {err}") from err
     if not isinstance(data, dict):
         raise InputError(f"{path}: top level is not an object")

@@ -29,6 +29,14 @@ object i - e1 - e2 + j is negative. The generic rewriter (normalize_blocks,
 dp_normalize, basis_change, compose_monomials) stays public as the oracle
 the tests compare build_bn's table with, and tests/udot_oracle.py checks
 the rewriter with single-step rules alone.
+
+verify_bn never runs the rewriter either: it reads the cached shadow and
+closed forms alone. In the defining action each element sends the line of
+its source object to the line of its target object by one positive
+integer, so multiplicativity is a check on integers; cell generators are
+written down directly in the quadrant orientation; and rank reduction
+compares the quotient by the top cell with the shifted lower-rank table
+entry by entry.
 """
 
 from __future__ import annotations
@@ -39,8 +47,6 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .cells import (
-    Matrix,
-    _product_is_sum,
     cell_module,
     cell_partition,
     cell_poset,
@@ -376,14 +382,6 @@ def compose_monomials(n: int, a: DPMonomial, b: DPMonomial) -> UVector:
     return basis_change(n, vec, source=b.source, target=a.target)
 
 
-def canonical_monomial(n: int, m: DPMonomial) -> DPMonomial:
-    """The basis monomial isomorphic to a single in-range monomial."""
-    vec = basis_change(n, {m: 1})
-    if len(vec) != 1 or set(vec.values()) != {1}:
-        raise ConsistencyError(f"{m.name} is not a single indecomposable")
-    return next(iter(vec))
-
-
 def _fe_expansion(n: int, m: DPMonomial) -> tuple[tuple[int, int, int], ...]:
     """m as (fpow, epow, coeff) terms of FE monomials from m.base: an EF
     monomial through the exchange formula, dropping terms whose middle
@@ -501,7 +499,7 @@ def bn_element_monomials(n: int) -> dict[str, DPMonomial]:
     return out
 
 
-def verify_relations(n: int, s: Shadow | None = None) -> list[dict]:
+def verify_relations(n: int) -> list[dict]:
     """The defining exchange and merge relations, evaluated in the table.
 
     Exchange: E_{i+1} F_i + i copies of 1_i equals F_{i-1} E_i + (n - i)
@@ -509,8 +507,7 @@ def verify_relations(n: int, s: Shadow | None = None) -> list[dict]:
     a chain of k single steps decomposes as k! copies of the k-th divided
     power.
     """
-    if s is None:
-        s = build_bn(n)
+    s = build_bn(n)
     checks = []
 
     def elt(m: DPMonomial) -> Element | None:
@@ -564,19 +561,18 @@ def verify_relations(n: int, s: Shadow | None = None) -> list[dict]:
     return checks
 
 
-def defining_action(n: int, s: Shadow | None = None) -> dict[Element, Matrix]:
-    """Integer matrices of the action on the direct sum of vector spaces, one
-    dimension per object: an F-block from object m acts by C(m + k, k), an
-    E-block into object m by C(n - m, k). Each matrix is a tuple of rows of
-    Python ints with one nonzero entry. That the action is multiplicative on
-    the table is checked by `verify_bn`'s defining-action-multiplicative
-    record, not here."""
-    if s is None:
-        s = build_bn(n)
+def defining_action(n: int) -> dict[Element, int]:
+    """The action on the direct sum of one line per object, one coefficient
+    per element: e sends the line of e.source to the line of e.target by
+    action[e], the single nonzero entry of its matrix, at (e.target,
+    e.source). An F-block from object m acts by C(m + k, k), an E-block into
+    object m by C(n - m, k). Raises ConsistencyError when a monomial's
+    blocks do not run between its element's endpoints. That the action is
+    multiplicative on the table is checked by verify_bn's
+    defining-action-multiplicative record, not here."""
     mons = bn_element_monomials(n)
-
-    action: dict[Element, Matrix] = {}
-    for e in s.elements:
+    action: dict[Element, int] = {}
+    for e in build_bn(n).elements:
         m = mons[e.name]
         # follow the source object through the blocks, right to left
         obj, coeff = m.base, 1
@@ -587,9 +583,11 @@ def defining_action(n: int, s: Shadow | None = None) -> dict[Element, Matrix]:
             else:
                 obj -= p
                 coeff *= comb(n - obj, p)
-        rows = [[0] * (n + 1) for _ in range(n + 1)]
-        rows[obj][m.base] = coeff
-        action[e] = tuple(map(tuple, rows))
+        if (m.base, obj) != (e.source, e.target):
+            raise ConsistencyError(
+                f"{e.name} runs {m.base} -> {obj}, not {e.source} -> {e.target}"
+            )
+        action[e] = coeff
     return action
 
 
@@ -607,11 +605,10 @@ def cell_index_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def cell_generator(n: int, i: int, k: int) -> DPMonomial:
-    """Canonical basis monomial generating the (i, k) left/right cell."""
-    s = n // 2
-    if i <= s:
-        return canonical_monomial(n, dp("fe", k, k, i))
-    return canonical_monomial(n, dp("ef", k, k, i))
+    """The basis monomial generating the (i, k) left/right cell: F^(k) E^(k)
+    or E^(k) F^(k) at object i, in the quadrant orientation of the pair
+    (i, i)."""
+    return dp(pair_orientation(n, i, i), k, k, i)
 
 
 def expected_two_sided_index(n: int, i: int, k: int) -> int:
@@ -619,13 +616,12 @@ def expected_two_sided_index(n: int, i: int, k: int) -> int:
     return i - k if i <= s else n - i - k
 
 
-def bn_cells_report(n: int, s: Shadow | None = None) -> list[dict]:
+def bn_cells_report(n: int) -> list[dict]:
     """Cell structure checks for the rank-n shadow: cell counts, the chain
     poset, the (i, k) generator indexing, strong regularity and the
     m-statistic (constant on right cells; on the right cell of F_k^(i-k)
     it equals the multiplicity of 1_k in E_i^(i-k) F_k^(i-k))."""
-    if s is None:
-        s = build_bn(n)
+    s = build_bn(n)
     half = n // 2
     checks = []
 
@@ -785,21 +781,14 @@ def recursion_check(n: int) -> dict:
     if n < 3:
         raise InputError("rank reduction needs n >= 3")
     big = build_bn(n)
-    small = build_bn(n - 2)
-    shifted = shift_shadow(small, bn_element_monomials(n - 2), 1)
-    image = {e.name for e in shifted.elements}
-
-    witnesses = []
-    for (a, b), d in shifted.table.items():
-        big_d = compose(big, big.element(a.name), big.element(b.name))
-        truncated = {
-            e.name: m for e, m in big_d.items() if e.name in image
-        }
-        if truncated != {e.name: m for e, m in d.items()}:
-            witnesses.append({"pair": [a.name, b.name]})
-
+    shifted = shift_shadow(build_bn(n - 2), bn_element_monomials(n - 2), 1)
     top_cell = cell_partition(big, "two-sided").class_of(big.element("1_0"))
     quotient = quotient_by_upset(big, top_cell)
+    witnesses = [
+        {"pair": [a.name, b.name]}
+        for (a, b), d in shifted.table.items()
+        if quotient.table.get((a, b)) != d
+    ]
     if quotient != shifted:
         witnesses.append({"quotient": "differs from shifted lower-rank shadow"})
     return check("rank-reduction-index-shift", not witnesses, witnesses)
@@ -819,12 +808,11 @@ def verify_bn(n: int) -> list[dict]:
             [] if report.ok else [report.failure],
         ),
     ]
-    checks.extend(verify_relations(n, s))
-    action = defining_action(n, s)
+    checks.extend(verify_relations(n))
+    action = defining_action(n)
     product_bad = []
     for (a, b), d in s.table.items():
-        terms = ((action[c], mult) for c, mult in d.items())
-        if not _product_is_sum(action[a], action[b], terms):
+        if action[a] * action[b] != sum(m * action[c] for c, m in d.items()):
             product_bad.append(
                 f"defining action is not multiplicative at ({a.name}, {b.name})"
             )
@@ -837,12 +825,20 @@ def verify_bn(n: int) -> list[dict]:
     if names != ["1_0"] + [f"F0^({k})" for k in range(1, n + 1)]:
         module_bad = [{"basis": names}]
     else:
-        module_bad = [
-            {"element": e.name} for e in s.elements if cm.matrices[e] != action[e]
-        ][:1]
+        module_bad = []
+        for e in s.elements:
+            entries = {
+                (i, j): v
+                for i, row in enumerate(cm.matrices[e])
+                for j, v in enumerate(row)
+                if v
+            }
+            if entries != {(e.target, e.source): action[e]}:
+                module_bad = [{"element": e.name}]
+                break
     checks.append(check("cell-module-is-defining-action", not module_bad, module_bad))
 
-    checks.extend(bn_cells_report(n, s))
+    checks.extend(bn_cells_report(n))
 
     poset = cell_poset(s)
     ideals = thick_ideals(s, poset)

@@ -58,10 +58,11 @@ def test_bn_associativity_and_hom_pair_counts():
 
 
 def test_bn_exchange_and_merge_identities():
-    shadows = {n: build_bn(n) for n in range(1, 7)}  # cached, outside the budget
+    for n in range(1, 7):
+        build_bn(n)  # cached, outside the budget
     start = time.monotonic()
-    for n, s in shadows.items():
-        for check in verify_relations(n, s):
+    for n in range(1, 7):
+        for check in verify_relations(n):
             assert check["status"] == "pass", (n, check)
     assert time.monotonic() - start < 1
 
@@ -71,7 +72,7 @@ def test_bn_cell_structure_and_m_statistic():
     for n in range(1, 7):
         s = build_bn(n)
         assert len(cell_partition(s, "two-sided").classes) == n // 2 + 1
-        for check in bn_cells_report(n, s):
+        for check in bn_cells_report(n):
             assert check["status"] == "pass", (n, check)
     assert time.monotonic() - start < 30
 
@@ -84,9 +85,15 @@ def test_top_cell_module_matches_defining_action():
         assert [e.name for e in cm.basis] == ["1_0"] + [
             f"F0^({k})" for k in range(1, n + 1)
         ]
-        action = defining_action(n, s)
+        action = defining_action(n)
         for e in s.elements:
-            assert cm.matrices[e] == action[e], (n, e.name)
+            entries = {
+                (i, j): v
+                for i, row in enumerate(cm.matrices[e])
+                for j, v in enumerate(row)
+                if v
+            }
+            assert entries == {(e.target, e.source): action[e]}, (n, e.name)
 
 
 def test_divided_power_engine_matches_single_step_oracle():

@@ -126,6 +126,18 @@ def test_check_missing_and_malformed(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"objects": "\xff"}', b"[" * 100_000, b'{"format": ' + b"1" * 5000 + b"}"],
+    ids=["not-utf-8", "nested-100000-deep", "int-of-5000-digits"],
+)
+def test_check_unreadable_json_exits_two(tmp_path, capsys, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    assert main(["check", str(path)]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+
+
 def test_cells_partition(tmp_path, capsys):
     path = tmp_path / "b2.json"
     save_shadow(build_bn(2), str(path))

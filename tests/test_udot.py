@@ -30,7 +30,6 @@ from fiatcell import udot
 from fiatcell.udot import (
     DPMonomial,
     bn_cells_report,
-    canonical_monomial,
     cell_generator,
     compose_monomials,
     expected_two_sided_index,
@@ -307,13 +306,6 @@ def test_virtual_monomial_resolves_to_basis():
     assert {m.name: c for m, c in vec.items()} == {"E4^(1)F3^(1)": 1, "1_3": 2}
 
 
-def test_canonical_monomial():
-    assert canonical_monomial(2, dp("fe", 1, 1, 1)) == dp("ef", 1, 1, 1)
-    assert canonical_monomial(4, dp("fe", 1, 1, 1)) == dp("fe", 1, 1, 1)
-    with pytest.raises(ConsistencyError):
-        canonical_monomial(4, dp("fe", 1, 1, 3))
-
-
 def test_cell_index_pairs_and_generators():
     assert cell_index_pairs(2) == [(0, 0), (1, 0), (1, 1), (2, 0)]
     assert cell_generator(2, 1, 1).name == "E2^(1)F1^(1)"
@@ -336,13 +328,24 @@ def test_cells_report_passes(n):
 def test_defining_action_entries():
     act = defining_action(3)
     s = build_bn(3)
-    for mat in act.values():
-        entries = [x for row in mat for x in row]
-        assert all(type(x) is int and x >= 0 for x in entries)
-        assert sum(x != 0 for x in entries) == 1
-    assert act[s.element("F1^(2)")][3][1] == comb(3, 2)
-    assert act[s.element("E3^(2)")][1][3] == comb(2, 2)
-    assert act[s.element("1_2")][2][2] == 1
+    assert list(act) == list(s.elements)
+    assert all(type(c) is int and c > 0 for c in act.values())
+    assert act[s.element("F1^(2)")] == comb(3, 2)
+    assert act[s.element("E3^(2)")] == comb(2, 2)
+    assert act[s.element("1_2")] == 1
+
+
+def test_defining_action_refuses_element_off_its_monomial(monkeypatch):
+    s = build_bn(2)
+    f = s.element("F0^(1)")
+    elements = tuple(
+        dataclasses.replace(e, target=2) if e == f else e for e in s.elements
+    )
+    monkeypatch.setattr(
+        udot, "build_bn", lambda n: dataclasses.replace(s, elements=elements)
+    )
+    with pytest.raises(ConsistencyError, match=r"F0\^\(1\) runs 0 -> 1, not 0 -> 2"):
+        defining_action(2)
 
 
 def _counting(monkeypatch, name):
@@ -367,9 +370,9 @@ def test_verify_bn_builds_defining_action_once(monkeypatch, n):
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_bn_cells_report_reads_m_values_once_per_class(monkeypatch, n):
     calls = _counting(monkeypatch, "m_values")
-    s = build_bn(n)
-    assert all(c["status"] == "pass" for c in bn_cells_report(n, s))
-    assert [cls for _, cls in calls] == list(cell_partition(s, "two-sided").classes)
+    assert all(c["status"] == "pass" for c in bn_cells_report(n))
+    two_sided = cell_partition(build_bn(n), "two-sided")
+    assert [cls for _, cls in calls] == list(two_sided.classes)
 
 
 def test_verify_bn_reports_non_multiplicative_action(monkeypatch):
@@ -428,7 +431,7 @@ def test_cells_report_names_first_failing_pair_of_cells(monkeypatch, corrupt, wi
         real, relation=frozenset(corrupt(real.relation, len(real.cells)))
     )
     monkeypatch.setattr(udot, "cell_poset", lambda s: poset)
-    records = {c["check"]: c for c in bn_cells_report(2, s)}
+    records = {c["check"]: c for c in bn_cells_report(2)}
     record = records["cell-poset-chain-top-at-identity-0"]
     assert record["status"] == "fail"
     (first,) = record["witnesses"]
@@ -439,18 +442,58 @@ def test_cells_report_names_first_failing_pair_of_cells(monkeypatch, corrupt, wi
 def test_cell_module_of_top_cell_is_defining_action(n):
     s = build_bn(n)
     cm = cell_module(s, cell_partition(s, "left").classes[0])
-    act = defining_action(n, s)
+    act = defining_action(n)
     assert [e.name for e in cm.basis] == ["1_0"] + [
         f"F0^({k})" for k in range(1, n + 1)
     ]
     for e in s.elements:
-        assert cm.matrices[e] == act[e]
+        entries = {
+            (i, j): v
+            for i, row in enumerate(cm.matrices[e])
+            for j, v in enumerate(row)
+            if v
+        }
+        assert entries == {(e.target, e.source): act[e]}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_rank_reduction_regression(n):
     check = recursion_check(n)
     assert check["status"] == "pass", check
+
+
+def test_rank_reduction_reports_altered_product(monkeypatch):
+    # E2^(1) after F1^(1) is F0^(1)E1^(1) + 2 * 1_1 at rank 4; the first term
+    # lies in the top cell, so the quotient keeps 2 * 1_1, as rank 2 has it.
+    # Raising 2 to 3 keeps every support, so the cells stay as they are.
+    real = build_bn
+    s = real(4)
+    key = next(k for k in s.table if (k[0].name, k[1].name) == ("E2^(1)", "F1^(1)"))
+    assert {e.name: m for e, m in s.table[key].items()} == {
+        "F0^(1)E1^(1)": 1,
+        "1_1": 2,
+    }
+    terms = {s.element("F0^(1)E1^(1)"): 1, s.element("1_1"): 3}
+    table = {**s.table, key: Decomposition(terms)}
+    altered = dataclasses.replace(s, table=table)
+    monkeypatch.setattr(udot, "build_bn", lambda n: altered if n == 4 else real(n))
+    assert recursion_check(4) == {
+        "check": "rank-reduction-index-shift",
+        "status": "fail",
+        "witnesses": [
+            {"pair": ["E2^(1)", "F1^(1)"]},
+            {"quotient": "differs from shifted lower-rank shadow"},
+        ],
+    }
+
+
+def test_verify_bn_runs_no_rewriter(monkeypatch):
+    rewrites = _counting(monkeypatch, "normalize_blocks")
+    changes = _counting(monkeypatch, "basis_change")
+    build_bn.cache_clear()
+    for n in range(1, 9):
+        assert all(c["status"] == "pass" for c in verify_bn(n))
+    assert rewrites == changes == []
 
 
 def test_rank_reduction_needs_rank_three():
