@@ -15,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
 from math import comb
 
@@ -77,10 +78,6 @@ class MarginMatrix:
                     raise InputError(f"negative entry {x}")
 
     @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    @property
     def row_margins(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.entries)
 
@@ -95,34 +92,48 @@ class MarginMatrix:
         return [list(row) for row in self.entries]
 
 
-def biword(a: MarginMatrix) -> list[tuple[int, int]]:
-    """Row-major biword: entry a[k][l] contributes that many pairs (k+1, l+1)."""
-    out = []
-    for k, row in enumerate(a.entries):
-        for l, m in enumerate(row):
-            out.extend([(k + 1, l + 1)] * m)
-    return out
+@lru_cache(maxsize=None)
+def _bounded(total: int, caps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Compositions of total (at most sum(caps)) with part j at most
+    caps[j], ascending lexicographically. Cached: the Schur limits bound
+    its arguments to a few thousand."""
+    if len(caps) == 1:
+        return ((total,),)
+    rest = sum(caps[1:])
+    return tuple(
+        (first,) + tail
+        for first in range(max(0, total - rest), min(total, caps[0]) + 1)
+        for tail in _bounded(total - first, caps[1:])
+    )
 
 
-def _sum_compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _sum_compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _margins(n: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """The compositions of r into n parts, ascending: the margin vectors."""
+    return _bounded(r, (r,) * n)
+
+
+def _tables(mu: tuple[int, ...], nu: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """The matrices with row sums mu and column sums nu (equal totals), as
+    row tuples in ascending order of entries: each row in turn ranges over
+    the compositions of its sum bounded by the column sums left, and the
+    last row is what is left."""
+    partial = [((), nu)]
+    for total in mu[:-1]:
+        partial = [
+            (prefix + (row,), tuple([c - x for c, x in zip(cols, row)]))
+            for prefix, cols in partial
+            for row in _bounded(total, cols)
+        ]
+    return [prefix + (cols,) for prefix, cols in partial]
 
 
 def enumerate_basis(n: int, r: int) -> list[MarginMatrix]:
-    """All n-by-n nonnegative integer matrices with entry sum r, grouped by
-    (row margins, column margins) and ordered within a group."""
+    """All n-by-n nonnegative integer matrices with entry sum r: the
+    (row margins, column margins) buckets in ascending order, each bucket
+    in ascending order of entries."""
     check_schur_rank(n, r)
-    out = [
-        MarginMatrix(tuple(flat[i * n : (i + 1) * n] for i in range(n)))
-        for flat in _sum_compositions(r, n * n)
-    ]
-    out.sort(key=lambda a: (a.row_margins, a.col_margins, a.entries))
-    return out
+    margins = _margins(n, r)
+    return [MarginMatrix(a) for mu in margins for nu in margins for a in _tables(mu, nu)]
 
 
 @dataclass(frozen=True)
@@ -168,30 +179,56 @@ class RskPair:
             raise InputError("tableaux have different shapes")
 
 
+def _insert(a: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple]:
+    """Row insertion of the row-major biword of a matrix given as row
+    tuples: entry a[k][l] inserts l + 1 that many times, recorded as k + 1.
+    Returns (P, Q) as tuples of row tuples."""
+    p: list[list[int]] = []
+    q: list[list[int]] = []
+    for u, row in enumerate(a, 1):
+        for v, m in enumerate(row, 1):
+            while m:
+                m -= 1
+                x = v
+                for prow, qrow in zip(p, q):
+                    i = bisect_right(prow, x)
+                    if i == len(prow):
+                        prow.append(x)
+                        qrow.append(u)
+                        break
+                    x, prow[i] = prow[i], x
+                else:
+                    p.append([x])
+                    q.append([u])
+    return tuple(map(tuple, p)), tuple(map(tuple, q))
+
+
+def _reverse(p, q, n: int) -> tuple[tuple[int, ...], ...]:
+    """Reverse insertion of (P, Q) given as row tuples with entries in
+    1..n: the row tuples of the matrix that inserts to them. Raises
+    ConsistencyError when a bumped entry has no smaller entry above it."""
+    prows = [list(row) for row in p]
+    entries = [[0] * n for _ in range(n)]
+    # letters leave in the reverse of their recording order: the largest
+    # first, and among equal ones the topmost row's from its end
+    for u, up in sorted([(u, -i) for i, row in enumerate(q) for u in row], reverse=True):
+        ri = -up
+        x = prows[ri].pop()
+        for row in range(ri - 1, -1, -1):
+            prow = prows[row]
+            idx = bisect_left(prow, x) - 1
+            if idx < 0:
+                raise ConsistencyError("reverse insertion fell off the tableau")
+            x, prow[idx] = prow[idx], x
+        entries[u - 1][x - 1] += 1
+    return tuple(map(tuple, entries))
+
+
 def rsk(a: MarginMatrix) -> RskPair:
     """Row insertion of the biword: bottom letters build the insertion
     tableau, top letters record the growth."""
-    p: list[list[int]] = []
-    q: list[list[int]] = []
-    for u, v in biword(a):
-        x = v
-        row = 0
-        while True:
-            if row == len(p):
-                p.append([x])
-                q.append([u])
-                break
-            idx = bisect_right(p[row], x)
-            if idx == len(p[row]):
-                p[row].append(x)
-                q[row].append(u)
-                break
-            x, p[row][idx] = p[row][idx], x
-            row += 1
-    return RskPair(
-        p=Tableau(tuple(tuple(r) for r in p)),
-        q=Tableau(tuple(tuple(r) for r in q)),
-    )
+    p, q = _insert(a.entries)
+    return RskPair(p=Tableau(p), q=Tableau(q))
 
 
 def rsk_inverse(pair: RskPair, n: int) -> MarginMatrix:
@@ -200,30 +237,7 @@ def rsk_inverse(pair: RskPair, n: int) -> MarginMatrix:
         for row in t.rows:
             if any(x > n for x in row):
                 raise InputError(f"tableau entry {max(row)} exceeds n={n}")
-    prows = [list(r) for r in pair.p.rows]
-    qrows = [list(r) for r in pair.q.rows]
-    rev_pairs = []
-    while prows:
-        u = max(row[-1] for row in qrows)
-        ri = max(
-            (i for i, row in enumerate(qrows) if row[-1] == u),
-            key=lambda i: len(qrows[i]),
-        )
-        qrows[ri].pop()
-        x = prows[ri].pop()
-        for row in range(ri - 1, -1, -1):
-            idx = bisect_left(prows[row], x) - 1
-            if idx < 0:
-                raise ConsistencyError("reverse insertion fell off the tableau")
-            x, prows[row][idx] = prows[row][idx], x
-        rev_pairs.append((u, x))
-        while prows and not prows[-1]:
-            prows.pop()
-            qrows.pop()
-    entries = [[0] * n for _ in range(n)]
-    for u, v in reversed(rev_pairs):
-        entries[u - 1][v - 1] += 1
-    return MarginMatrix(tuple(tuple(row) for row in entries))
+    return MarginMatrix(_reverse(pair.p.rows, pair.q.rows, n))
 
 
 def partitions_at_most(r: int, parts: int, max_part: int | None = None):
@@ -329,6 +343,28 @@ def cells_via_rsk(n: int, r: int) -> RskCells:
     )
 
 
+def _antidominant(a) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`antidominant_pair` on row tuples."""
+    v: list[int] = []
+    x: list[int] = []
+    l = len(a)
+    for col in reversed(tuple(zip(*a))):
+        for k, m in enumerate(col, 1):
+            if m:
+                v += [l] * m
+                x += [k] * m
+        l -= 1
+    return tuple(v), tuple(x)
+
+
+def _pair_rows(n: int, v, x) -> tuple[tuple[int, ...], ...]:
+    """`pair_matrix` on in-range vectors of equal length, as row tuples."""
+    entries = [[0] * n for _ in range(n)]
+    for vp, xp in zip(v, x):
+        entries[xp - 1][vp - 1] += 1
+    return tuple(map(tuple, entries))
+
+
 def antidominant_pair(a: MarginMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(dominant source vector, block-sorted target vector) of a matrix.
 
@@ -337,15 +373,7 @@ def antidominant_pair(a: MarginMatrix) -> tuple[tuple[int, ...], tuple[int, ...]
     column of the matrix weakly increasing, the antidominant representative
     of its coset.
     """
-    n = a.size
-    v: list[int] = []
-    x: list[int] = []
-    for l in range(n, 0, -1):
-        col = [a.entries[k - 1][l - 1] for k in range(1, n + 1)]
-        v.extend([l] * sum(col))
-        for k in range(1, n + 1):
-            x.extend([k] * col[k - 1])
-    return tuple(v), tuple(x)
+    return _antidominant(a.entries)
 
 
 def pair_matrix(n: int, v, x) -> MarginMatrix:
@@ -353,12 +381,10 @@ def pair_matrix(n: int, v, x) -> MarginMatrix:
     v, x = tuple(v), tuple(x)
     if len(v) != len(x):
         raise InputError("vectors have different lengths")
-    entries = [[0] * n for _ in range(n)]
     for vp, xp in zip(v, x):
         if not (1 <= vp <= n and 1 <= xp <= n):
             raise InputError(f"entry ({xp}, {vp}) outside 1..{n}")
-        entries[xp - 1][vp - 1] += 1
-    return MarginMatrix(tuple(tuple(row) for row in entries))
+    return MarginMatrix(_pair_rows(n, v, x))
 
 
 def antidominant_count(n: int, v) -> int:
@@ -421,42 +447,110 @@ def double_coset_count(r: int, mu, nu) -> int:
     return orbits
 
 
+def _content(t, n: int) -> tuple[int, ...]:
+    """Counts of each value 1..n in a tableau given as row tuples; entries
+    outside 1..n are not counted."""
+    return tuple(sum(row.count(j) for row in t) for j in range(1, n + 1))
+
+
 def _suite(n: int, r: int) -> tuple[list[dict], dict]:
     """The check suite over one enumeration and insertion of the basis, with
     the report's counts read from the same pass.
 
-    One loop reads each matrix's pair, margins, round trip, transpose and
-    antidominant pair, and fills a (P, Q) counter and a per-shape table of
-    matrix counts and sets of P and of Q; the shapes come in first-seen
-    order, the order of `cells_via_rsk`'s two-sided classes. The
-    double-coset cross-check covers every (row, column) margin pair for
-    r <= 5 and only the diagonal pairs (mu, mu) for r >= 6."""
+    The basis is walked one unordered margin pair {mu, nu} at a time on row
+    tuples and tuple tableaux: the (mu, nu) matrices are enumerated, the
+    (nu, mu) matrices are their transposes, and both are inserted once and
+    checked against each other, so nothing outlives the pair but counters
+    and a per-shape table. Every matrix's pair, margins, round trip and
+    antidominant pair are checked. P's content is the column margins and
+    Q's the row margins, so with the content law (P, Q) distinctness inside
+    each bucket is distinctness over the basis. The per-shape table holds
+    the matrix count, each distinct P and Q with its content, and the
+    shape's least (row margins, column margins, entries) key; shapes are
+    reported in that key's order, the order of `cells_via_rsk`'s two-sided
+    classes. Each distinct P and Q is validated once as a `Tableau` of its
+    shape. The double-coset cross-check covers every (row, column) margin
+    pair for r <= 5 and only the diagonal pairs (mu, mu) for r >= 6."""
     dominant = enumerate_dominant(n, r)
-    basis = enumerate_basis(n, r)
-    pairs = {a: rsk(a) for a in basis}
-    by_margins: Counter = Counter()  # (row margins, column margins) -> matrices
+    margins = _margins(n, r)
+    by_margins: dict = {}  # (row margins, column margins) -> matrices
     by_columns: Counter = Counter()  # column margins -> matrices
-    by_pair: Counter = Counter()  # (P, Q) -> matrices
-    by_shape: dict = {}  # shape -> [matrices, set of P, set of Q]
-    content_bad, roundtrip_bad, transpose_bad, anti_bad = [], [], [], []
-    for a, pair in pairs.items():
-        rows, cols = a.row_margins, a.col_margins
-        by_margins[rows, cols] += 1
-        by_columns[cols] += 1
-        by_pair[pair.p, pair.q] += 1
-        cell = by_shape.setdefault(pair.p.shape, [0, set(), set()])
-        cell[0] += 1
-        cell[1].add(pair.p)
-        cell[2].add(pair.q)
-        if pair.p.content(n) != cols or pair.q.content(n) != rows:
-            content_bad.append(a.as_lists())
-        if rsk_inverse(pair, n) != a:
-            roundtrip_bad.append(a.as_lists())
-        tpair = pairs.get(a.transpose())
-        if tpair is None or tpair.p != pair.q or tpair.q != pair.p:
-            transpose_bad.append(a.as_lists())
-        if pair_matrix(n, *antidominant_pair(a)) != a:
-            anti_bad.append(a.as_lists())
+    by_shape: dict = {}  # shape -> [least key, matrices, {P: content}, {Q: content}]
+    content_bad, roundtrip_bad, transpose_bad, anti_bad, repeated = [], [], [], [], []
+
+    def tally(rows, cols, bucket, pairs) -> None:
+        by_margins[rows, cols] = len(bucket)
+        by_columns[cols] += len(bucket)
+        if len(set(pairs)) != len(pairs):
+            repeated.extend(
+                {"p-shape": [len(row) for row in p], "count": count}
+                for (p, _), count in Counter(pairs).items()
+                if count != 1
+            )
+        for a, (p, q) in zip(bucket, pairs):
+            shape = tuple(map(len, p))
+            key = (rows, cols, a)
+            cell = by_shape.get(shape)
+            if cell is None:
+                by_shape[shape] = cell = [key, 0, {}, {}]
+            elif key < cell[0]:
+                cell[0] = key
+            cell[1] += 1
+            p_content = cell[2].get(p) or cell[2].setdefault(p, _content(p, n))
+            q_content = cell[3].get(q) or cell[3].setdefault(q, _content(q, n))
+            if p_content != cols or q_content != rows:
+                content_bad.append(a)
+            try:
+                back = _reverse(p, q, n)
+            except ConsistencyError:
+                back = None
+            if back != a:
+                roundtrip_bad.append(a)
+            if _pair_rows(n, *_antidominant(a)) != a:
+                anti_bad.append(a)
+
+    for i, mu in enumerate(margins):
+        for nu in margins[i:]:
+            bucket = _tables(mu, nu)
+            pairs = [_insert(a) for a in bucket]
+            if mu == nu:
+                index = {a: j for j, a in enumerate(bucket)}
+                for a, (p, q) in zip(bucket, pairs):
+                    j = index.get(tuple(zip(*a)))
+                    if j is None or pairs[j] != (q, p):
+                        transpose_bad.append(a)
+                tally(mu, nu, bucket, pairs)
+                continue
+            flipped = [tuple(zip(*a)) for a in bucket]
+            flipped_pairs = [_insert(t) for t in flipped]
+            for a, t, (p, q), swapped in zip(bucket, flipped, pairs, flipped_pairs):
+                if swapped != (q, p):
+                    transpose_bad += [a, t]
+            tally(mu, nu, bucket, pairs)
+            tally(nu, mu, flipped, flipped_pairs)
+    matrices = sum(by_margins.values())
+
+    tableau_bad = []
+    for shape, (_, _, lefts, rights) in by_shape.items():
+        for t in (*lefts, *rights):
+            try:
+                ok = Tableau(t).shape == shape
+            except InputError:
+                ok = False
+            if not ok:
+                tableau_bad.append({"shape": list(shape), "tableau": [list(row) for row in t]})
+
+    def listed(bad) -> list:
+        """Matrices as lists, in basis order."""
+        ordered = sorted(
+            map(MarginMatrix, bad), key=lambda m: (m.row_margins, m.col_margins, m.entries)
+        )
+        return [m.as_lists() for m in ordered]
+
+    content_bad = listed(content_bad) + tableau_bad
+    roundtrip_bad = listed(roundtrip_bad)
+    transpose_bad = listed(transpose_bad)
+    anti_bad = listed(anti_bad)
     for v in dominant:
         if by_columns[vector_content(v, n)] != antidominant_count(n, v):
             anti_bad.append({"vector": list(v)})
@@ -470,13 +564,13 @@ def _suite(n: int, r: int) -> tuple[list[dict], dict]:
     )
 
     shape_rows, size_bad, pair_total = [], [], 0
-    for shape, (matrices, lefts, rights) in by_shape.items():
+    for shape, (_, count, lefts, rights) in sorted(by_shape.items(), key=lambda kv: kv[1][0]):
         expected = count_ssyt(shape, n)
         pair_total += expected * expected
         shape_rows.append(
             {
                 "shape": list(shape),
-                "matrices": matrices,
+                "matrices": count,
                 "ssyt": expected,
                 "left-cells": len(lefts),
                 "right-cells": len(rights),
@@ -488,13 +582,9 @@ def _suite(n: int, r: int) -> tuple[list[dict], dict]:
             )
     # intersection half of strong regularity: inside one shape every left
     # cell meets every right cell in exactly one matrix, across shapes in none
-    meet_bad = [
-        {"p-shape": list(p.shape), "count": count}
-        for (p, _), count in by_pair.items()
-        if count != 1
-    ]
-    if pair_total != len(basis):
-        meet_bad.append({"pair-count": pair_total, "matrix-count": len(basis)})
+    meet_bad = list(repeated)
+    if pair_total != matrices:
+        meet_bad.append({"pair-count": pair_total, "matrix-count": matrices})
 
     if r <= 5:
         margin_pairs = sorted(by_margins)
@@ -516,11 +606,11 @@ def _suite(n: int, r: int) -> tuple[list[dict], dict]:
             and dominant == sorted(dominant, reverse=True),
             [len(dominant)],
         ),
-        check("margin-matrix-count", len(basis) == comb(n * n + r - 1, r), [len(basis)]),
+        check("margin-matrix-count", matrices == comb(n * n + r - 1, r), [matrices]),
         check("rsk-content-laws", not content_bad, content_bad),
         check(
             "rsk-roundtrip-bijection",
-            not roundtrip_bad and len(by_pair) == len(basis),
+            not roundtrip_bad and not repeated,
             roundtrip_bad,
         ),
         check(
@@ -541,7 +631,7 @@ def _suite(n: int, r: int) -> tuple[list[dict], dict]:
     ]
     counts = {
         "dominant-vectors": len(dominant),
-        "matrices": len(basis),
+        "matrices": matrices,
         "two-sided-cells": len(by_shape),
         "shapes": shape_rows,
     }

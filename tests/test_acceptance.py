@@ -149,12 +149,13 @@ def test_thick_ideals_count_antichains():
         assert len(thick_ideals(build_bn(n))) == n // 2 + 2
 
 
-def test_verify_reports_are_byte_identical():
+def test_verify_reports_are_byte_identical(child_env):
     def run():
         proc = subprocess.run(
             [sys.executable, "-m", "fiatcell", "verify", "bn", "--n", "1..6"],
             capture_output=True,
             text=True,
+            env=child_env,
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout

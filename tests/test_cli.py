@@ -27,11 +27,12 @@ from fiatcell.cli import main, parse_range
 from fiatcell.shadow import shadow_to_dict
 
 
-def run_cli(*argv):
+def run_cli(env, *argv):
     proc = subprocess.run(
         [sys.executable, "-m", "fiatcell", *argv],
         capture_output=True,
         text=True,
+        env=env,
     )
     return proc
 
@@ -277,8 +278,8 @@ def test_unknown_verb_exits_two():
     assert exc.value.code == 2
 
 
-def test_module_entry_point(tmp_path):
-    proc = run_cli("verify", "bn", "--n", "4")
+def test_module_entry_point(child_env):
+    proc = run_cli(child_env, "verify", "bn", "--n", "4")
     assert proc.returncode == 0, proc.stderr
 
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -84,6 +85,21 @@ def test_enumerate_basis_counts_and_order():
     for n in (2, 3):
         for r in (1, 2, 3):
             assert len(enumerate_basis(n, r)) == comb(n * n + r - 1, r)
+
+
+def reference_basis(n, r):
+    """Every n-by-n composition of r, sorted by (row margins, column
+    margins, entries)."""
+    out = []
+    for cells in combinations_with_replacement(range(n * n), r):
+        flat = [cells.count(k) for k in range(n * n)]
+        out.append(tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)))
+    return sorted(out, key=lambda a: (tuple(map(sum, a)), tuple(map(sum, zip(*a))), a))
+
+
+@pytest.mark.parametrize("n,r", [*product((1, 2, 3), (1, 2, 3, 4)), (4, 3)])
+def test_enumerate_basis_matches_reference(n, r):
+    assert [a.entries for a in enumerate_basis(n, r)] == reference_basis(n, r)
 
 
 def test_rsk_pinned_examples():
@@ -279,18 +295,39 @@ def test_verify_schur_passes(n, r):
 
 
 def test_schur_report_inserts_each_matrix_once(monkeypatch):
-    calls = Counter()
-    for name in ("enumerate_basis", "rsk"):
-        real = getattr(schur, name)
+    inserted = Counter()
+    real = schur._insert
 
-        def counted(*args, real=real, name=name):
-            calls[name] += 1
-            return real(*args)
+    def counted(a):
+        inserted[a] += 1
+        return real(a)
 
-        monkeypatch.setattr(schur, name, counted)
+    monkeypatch.setattr(schur, "_insert", counted)
     report = schur_report(3, 3)
     assert all(c["status"] == "pass" for c in report["checks"])
-    assert calls == {"enumerate_basis": 1, "rsk": report["matrices"]}
+    assert len(inserted) == sum(inserted.values()) == report["matrices"]
+
+
+@pytest.mark.parametrize("n,r", [*product((1, 2, 3), range(1, 7)), (4, 4)])
+def test_report_shapes_follow_two_sided_classes(n, r):
+    cells = cells_via_rsk(n, r)
+    first_shapes = [
+        list(cells.pairs[next(iter(c))].p.shape) for c in cells.two_sided.classes
+    ]
+    assert [row["shape"] for row in schur_report(n, r)["shapes"]] == first_shapes
+
+
+def test_suite_validates_each_tableau(monkeypatch):
+    real = schur._insert
+
+    def corrupted(a):
+        p, q = real(a)
+        return (((2, 1),) if a == ((1, 1), (0, 0)) else p), q
+
+    monkeypatch.setattr(schur, "_insert", corrupted)
+    (record,) = [c for c in verify_schur(2, 2) if c["check"] == "rsk-content-laws"]
+    assert record["status"] == "fail"
+    assert record["witnesses"] == [{"shape": [2], "tableau": [[2, 1]]}]
 
 
 def test_schur_report_shape():
