@@ -4,13 +4,23 @@ m and n compose to every x between |m - n| and m + n of the same parity as
 m + n, each with multiplicity one. 0 is a strict unit and the whole of Z+
 forms a single left, right and two-sided cell (witness x = a + b). Finite
 windows {0..K} are not closed: products near the boundary leave the window,
-so window shadows omit those table entries and are marked partial.
+so window shadows omit those table entries and are marked partial. The
+command line builds and verifies windows up to CLEBSCH_LIMIT.
 """
 
 from __future__ import annotations
 
 from .checks import check
 from .shadow import Decomposition, Element, InputError, Shadow, check_associativity
+
+CLEBSCH_LIMIT = 90
+
+
+def check_clebsch_max(max_value: int) -> None:
+    if not 0 <= max_value <= CLEBSCH_LIMIT:
+        raise InputError(
+            f"window bound must be between 0 and {CLEBSCH_LIMIT}, got {max_value}"
+        )
 
 
 def cg_op(m: int, n: int) -> frozenset[int]:
@@ -68,16 +78,37 @@ def single_cell_check(max_value: int) -> bool:
 
 
 def associativity_unbounded(max_value: int) -> tuple[bool, tuple | None]:
-    """Set-level associativity of the fusion formula for all triples up to
-    the bound, evaluated without any window."""
-    for a in range(max_value + 1):
-        for b in range(max_value + 1):
-            ab = cg_op(a, b)
-            for c in range(max_value + 1):
-                bc = cg_op(b, c)
-                left = frozenset(x for t in ab for x in cg_op(t, c))
-                right = frozenset(x for u in bc for x in cg_op(a, u))
-                if left != right:
+    """Associativity of the fusion rule with multiplicities, for all triples
+    up to the bound, evaluated without any window.
+
+    cg_op is called once for each m, n <= 2 * max_value, which covers every
+    product of a product. Each result is read as a multiset (a term listed
+    twice counts twice) and packed into one integer, the sum of
+    2 ** (width * x) over its terms x. (a b) c is then the sum of packed[t][c]
+    over t in a b, and a (b c) the sum of packed[a][u] over u in b c. A slot
+    of such a sum is at most longest * heaviest: the most terms of one product
+    a b or b c, times a bound on the multiplicity of one term anywhere in the
+    table (one more than the repeated terms of its entry). width is the bit
+    length of that bound, so no slot carries into the next and two sums are
+    equal exactly when their multiplicity vectors are.
+    Triples run in lexicographic order; the first that fails is the witness.
+    """
+    outer = range(max_value + 1)
+    table = range(2 * max_value + 1)
+    terms = [[tuple(cg_op(m, n)) for n in table] for m in table]
+    longest = max(len(terms[a][b]) for a in outer for b in outer)
+    heaviest = max(len(ts) - len(set(ts)) + 1 for row in terms for ts in row)
+    width = (longest * heaviest).bit_length()
+    top = max(max(ts, default=0) for row in terms for ts in row)
+    slot = [1 << (width * x) for x in range(top + 1)]
+    packed = [[sum(map(slot.__getitem__, ts)) for ts in row] for row in terms]
+    columns = [[row[c] for row in packed].__getitem__ for c in outer]
+    for a in outer:
+        row_a = packed[a].__getitem__
+        for b in outer:
+            ab = terms[a][b]
+            for c, (column_c, bc) in enumerate(zip(columns, terms[b])):
+                if sum(map(column_c, ab)) != sum(map(row_a, bc)):
                     return False, (a, b, c)
     return True, None
 

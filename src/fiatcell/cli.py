@@ -14,7 +14,7 @@ import sys
 
 from .cells import cell_module, cell_partition, cell_poset, poset_to_dot
 from .checks import status
-from .clebsch import verify_clebsch, window_shadow
+from .clebsch import check_clebsch_max, verify_clebsch, window_shadow
 from .ideals import thick_ideals, upsets_by_enumeration
 from .schur import (
     SCHUR_LIMIT_N,
@@ -92,6 +92,7 @@ def cmd_build(args) -> int:
         _write_text(dumps_shadow(build_bn(args.n)), args.output)
         return 0
     if args.construction == "clebsch":
+        check_clebsch_max(args.max)
         _write_text(dumps_shadow(window_shadow(args.max)), args.output)
         return 0
     report = schur_report(args.n, args.r)
@@ -209,6 +210,7 @@ def cmd_verify(args) -> int:
             )
         doc = {"format": 1, "construction": "bn", "results": results}
     elif args.construction == "clebsch":
+        check_clebsch_max(args.max)
         checks = verify_clebsch(args.max)
         results.append({"max": args.max, "checks": checks, "status": status(checks)})
         doc = {"format": 1, "construction": "clebsch", "results": results}

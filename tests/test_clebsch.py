@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,8 @@ from fiatcell import (
     verify_clebsch,
     window_shadow,
 )
+from fiatcell import clebsch
+from fiatcell.cli import main
 from fiatcell.clebsch import associativity_unbounded
 from fiatcell.shadow import dumps_shadow, shadow_from_dict
 
@@ -49,6 +53,109 @@ def test_zero_is_a_strict_unit(a):
 def test_unbounded_associativity():
     ok, witness = associativity_unbounded(10)
     assert ok and witness is None
+
+
+def _set_level(rule, max_value):
+    """Reference: (a b) c against a (b c) as sets of terms."""
+    for a in range(max_value + 1):
+        for b in range(max_value + 1):
+            ab = rule(a, b)
+            for c in range(max_value + 1):
+                bc = rule(b, c)
+                left = frozenset(x for t in ab for x in rule(t, c))
+                right = frozenset(x for u in bc for x in rule(a, u))
+                if left != right:
+                    return False, (a, b, c)
+    return True, None
+
+
+def _multiset(rule, max_value):
+    """Reference: (a b) c against a (b c) as Counters, so a term listed
+    twice by the rule counts twice."""
+    for a in range(max_value + 1):
+        for b in range(max_value + 1):
+            ab = rule(a, b)
+            for c in range(max_value + 1):
+                bc = rule(b, c)
+                left = Counter(x for t in ab for x in rule(t, c))
+                right = Counter(x for u in bc for x in rule(a, u))
+                if left != right:
+                    return False, (a, b, c)
+    return True, None
+
+
+def _doubled_top(m, n):
+    """Associative as sets, not with multiplicities: m + n twice."""
+    terms = cg_op(m, n)
+    return [*terms, m + n] if m and n else terms
+
+
+def _dropped_top(m, n):
+    """Not associative even as sets: m + n left out when m == n."""
+    return cg_op(m, n) - {2 * m} if m == n else cg_op(m, n)
+
+
+def _repeated(rule, times):
+    return lambda m, n: [x for x in rule(m, n) for _ in range(times)]
+
+
+@pytest.mark.parametrize("max_value", range(13))
+def test_packed_check_agrees_with_references(max_value):
+    assert _set_level(cg_op, max_value) == (True, None)
+    assert _multiset(cg_op, max_value) == (True, None)
+    assert associativity_unbounded(max_value) == (True, None)
+
+
+@pytest.mark.parametrize("max_value", range(1, 7))
+def test_set_level_fault_has_the_reference_witness(monkeypatch, max_value):
+    expected = _set_level(_dropped_top, max_value)
+    assert not expected[0]
+    assert _multiset(_dropped_top, max_value) == expected
+    monkeypatch.setattr(clebsch, "cg_op", _dropped_top)
+    assert associativity_unbounded(max_value) == expected
+
+
+@pytest.mark.parametrize("max_value", [2, 6])
+def test_repeated_terms_cannot_overflow_a_slot(monkeypatch, max_value):
+    # every term K + 2 times scales both sides by (K + 2)^2: still
+    # associative, with slots far above one
+    rule = _repeated(cg_op, max_value + 2)
+    assert _multiset(rule, max_value) == (True, None)
+    monkeypatch.setattr(clebsch, "cg_op", rule)
+    assert associativity_unbounded(max_value) == (True, None)
+
+
+@pytest.mark.parametrize("max_value", [2, 6])
+def test_repeated_terms_keep_a_multiplicity_fault(monkeypatch, max_value):
+    rule = _repeated(_doubled_top, max_value + 2)
+    assert _set_level(rule, max_value) == (True, None)
+    assert _multiset(rule, max_value) == (False, (1, 1, 2))
+    monkeypatch.setattr(clebsch, "cg_op", rule)
+    assert associativity_unbounded(max_value) == (False, (1, 1, 2))
+
+
+def test_slot_width_counts_multiplicities_inside_entries(monkeypatch):
+    # 1 (1 0) = 1 0 + 1 0 = {0: 4} but (1 1) 0 = 2 0 = {1: 1}; in two-bit
+    # slots (the longest product has two terms) four at 0 carries into one
+    # at 1, so the width must also cover the repeated 0 inside 1 0
+    table = {(1, 0): (0, 0), (1, 1): (2,), (2, 0): (1,)}
+    rule = lambda m, n: table.get((m, n), ())
+    assert _multiset(rule, 1) == (False, (1, 1, 0))
+    monkeypatch.setattr(clebsch, "cg_op", rule)
+    assert associativity_unbounded(1) == (False, (1, 1, 0))
+
+
+def test_multiplicity_only_fault_fails_the_suite(monkeypatch, capsys):
+    # (1 1) 2 = {0: 2, 2: 3, 4: 4} but 1 (1 2) = {0: 1, 2: 4, 4: 4}
+    assert _set_level(_doubled_top, 4) == (True, None)
+    monkeypatch.setattr(clebsch, "cg_op", _doubled_top)
+    record = verify_clebsch(4)[0]
+    assert record["check"] == "fusion-associativity-unbounded"
+    assert record["status"] == "fail"
+    assert record["witnesses"] == [[1, 1, 2]]
+    assert main(["verify", "clebsch", "--max", "4"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "fail"
 
 
 def test_single_cell_witness():

@@ -24,6 +24,7 @@ from fiatcell import (
 )
 from fiatcell import cli
 from fiatcell.cli import main, parse_range
+from fiatcell.clebsch import CLEBSCH_LIMIT
 from fiatcell.shadow import shadow_to_dict
 
 
@@ -249,6 +250,20 @@ def test_verify_schur_refuses_range_past_limit_before_any_rank(
     err = _refused_before_work(monkeypatch, capsys, argv, "verify_schur")
     # the message a loop over the ranges would have met first
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("bound", [str(CLEBSCH_LIMIT + 1), "-1"])
+@pytest.mark.parametrize("verb, work", [("build", "window_shadow"), ("verify", "verify_clebsch")])
+def test_clebsch_refuses_bound_past_limit_before_any_work(monkeypatch, capsys, verb, work, bound):
+    argv = [verb, "clebsch", "--max", bound]
+    err = _refused_before_work(monkeypatch, capsys, argv, work)
+    assert err == f"error: window bound must be between 0 and {CLEBSCH_LIMIT}, got {bound}\n"
+
+
+def test_build_clebsch_at_limit(capsys):
+    assert main(["build", "clebsch", "--max", str(CLEBSCH_LIMIT)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["elements"]) == CLEBSCH_LIMIT + 1
 
 
 def test_verify_clebsch(capsys):
