@@ -43,7 +43,7 @@ def main():
     print(f"  two-sided cell sizes: {sorted(len(c) for c in cells.two_sided.classes)}")
     print(f"  left cell sizes:      {sorted(len(c) for c in cells.left.classes)}")
     for cls in cells.two_sided.classes:
-        shape = cells.pairs[next(iter(cls))].p.shape
+        shape = rsk(MarginMatrix(next(iter(cls)))).p.shape
         print(f"  shape {shape}: {len(cls)} matrices")
 
     print()

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby
+from itertools import accumulate, combinations_with_replacement, groupby, product
 from math import comb
 
 from .cells import CellPartition
@@ -88,9 +88,6 @@ class MarginMatrix:
     def transpose(self) -> "MarginMatrix":
         return MarginMatrix(tuple(zip(*self.entries)))
 
-    def as_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
-
 
 @lru_cache(maxsize=None)
 def _bounded(total: int, caps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -116,7 +113,8 @@ def _tables(mu: tuple[int, ...], nu: tuple[int, ...]) -> list[tuple[tuple[int, .
     """The matrices with row sums mu and column sums nu (equal totals), as
     row tuples in ascending order of entries: each row in turn ranges over
     the compositions of its sum bounded by the column sums left, and the
-    last row is what is left."""
+    last row is what is left, the one such composition. Rows are the shared
+    tuples of the `_bounded` cache."""
     partial = [((), nu)]
     for total in mu[:-1]:
         partial = [
@@ -124,7 +122,7 @@ def _tables(mu: tuple[int, ...], nu: tuple[int, ...]) -> list[tuple[tuple[int, .
             for prefix, cols in partial
             for row in _bounded(total, cols)
         ]
-    return [prefix + (cols,) for prefix, cols in partial]
+    return [prefix + _bounded(mu[-1], cols) for prefix, cols in partial]
 
 
 def enumerate_basis(n: int, r: int) -> list[MarginMatrix]:
@@ -310,10 +308,9 @@ def count_ssyt(shape, n: int) -> int:
 
 @dataclass(frozen=True)
 class RskCells:
-    """The three cell partitions of the margin-matrix basis."""
+    """The three cell partitions of the margin-matrix basis, on row tuples."""
 
-    matrices: tuple[MarginMatrix, ...]
-    pairs: dict[MarginMatrix, RskPair]
+    matrices: tuple[tuple[tuple[int, ...], ...], ...]
     left: CellPartition
     right: CellPartition
     two_sided: CellPartition
@@ -321,26 +318,29 @@ class RskCells:
 
 def cells_via_rsk(n: int, r: int) -> RskCells:
     """Left cells are fibers of the insertion tableau, right cells fibers of
-    the recording tableau, two-sided cells fibers of the shape."""
-    matrices = tuple(enumerate_basis(n, r))
-    pairs = {a: rsk(a) for a in matrices}
-
-    def fibers(key) -> tuple[frozenset, ...]:
-        # dicts keep first-seen order, so classes come ordered by first member
-        groups: dict = {}
-        for a in matrices:
-            groups.setdefault(key(a), []).append(a)
-        return tuple(frozenset(v) for v in groups.values())
-
-    return RskCells(
-        matrices=matrices,
-        pairs=pairs,
-        left=CellPartition(kind="left", classes=fibers(lambda a: pairs[a].p)),
-        right=CellPartition(kind="right", classes=fibers(lambda a: pairs[a].q)),
-        two_sided=CellPartition(
-            kind="two-sided", classes=fibers(lambda a: pairs[a].p.shape)
-        ),
-    )
+    the recording tableau, two-sided cells fibers of the shape. Matrices and
+    class members are row tuples (`MarginMatrix.entries`), matrices in
+    `enumerate_basis` order, classes in the order of their first members.
+    Each matrix is inserted once, each distinct P and Q validated once as a
+    `Tableau`."""
+    check_schur_rank(n, r)
+    margins = _margins(n, r)
+    matrices = tuple(a for mu, nu in product(margins, repeat=2) for a in _tables(mu, nu))
+    # dicts keep first-seen order, so classes come ordered by first member
+    left, right, shapes = {}, {}, {}
+    for a in matrices:
+        p, q = _insert(a)
+        shape = tuple(map(len, p))
+        if tuple(map(len, q)) != shape:
+            raise ConsistencyError(f"P and Q of {a} have different shapes")
+        left.setdefault(p, []).append(a)
+        right.setdefault(q, []).append(a)
+        shapes.setdefault(shape, []).append(a)
+    for t in (*left, *right):
+        Tableau(t)
+    kinds = (("left", left), ("right", right), ("two-sided", shapes))
+    partitions = (CellPartition(k, tuple(map(frozenset, f.values()))) for k, f in kinds)
+    return RskCells(matrices, *partitions)
 
 
 def _antidominant(a) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -415,36 +415,39 @@ def double_coset_count(r: int, mu, nu) -> int:
     a word of content mu (each value replaced by the index of its mu-block);
     the nu-subgroup acts on words by swapping adjacent positions inside a
     nu-block. No margin matrix is read."""
-    mu = tuple(m for m in mu if m)
-    nu = tuple(m for m in nu if m)
-    if any(m < 0 for m in mu + nu):
+    if any(m < 0 for m in (*mu, *nu)):
         raise InputError("compositions must have nonnegative parts")
     if sum(mu) != r or sum(nu) != r:
         raise InputError("compositions must sum to r")
-    swaps: list[int] = []  # position j swaps with j + 1
-    start = 0
-    for b in nu:
-        swaps.extend(range(start, start + b - 1))
-        start += b
-    words = list(_words(mu))
-    index = {w: i for i, w in enumerate(words)}
-    seen = [False] * len(words)
-    orbits = 0
-    for first in range(len(words)):
-        if seen[first]:
-            continue
-        orbits += 1
-        seen[first] = True
-        stack = [words[first]]
-        while stack:
-            w = stack.pop()
-            for j in swaps:
-                u = w[:j] + (w[j + 1], w[j]) + w[j + 2 :]
-                i = index[u]
-                if not seen[i]:
-                    seen[i] = True
-                    stack.append(u)
-    return orbits
+    return next(_coset_counts([(mu, nu)]))
+
+
+def _coset_counts(pairs):
+    """`double_coset_count` of each (mu, nu) in turn, with the words of
+    content mu listed once for each run of pairs that share mu."""
+    for mu, group in groupby(pairs, key=lambda pair: pair[0]):
+        words = list(_words(tuple(m for m in mu if m)))
+        index = {w: i for i, w in enumerate(words)}
+        for _, nu in group:
+            ends = set(accumulate(nu))  # position j swaps with j + 1 inside a block
+            swaps = [j for j in range(sum(nu) - 1) if j + 1 not in ends]
+            seen = [False] * len(words)
+            orbits = 0
+            for first in range(len(words)):
+                if seen[first]:
+                    continue
+                orbits += 1
+                seen[first] = True
+                stack = [words[first]]
+                while stack:
+                    w = stack.pop()
+                    for j in swaps:
+                        u = w[:j] + (w[j + 1], w[j]) + w[j + 2 :]
+                        i = index[u]
+                        if not seen[i]:
+                            seen[i] = True
+                            stack.append(u)
+            yield orbits
 
 
 def _content(t, n: int) -> tuple[int, ...]:
@@ -542,10 +545,8 @@ def _suite(n: int, r: int) -> tuple[list[dict], dict]:
 
     def listed(bad) -> list:
         """Matrices as lists, in basis order."""
-        ordered = sorted(
-            map(MarginMatrix, bad), key=lambda m: (m.row_margins, m.col_margins, m.entries)
-        )
-        return [m.as_lists() for m in ordered]
+        ordered = sorted(bad, key=lambda a: (tuple(map(sum, a)), tuple(map(sum, zip(*a))), a))
+        return [list(map(list, a)) for a in ordered]
 
     content_bad = listed(content_bad) + tableau_bad
     roundtrip_bad = listed(roundtrip_bad)
@@ -591,8 +592,7 @@ def _suite(n: int, r: int) -> tuple[list[dict], dict]:
     else:
         margin_pairs = sorted({(m, m) for m, _ in by_margins})
     coset_bad = []
-    for mu, nu in margin_pairs:
-        got = double_coset_count(r, mu, nu)
+    for (mu, nu), got in zip(margin_pairs, _coset_counts(margin_pairs)):
         expected = by_margins[mu, nu]
         if got != expected:
             coset_bad.append(

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fiatcell import (
+    ConsistencyError,
     InputError,
     MarginMatrix,
     RskPair,
@@ -52,6 +53,10 @@ def test_desk_limits():
         enumerate_dominant(2, 9)
     with pytest.raises(InputError):
         enumerate_basis(0, 2)
+    with pytest.raises(InputError):
+        cells_via_rsk(0, 2)
+    with pytest.raises(InputError):
+        cells_via_rsk(4, 9)
 
 
 def test_stabilizer_composition():
@@ -171,6 +176,77 @@ def test_cells_n2_r2():
     left_sizes = sorted(len(c) for c in cells.left.classes)
     assert left_sizes == [1, 3, 3, 3]
     assert len(cells.left.classes) == len(cells.right.classes) == 4
+
+
+def reference_cells(n, r):
+    """The basis and its P, Q and shape fibers through the validated
+    wrappers, classes in order of first member."""
+    basis = enumerate_basis(n, r)
+    pairs = [rsk(a) for a in basis]
+    fibers = []
+    for key in (lambda pair: pair.p, lambda pair: pair.q, lambda pair: pair.p.shape):
+        groups = {}
+        for a, pair in zip(basis, pairs):
+            groups.setdefault(key(pair), []).append(a.entries)
+        fibers.append([frozenset(v) for v in groups.values()])
+    return [a.entries for a in basis], fibers
+
+
+@pytest.mark.parametrize("n,r", [*product((1, 2, 3), (1, 2, 3, 4)), (4, 4)])
+def test_cells_match_reference(n, r):
+    cells = cells_via_rsk(n, r)
+    matrices, (left, right, two_sided) = reference_cells(n, r)
+    assert list(cells.matrices) == matrices
+    assert list(cells.left.classes) == left
+    assert list(cells.right.classes) == right
+    assert list(cells.two_sided.classes) == two_sided
+    kinds = (cells.left.kind, cells.right.kind, cells.two_sided.kind)
+    assert kinds == ("left", "right", "two-sided")
+
+
+def test_cells_insert_each_matrix_once(monkeypatch):
+    inserted = Counter()
+    real = schur._insert
+
+    def counted(a):
+        inserted[a] += 1
+        return real(a)
+
+    def refused(*args):
+        raise AssertionError("cells_via_rsk went through a validated wrapper")
+
+    monkeypatch.setattr(schur, "_insert", counted)
+    monkeypatch.setattr(schur, "rsk", refused)
+    monkeypatch.setattr(schur, "enumerate_basis", refused)
+    cells = cells_via_rsk(3, 3)
+    assert len(cells.matrices) == comb(9 + 3 - 1, 3)
+    assert inserted == Counter(cells.matrices)
+    assert set(inserted.values()) == {1}
+
+
+def test_cells_refuse_unequal_shapes(monkeypatch):
+    real = schur._insert
+
+    def lopsided(a):
+        # the last letter of Q's first row moves down to a row of its own
+        p, q = real(a)
+        return p, ((q[0][:-1], (q[0][-1],), *q[1:]) if len(q[0]) > 1 else q)
+
+    monkeypatch.setattr(schur, "_insert", lopsided)
+    with pytest.raises(ConsistencyError, match="different shapes"):
+        cells_via_rsk(2, 2)
+
+
+def test_cells_validate_each_tableau(monkeypatch):
+    real = schur._insert
+
+    def corrupted(a):
+        p, q = real(a)
+        return (((2, 1),) if a == ((1, 1), (0, 0)) else p), q
+
+    monkeypatch.setattr(schur, "_insert", corrupted)
+    with pytest.raises(InputError, match="weakly increase"):
+        cells_via_rsk(2, 2)
 
 
 def test_two_sided_cells_count_partitions():
@@ -311,9 +387,7 @@ def test_schur_report_inserts_each_matrix_once(monkeypatch):
 @pytest.mark.parametrize("n,r", [*product((1, 2, 3), range(1, 7)), (4, 4)])
 def test_report_shapes_follow_two_sided_classes(n, r):
     cells = cells_via_rsk(n, r)
-    first_shapes = [
-        list(cells.pairs[next(iter(c))].p.shape) for c in cells.two_sided.classes
-    ]
+    first_shapes = [list(rsk(mm(min(c))).p.shape) for c in cells.two_sided.classes]
     assert [row["shape"] for row in schur_report(n, r)["shapes"]] == first_shapes
 
 
@@ -328,6 +402,16 @@ def test_suite_validates_each_tableau(monkeypatch):
     (record,) = [c for c in verify_schur(2, 2) if c["check"] == "rsk-content-laws"]
     assert record["status"] == "fail"
     assert record["witnesses"] == [{"shape": [2], "tableau": [[2, 1]]}]
+
+
+def test_suite_lists_matrix_witnesses_in_basis_order(monkeypatch):
+    def lost(p, q, n):
+        raise ConsistencyError("reverse insertion fell off the tableau")
+
+    monkeypatch.setattr(schur, "_reverse", lost)
+    (record,) = [c for c in verify_schur(2, 2) if c["check"] == "rsk-roundtrip-bijection"]
+    assert record["status"] == "fail"
+    assert record["witnesses"] == [[list(row) for row in a] for a in reference_basis(2, 2)]
 
 
 def test_schur_report_shape():
