@@ -36,7 +36,7 @@ def main():
     print(f"  antichains: {chains}")
     print(f"  up-closed cell sets (independent enumeration): "
           f"{len(upsets_by_enumeration(poset))}")
-    for combo, members in zip(chains, thick_ideals(s, poset)):
+    for combo, members in zip(chains, thick_ideals(poset)):
         print(f"  antichain {combo}: ideal of {len(members[1])} elements")
 
     print()

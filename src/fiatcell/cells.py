@@ -140,14 +140,20 @@ def cell_partition(s: Shadow, kind: str) -> CellPartition:
 
 @dataclass(frozen=True)
 class CellPoset:
-    """Two-sided cells with the induced order; cells indexed canonically."""
+    """Two-sided cells with the induced order; cells indexed canonically.
+
+    up[i] is the up-set of cell i as an int bitset over cell indexes: bit j
+    is set when cell i <= cell j, so bit i is always set. covers lists the
+    pairs (i, j) with i < j in the order and nothing strictly between,
+    ascending.
+    """
 
     cells: tuple[frozenset[Element], ...]
-    relation: frozenset[tuple[int, int]]  # (i, j) with cell i <= cell j
+    up: tuple[int, ...]
     covers: tuple[tuple[int, int], ...]
 
     def leq(self, i: int, j: int) -> bool:
-        return (i, j) in self.relation
+        return bool(self.up[i] >> j & 1)
 
     def cell_index(self, e: Element) -> int:
         for i, cls in enumerate(self.cells):
@@ -160,22 +166,18 @@ def cell_poset(s: Shadow) -> CellPoset:
     ideals, partition = cell_data(s, "two-sided")
     cells = partition.classes
     rep_ideals = [ideals[min(s.index_of(e) for e in cls)] for cls in cells]
-    relation = set()
-    for i, a in enumerate(rep_ideals):
-        for j, b in enumerate(rep_ideals):
-            if not b & ~a:
-                relation.add((i, j))
+    up = tuple(
+        sum(1 << j for j, b in enumerate(rep_ideals) if not b & ~a) for a in rep_ideals
+    )
     covers = []
-    for i, j in sorted(relation):
-        if i == j:
-            continue
-        if any(
-            k != i and k != j and (i, k) in relation and (k, j) in relation
-            for k in range(len(cells))
-        ):
-            continue
-        covers.append((i, j))
-    return CellPoset(cells=cells, relation=frozenset(relation), covers=tuple(covers))
+    for i, above in enumerate(up):
+        strict = above & ~(1 << i)
+        # j covers i when no strict upper bound k of i has j strictly above it
+        between = 0
+        for k in _bits(strict):
+            between |= up[k] & ~(1 << k)
+        covers.extend((i, j) for j in _bits(strict & ~between))
+    return CellPoset(cells=cells, up=up, covers=tuple(covers))
 
 
 def poset_to_dot(s: Shadow, poset: CellPoset) -> str:
@@ -202,7 +204,10 @@ class RegularityResult:
 
 def is_strongly_regular(s: Shadow, two_sided_cell: frozenset[Element]) -> RegularityResult:
     """Check one two-sided cell: its left cells are pairwise incomparable and
-    every left-right intersection inside it is a singleton."""
+    every left-right intersection inside it is a singleton. A set that is
+    not a two-sided cell of s is an InputError."""
+    if two_sided_cell not in cell_partition(s, "two-sided").classes:
+        raise InputError("the given set is not a two-sided cell of this shadow")
     ideals, left_cells = cell_data(s, "left")
     left = [cls & two_sided_cell for cls in left_cells.classes if cls & two_sided_cell]
     right = [
@@ -242,7 +247,8 @@ def m_values(s: Shadow, two_sided_cell: frozenset[Element]) -> tuple[dict[Elemen
     For each f in the cell, h is the unique element in the left cell of f
     intersected with the right cell of f*, and m_f is the multiplicity of h
     in f* after f. Returns the value map together with a flag asserting
-    constancy on right cells.
+    constancy on right cells. A set that is not a two-sided cell is an
+    InputError.
     """
     if s.involution is None:
         raise InputError("m_values requires an involution")

@@ -143,7 +143,7 @@ def cmd_cells(args) -> int:
 def cmd_ideals(args) -> int:
     s = _load(args.path)
     poset = cell_poset(s)
-    ideals = thick_ideals(s, poset)
+    ideals = thick_ideals(poset)
     upsets = upsets_by_enumeration(poset)
     doc = {
         "format": 1,

@@ -8,64 +8,64 @@ the quotient are images of cells of the original shadow or disappear.
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .cells import CellPoset, _bits, cell_data, cell_poset
+from .cells import CellPoset, _bits, cell_data
 from .shadow import Decomposition, Element, InputError, Shadow
 
 
 def antichains(poset: CellPoset) -> list[tuple[int, ...]]:
     """All antichains of cell indexes, the empty one first, in a canonical
-    order (by size, then lexicographically)."""
+    order (by size, then lexicographically).
+
+    Each antichain is one listed before it plus a larger index incomparable
+    to all its members; reading the list while it grows keeps that order.
+    """
     n = len(poset.cells)
-    out: list[tuple[int, ...]] = []
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            if all(
-                not poset.leq(i, j) and not poset.leq(j, i)
-                for i, j in combinations(combo, 2)
-            ):
-                out.append(combo)
+    up = poset.up
+    comparable = [up[i] | sum(1 << j for j in range(n) if up[j] >> i & 1) for i in range(n)]
+    out: list[tuple[int, ...]] = [()]
+    for combo in out:
+        blocked = 0
+        for i in combo:
+            blocked |= comparable[i]
+        start = combo[-1] + 1 if combo else 0
+        out.extend(combo + (j,) for j in range(start, n) if not blocked >> j & 1)
     return out
 
 
 def thick_ideals(
-    s: Shadow, poset: CellPoset | None = None
+    poset: CellPoset,
 ) -> list[tuple[tuple[frozenset[Element], ...], frozenset[Element]]]:
     """All thick ideals as (antichain of cells, up-closed element set).
 
     The ideal of an antichain is the union of all cells above one of its
     members; distinct antichains give distinct ideals.
     """
-    if poset is None:
-        poset = cell_poset(s)
     out = []
     for combo in antichains(poset):
-        cells = tuple(poset.cells[i] for i in combo)
-        members: set[Element] = set()
+        above = 0
         for i in combo:
-            for j in range(len(poset.cells)):
-                if poset.leq(i, j):
-                    members.update(poset.cells[j])
-        out.append((cells, frozenset(members)))
+            above |= poset.up[i]
+        members = frozenset().union(*(poset.cells[j] for j in _bits(above)))
+        out.append((tuple(poset.cells[i] for i in combo), members))
     return out
 
 
 def upsets_by_enumeration(poset: CellPoset) -> list[frozenset[int]]:
-    """Brute-force list of up-closed cell index sets; the independent count
-    for the antichain bijection."""
-    n = len(poset.cells)
-    out = []
-    for mask in range(1 << n):
-        chosen = {i for i in range(n) if mask >> i & 1}
-        if all(
-            j in chosen
-            for i in chosen
-            for j in range(n)
-            if poset.leq(i, j)
-        ):
-            out.append(frozenset(chosen))
-    return out
+    """All up-closed cell index sets, ordered as bitmasks; the independent
+    count for the antichain bijection.
+
+    Up-sets are grown from the empty one, adding one cell at a time whose
+    strict upper bounds are all already in, so the work follows the number
+    of up-sets rather than the number of subsets.
+    """
+    grown, seen = [0], {0}
+    for mask in grown:
+        for i, above in enumerate(poset.up):
+            bigger = mask | 1 << i
+            if not above & ~bigger and bigger not in seen:
+                seen.add(bigger)
+                grown.append(bigger)
+    return [frozenset(_bits(mask)) for mask in sorted(grown)]
 
 
 def quotient_by_upset(s: Shadow, upset: frozenset[Element]) -> Shadow:

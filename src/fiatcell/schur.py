@@ -77,14 +77,6 @@ class MarginMatrix:
                 if x < 0:
                     raise InputError(f"negative entry {x}")
 
-    @property
-    def row_margins(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.entries)
-
-    @property
-    def col_margins(self) -> tuple[int, ...]:
-        return tuple(sum(col) for col in zip(*self.entries))
-
     def transpose(self) -> "MarginMatrix":
         return MarginMatrix(tuple(zip(*self.entries)))
 
@@ -160,9 +152,6 @@ class Tableau:
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(r) for r in self.rows)
-
-    def content(self, n: int) -> tuple[int, ...]:
-        return vector_content([x for row in self.rows for x in row], n)
 
 
 @dataclass(frozen=True)
@@ -253,9 +242,11 @@ def partitions_at_most(r: int, parts: int, max_part: int | None = None):
             yield (first,) + rest
 
 
-def _partition(shape) -> tuple[int, ...]:
+def _partition(shape, n: int) -> tuple[int, ...]:
     """A shape as a tuple; refused unless its parts are positive and weakly
-    decreasing."""
+    decreasing and the entry bound n is not negative."""
+    if n < 0:
+        raise InputError(f"n must not be negative, got {n}")
     shape = tuple(shape)
     if any(p < 1 for p in shape) or any(a < b for a, b in zip(shape, shape[1:])):
         raise InputError(f"{shape} is not a partition")
@@ -264,7 +255,7 @@ def _partition(shape) -> tuple[int, ...]:
 
 def ssyt_of_shape(shape, n: int) -> list[Tableau]:
     """All semistandard tableaux of a shape with entries at most n."""
-    shape = _partition(shape)
+    shape = _partition(shape, n)
     if not shape:
         return [Tableau(())]
     rows = [[0] * c for c in shape]
@@ -293,7 +284,7 @@ def ssyt_of_shape(shape, n: int) -> list[Tableau]:
 def count_ssyt(shape, n: int) -> int:
     """Number of semistandard tableaux via the hook content product; the
     enumeration route is compared against this in checks."""
-    shape = _partition(shape)
+    shape = _partition(shape, n)
     conj = [sum(1 for part in shape if part > j) for j in range(shape[0])] if shape else []
     num = 1
     den = 1

@@ -841,7 +841,7 @@ def verify_bn(n: int) -> list[dict]:
     checks.extend(bn_cells_report(n))
 
     poset = cell_poset(s)
-    ideals = thick_ideals(s, poset)
+    ideals = thick_ideals(poset)
     expected = n // 2 + 2
     upsets = upsets_by_enumeration(poset)
     ok_ideals = len(ideals) == expected == len(upsets)

@@ -141,12 +141,12 @@ def test_thick_ideals_count_antichains():
     built += [window_shadow(k) for k in range(0, 7)]
     for s in built:
         poset = cell_poset(s)
-        ideals = thick_ideals(s, poset)
+        ideals = thick_ideals(poset)
         assert len(ideals) == len(antichains(poset)) == len(
             upsets_by_enumeration(poset)
         )
     for n in range(1, 7):
-        assert len(thick_ideals(build_bn(n))) == n // 2 + 2
+        assert len(thick_ideals(cell_poset(build_bn(n)))) == n // 2 + 2
 
 
 def test_verify_reports_are_byte_identical(child_env):

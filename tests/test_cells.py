@@ -206,6 +206,15 @@ def test_m_values_requires_regularity():
         m_values(s, cell)
 
 
+def test_regularity_and_m_values_refuse_non_cells():
+    s = build_bn(2)
+    for cell in (frozenset({s.element("E2^(1)"), s.element("1_2")}), frozenset()):
+        with pytest.raises(InputError, match="two-sided cell"):
+            is_strongly_regular(s, cell)
+        with pytest.raises(InputError, match="two-sided cell"):
+            m_values(s, cell)
+
+
 def test_cell_module_rejects_non_left_cell():
     s = build_bn(2)
     with pytest.raises(InputError, match="left cell"):

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import subprocess
@@ -170,6 +171,24 @@ def test_ideals(tmp_path, capsys):
     assert doc["count"] == 3
     assert doc["status"] == "pass"
     assert doc["ideals"][0] == {"antichain": [], "members": []}
+
+
+def test_ideals_at_clebsch_window_limit(tmp_path, child_env):
+    # 24 cells in a chain and 25 thick ideals: the enumeration must follow
+    # the ideals, not the 2**24 subsets of cells
+    path = tmp_path / "clebsch90.json"
+    assert main(["build", "clebsch", "--max", "90", "-o", str(path)]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "fiatcell", "ideals", str(path)],
+        capture_output=True,
+        env=child_env,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (
+        hashlib.sha256(proc.stdout).hexdigest()
+        == "0e062c029a92665cbfa49e574d422bc05e11592315e88f7aa701191a221907e0"
+    )
 
 
 def test_cell_module(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from fiatcell import (
@@ -9,6 +12,7 @@ from fiatcell import (
     build_bn,
     cell_partition,
     cell_poset,
+    principal_ideal,
     quotient_by_upset,
     thick_ideals,
     upsets_by_enumeration,
@@ -52,11 +56,135 @@ def test_antichains_of_chains():
         assert chains == [()] + [(i,) for i in range(len(poset.cells))]
 
 
+def reference_relation(s, poset):
+    """The pairs (i, j) with cell i <= cell j, read off the two-sided
+    principal ideals of the cells' first members as element sets."""
+    ideals = [
+        principal_ideal(s, min(cls, key=s.index_of), "two-sided") for cls in poset.cells
+    ]
+    k = range(len(ideals))
+    return {(i, j) for i in k for j in k if ideals[j] <= ideals[i]}
+
+
+def reference_covers(k, relation):
+    return tuple(
+        (i, j)
+        for i, j in sorted(relation)
+        if i != j
+        and not any(
+            m not in (i, j) and (i, m) in relation and (m, j) in relation
+            for m in range(k)
+        )
+    )
+
+
+def reference_antichains(k, relation):
+    """Every subset that is an antichain, by size, then lexicographically."""
+    return [
+        combo
+        for size in range(k + 1)
+        for combo in combinations(range(k), size)
+        if all(
+            (i, j) not in relation and (j, i) not in relation
+            for i, j in combinations(combo, 2)
+        )
+    ]
+
+
+def reference_upsets(k, relation):
+    """Every subset, as a bitmask in increasing order, that is up-closed."""
+    out = []
+    for mask in range(1 << k):
+        chosen = {i for i in range(k) if mask >> i & 1}
+        if all(j in chosen for i, j in relation if i in chosen):
+            out.append(frozenset(chosen))
+    return out
+
+
+def reference_thick_ideals(cells, relation):
+    return [
+        (
+            tuple(cells[i] for i in combo),
+            frozenset(e for i, j in relation if i in combo for e in cells[j]),
+        )
+        for combo in reference_antichains(len(cells), relation)
+    ]
+
+
+def assert_matches_references(poset, relation):
+    k = len(poset.cells)
+    assert [[poset.leq(i, j) for j in range(k)] for i in range(k)] == [
+        [(i, j) in relation for j in range(k)] for i in range(k)
+    ]
+    assert poset.covers == reference_covers(k, relation)
+    assert antichains(poset) == reference_antichains(k, relation)
+    assert upsets_by_enumeration(poset) == reference_upsets(k, relation)
+    assert thick_ideals(poset) == reference_thick_ideals(poset.cells, relation)
+
+
+def random_order(rng, k):
+    """The transitive closure of a random DAG on k shuffled labels, as the
+    pairs (i, j) with i <= j."""
+    label = rng.sample(range(k), k)
+    p = rng.random()
+    relation = {(i, i) for i in range(k)} | {
+        (label[a], label[b])
+        for a in range(k)
+        for b in range(a + 1, k)
+        if rng.random() < p
+    }
+    for m in range(k):
+        relation |= {
+            (i, j)
+            for i in range(k)
+            if (i, m) in relation
+            for j in range(k)
+            if (m, j) in relation
+        }
+    return relation
+
+
+def order_shadow(k, relation):
+    """A partial one-object shadow whose two-sided cells are its elements
+    x0..x{k-1}, with x_i <= x_j exactly when (i, j) is in the relation:
+    x_i after x_i is the sum of the x_j above x_i, no other product is
+    listed."""
+    xs = tuple(Element(f"x{i}", 0, 0) for i in range(k))
+    table = {
+        (x, x): Decomposition({xs[j]: 1 for j in range(k) if (i, j) in relation})
+        for i, x in enumerate(xs)
+    }
+    return Shadow(objects=(0,), elements=xs, table=table, partial=True)
+
+
+def test_orders_of_random_dags_match_subset_scans():
+    rng = random.Random(1213)
+    for _ in range(200):
+        k = rng.randint(1, 10)
+        relation = random_order(rng, k)
+        poset = cell_poset(order_shadow(k, relation))
+        assert poset.cells == tuple(frozenset({Element(f"x{i}", 0, 0)}) for i in range(k))
+        assert poset.up == tuple(
+            sum(1 << j for j in range(k) if (i, j) in relation) for i in range(k)
+        )
+        assert_matches_references(poset, relation)
+
+
+@pytest.mark.parametrize(
+    "build, sizes", [(build_bn, range(1, 9)), (window_shadow, range(0, 31))]
+)
+def test_family_orders_match_subset_scans(build, sizes):
+    for size in sizes:
+        s = build(size)
+        poset = cell_poset(s)
+        assert_matches_references(poset, reference_relation(s, poset))
+
+
 def test_thick_ideal_count_matches_upsets():
     for n in range(1, 6):
         s = build_bn(n)
         poset = cell_poset(s)
-        ideals = thick_ideals(s, poset)
+        ideals = thick_ideals(poset)
         assert len(ideals) == n // 2 + 2
         assert len(ideals) == len(upsets_by_enumeration(poset))
         assert len({members for _, members in ideals}) == len(ideals)
@@ -66,12 +194,12 @@ def test_window_ideal_count_matches_upsets():
     for k in (0, 2, 4):
         s = window_shadow(k)
         poset = cell_poset(s)
-        assert len(thick_ideals(s, poset)) == len(upsets_by_enumeration(poset))
+        assert len(thick_ideals(poset)) == len(upsets_by_enumeration(poset))
 
 
 def test_b2_ideals_listed():
     s = build_bn(2)
-    ideals = thick_ideals(s)
+    ideals = thick_ideals(cell_poset(s))
     assert len(ideals) == 3
     assert ideals[0] == ((), frozenset())
     sizes = sorted(len(members) for _, members in ideals)
@@ -82,7 +210,7 @@ def test_ideal_members_are_up_closed():
     from fiatcell import principal_ideal
 
     s = build_bn(4)
-    for _, members in thick_ideals(s):
+    for _, members in thick_ideals(cell_poset(s)):
         for a in members:
             assert principal_ideal(s, a, "two-sided") <= members
 

@@ -415,10 +415,16 @@ def test_verify_bn_lists_cell_module_basis_on_name_mismatch(monkeypatch):
 @pytest.mark.parametrize(
     "corrupt, witness",
     [
-        (lambda rel, k: {(a, a) for a in range(k)}, ["1_0", "1_1", "comparable"]),
-        (lambda rel, k: {(b, a) for a, b in rel}, ["1_1", "1_0", "below"]),
+        (lambda up: tuple(1 << a for a in range(len(up))), ["1_0", "1_1", "comparable"]),
         (
-            lambda rel, k: {(a, b) for a in range(k) for b in range(k)},
+            lambda up: tuple(
+                sum(1 << a for a, above in enumerate(up) if above >> b & 1)
+                for b in range(len(up))
+            ),
+            ["1_1", "1_0", "below"],
+        ),
+        (
+            lambda up: ((1 << len(up)) - 1,) * len(up),
             ["1_1", "1_0", "strictly below"],
         ),
     ],
@@ -427,9 +433,7 @@ def test_verify_bn_lists_cell_module_basis_on_name_mismatch(monkeypatch):
 def test_cells_report_names_first_failing_pair_of_cells(monkeypatch, corrupt, witness):
     s = build_bn(2)
     real = udot.cell_poset(s)
-    poset = dataclasses.replace(
-        real, relation=frozenset(corrupt(real.relation, len(real.cells)))
-    )
+    poset = dataclasses.replace(real, up=corrupt(real.up))
     monkeypatch.setattr(udot, "cell_poset", lambda s: poset)
     records = {c["check"]: c for c in bn_cells_report(2)}
     record = records["cell-poset-chain-top-at-identity-0"]
