@@ -184,8 +184,6 @@ def cmd_cell_module(args) -> int:
 
 def cmd_export(args) -> int:
     s = _load(args.path)
-    if args.dot is not None:
-        _write_text(poset_to_dot(s, cell_poset(s)), args.dot)
     _write_text(dumps_shadow(s), args.output)
     return 0
 
@@ -285,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     export = sub.add_parser("export", help="re-serialize a shadow canonically")
     export.add_argument("path")
-    export.add_argument("--dot", default=None, help="write the cell poset as DOT")
     _add_output(export)
     export.set_defaults(func=cmd_export)
 

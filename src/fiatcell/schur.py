@@ -117,15 +117,6 @@ def _tables(mu: tuple[int, ...], nu: tuple[int, ...]) -> list[tuple[tuple[int, .
     return [prefix + _bounded(mu[-1], cols) for prefix, cols in partial]
 
 
-def enumerate_basis(n: int, r: int) -> list[MarginMatrix]:
-    """All n-by-n nonnegative integer matrices with entry sum r: the
-    (row margins, column margins) buckets in ascending order, each bucket
-    in ascending order of entries."""
-    check_schur_rank(n, r)
-    margins = _margins(n, r)
-    return [MarginMatrix(a) for mu in margins for nu in margins for a in _tables(mu, nu)]
-
-
 @dataclass(frozen=True)
 class Tableau:
     """Semistandard Young tableau: weakly increasing rows, strictly
@@ -243,11 +234,15 @@ def partitions_at_most(r: int, parts: int, max_part: int | None = None):
 
 
 def _partition(shape, n: int) -> tuple[int, ...]:
-    """A shape as a tuple; refused unless its parts are positive and weakly
-    decreasing and the entry bound n is not negative."""
+    """A shape as a tuple; refused unless its parts are positive, weakly
+    decreasing integers and the entry bound n is a nonnegative integer."""
+    if not isinstance(n, int):
+        raise InputError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise InputError(f"n must not be negative, got {n}")
     shape = tuple(shape)
+    if any(not isinstance(p, int) for p in shape):
+        raise InputError(f"{shape} has a part that is not an integer")
     if any(p < 1 for p in shape) or any(a < b for a, b in zip(shape, shape[1:])):
         raise InputError(f"{shape} is not a partition")
     return shape
@@ -310,8 +305,9 @@ class RskCells:
 def cells_via_rsk(n: int, r: int) -> RskCells:
     """Left cells are fibers of the insertion tableau, right cells fibers of
     the recording tableau, two-sided cells fibers of the shape. Matrices and
-    class members are row tuples (`MarginMatrix.entries`), matrices in
-    `enumerate_basis` order, classes in the order of their first members.
+    class members are row tuples (`MarginMatrix.entries`), matrices ordered
+    by (row margins, column margins, entries), classes in the order of their
+    first members.
     Each matrix is inserted once, each distinct P and Q validated once as a
     `Tableau`."""
     check_schur_rank(n, r)
@@ -349,7 +345,8 @@ def _antidominant(a) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _pair_rows(n: int, v, x) -> tuple[tuple[int, ...], ...]:
-    """`pair_matrix` on in-range vectors of equal length, as row tuples."""
+    """The matrix, as row tuples, whose entry (k, l) counts the positions
+    where v is l and x is k: the inverse of `_antidominant`."""
     entries = [[0] * n for _ in range(n)]
     for vp, xp in zip(v, x):
         entries[xp - 1][vp - 1] += 1
@@ -365,17 +362,6 @@ def antidominant_pair(a: MarginMatrix) -> tuple[tuple[int, ...], tuple[int, ...]
     of its coset.
     """
     return _antidominant(a.entries)
-
-
-def pair_matrix(n: int, v, x) -> MarginMatrix:
-    """Matrix with entry (k, l) counting positions where v is l and x is k."""
-    v, x = tuple(v), tuple(x)
-    if len(v) != len(x):
-        raise InputError("vectors have different lengths")
-    for vp, xp in zip(v, x):
-        if not (1 <= vp <= n and 1 <= xp <= n):
-            raise InputError(f"entry ({xp}, {vp}) outside 1..{n}")
-    return MarginMatrix(_pair_rows(n, v, x))
 
 
 def antidominant_count(n: int, v) -> int:
@@ -405,18 +391,30 @@ def double_coset_count(r: int, mu, nu) -> int:
     right), by direct orbit enumeration. A left coset of the mu-subgroup is
     a word of content mu (each value replaced by the index of its mu-block);
     the nu-subgroup acts on words by swapping adjacent positions inside a
-    nu-block. No margin matrix is read."""
+    nu-block. The walk runs on mu and nu sorted into decreasing order:
+    reordering the parts of a composition conjugates its Young subgroup by
+    a permutation w, and g -> w g maps the double cosets of the one onto
+    those of the other, so the count is unchanged. No margin matrix is
+    read."""
+    if any(not isinstance(m, int) for m in (r, *mu, *nu)):
+        raise InputError("r and the composition parts must be integers")
     if any(m < 0 for m in (*mu, *nu)):
         raise InputError("compositions must have nonnegative parts")
     if sum(mu) != r or sum(nu) != r:
         raise InputError("compositions must sum to r")
-    return next(_coset_counts([(mu, nu)]))
+    return _coset_counts([(mu, nu)])[0]
 
 
-def _coset_counts(pairs):
-    """`double_coset_count` of each (mu, nu) in turn, with the words of
-    content mu listed once for each run of pairs that share mu."""
-    for mu, group in groupby(pairs, key=lambda pair: pair[0]):
+def _coset_counts(pairs) -> list[int]:
+    """`double_coset_count` of each (mu, nu), in input order. Each distinct
+    pair of decreasingly sorted compositions is walked once, and the words
+    of a content are listed once per sorted mu."""
+    def down(c) -> tuple[int, ...]:
+        return tuple(sorted(c, reverse=True))
+
+    sorted_pairs = [(down(mu), down(nu)) for mu, nu in pairs]
+    counts = {}
+    for mu, group in groupby(sorted(set(sorted_pairs)), key=lambda pair: pair[0]):
         words = list(_words(tuple(m for m in mu if m)))
         index = {w: i for i, w in enumerate(words)}
         for _, nu in group:
@@ -438,7 +436,8 @@ def _coset_counts(pairs):
                         if not seen[i]:
                             seen[i] = True
                             stack.append(u)
-            yield orbits
+            counts[mu, nu] = orbits
+    return [counts[pair] for pair in sorted_pairs]
 
 
 def _content(t, n: int) -> tuple[int, ...]:
@@ -463,8 +462,8 @@ def _suite(n: int, r: int) -> tuple[list[dict], dict]:
     shape's least (row margins, column margins, entries) key; shapes are
     reported in that key's order, the order of `cells_via_rsk`'s two-sided
     classes. Each distinct P and Q is validated once as a `Tableau` of its
-    shape. The double-coset cross-check covers every (row, column) margin
-    pair for r <= 5 and only the diagonal pairs (mu, mu) for r >= 6."""
+    shape. The double-coset cross-check covers every margin pair at every
+    rank, with one orbit walk per pair of sorted margins."""
     dominant = enumerate_dominant(n, r)
     margins = _margins(n, r)
     by_margins: dict = {}  # (row margins, column margins) -> matrices
@@ -578,10 +577,7 @@ def _suite(n: int, r: int) -> tuple[list[dict], dict]:
     if pair_total != matrices:
         meet_bad.append({"pair-count": pair_total, "matrix-count": matrices})
 
-    if r <= 5:
-        margin_pairs = sorted(by_margins)
-    else:
-        margin_pairs = sorted({(m, m) for m, _ in by_margins})
+    margin_pairs = sorted(by_margins)
     coset_bad = []
     for (mu, nu), got in zip(margin_pairs, _coset_counts(margin_pairs)):
         expected = by_margins[mu, nu]

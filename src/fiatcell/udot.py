@@ -81,20 +81,14 @@ def weight(n: int, i: int) -> int:
 
 
 def gen_binom(m: int, k: int) -> int:
-    """Binomial coefficient with arbitrary integer top, exact.
-
-    Falling factorial over k!; the division is always exact and any
-    remainder signals a broken invariant.
-    """
+    """Binomial coefficient with arbitrary integer top: the falling
+    factorial m (m - 1) ... (m - k + 1) over k!, and 0 for k < 0. A
+    negative top gives (-1)^k C(k - m - 1, k)."""
     if k < 0:
         return 0
-    num = 1
-    for t in range(k):
-        num *= m - t
-    den = factorial(k)
-    if num % den:
-        raise ConsistencyError(f"binomial ({m}, {k}) is not an integer")
-    return num // den
+    if m >= 0:
+        return comb(m, k)
+    return (-1) ** k * comb(k - m - 1, k)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from fiatcell import (
     RskPair,
     Tableau,
     cells_via_rsk,
-    enumerate_basis,
     enumerate_dominant,
     rsk,
     rsk_inverse,
@@ -26,7 +25,6 @@ from fiatcell.schur import (
     antidominant_pair,
     count_ssyt,
     double_coset_count,
-    pair_matrix,
     partitions_at_most,
     ssyt_of_shape,
     stabilizer_composition,
@@ -44,6 +42,15 @@ def row_margins(a):
 
 def col_margins(a):
     return tuple(map(sum, zip(*a.entries)))
+
+
+def pair_rows(n, v, x):
+    """The matrix whose entry (k, l) counts the positions where v is l and
+    x is k."""
+    entries = [[0] * n for _ in range(n)]
+    for vp, xp in zip(v, x):
+        entries[xp - 1][vp - 1] += 1
+    return mm(entries)
 
 
 def content(t, n):
@@ -65,8 +72,6 @@ def test_desk_limits():
         enumerate_dominant(5, 2)
     with pytest.raises(InputError):
         enumerate_dominant(2, 9)
-    with pytest.raises(InputError):
-        enumerate_basis(0, 2)
     with pytest.raises(InputError):
         cells_via_rsk(0, 2)
     with pytest.raises(InputError):
@@ -96,14 +101,14 @@ def test_margin_matrix_validation():
 
 
 def test_enumerate_basis_counts_and_order():
-    basis = enumerate_basis(2, 2)
+    basis = [mm(a) for a in cells_via_rsk(2, 2).matrices]
     assert len(basis) == 10
-    assert enumerate_basis(1, 4) == [mm([[4]])]
+    assert cells_via_rsk(1, 4).matrices == (((4,),),)
     keys = [(row_margins(a), col_margins(a), a.entries) for a in basis]
     assert keys == sorted(keys)
     for n in (2, 3):
         for r in (1, 2, 3):
-            assert len(enumerate_basis(n, r)) == comb(n * n + r - 1, r)
+            assert len(cells_via_rsk(n, r).matrices) == comb(n * n + r - 1, r)
 
 
 def reference_basis(n, r):
@@ -118,7 +123,7 @@ def reference_basis(n, r):
 
 @pytest.mark.parametrize("n,r", [*product((1, 2, 3), (1, 2, 3, 4)), (4, 3)])
 def test_enumerate_basis_matches_reference(n, r):
-    assert [a.entries for a in enumerate_basis(n, r)] == reference_basis(n, r)
+    assert list(cells_via_rsk(n, r).matrices) == reference_basis(n, r)
 
 
 def test_rsk_pinned_examples():
@@ -144,7 +149,7 @@ def test_rsk_transpose_example():
 @pytest.mark.parametrize("n,r", [(2, 2), (2, 4), (3, 3)])
 def test_rsk_roundtrip_and_content(n, r):
     seen = set()
-    for a in enumerate_basis(n, r):
+    for a in map(mm, reference_basis(n, r)):
         pair = rsk(a)
         assert content(pair.p, n) == col_margins(a)
         assert content(pair.q, n) == row_margins(a)
@@ -195,15 +200,15 @@ def test_cells_n2_r2():
 def reference_cells(n, r):
     """The basis and its P, Q and shape fibers through the validated
     wrappers, classes in order of first member."""
-    basis = enumerate_basis(n, r)
-    pairs = [rsk(a) for a in basis]
+    basis = reference_basis(n, r)
+    pairs = [rsk(mm(a)) for a in basis]
     fibers = []
     for key in (lambda pair: pair.p, lambda pair: pair.q, lambda pair: pair.p.shape):
         groups = {}
         for a, pair in zip(basis, pairs):
-            groups.setdefault(key(pair), []).append(a.entries)
+            groups.setdefault(key(pair), []).append(a)
         fibers.append([frozenset(v) for v in groups.values()])
-    return [a.entries for a in basis], fibers
+    return basis, fibers
 
 
 @pytest.mark.parametrize("n,r", [*product((1, 2, 3), (1, 2, 3, 4)), (4, 4)])
@@ -231,7 +236,6 @@ def test_cells_insert_each_matrix_once(monkeypatch):
 
     monkeypatch.setattr(schur, "_insert", counted)
     monkeypatch.setattr(schur, "rsk", refused)
-    monkeypatch.setattr(schur, "enumerate_basis", refused)
     cells = cells_via_rsk(3, 3)
     assert len(cells.matrices) == comb(9 + 3 - 1, 3)
     assert inserted == Counter(cells.matrices)
@@ -301,6 +305,9 @@ REFUSED_SHAPES = [
     ((1,), -1, "negative"),
     ((1, 1), -1, "negative"),
     ((), -1, "negative"),
+    ((2,), 2.5, "integer"),
+    ((2.0,), 3, "integer"),
+    ((1.5,), 2, "integer"),
 ]
 
 
@@ -327,16 +334,16 @@ def test_antidominant_pinned_example():
     v, x = antidominant_pair(a)
     assert v == (2, 1, 1)
     assert x == (1, 1, 2)
-    assert pair_matrix(2, v, x) == a
+    assert pair_rows(2, v, x) == a
 
 
 @pytest.mark.parametrize("n,r", [(2, 3), (3, 2)])
 def test_antidominant_roundtrip_and_counts(n, r):
-    basis = enumerate_basis(n, r)
+    basis = [mm(a) for a in reference_basis(n, r)]
     for a in basis:
         v, x = antidominant_pair(a)
         assert tuple(sorted(v, reverse=True)) == v
-        assert pair_matrix(n, v, x) == a
+        assert pair_rows(n, v, x) == a
     for v in enumerate_dominant(n, r):
         matching = sum(1 for a in basis if col_margins(a) == vector_content(v, n))
         assert matching == antidominant_count(n, v)
@@ -357,18 +364,26 @@ def test_double_coset_refuses_negative_column_part():
 
 
 def margin_counts(n, r):
-    return Counter((row_margins(a), col_margins(a)) for a in enumerate_basis(n, r))
+    return Counter(
+        (tuple(map(sum, a)), tuple(map(sum, zip(*a)))) for a in reference_basis(n, r)
+    )
 
 
 def test_double_coset_counts_match_matrices():
-    for r in (2, 3, 4):
-        for (mu, nu), count in margin_counts(2, r).items():
+    for n, r in [(2, 2), (2, 3), (2, 4), (3, 5), (4, 4)]:
+        counts = margin_counts(n, r)
+        assert len(counts) == comb(n + r - 1, r) ** 2
+        for (mu, nu), count in counts.items():
             assert double_coset_count(r, mu, nu) == count
 
 
 def test_double_coset_guards():
     with pytest.raises(InputError, match="sum to"):
         double_coset_count(3, (2, 2), (3,))
+    with pytest.raises(InputError, match="integers"):
+        double_coset_count(3, (1.5, 1.5), (3,))
+    with pytest.raises(InputError, match="integers"):
+        double_coset_count(3.0, (3,), (3,))
     for (mu, nu), count in margin_counts(2, 8).items():
         assert double_coset_count(8, mu, nu) == count
 
@@ -391,6 +406,47 @@ def test_verify_schur_passes(n, r):
         "antidominant-indexing-bijection",
         "double-coset-counts",
     ]
+
+
+def test_suite_names_every_wrong_coset_bucket(monkeypatch):
+    # an off-diagonal bucket at r = 6, and its transpose
+    real = schur._tables
+
+    def short(mu, nu):
+        bucket = real(mu, nu)
+        return bucket[:-1] if (mu, nu) == ((1, 2, 3), (3, 2, 1)) else bucket
+
+    monkeypatch.setattr(schur, "_tables", short)
+    (record,) = [c for c in verify_schur(3, 6) if c["check"] == "double-coset-counts"]
+    assert record["status"] == "fail"
+    assert record["witnesses"] == [
+        {"row": [1, 2, 3], "col": [3, 2, 1], "orbits": 12, "matrices": 11},
+        {"row": [3, 2, 1], "col": [1, 2, 3], "orbits": 12, "matrices": 11},
+    ]
+
+
+def test_coset_counts_walk_each_sorted_pair_once(monkeypatch):
+    margins = schur._margins(3, 4)
+    pairs = [(mu, nu) for mu in margins for nu in margins]
+    expected = [margin_counts(3, 4)[pair] for pair in pairs]
+    listed, walked = Counter(), Counter()
+    real_words, real_accumulate = schur._words, schur.accumulate
+
+    def words(content):
+        if sum(content) == 4:  # the recursion lists shorter words
+            listed[content] += 1
+        return real_words(content)
+
+    def accumulate(nu):
+        walked[nu] += 1
+        return real_accumulate(nu)
+
+    monkeypatch.setattr(schur, "_words", words)
+    monkeypatch.setattr(schur, "accumulate", accumulate)
+    assert schur._coset_counts(pairs) == expected
+    shapes = list(partitions_at_most(4, 3))
+    assert listed == Counter(shapes)
+    assert walked == Counter({p + (0,) * (3 - len(p)): len(shapes) for p in shapes})
 
 
 def test_schur_report_inserts_each_matrix_once(monkeypatch):
