@@ -19,6 +19,8 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
+from operator import itemgetter, mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -318,59 +320,140 @@ def _combine(rows, row, base: int, stride: int) -> dict[int, int] | None:
     return out
 
 
+def _pick(indices: list[int]):
+    """itemgetter over indices that returns a tuple for any count of them."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda row: (row[i],)
+    return itemgetter(*indices) if indices else lambda row: ()
+
+
+def _pack(s: Shadow, rows, order) -> tuple[list[int], int]:
+    """Every entry as one integer, and the integer that stands for an absent
+    one.
+
+    Each element gets a slot in its hom space (source, target), and an entry
+    packs to the sum of mult << (width * slot) over its terms. mass is the
+    largest sum of multiplicities of one entry, so a slot of a sum of m * (t c)
+    over the terms (t, m) of a b, or of k * (a u) over the terms (u, k) of b c,
+    is at most mass ** 2; width is the bit length of that, no slot carries
+    into the next, and two such sums are equal exactly when their
+    multiplicity vectors are. Every such sum is below 1 << (width * h), h the
+    size of the largest hom space; absent is minus that, so a sum that takes
+    in an absent entry is negative and one that does not is not.
+    """
+    slots: dict[tuple[int, int], int] = {}
+    slot = []
+    for e in s.elements:
+        ends = (e.source, e.target)
+        slot.append(slots.get(ends, 0))
+        slots[ends] = slot[-1] + 1
+    mass = max((sum(rows[at][1::2]) for at in order), default=0)
+    width = (mass * mass).bit_length()
+    absent = -1 << (width * max(slots.values(), default=0))
+    n = len(s.elements)
+    packed = [absent] * (n * n)
+    for at in order:
+        it = iter(rows[at])
+        packed[at] = sum(m << width * slot[t] for t, m in zip(it, it))
+    return packed, absent
+
+
 def check_associativity(s: Shadow) -> AssociativityReport:
     """Exhaustively compare (a b) c with a (b c) at the multiplicity level.
 
     Returns a report rather than raising: structural problems yield status
     "structural-error", a genuine counterexample yields "fail" with the
     first failing triple in canonical order. Partial shadows skip triples
-    that touch an absent table entry. The sweep runs on the integer view.
+    that touch an absent table entry.
+
+    The sweep runs on the entries packed by _pack, one c-row at a time: for
+    each pair (a, b) it builds the lists of (a b) c and of a (b c) over every
+    c with target source(b). When the two are equal and neither took in an
+    absent entry, every triple of the row is checked; otherwise the row is
+    walked triple by triple.
     """
     try:
         validate_shadow(s)
-        source, by_target, rows, _ = s._view
+        source, by_target, rows, order = s._view
     except StructureError as err:
         return AssociativityReport(status="structural-error", message=str(err))
 
     n = len(s.elements)
+    packed, absent = _pack(s, rows, order)
+    # cols[t]: t c packed, for each c with target source(t)
+    cols = [[packed[t * n + c] for c in by_target[source[t]]] for t in range(n)]
+    # b's c-row as flat terms, an absent b c as the term (n, 1): a pick of
+    # their ids from an a-row, their multiplicities (None when all are 1)
+    # and a pick of the prefix sums that end each c's terms (None when each
+    # c has one term)
+    c_rows = []
+    for b in range(n):
+        us: list[int] = []
+        ks: list[int] = []
+        ends = []
+        for c in by_target[source[b]]:
+            bc = rows[b * n + c]
+            if bc is None:
+                bc = (n, 1)
+            us += bc[::2]
+            ks += bc[1::2]
+            ends.append(len(us))
+        one_each = ends == list(range(1, len(ends) + 1))
+        c_rows.append(
+            (
+                _pick(us),
+                None if all(k == 1 for k in ks) else ks,
+                None if one_each else _pick(ends),
+            )
+        )
+
     checked = 0
     skipped = 0
     failure = None
     for a in range(n):
         a_row = a * n
+        a_packed = packed[a_row : a_row + n]
+        a_packed.append(absent)
         for b in by_target.get(source[a], ()):
             ab = rows[a_row + b]
-            cs = by_target.get(source[b], ())
+            cs = by_target[source[b]]
             if ab is None:
                 skipped += len(cs)
                 continue
-            b_row = b * n
-            for c in cs:
-                bc = rows[b_row + c]
-                if bc is None:
-                    skipped += 1
-                    continue
-                if len(ab) == 2 == len(bc):
-                    # the common case, one term a side: m (t c) against k (a u)
-                    (t, m), (u, k) = ab, bc
-                    tc, au = rows[t * n + c], rows[a_row + u]
-                    if tc is None or au is None:
-                        skipped += 1
-                        continue
-                    if len(tc) == 2 == len(au) and tc[0] == au[0]:
-                        checked += 1
-                        if m * tc[1] != k * au[1] and failure is None:
-                            left, right = {tc[0]: m * tc[1]}, {au[0]: k * au[1]}
-                            failure = _witness(s, (a, b, c), left, right)
-                        continue
-                left = _combine(rows, ab, c, n)
-                right = None if left is None else _combine(rows, bc, a_row, 1)
-                if right is None:
+            # (a b) c for each c
+            terms = iter(ab)
+            scaled = [
+                cols[t] if m == 1 else [m * x for x in cols[t]] for t, m in zip(terms, terms)
+            ]
+            if len(scaled) == 1:
+                left = scaled[0]
+            elif scaled:
+                left = list(map(sum, zip(*scaled)))
+            else:
+                left = [0] * len(cs)
+            # a (b c) for each c
+            pick_us, ks, pick_ends = c_rows[b]
+            values = pick_us(a_packed)
+            if ks is not None:
+                values = map(mul, values, ks)
+            if pick_ends is None:
+                right = list(values)
+            else:
+                sums = pick_ends([0, *accumulate(values)])
+                right = list(map(sub, sums, (0, *sums)))
+            if left == right and min(left) >= 0:
+                checked += len(cs)
+                continue
+            for c, x, y in zip(cs, left, right):
+                if x < 0 or y < 0:
                     skipped += 1
                     continue
                 checked += 1
-                if left != right and failure is None:
-                    failure = _witness(s, (a, b, c), left, right)
+                if x != y and failure is None:
+                    left_terms = _combine(rows, ab, c, n)
+                    right_terms = _combine(rows, rows[b * n + c], a_row, 1)
+                    failure = _witness(s, (a, b, c), left_terms, right_terms)
     if failure is not None:
         return AssociativityReport(
             status="fail", checked=checked, skipped=skipped, failure=failure

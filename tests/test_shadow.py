@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from dataclasses import FrozenInstanceError, replace
 
@@ -329,11 +330,13 @@ def reference_sweep(s):
 @st.composite
 def random_shadows(draw):
     """Valid one- or two-object shadows with random products, in a random
-    element order; partial ones drop some entries between non-identities."""
+    element order; partial ones drop some entries between non-identities.
+    Multiplicities are small or up to 2 ** 40, so products need wide slots."""
     objects = tuple(range(draw(st.integers(1, 2))))
     ends = st.tuples(st.sampled_from(objects), st.sampled_from(objects))
+    mults = draw(st.sampled_from([st.integers(1, 2), st.integers(1, 2**40)]))
     elements = [Element(f"1_{o}", o, o, is_identity=True) for o in objects]
-    for i, (src, tgt) in enumerate(draw(st.lists(ends, max_size=3))):
+    for i, (src, tgt) in enumerate(draw(st.lists(ends, max_size=5))):
         elements.append(Element(f"x{i}", src, tgt))
     elements = draw(st.permutations(elements))
     partial = draw(st.booleans())
@@ -349,7 +352,7 @@ def random_shadows(draw):
                 continue
             fits = [e for e in elements if (e.source, e.target) == (b.source, a.target)]
             if fits:
-                terms = draw(st.dictionaries(st.sampled_from(fits), st.integers(1, 2)))
+                terms = draw(st.dictionaries(st.sampled_from(fits), mults))
                 table[(a, b)] = Decomposition(terms)
             else:
                 table[(a, b)] = Decomposition.zero()
@@ -364,6 +367,148 @@ def test_sweep_matches_reference_on_random_shadows(s):
     assert (report.status, report.checked, report.skipped) == (status, checked, skipped)
     # key order too: a witness is printed as JSON
     assert json.dumps(report.failure) == json.dumps(failure)
+
+
+def _non_identity_pairs(s):
+    return [p for p in s.table if not (p[0].is_identity or p[1].is_identity)]
+
+
+def _bumped(s, rng):
+    """s with one multiplicity of a non-identity entry raised by one."""
+    pairs = [p for p in _non_identity_pairs(s) if s.table[p].terms]
+    if not pairs:
+        return None
+    pair = rng.choice(pairs)
+    term = rng.choice(list(s.table[pair].terms))
+    return replace(s, table={**s.table, pair: s.table[pair] + Decomposition({term: 1})})
+
+
+def _term_added(s, rng):
+    """s with a term in its hom space added to a non-identity entry."""
+    pairs = _non_identity_pairs(s)
+    if not pairs:
+        return None
+    a, b = rng.choice(pairs)
+    hom = [e for e in s.elements if (e.source, e.target) == (b.source, a.target)]
+    entry = s.table[(a, b)] + Decomposition({rng.choice(hom): 1})
+    return replace(s, table={**s.table, (a, b): entry})
+
+
+def _entry_dropped(s, rng):
+    """s, a partial shadow, without one of its non-identity entries."""
+    pairs = _non_identity_pairs(s)
+    if not (s.partial and pairs):
+        return None
+    table = dict(s.table)
+    del table[rng.choice(pairs)]
+    return replace(s, table=table)
+
+
+def test_sweep_matches_reference_on_families_and_seeded_corruptions():
+    families = [build_bn(r) for r in range(1, 7)] + [window_shadow(k) for k in range(13)]
+    statuses = []
+    for seed, s in enumerate(families):
+        rng = random.Random(seed)
+        # without the involution a corruption reaches the sweep
+        plain = replace(s, involution=None)
+        corrupted = [f(plain, rng) for f in (_bumped, _term_added, _entry_dropped)]
+        for v in [s, *filter(None, corrupted)]:
+            report = check_associativity(v)
+            status, checked, skipped, failure = reference_sweep(v)
+            assert (report.status, report.checked, report.skipped) == (
+                status,
+                checked,
+                skipped,
+            )
+            assert json.dumps(report.failure) == json.dumps(failure)
+            statuses.append(status)
+    assert (statuses.count("pass"), statuses.count("fail")) == (32, 32)
+
+
+def test_sweep_on_formal_zero_entries():
+    zero = Decomposition.zero()
+    # t t = u, and u is annihilated on both sides
+    nilpotent = one_object_shadow(
+        {(T, T): Decomposition({U: 1}), (T, U): zero, (U, T): zero, (U, U): zero}
+    )
+    # (t t) t = u t = 0 but t (t t) = t u = u
+    broken = one_object_shadow(
+        {(T, T): Decomposition({U: 1}), (T, U): Decomposition({U: 1}), (U, T): zero, (U, U): zero}
+    )
+    for s in (nilpotent, broken):
+        report = check_associativity(s)
+        status, checked, skipped, failure = reference_sweep(s)
+        assert (report.status, report.checked, report.skipped, report.failure) == (
+            status,
+            checked,
+            skipped,
+            failure,
+        )
+    assert check_associativity(nilpotent).ok
+    assert check_associativity(broken).failure == {
+        "triple": ["t", "t", "t"],
+        "left": {},
+        "right": {"u": 1},
+    }
+
+
+def test_sweep_slots_hold_mass_squared():
+    # the heaviest entry has mass 2, and (t u) u = 2 (v u) = 4 e while
+    # t (u u) = t e = t: with slots of 2 bits rather than the 3 of mass ** 2,
+    # e's slot would carry into t's and the two sides would pack alike
+    v = Element("v", 0, 0)
+    elements = (E, T, U, v)
+    table = {(a, b): Decomposition.zero() for a in elements[1:] for b in elements[1:]}
+    table[(U, U)] = Decomposition({E: 1})
+    table[(T, U)] = Decomposition({v: 2})
+    table[(v, U)] = Decomposition({E: 2})
+    s = one_object_shadow(table, elements=elements)
+    report = check_associativity(s)
+    assert report.failure == {"triple": ["t", "u", "u"], "left": {"e": 4}, "right": {"t": 1}}
+    assert reference_sweep(s) == ("fail", 64, 0, report.failure)
+    assert (report.checked, report.skipped) == (64, 0)
+
+
+def test_sweep_on_c_rows_of_one_element():
+    # the window of 0 is one element; in the two-object shadow below every
+    # b with source 0 has the one c with target 0, the identity 1_0
+    e0 = Element("1_0", 0, 0, is_identity=True)
+    e1 = Element("1_1", 1, 1, is_identity=True)
+    x = Element("x", 0, 1)
+    y = Element("y", 1, 1)
+    table = {
+        (e0, e0): Decomposition({e0: 1}),
+        (e1, e1): Decomposition({e1: 1}),
+        (x, e0): Decomposition({x: 1}),
+        (e1, x): Decomposition({x: 1}),
+        (e1, y): Decomposition({y: 1}),
+        (y, e1): Decomposition({y: 1}),
+        (y, y): Decomposition({y: 1}),
+        (y, x): Decomposition({x: 2}),
+    }
+    two = Shadow(objects=(0, 1), elements=(e0, e1, x, y), table=table)
+    del table[(y, x)]
+    without_yx = replace(two, table=table, partial=True)
+    expected = [
+        (window_shadow(0), "pass", 1, 0),
+        (two, "fail", 16, 0),
+        (without_yx, "pass", 12, 4),
+    ]
+    for s, status, checked, skipped in expected:
+        report = check_associativity(s)
+        assert (report.status, report.checked, report.skipped) == (status, checked, skipped)
+        assert reference_sweep(s) == (status, checked, skipped, report.failure)
+    # (y y) x = y x = 2 x but y (y x) = 2 (y x) = 4 x
+    assert check_associativity(two).failure == {
+        "triple": ["y", "y", "x"],
+        "left": {"x": 2},
+        "right": {"x": 4},
+    }
+
+
+def test_window_sweep_at_the_clebsch_limit():
+    report = check_associativity(window_shadow(90))
+    assert (report.status, report.checked, report.skipped) == ("pass", 129766, 623805)
 
 
 def _set_multiplicity(draw, table, s, scale):
