@@ -1,117 +1,89 @@
-"""Multisemigroups with multiplicities: cells, ideals and worked families."""
+"""Multisemigroups with multiplicities: cells, ideals and worked families.
 
-from .cells import (
-    CellModuleMatrices,
-    CellPartition,
-    CellPoset,
-    cell_module,
-    cell_partition,
-    cell_poset,
-    decomposition_matrix_identity,
-    is_strongly_regular,
-    m_values,
-    poset_to_dot,
-    principal_ideal,
-)
-from .clebsch import cg_op, single_cell_check, verify_clebsch, window_shadow
-from .ideals import antichains, quotient_by_upset, thick_ideals, upsets_by_enumeration
-from .schur import (
-    MarginMatrix,
-    RskPair,
-    Tableau,
-    cells_via_rsk,
-    enumerate_dominant,
-    rsk,
-    rsk_inverse,
-    schur_report,
-    verify_schur,
-)
-from .shadow import (
-    ConsistencyError,
-    Decomposition,
-    Element,
-    FiatcellError,
-    InputError,
-    Shadow,
-    StructureError,
-    check_associativity,
-    compose,
-    compose_left,
-    dumps_shadow,
-    load_shadow,
-    save_shadow,
-    validate_shadow,
-)
-from .udot import (
-    DPMonomial,
-    basis_change,
-    bn_basis,
-    build_bn,
-    defining_action,
-    dp,
-    dp_normalize,
-    gen_binom,
-    normalize_blocks,
-    recursion_check,
-    verify_bn,
-    verify_relations,
-)
+Each public name is imported from its home module on first access
+(PEP 562), so `import fiatcell` loads no submodule and a command-line verb
+loads only the modules it runs.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CellModuleMatrices",
-    "CellPartition",
-    "CellPoset",
-    "ConsistencyError",
-    "DPMonomial",
-    "Decomposition",
-    "Element",
-    "FiatcellError",
-    "InputError",
-    "MarginMatrix",
-    "RskPair",
-    "Shadow",
-    "StructureError",
-    "Tableau",
-    "antichains",
-    "basis_change",
-    "bn_basis",
-    "build_bn",
-    "cell_module",
-    "cell_partition",
-    "cell_poset",
-    "cells_via_rsk",
-    "cg_op",
-    "check_associativity",
-    "compose",
-    "compose_left",
-    "decomposition_matrix_identity",
-    "defining_action",
-    "dp",
-    "dp_normalize",
-    "dumps_shadow",
-    "enumerate_dominant",
-    "gen_binom",
-    "is_strongly_regular",
-    "load_shadow",
-    "m_values",
-    "normalize_blocks",
-    "poset_to_dot",
-    "principal_ideal",
-    "quotient_by_upset",
-    "recursion_check",
-    "rsk",
-    "rsk_inverse",
-    "save_shadow",
-    "schur_report",
-    "single_cell_check",
-    "thick_ideals",
-    "upsets_by_enumeration",
-    "validate_shadow",
-    "verify_bn",
-    "verify_clebsch",
-    "verify_relations",
-    "verify_schur",
-    "window_shadow",
-]
+# home module -> the public names it defines
+_EXPORTS = {
+    "cells": (
+        "CellModuleMatrices",
+        "CellPartition",
+        "CellPoset",
+        "cell_module",
+        "cell_partition",
+        "cell_poset",
+        "decomposition_matrix_identity",
+        "is_strongly_regular",
+        "m_values",
+        "poset_to_dot",
+        "principal_ideal",
+    ),
+    "clebsch": ("cg_op", "single_cell_check", "verify_clebsch", "window_shadow"),
+    "ideals": ("antichains", "quotient_by_upset", "thick_ideals", "upsets_by_enumeration"),
+    "schur": (
+        "MarginMatrix",
+        "RskPair",
+        "Tableau",
+        "cells_via_rsk",
+        "enumerate_dominant",
+        "rsk",
+        "rsk_inverse",
+        "schur_report",
+        "verify_schur",
+    ),
+    "shadow": (
+        "ConsistencyError",
+        "Decomposition",
+        "Element",
+        "FiatcellError",
+        "InputError",
+        "Shadow",
+        "StructureError",
+        "check_associativity",
+        "compose",
+        "compose_left",
+        "dumps_shadow",
+        "load_shadow",
+        "save_shadow",
+        "validate_shadow",
+    ),
+    "udot": (
+        "DPMonomial",
+        "basis_change",
+        "bn_basis",
+        "build_bn",
+        "defining_action",
+        "dp",
+        "dp_normalize",
+        "gen_binom",
+        "normalize_blocks",
+        "recursion_check",
+        "verify_bn",
+        "verify_relations",
+    ),
+}
+
+# public name -> home module
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _HOME.keys())

@@ -4,6 +4,9 @@ Verbs: build, check, cells, ideals, cell-module, export, verify. All
 reports are canonical JSON (stable ordering, no timestamps), so identical
 invocations produce byte-identical output. Exit codes: 0 all good, 1 a
 check reported a failure, 2 bad input or a structurally invalid file.
+
+Each verb imports what it runs when it runs, so a process loads only the
+modules of its own verb: `check` and `export` need `shadow` alone.
 """
 
 from __future__ import annotations
@@ -12,28 +15,15 @@ import argparse
 import json
 import sys
 
-from .cells import cell_module, cell_partition, cell_poset, poset_to_dot
 from .checks import status
-from .clebsch import check_clebsch_max, verify_clebsch, window_shadow
-from .ideals import thick_ideals, upsets_by_enumeration
-from .schur import (
-    SCHUR_LIMIT_N,
-    SCHUR_LIMIT_R,
-    check_schur_rank,
-    schur_report,
-    verify_schur,
-)
 from .shadow import (
     ConsistencyError,
     InputError,
     Shadow,
     StructureError,
-    check_associativity,
-    dumps_shadow,
     load_shadow,
     validate_shadow,
 )
-from .udot import DESK_LIMIT, build_bn, check_bn_rank, verify_bn
 
 BN_DEFAULT_RANGE = "1..6"
 SCHUR_DEFAULT_N = "1..3"
@@ -88,19 +78,29 @@ def _load(path: str) -> Shadow:
 
 
 def cmd_build(args) -> int:
+    from .shadow import dumps_shadow
+
     if args.construction == "bn":
+        from .udot import build_bn
+
         _write_text(dumps_shadow(build_bn(args.n)), args.output)
         return 0
     if args.construction == "clebsch":
+        from .clebsch import check_clebsch_max, window_shadow
+
         check_clebsch_max(args.max)
         _write_text(dumps_shadow(window_shadow(args.max)), args.output)
         return 0
+    from .schur import schur_report
+
     report = schur_report(args.n, args.r)
     _emit(report, args.output)
     return 0 if status(report["checks"]) == "pass" else 1
 
 
 def cmd_check(args) -> int:
+    from .shadow import check_associativity
+
     s = load_shadow(args.path)
     report = check_associativity(s)
     doc = {
@@ -121,6 +121,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_cells(args) -> int:
+    from .cells import cell_partition, cell_poset, poset_to_dot
+
     s = _load(args.path)
     partition = cell_partition(s, args.kind)
     doc = {
@@ -141,6 +143,9 @@ def cmd_cells(args) -> int:
 
 
 def cmd_ideals(args) -> int:
+    from .cells import cell_poset
+    from .ideals import thick_ideals, upsets_by_enumeration
+
     s = _load(args.path)
     poset = cell_poset(s)
     ideals = thick_ideals(poset)
@@ -165,6 +170,8 @@ def cmd_ideals(args) -> int:
 
 
 def cmd_cell_module(args) -> int:
+    from .cells import cell_module, cell_partition
+
     s = _load(args.path)
     e = s.element(args.left_cell_of)
     left = cell_partition(s, "left").class_of(e)
@@ -183,6 +190,8 @@ def cmd_cell_module(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from .shadow import dumps_shadow
+
     s = _load(args.path)
     _write_text(dumps_shadow(s), args.output)
     return 0
@@ -191,6 +200,9 @@ def cmd_export(args) -> int:
 def cmd_verify(args) -> int:
     results = []
     if args.construction == "bn":
+        from .cells import cell_partition
+        from .udot import DESK_LIMIT, build_bn, check_bn_rank, verify_bn
+
         ranks = parse_range(args.n)
         for n in _probes(ranks, DESK_LIMIT):
             check_bn_rank(n)
@@ -208,11 +220,15 @@ def cmd_verify(args) -> int:
             )
         doc = {"format": 1, "construction": "bn", "results": results}
     elif args.construction == "clebsch":
+        from .clebsch import check_clebsch_max, verify_clebsch
+
         check_clebsch_max(args.max)
         checks = verify_clebsch(args.max)
         results.append({"max": args.max, "checks": checks, "status": status(checks)})
         doc = {"format": 1, "construction": "clebsch", "results": results}
     else:
+        from .schur import SCHUR_LIMIT_N, SCHUR_LIMIT_R, check_schur_rank, verify_schur
+
         ns, rs = parse_range(args.n), parse_range(args.r)
         for n in _probes(ns, SCHUR_LIMIT_N):
             for r in _probes(rs, SCHUR_LIMIT_R):

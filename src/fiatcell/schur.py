@@ -18,10 +18,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, groupby, product
 from math import comb
+from typing import TYPE_CHECKING
 
-from .cells import CellPartition
 from .checks import check
 from .shadow import ConsistencyError, InputError
+
+if TYPE_CHECKING:
+    from .cells import CellPartition
 
 SCHUR_LIMIT_N = 4
 SCHUR_LIMIT_R = 8
@@ -310,6 +313,8 @@ def cells_via_rsk(n: int, r: int) -> RskCells:
     first members.
     Each matrix is inserted once, each distinct P and Q validated once as a
     `Tableau`."""
+    from .cells import CellPartition  # here, so the schur verbs skip cells
+
     check_schur_rank(n, r)
     margins = _margins(n, r)
     matrices = tuple(a for mu, nu in product(margins, repeat=2) for a in _tables(mu, nu))

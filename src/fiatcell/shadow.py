@@ -477,6 +477,16 @@ def _named(s: Shadow, terms: Mapping[Element, int]) -> dict[str, int]:
 
 FORMAT_VERSION = 1
 
+# The largest shadow file load_shadow accepts: elements, and terms summed
+# over the results of all table rows. The `check` sweep costs about
+# terms x elements and a `cell-module` report up to elements**3 entries, so
+# these keep each file verb to a few seconds (the README lists the limits
+# with their measurements). A `build bn --n 8` file (165 elements, 4,109
+# terms) and a `build clebsch --max 90` file (91 elements, 65,941 terms)
+# lie inside.
+FILE_LIMIT_ELEMENTS = 170
+FILE_LIMIT_TERMS = 70_000
+
 
 def shadow_to_dict(s: Shadow) -> dict:
     data: dict = {"format": FORMAT_VERSION}
@@ -590,4 +600,27 @@ def load_shadow(path: str) -> Shadow:
         raise InputError(f"{path} is not valid JSON: {err}") from err
     if not isinstance(data, dict):
         raise InputError(f"{path}: top level is not an object")
+    _check_file_size(data, path)
     return shadow_from_dict(data)
+
+
+def _check_file_size(data: dict, path: str) -> None:
+    """Refuse a parsed file past FILE_LIMIT_ELEMENTS or FILE_LIMIT_TERMS
+    before any element is built. Members of the wrong type count as empty;
+    shadow_from_dict reports them."""
+    elements, table = data.get("elements"), data.get("table")
+    n = len(elements) if isinstance(elements, list) else 0
+    if n > FILE_LIMIT_ELEMENTS:
+        raise InputError(
+            f"{path} has {n} elements, more than the limit of {FILE_LIMIT_ELEMENTS}"
+        )
+    rows = table if isinstance(table, list) else ()
+    terms = sum(
+        len(row["result"])
+        for row in rows
+        if isinstance(row, dict) and isinstance(row.get("result"), dict)
+    )
+    if terms > FILE_LIMIT_TERMS:
+        raise InputError(
+            f"{path} has {terms} table terms, more than the limit of {FILE_LIMIT_TERMS}"
+        )

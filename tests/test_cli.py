@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -23,10 +24,9 @@ from fiatcell import (
     save_shadow,
     window_shadow,
 )
-from fiatcell import cli
 from fiatcell.cli import main, parse_range
 from fiatcell.clebsch import CLEBSCH_LIMIT
-from fiatcell.shadow import shadow_to_dict
+from fiatcell.shadow import FILE_LIMIT_ELEMENTS, FILE_LIMIT_TERMS, shadow_to_dict
 
 
 def run_cli(env, *argv):
@@ -230,24 +230,50 @@ def test_verify_bad_range(capsys):
     capsys.readouterr()
 
 
-def _refused_before_work(monkeypatch, capsys, argv, *work):
+class WorkStarted(Exception):
+    """Raised by a patched work function: the CLI got past its checks."""
+
+
+def _refused_before_work(monkeypatch, capsys, argv, accepted, *work):
+    """Patch each work function where the CLI reads it at call time, then
+    check that the same patch stops `accepted` (so the patch is live) and
+    is never reached by `argv`, which must exit 2. Returns the stderr of
+    the refusal."""
     calls = []
-    for name in work:
-        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+
+    def patch(target):
+        def fake(*args, **kwargs):
+            calls.append(target)
+            raise WorkStarted(target)
+
+        monkeypatch.setattr(f"fiatcell.{target}", fake)
+
+    for target in work:
+        patch(target)
+    with pytest.raises(WorkStarted):
+        main(accepted)
+    assert calls == [work[0]]
+    calls.clear()
+    capsys.readouterr()
     assert main(argv) == 2
     assert calls == []
     return capsys.readouterr().err
 
 
+BN_WORK = ("udot.build_bn", "udot.verify_bn")
+
+
 def test_verify_bn_refuses_range_past_limit_before_any_rank(monkeypatch, capsys):
     argv = ["verify", "bn", "--n", "8..9"]
-    err = _refused_before_work(monkeypatch, capsys, argv, "build_bn", "verify_bn")
+    accepted = ["verify", "bn", "--n", "8"]
+    err = _refused_before_work(monkeypatch, capsys, argv, accepted, *BN_WORK)
     assert err == "error: rank must be between 1 and 8, got 9\n"
 
 
 def test_verify_bn_refuses_huge_range_at_once(monkeypatch, capsys):
     argv = ["verify", "bn", "--n", "1..1000000000000"]
-    err = _refused_before_work(monkeypatch, capsys, argv, "build_bn", "verify_bn")
+    accepted = ["verify", "bn", "--n", "1..8"]
+    err = _refused_before_work(monkeypatch, capsys, argv, accepted, *BN_WORK)
     assert err == "error: rank must be between 1 and 8, got 9\n"
 
 
@@ -264,17 +290,102 @@ def test_verify_schur_refuses_range_past_limit_before_any_rank(
     monkeypatch, capsys, n, r, message
 ):
     argv = ["verify", "schur", "--n", n, "--r", r]
-    err = _refused_before_work(monkeypatch, capsys, argv, "verify_schur")
+    accepted = ["verify", "schur", "--n", "1..4", "--r", "1..8"]
+    err = _refused_before_work(monkeypatch, capsys, argv, accepted, "schur.verify_schur")
     # the message a loop over the ranges would have met first
     assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("bound", [str(CLEBSCH_LIMIT + 1), "-1"])
-@pytest.mark.parametrize("verb, work", [("build", "window_shadow"), ("verify", "verify_clebsch")])
+@pytest.mark.parametrize(
+    "verb, work", [("build", "clebsch.window_shadow"), ("verify", "clebsch.verify_clebsch")]
+)
 def test_clebsch_refuses_bound_past_limit_before_any_work(monkeypatch, capsys, verb, work, bound):
     argv = [verb, "clebsch", "--max", bound]
-    err = _refused_before_work(monkeypatch, capsys, argv, work)
+    accepted = [verb, "clebsch", "--max", str(CLEBSCH_LIMIT)]
+    err = _refused_before_work(monkeypatch, capsys, argv, accepted, work)
     assert err == f"error: window bound must be between 0 and {CLEBSCH_LIMIT}, got {bound}\n"
+
+
+def sized_file(path, elements, terms):
+    """A valid partial shadow file on one object with the given numbers of
+    elements and table terms: identity rows first, then rows x y, in order,
+    each with as many terms as are left, up to every non-identity."""
+    names = ["e"] + [f"x{i}" for i in range(1, elements)]
+    rows = [("e", b, [b]) for b in names] + [(a, "e", [a]) for a in names[1:]]
+    left = terms - len(rows)
+    for a, b in itertools.product(names[1:], repeat=2):
+        if left <= 0:
+            break
+        rows.append((a, b, names[1 : 1 + min(left, elements - 1)]))
+        left -= len(rows[-1][2])
+    doc = {
+        "format": 1,
+        "partial": True,
+        "objects": [0],
+        "elements": [
+            {"id": x, "source": 0, "target": 0, "identity": x == "e"} for x in names
+        ],
+        "involution": None,
+        "table": [{"left": a, "right": b, "result": dict.fromkeys(r, 1)} for a, b, r in rows],
+    }
+    path.write_text(json.dumps(doc))
+    return path
+
+
+ELEMENTS_AT_LIMIT = (FILE_LIMIT_ELEMENTS, 2 * FILE_LIMIT_ELEMENTS - 1)
+TERMS_AT_LIMIT = (100, FILE_LIMIT_TERMS)
+
+
+@pytest.mark.parametrize("elements, terms", [ELEMENTS_AT_LIMIT, TERMS_AT_LIMIT])
+def test_file_at_size_limit_loads(tmp_path, capsys, elements, terms):
+    path = sized_file(tmp_path / "at.json", elements, terms)
+    doc = json.loads(path.read_text())
+    assert len(doc["elements"]) == elements
+    assert sum(len(row["result"]) for row in doc["table"]) == terms
+    assert main(["export", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["elements"] == doc["elements"]
+    assert sum(len(row["result"]) for row in out["table"]) == terms
+
+
+@pytest.mark.parametrize(
+    "at, past, message",
+    [
+        (
+            ELEMENTS_AT_LIMIT,
+            (FILE_LIMIT_ELEMENTS + 1, 2 * FILE_LIMIT_ELEMENTS + 1),
+            f"{FILE_LIMIT_ELEMENTS + 1} elements, more than the limit of {FILE_LIMIT_ELEMENTS}",
+        ),
+        (
+            TERMS_AT_LIMIT,
+            (100, FILE_LIMIT_TERMS + 1),
+            f"{FILE_LIMIT_TERMS + 1} table terms, more than the limit of {FILE_LIMIT_TERMS}",
+        ),
+    ],
+    ids=["elements", "terms"],
+)
+@pytest.mark.parametrize(
+    "verb",
+    [["check"], ["cells"], ["ideals"], ["cell-module", "--left-cell-of", "e"], ["export"]],
+    ids=lambda verb: verb[0],
+)
+def test_file_verbs_refuse_past_size_limit(monkeypatch, capsys, tmp_path, verb, at, past, message):
+    # the file at the limit gets as far as building elements; the one past
+    # it is refused before
+    at_path = sized_file(tmp_path / "at.json", *at)
+    past_path = sized_file(tmp_path / "past.json", *past)
+    argv, accepted = [verb[0], str(past_path), *verb[1:]], [verb[0], str(at_path), *verb[1:]]
+    err = _refused_before_work(monkeypatch, capsys, argv, accepted, "shadow.shadow_from_dict")
+    assert err == f"error: {past_path} has {message}\n"
+
+
+def test_advertised_files_are_inside_the_size_limit():
+    for s, size in ((build_bn(8), (165, 4109)), (window_shadow(CLEBSCH_LIMIT), (91, 65941))):
+        doc = shadow_to_dict(s)
+        terms = sum(len(row["result"]) for row in doc["table"])
+        assert (len(doc["elements"]), terms) == size
+        assert size[0] <= FILE_LIMIT_ELEMENTS and size[1] <= FILE_LIMIT_TERMS
 
 
 def test_build_clebsch_at_limit(capsys):

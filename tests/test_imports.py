@@ -1,0 +1,151 @@
+"""The package's import surface: `import fiatcell` loads no submodule, each
+command-line verb loads only the modules it runs, and the public names are
+the same objects as in their home modules."""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import fiatcell
+from fiatcell import build_bn, save_shadow
+
+# home module -> public names, as exported before the package went lazy
+PUBLIC = {
+    "cells": [
+        "CellModuleMatrices",
+        "CellPartition",
+        "CellPoset",
+        "cell_module",
+        "cell_partition",
+        "cell_poset",
+        "decomposition_matrix_identity",
+        "is_strongly_regular",
+        "m_values",
+        "poset_to_dot",
+        "principal_ideal",
+    ],
+    "clebsch": ["cg_op", "single_cell_check", "verify_clebsch", "window_shadow"],
+    "ideals": ["antichains", "quotient_by_upset", "thick_ideals", "upsets_by_enumeration"],
+    "schur": [
+        "MarginMatrix",
+        "RskPair",
+        "Tableau",
+        "cells_via_rsk",
+        "enumerate_dominant",
+        "rsk",
+        "rsk_inverse",
+        "schur_report",
+        "verify_schur",
+    ],
+    "shadow": [
+        "ConsistencyError",
+        "Decomposition",
+        "Element",
+        "FiatcellError",
+        "InputError",
+        "Shadow",
+        "StructureError",
+        "check_associativity",
+        "compose",
+        "compose_left",
+        "dumps_shadow",
+        "load_shadow",
+        "save_shadow",
+        "validate_shadow",
+    ],
+    "udot": [
+        "DPMonomial",
+        "basis_change",
+        "bn_basis",
+        "build_bn",
+        "defining_action",
+        "dp",
+        "dp_normalize",
+        "gen_binom",
+        "normalize_blocks",
+        "recursion_check",
+        "verify_bn",
+        "verify_relations",
+    ],
+}
+
+
+def test_public_names_are_unchanged():
+    assert sorted(fiatcell.__all__) == sorted(n for names in PUBLIC.values() for n in names)
+    for module, names in PUBLIC.items():
+        home = importlib.import_module(f"fiatcell.{module}")
+        for name in names:
+            assert getattr(fiatcell, name) is getattr(home, name), name
+    assert set(fiatcell.__all__) <= set(dir(fiatcell))
+    assert "__version__" in dir(fiatcell)
+
+
+def test_unknown_name_is_an_attribute_error():
+    assert not hasattr(fiatcell, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fiatcell.no_such_name
+    with pytest.raises(ImportError):
+        from fiatcell import no_such_name  # noqa: F401
+    # module-level constants stay in their home modules
+    assert not hasattr(fiatcell, "DESK_LIMIT")
+
+
+def test_submodules_still_import_from_the_package():
+    from fiatcell import udot
+
+    assert udot is sys.modules["fiatcell.udot"]
+    assert fiatcell.udot is udot
+
+
+def _loaded(env, code, *argv):
+    """The sorted fiatcell.* modules a child process holds after `code`."""
+    code += "\nimport json, sys"
+    code += "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'fiatcell')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_no_submodule(child_env):
+    assert _loaded(child_env, "import fiatcell") == ["fiatcell"]
+
+
+BASE = {"fiatcell", "fiatcell.cli", "fiatcell.checks", "fiatcell.shadow"}
+CELLS = {"fiatcell.cells"}
+IDEALS = CELLS | {"fiatcell.ideals"}
+BN = IDEALS | {"fiatcell.udot"}
+CLEBSCH = {"fiatcell.clebsch"}
+SCHUR = {"fiatcell.schur"}
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["check", "{b2}"], set()),
+        (["export", "{b2}"], set()),
+        (["cells", "{b2}", "--kind", "left"], CELLS),
+        (["cells", "{b2}", "--dot", "{out}.dot"], CELLS),
+        (["cell-module", "{b2}", "--left-cell-of", "1_0"], CELLS),
+        (["ideals", "{b2}"], IDEALS),
+        (["build", "bn", "--n", "2"], BN),
+        (["verify", "bn", "--n", "1..2"], BN),
+        (["build", "clebsch", "--max", "3"], CLEBSCH),
+        (["verify", "clebsch", "--max", "3"], CLEBSCH),
+        (["build", "schur", "--n", "2", "--r", "2"], SCHUR),
+        (["verify", "schur", "--n", "1..2", "--r", "1..2"], SCHUR),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else "+".join(sorted(x)) or "base",
+)
+def test_each_verb_loads_only_its_modules(tmp_path, child_env, argv, extra):
+    b2 = tmp_path / "b2.json"
+    save_shadow(build_bn(2), str(b2))
+    out = tmp_path / "out"
+    argv = [a.format(b2=b2, out=out) for a in argv] + ["-o", str(out)]
+    code = "import sys\nfrom fiatcell.cli import main\nassert main(sys.argv[1:]) == 0"
+    assert set(_loaded(child_env, code, *argv)) == BASE | extra
+    assert out.stat().st_size > 0
