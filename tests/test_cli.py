@@ -297,13 +297,11 @@ def test_verify_schur_refuses_range_past_limit_before_any_rank(
 
 
 @pytest.mark.parametrize("bound", [str(CLEBSCH_LIMIT + 1), "-1"])
-@pytest.mark.parametrize(
-    "verb, work", [("build", "clebsch.window_shadow"), ("verify", "clebsch.verify_clebsch")]
-)
+@pytest.mark.parametrize("verb, work", [("build", "window_shadow"), ("verify", "verify_clebsch")])
 def test_clebsch_refuses_bound_past_limit_before_any_work(monkeypatch, capsys, verb, work, bound):
     argv = [verb, "clebsch", "--max", bound]
     accepted = [verb, "clebsch", "--max", str(CLEBSCH_LIMIT)]
-    err = _refused_before_work(monkeypatch, capsys, argv, accepted, work)
+    err = _refused_before_work(monkeypatch, capsys, argv, accepted, f"clebsch.{work}")
     assert err == f"error: window bound must be between 0 and {CLEBSCH_LIMIT}, got {bound}\n"
 
 
