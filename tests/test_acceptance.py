@@ -331,3 +331,19 @@ def test_demos_match_recorded_digests():
             runpy.run_path(str(path), run_name="__main__")
         got[path.name] = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert got == RECORDED_DEMO_DIGESTS
+
+
+# SHA-256 of the shadow file each build writes.
+RECORDED_BUILD_DIGESTS = {
+    "bn --n 8": "46ea5613acad80bc6572d86ecfa9cce35e84a4b8985300f16bec586fd8beb112",
+    "clebsch --max 30": "13409ee7a2a63f7ac9f1a4cc3c8429bd60b1414ef75fe651e775f373220934fc",
+}
+
+
+def test_built_files_match_recorded_digests(tmp_path):
+    got = {}
+    for label in RECORDED_BUILD_DIGESTS:
+        path = tmp_path / "built.json"
+        assert main(["build", *label.split(), "-o", str(path)]) == 0
+        got[label] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == RECORDED_BUILD_DIGESTS
