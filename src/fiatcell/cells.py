@@ -25,6 +25,7 @@ from .shadow import (
     InputError,
     Shadow,
     StructureError,
+    _pairs,
     compose,
 )
 
@@ -66,7 +67,7 @@ def _ideal_bitsets(s: Shadow) -> dict[str, tuple[int, ...]]:
     right ideal. A composable pair without an entry reads as zero on a
     partial shadow and is a StructureError otherwise.
     """
-    source, by_target, rows, _ = s._view
+    source, by_target, rows, _, _ = s._view
     n = len(s.elements)
     left = [1 << i for i in range(n)]
     right = list(left)
@@ -250,7 +251,8 @@ def m_values(s: Shadow, two_sided_cell: frozenset[Element]) -> tuple[dict[Elemen
     constancy on right cells. A set that is not a two-sided cell is an
     InputError.
     """
-    if s.involution is None:
+    star = s._view.star
+    if star is None:
         raise InputError("m_values requires an involution")
     cell_names = sorted(e.name for e in two_sided_cell)
     reg = is_strongly_regular(s, two_sided_cell)
@@ -262,7 +264,7 @@ def m_values(s: Shadow, two_sided_cell: frozenset[Element]) -> tuple[dict[Elemen
     right = cell_partition(s, "right")
     values: dict[Element, int] = {}
     for f in sorted(two_sided_cell, key=s.index_of):
-        fstar = s.involution[f]
+        fstar = s.elements[star[s.index_of(f)]]
         candidates = left.class_of(f) & right.class_of(fstar)
         if len(candidates) != 1:
             raise ConsistencyError(
@@ -303,18 +305,21 @@ def cell_module(s: Shadow, left_cell: frozenset[Element]) -> CellModuleMatrices:
     partition = cell_partition(s, "left")
     if left_cell not in partition.classes:
         raise InputError("the given set is not a left cell of this shadow")
-    basis = tuple(sorted(left_cell, key=s.index_of))
-    pos = {e: i for i, e in enumerate(basis)}
+    ids = sorted(map(s.index_of, left_cell))
+    pos = {f: i for i, f in enumerate(ids)}
+    source, _, rows, _, _ = s._view
+    n = len(s.elements)
     matrices = {}
-    for a in s.elements:
-        rows = [[0] * len(basis) for _ in basis]
-        for f in basis:
-            if a.source != f.target:
-                continue
-            for h, m in compose(s, a, f).items():
+    for a, e in enumerate(s.elements):
+        matrix = [[0] * len(ids) for _ in ids]
+        for j, f in enumerate(ids):
+            # a full table has every composable entry (cell_partition checked)
+            row = rows[a * n + f] if source[a] == s.elements[f].target else None
+            for h, m in _pairs(row or ()):
                 if h in pos:
-                    rows[pos[h]][pos[f]] = m
-        matrices[a] = tuple(map(tuple, rows))
+                    matrix[pos[h]][j] = m
+        matrices[e] = tuple(map(tuple, matrix))
+    basis = tuple(s.elements[f] for f in ids)
     return CellModuleMatrices(left_cell=left_cell, basis=basis, matrices=matrices)
 
 

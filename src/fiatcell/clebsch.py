@@ -11,7 +11,7 @@ command line builds and verifies windows up to CLEBSCH_LIMIT.
 from __future__ import annotations
 
 from .checks import check
-from .shadow import Decomposition, Element, InputError, Shadow, check_associativity
+from .shadow import Element, InputError, Shadow, check_associativity
 
 CLEBSCH_LIMIT = 90
 
@@ -43,25 +43,16 @@ def window_shadow(max_value: int) -> Shadow:
         Element(name=str(v), source=0, target=0, is_identity=(v == 0))
         for v in range(max_value + 1)
     )
-    table = {}
+    entries = []
     partial = False
-    for a in elements:
-        for b in elements:
-            results = cg_op(int(a.name), int(b.name))
-            if max(results, default=0) > max_value:
+    for a in range(max_value + 1):
+        for b in range(max_value + 1):
+            results = sorted(cg_op(a, b))
+            if results[-1] > max_value:
                 partial = True
                 continue
-            by_value = sorted(results)
-            table[(a, b)] = Decomposition(
-                {elements[v]: 1 for v in by_value}
-            )
-    return Shadow(
-        objects=(0,),
-        elements=elements,
-        table=table,
-        involution={e: e for e in elements},
-        partial=partial,
-    )
+            entries.append((a, b, tuple(x for v in results for x in (v, 1))))
+    return Shadow._on_ids((0,), elements, entries, tuple(range(max_value + 1)), partial)
 
 
 def single_cell_check(max_value: int) -> bool:

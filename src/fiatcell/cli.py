@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 from .checks import status
 from .shadow import (
@@ -53,19 +54,33 @@ def _probes(ranks: range, limit: int) -> tuple[int, int]:
     return ranks[0], min(ranks[-1], limit + 1)
 
 
-def _write_text(text: str, path: str | None) -> None:
+def _write(path: str | None, write) -> None:
+    """Call write on stdout, or on the file at path."""
     if path is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            write(fh)
     except OSError as err:
         raise InputError(f"cannot write {path}: {err}") from err
 
 
+def _write_text(text: str, path: str | None) -> None:
+    _write(path, lambda fh: fh.write(text))
+
+
 def _emit(doc: dict, path: str | None) -> None:
-    _write_text(json.dumps(doc, indent=2) + "\n", path)
+    """doc as JSON with a two-space indent, written in batches of the
+    encoder's chunks rather than one string of them all."""
+
+    def dump(fh) -> None:
+        chunks = json.JSONEncoder(indent=2).iterencode(doc)
+        while text := "".join(islice(chunks, 1 << 16)):
+            fh.write(text)
+        fh.write("\n")
+
+    _write(path, dump)
 
 
 def _load(path: str) -> Shadow:
@@ -181,7 +196,7 @@ def cmd_cell_module(args) -> int:
         "left-cell-of": args.left_cell_of,
         "basis": [b.name for b in cm.basis],
         "matrices": {
-            a.name: [list(row) for row in cm.matrices[a]]
+            a.name: cm.matrices[a]
             for a in sorted(cm.matrices, key=s.index_of)
         },
     }

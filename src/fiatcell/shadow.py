@@ -90,53 +90,71 @@ class IntView(NamedTuple):
 
     rows[a * n + b], for n elements, holds the entry of the pair (a, b) as
     a flat (id, mult, id, mult, ...) tuple in the entry's term order, and
-    None when the pair has no entry; _build_view checked every entry.
-    order lists the entries' positions a * n + b in table order. by_target
-    lists, for each object, the ids of the elements with that target, in
-    element order.
+    None when the pair has no entry; _build_view checked every entry. order
+    lists the entries' positions a * n + b in table order. by_target lists,
+    for each object, the ids of the elements with that target, in element
+    order. star is the involution as the id of each element's image, None
+    where a map has no image among the elements and with one entry more for
+    keys outside them; star is None for no involution.
     """
 
     source: tuple[int, ...]
     by_target: dict[int, tuple[int, ...]]
     rows: tuple[tuple[int, ...] | None, ...]
     order: tuple[int, ...]
+    star: tuple[int | None, ...] | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Shadow:
     """Objects, elements in canonical order, the composition table, an
-    optional involution and the partial flag. Immutable: table and
-    involution are read-only mappings over copies made at construction, so
-    a cached shadow cannot be changed under its other holders.
+    optional involution and the partial flag.
 
-    Derived data is memoised on the shadow: the integer view of the table
-    (_view, an IntView) for validation, the associativity sweep and the
-    cell engine, and the cell data of cells.cell_data.
+    A shadow holds its table on element ids (_view, an IntView), and
+    validation, the associativity sweep and the cell engine read only that.
+    The builders and the loader make it from entries on ids (_on_ids),
+    checked on first use; a hand-built shadow keeps read-only copies of the
+    table and involution it is given and converts them on first use, through
+    the same checks. Otherwise table and involution are read-only mappings
+    derived on first access. So a cached shadow cannot be changed under its
+    other holders; dataclasses.replace derives a changed one. The cell data
+    of cells.cell_data is memoised on the shadow too.
     """
 
     objects: tuple[int, ...]
     elements: tuple[Element, ...]
     table: Mapping[tuple[Element, Element], Decomposition]
-    involution: Mapping[Element, Element] | None = None
-    partial: bool = False
-    _by_name: dict[str, Element] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _index: dict[Element, int] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    # kind -> cells.CellData, filled on first use by cells.cell_data
-    _cells: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    involution: Mapping[Element, Element] | None
+    partial: bool
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
-        if self.involution is not None:
-            object.__setattr__(
-                self, "involution", MappingProxyType(dict(self.involution))
-            )
-        for i, e in enumerate(self.elements):
-            self._by_name[e.name] = e
-            self._index[e] = i
+    def __init__(self, objects, elements, table, involution=None, partial=False) -> None:
+        if involution is not None:
+            involution = MappingProxyType(dict(involution))
+        table = MappingProxyType(dict(table))
+        self._set_up(objects, elements, partial, None, table=table, involution=involution)
+
+    @classmethod
+    def _on_ids(cls, objects, elements, entries, star, partial=False) -> Shadow:
+        """A shadow from its table as entries (a, b, row) on ids, in table
+        order with rows as in IntView, and its involution as star."""
+        s = object.__new__(cls)
+        s._set_up(objects, elements, partial, (entries, star))
+        return s
+
+    def _set_up(self, objects, elements, partial, ids, **given) -> None:
+        # frozen, so the instance dict is filled directly; _ids holds the
+        # (entries, star) of a shadow made on ids, _cells the cell data
+        by_name = {e.name: e for e in elements}
+        index = {e: i for i, e in enumerate(elements)}
+        attributes = dict(objects=objects, elements=elements, partial=partial, _ids=ids)
+        vars(self).update(given, **attributes, _by_name=by_name, _index=index, _cells={})
+
+    def __getattr__(self, name: str):
+        # table and involution of a shadow made on ids, on first access
+        if name not in ("table", "involution") or not vars(self).get("_ids"):
+            raise AttributeError(name)
+        value = vars(self)[name] = _derived(self, name)
+        return value
 
     @cached_property
     def _view(self) -> IntView:
@@ -155,46 +173,81 @@ class Shadow:
         return self._index[e]
 
 
-def _build_view(s: Shadow) -> IntView:
-    """The integer view, from one walk of the table in table order that
-    raises StructureError on the first entry whose keys are not composable
-    elements, or with a term that is not an element, has a nonpositive
-    multiplicity or lacks the entry's endpoints."""
+def _pairs(row):
+    """The (id, mult) terms of a flat row."""
+    it = iter(row)
+    return zip(it, it)
+
+
+def _derived(s: Shadow, name: str):
+    """The Element-level table or involution of a shadow made on ids."""
+    elements = s.elements
+    entries, star = s._ids
+    if name == "involution":
+        if star is not None:
+            image = {elements[i]: elements[j] for i, j in enumerate(star) if j is not None}
+            return MappingProxyType(image)
+        return None
+    table = {
+        (elements[a], elements[b]): Decomposition({elements[t]: m for t, m in _pairs(row)})
+        for a, b, row in entries
+    }
+    return MappingProxyType(table)
+
+
+def _table_ids(s: Shadow) -> tuple:
+    """The entries (a, b, row) and star of s as given, unchecked: those of a
+    shadow made on ids, or the table and involution of a hand-built one,
+    each entry converted as it is read (KeyError on a non-element)."""
+    if s._ids is not None:
+        return s._ids
     index = s._index
-    n = len(s.elements)
+    entries = (
+        (index[a], index[b], tuple(x for e, m in d.terms.items() for x in (index[e], m)))
+        for (a, b), d in s.table.items()
+    )
+    inv = s.involution
+    star = None
+    if inv is not None:
+        star = tuple(index.get(inv.get(e)) for e in s.elements)
+        if len(inv) != len(star):  # a key outside the elements
+            star += (None,)
+    return entries, star
+
+
+def _build_view(s: Shadow) -> IntView:
+    """The integer view, from one walk of the entries of _table_ids in table
+    order that raises StructureError on the first entry whose keys are not
+    composable elements, or with a term that is not an element, has a
+    nonpositive multiplicity or lacks the entry's endpoints."""
+    source = tuple(e.source for e in s.elements)
+    target = tuple(e.target for e in s.elements)
+    names = [e.name for e in s.elements]
+    n = len(names)
     rows: list[tuple[int, ...] | None] = [None] * (n * n)
     order: list[int] = []
+    entries, star = _table_ids(s)
     try:
-        for (a, b), d in s.table.items():
-            at = index[a] * n + index[b]
-            if a.source != b.target:
-                raise StructureError(f"table entry ({a.name}, {b.name}) is not composable")
-            row: list[int] = []
-            for e, m in d.terms.items():
-                row += (index[e], m)
+        for a, b, row in entries:
+            if source[a] != target[b]:
+                raise StructureError(f"table entry ({names[a]}, {names[b]}) is not composable")
+            for t, m in _pairs(row):
                 if m < 1:
+                    pair = f"({names[a]}, {names[b]})"
+                    raise StructureError(f"nonpositive multiplicity {m} in {pair}")
+                if source[t] != source[b] or target[t] != target[a]:
                     raise StructureError(
-                        f"nonpositive multiplicity {m} in ({a.name}, {b.name})"
+                        f"term {names[t]} of ({names[a]}, {names[b]}) has wrong source/target"
                     )
-                if e.source != b.source or e.target != a.target:
-                    raise StructureError(
-                        f"term {e.name} of ({a.name}, {b.name}) has wrong source/target"
-                    )
-            rows[at] = tuple(row)
-            order.append(at)
+            rows[a * n + b] = row
+            order.append(a * n + b)
     except KeyError as err:
-        raise StructureError(
-            f"table names {err.args[0].name!r}, which is not an element"
-        ) from None
+        raise StructureError(f"table names {err.args[0].name!r}, which is not an element") from None
     by_target: dict[int, list[int]] = {}
-    for i, e in enumerate(s.elements):
-        by_target.setdefault(e.target, []).append(i)
-    return IntView(
-        source=tuple(e.source for e in s.elements),
-        by_target={obj: tuple(ids) for obj, ids in by_target.items()},
-        rows=tuple(rows),
-        order=tuple(order),
-    )
+    for i, obj in enumerate(target):
+        by_target.setdefault(obj, []).append(i)
+    by_target = {obj: tuple(ids) for obj, ids in by_target.items()}
+    return IntView(source, by_target, tuple(rows), tuple(order), star)
 
 
 def compose(s: Shadow, a: Element, b: Element) -> Decomposition:
@@ -210,12 +263,12 @@ def compose(s: Shadow, a: Element, b: Element) -> Decomposition:
         raise InputError(f"unknown element id {b.name!r}")
     if a.source != b.target:
         return Decomposition.zero()
-    entry = s.table.get((a, b))
-    if entry is None:
+    row = s._view.rows[s.index_of(a) * len(s.elements) + s.index_of(b)]
+    if row is None:
         if s.partial:
             return Decomposition.zero()
         raise StructureError(f"missing table entry for ({a.name}, {b.name})")
-    return entry
+    return Decomposition({s.elements[t]: m for t, m in _pairs(row)})
 
 
 def compose_left(s: Shadow, a: Element, d: Decomposition) -> Decomposition:
@@ -231,7 +284,7 @@ def validate_shadow(s: Shadow) -> None:
     """Raise StructureError on the first violated invariant: objects and
     elements first, then each table entry in the walk that builds the
     integer view, then, on the view, completeness unless the shadow is
-    partial, strict identities and the involution."""
+    partial, strict identities and the involution, element by element."""
     if len(set(s.objects)) != len(s.objects):
         raise StructureError("duplicate object ids")
     names = [e.name for e in s.elements]
@@ -249,7 +302,7 @@ def validate_shadow(s: Shadow) -> None:
         if len(ids) != 1:
             raise StructureError(f"object {obj} has {len(ids)} identities")
 
-    source, by_target, rows, order = s._view
+    source, by_target, rows, order, star = s._view
     n = len(names)
     if not s.partial:
         for a in range(n):
@@ -263,19 +316,18 @@ def validate_shadow(s: Shadow) -> None:
             if row != (a, 1) and not (row is None and s.partial):
                 raise StructureError(f"identity does not act strictly on {e.name}")
 
-    inv = s.involution
-    if inv is None:
+    if star is None:
         return
-    if set(inv) != set(s.elements) or set(inv.values()) != set(s.elements):
+    if None in star or len(set(star)) != n:
         raise StructureError("involution is not a bijection on elements")
-    for e, f in inv.items():
-        if inv[f] != e:
+    for i, (e, j) in enumerate(zip(s.elements, star)):
+        f = s.elements[j]
+        if star[j] != i:
             raise StructureError(f"involution not self-inverse at {e.name}")
         if f.source != e.target or f.target != e.source:
             raise StructureError(f"involution of {e.name} does not swap endpoints")
-        if e.is_identity and f != e:
+        if e.is_identity and j != i:
             raise StructureError(f"involution moves identity {e.name}")
-    star = [s._index[inv[e]] for e in s.elements]
     for at in order:
         a, b = divmod(at, n)
         dual, terms = rows[star[b] * n + star[a]], rows[at]
@@ -284,8 +336,8 @@ def validate_shadow(s: Shadow) -> None:
         if len(terms) == 2:  # one term, the common case
             same = dual == (star[terms[0]], terms[1])
         else:
-            starred = {star[t]: m for t, m in zip(terms[::2], terms[1::2])}
-            same = starred == dict(zip(dual[::2], dual[1::2]))
+            starred = {star[t]: m for t, m in _pairs(terms)}
+            same = starred == dict(_pairs(dual))
         if not same:
             raise StructureError(
                 f"involution is not an anti-homomorphism at ({names[a]}, {names[b]})"
@@ -309,13 +361,11 @@ def _combine(rows, row, base: int, stride: int) -> dict[int, int] | None:
     """The sum of m * rows[base + stride * t] over the terms (t, m) of row,
     or None when one of those entries is absent."""
     out: dict[int, int] = {}
-    it = iter(row)
-    for t, m in zip(it, it):
+    for t, m in _pairs(row):
         entry = rows[base + stride * t]
         if entry is None:
             return None
-        terms = iter(entry)
-        for e, k in zip(terms, terms):
+        for e, k in _pairs(entry):
             out[e] = out.get(e, 0) + m * k
     return out
 
@@ -354,8 +404,7 @@ def _pack(s: Shadow, rows, order) -> tuple[list[int], int]:
     n = len(s.elements)
     packed = [absent] * (n * n)
     for at in order:
-        it = iter(rows[at])
-        packed[at] = sum(m << width * slot[t] for t, m in zip(it, it))
+        packed[at] = sum(m << width * slot[t] for t, m in _pairs(rows[at]))
     return packed, absent
 
 
@@ -375,7 +424,7 @@ def check_associativity(s: Shadow) -> AssociativityReport:
     """
     try:
         validate_shadow(s)
-        source, by_target, rows, order = s._view
+        source, by_target, rows, order, _ = s._view
     except StructureError as err:
         return AssociativityReport(status="structural-error", message=str(err))
 
@@ -422,10 +471,7 @@ def check_associativity(s: Shadow) -> AssociativityReport:
                 skipped += len(cs)
                 continue
             # (a b) c for each c
-            terms = iter(ab)
-            scaled = [
-                cols[t] if m == 1 else [m * x for x in cols[t]] for t, m in zip(terms, terms)
-            ]
+            scaled = [cols[t] if m == 1 else [m * x for x in cols[t]] for t, m in _pairs(ab)]
             if len(scaled) == 1:
                 left = scaled[0]
             elif scaled:
@@ -489,37 +535,29 @@ FILE_LIMIT_TERMS = 70_000
 
 
 def shadow_to_dict(s: Shadow) -> dict:
+    """The file form of s: elements and the involution in element order,
+    table rows by (left, right) id and terms by id."""
+    names = [e.name for e in s.elements]
+    entries, star = _table_ids(s)
     data: dict = {"format": FORMAT_VERSION}
     if s.partial:
         data["partial"] = True
     data["objects"] = list(s.objects)
     data["elements"] = [
-        {
-            "id": e.name,
-            "source": e.source,
-            "target": e.target,
-            "identity": e.is_identity,
-        }
+        {"id": e.name, "source": e.source, "target": e.target, "identity": e.is_identity}
         for e in s.elements
     ]
-    if s.involution is None:
-        data["involution"] = None
-    else:
-        data["involution"] = {
-            e.name: s.involution[e].name
-            for e in sorted(s.involution, key=s.index_of)
+    data["involution"] = None
+    if star is not None:
+        data["involution"] = {names[i]: names[j] for i, j in enumerate(star) if j is not None}
+    data["table"] = [
+        {
+            "left": names[a],
+            "right": names[b],
+            "result": {names[t]: m for t, m in sorted(_pairs(row))},
         }
-    rows = []
-    for (a, b) in sorted(s.table, key=lambda p: (s.index_of(p[0]), s.index_of(p[1]))):
-        d = s.table[(a, b)]
-        rows.append(
-            {
-                "left": a.name,
-                "right": b.name,
-                "result": _named(s, d.terms),
-            }
-        )
-    data["table"] = rows
+        for a, b, row in sorted(entries)
+    ]
     return data
 
 
@@ -549,31 +587,30 @@ def shadow_from_dict(data: dict) -> Shadow:
             )
             for row in data["elements"]
         )
-        by_name = {e.name: e for e in elements}
-        if len(by_name) != len(elements):
+        index = {e.name: i for i, e in enumerate(elements)}
+        n = len(index)
+        if n != len(elements):
             raise InputError("duplicate element ids in file")
         inv_data = data.get("involution")
-        involution = None
+        star = None
         if inv_data is not None:
             inv_data = _json(inv_data, dict)
-            involution = {by_name[k]: by_name[v] for k, v in inv_data.items()}
-        table = {}
+            image = {index[k]: index[v] for k, v in inv_data.items()}
+            star = tuple(map(image.get, range(n)))
+        entries = []
+        seen = set()
         for row in data["table"]:
-            a = by_name[row["left"]]
-            b = by_name[row["right"]]
-            if (a, b) in table:
-                raise InputError(f"duplicate table row ({a.name}, {b.name})")
-            result = _json(row["result"], dict)
-            table[(a, b)] = Decomposition(
-                {by_name[k]: _json(v, int) for k, v in result.items()}
-            )
-        return Shadow(
-            objects=objects,
-            elements=elements,
-            table=table,
-            involution=involution,
-            partial=_json(data.get("partial", False), bool),
-        )
+            a = index[row["left"]]
+            b = index[row["right"]]
+            if a * n + b in seen:
+                raise InputError(f"duplicate table row ({elements[a].name}, {elements[b].name})")
+            seen.add(a * n + b)
+            terms: list[int] = []
+            for k, v in _json(row["result"], dict).items():
+                terms += (index[k], _json(v, int))
+            entries.append((a, b, tuple(terms)))
+        partial = _json(data.get("partial", False), bool)
+        return Shadow._on_ids(objects, elements, entries, star, partial)
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"malformed shadow JSON: {err}") from err
 

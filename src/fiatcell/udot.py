@@ -62,6 +62,7 @@ from .shadow import (
     InputError,
     Shadow,
     _named,
+    _pairs,
     check_associativity,
     compose,
     compose_left,
@@ -445,7 +446,7 @@ def build_bn(n: int) -> Shadow:
                 raise ConsistencyError(f"{m.name} is not a basis monomial")
         return tuple((index[m], c) for m, c in mons)
 
-    table = {}
+    entries = []
     for kb, b_mon in enumerate(monomials):
         i = b_mon.base
         for ka in by_source[b_mon.target]:
@@ -464,24 +465,17 @@ def build_bn(n: int) -> Shadow:
                 if c:
                     for k, ck in to_basis(f, e, i):
                         out[k] = out.get(k, 0) + c * ck
-            terms = {}
+            row: list[int] = []
             for k in sorted(out):
                 if out[k] < 0:
                     raise ConsistencyError(
                         f"negative multiplicity {out[k]} at {elements[k].name}"
                     )
                 if out[k]:
-                    terms[elements[k]] = out[k]
-            table[(elements[ka], elements[kb])] = Decomposition(terms)
-    involution = {
-        elements[k]: elements[index[m.star()]] for k, m in enumerate(monomials)
-    }
-    return Shadow(
-        objects=tuple(range(n + 1)),
-        elements=elements,
-        table=table,
-        involution=involution,
-    )
+                    row += (k, out[k])
+            entries.append((ka, kb, tuple(row)))
+    star = tuple(index[m.star()] for m in monomials)
+    return Shadow._on_ids(tuple(range(n + 1)), elements, entries, star)
 
 
 def bn_element_monomials(n: int) -> dict[str, DPMonomial]:
@@ -749,22 +743,14 @@ def shift_shadow(s: Shadow, mons: dict[str, DPMonomial], delta: int) -> Shadow:
             is_identity=sm.is_identity,
         )
 
-    mapping = {e: shift_elt(e) for e in s.elements}
-    table = {
-        (mapping[a], mapping[b]): Decomposition(
-            {mapping[e]: m for e, m in d.items()}
-        )
-        for (a, b), d in s.table.items()
-    }
-    involution = None
-    if s.involution is not None:
-        involution = {mapping[e]: mapping[f] for e, f in s.involution.items()}
-    return Shadow(
-        objects=tuple(o + delta for o in s.objects),
-        elements=tuple(mapping[e] for e in s.elements),
-        table=table,
-        involution=involution,
-        partial=s.partial,
+    n = len(s.elements)
+    _, _, rows, order, star = s._view
+    return Shadow._on_ids(
+        tuple(o + delta for o in s.objects),
+        tuple(map(shift_elt, s.elements)),
+        [(*divmod(at, n), rows[at]) for at in order],
+        star,
+        s.partial,
     )
 
 
@@ -778,12 +764,28 @@ def recursion_check(n: int) -> dict:
     shifted = shift_shadow(build_bn(n - 2), bn_element_monomials(n - 2), 1)
     top_cell = cell_partition(big, "two-sided").class_of(big.element("1_0"))
     quotient = quotient_by_upset(big, top_cell)
-    witnesses = [
-        {"pair": [a.name, b.name]}
-        for (a, b), d in shifted.table.items()
-        if quotient.table.get((a, b)) != d
-    ]
-    if quotient != shifted:
+    # each entry of the shifted table against the quotient's entry of the
+    # same pair, on the quotient's ids, terms in any order
+    q_id = [quotient._index.get(e) for e in shifted.elements]
+    q_n, s_n = len(quotient.elements), len(shifted.elements)
+    q_view, s_view = quotient._view, shifted._view
+    witnesses = []
+    for at in s_view.order:
+        a, b = divmod(at, s_n)
+        qa, qb = q_id[a], q_id[b]
+        entry = None if qa is None or qb is None else q_view.rows[qa * q_n + qb]
+        terms = {q_id[t]: m for t, m in _pairs(s_view.rows[at])}
+        if entry is None or dict(_pairs(entry)) != terms:
+            names = shifted.elements[a].name, shifted.elements[b].name
+            witnesses.append({"pair": list(names)})
+    # with the same elements, ids agree: equal when entries, objects and involution do
+    same = (quotient.objects, quotient.elements, quotient.partial, q_view.star) == (
+        shifted.objects,
+        shifted.elements,
+        shifted.partial,
+        s_view.star,
+    )
+    if witnesses or not same or sorted(q_view.order) != sorted(s_view.order):
         witnesses.append({"quotient": "differs from shifted lower-rank shadow"})
     return check("rank-reduction-index-shift", not witnesses, witnesses)
 
@@ -804,12 +806,14 @@ def verify_bn(n: int) -> list[dict]:
     ]
     checks.extend(verify_relations(n))
     action = defining_action(n)
+    by_id = [action[e] for e in s.elements]
+    rows, order = s._view.rows, s._view.order
     product_bad = []
-    for (a, b), d in s.table.items():
-        if action[a] * action[b] != sum(m * action[c] for c, m in d.items()):
-            product_bad.append(
-                f"defining action is not multiplicative at ({a.name}, {b.name})"
-            )
+    for at in order:
+        a, b = divmod(at, len(by_id))
+        if by_id[a] * by_id[b] != sum(m * by_id[c] for c, m in _pairs(rows[at])):
+            pair = f"({s.elements[a].name}, {s.elements[b].name})"
+            product_bad.append(f"defining action is not multiplicative at {pair}")
             break
     checks.append(check("defining-action-multiplicative", not product_bad, product_bad))
 

@@ -26,6 +26,7 @@ from fiatcell import (
 )
 from fiatcell.cli import main, parse_range
 from fiatcell.clebsch import CLEBSCH_LIMIT
+from fiatcell.ideals import IDEALS_LIMIT
 from fiatcell.shadow import FILE_LIMIT_ELEMENTS, FILE_LIMIT_TERMS, shadow_to_dict
 
 
@@ -376,6 +377,41 @@ def test_file_verbs_refuse_past_size_limit(monkeypatch, capsys, tmp_path, verb, 
     argv, accepted = [verb[0], str(past_path), *verb[1:]], [verb[0], str(at_path), *verb[1:]]
     err = _refused_before_work(monkeypatch, capsys, argv, accepted, "shadow.shadow_from_dict")
     assert err == f"error: {past_path} has {message}\n"
+
+
+def zero_products_file(path, k):
+    """A shadow file on one object: the identity e and k elements whose
+    products are all zero, so k incomparable cells above e's and
+    2**k + 1 thick ideals."""
+    names = ["e"] + [f"x{i}" for i in range(1, k + 1)]
+    rows = [("e", b, {b: 1}) for b in names] + [(a, "e", {a: 1}) for a in names[1:]]
+    rows += [(a, b, {}) for a, b in itertools.product(names[1:], repeat=2)]
+    doc = {
+        "format": 1,
+        "objects": [0],
+        "elements": [
+            {"id": x, "source": 0, "target": 0, "identity": x == "e"} for x in names
+        ],
+        "involution": None,
+        "table": [{"left": a, "right": b, "result": r} for a, b, r in rows],
+    }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_ideals_refuses_past_the_ideal_limit_before_any_output(monkeypatch, capsys, tmp_path):
+    k = 14
+    assert IDEALS_LIMIT == 2**k + 1
+    at = zero_products_file(tmp_path / "at.json", k)
+    past = zero_products_file(tmp_path / "past.json", k + 1)
+    message = f"error: the cell poset has more than the limit of {IDEALS_LIMIT} thick ideals\n"
+    assert main(["ideals", past]) == 2
+    assert capsys.readouterr() == ("", message)
+    # the file at the limit gets past antichains to the up-set count
+    err = _refused_before_work(
+        monkeypatch, capsys, ["ideals", past], ["ideals", at], "ideals.upsets_by_enumeration"
+    )
+    assert err == message
 
 
 def test_advertised_files_are_inside_the_size_limit():

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import re
@@ -24,6 +25,7 @@ from fiatcell import (
     validate_shadow,
     window_shadow,
 )
+from fiatcell import shadow, udot
 from fiatcell.cli import main
 from fiatcell.shadow import shadow_from_dict, shadow_to_dict
 
@@ -604,6 +606,74 @@ def _outcome(validate, s):
 @given(corrupted_shadows())
 def test_validate_matches_reference_on_corrupted_shadows(s):
     assert _outcome(validate_shadow, s) == _outcome(reference_validate, s)
+
+
+def _hand_built(data):
+    """The shadow of a file, built by hand from Elements and
+    Decompositions in file order."""
+    by_name = {
+        row["id"]: Element(row["id"], row["source"], row["target"], row["identity"])
+        for row in data["elements"]
+    }
+    table = {
+        (by_name[row["left"]], by_name[row["right"]]): Decomposition(
+            {by_name[k]: m for k, m in row["result"].items()}
+        )
+        for row in data["table"]
+    }
+    inv = data["involution"]
+    return Shadow(
+        objects=tuple(data["objects"]),
+        elements=tuple(by_name.values()),
+        table=table,
+        involution=None if inv is None else {by_name[k]: by_name[v] for k, v in inv.items()},
+        partial=data.get("partial", False),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_shadows())
+def test_validate_matches_reference_on_loaded_corrupted_shadows(s):
+    # the loader makes the table on ids directly; the same file built by
+    # hand must fail first in the same place
+    data = json.loads(dumps_shadow(s))
+    loaded = shadow_from_dict(data)
+    assert _outcome(validate_shadow, loaded) == _outcome(reference_validate, _hand_built(data))
+
+
+def test_bn_suite_and_file_verbs_never_build_the_element_table(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "bn4.json"
+    save_shadow(build_bn(4), str(path))
+    derived = []
+    derive = shadow._derived
+    monkeypatch.setattr(shadow, "_derived", lambda s, name: derived.append(name) or derive(s, name))
+    made = []
+    init = Decomposition.__init__
+
+    def counting_init(self, terms=None):
+        made.append(terms)
+        init(self, terms)
+
+    monkeypatch.setattr(Decomposition, "__init__", counting_init)
+    # a fresh cache: another test may have read the table of a cached shadow
+    monkeypatch.setattr(udot, "build_bn", functools.lru_cache(udot.build_bn.__wrapped__))
+    assert all(c["status"] == "pass" for c in udot.verify_bn(8))
+    assert derived == []
+    # compose builds one Decomposition per call, and only verify_bn calls it
+    assert made
+    made.clear()
+    for argv in (
+        ["check", str(path)],
+        ["cells", str(path), "--kind", "left"],
+        ["ideals", str(path)],
+        ["cell-module", str(path), "--left-cell-of", "1_1"],
+    ):
+        assert main(argv) == 0, argv
+        assert (derived, made) == ([], []), argv
+    capsys.readouterr()
+    # the positive control: the library API reads the derived table
+    assert len(load_shadow(str(path)).table) == 259
+    assert derived == ["table"] and made
 
 
 def test_cached_shadows_are_read_only():
