@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 from .checks import status
 from .shadow import (
@@ -54,11 +54,17 @@ def _probes(ranks: range, limit: int) -> tuple[int, int]:
     return ranks[0], min(ranks[-1], limit + 1)
 
 
-def _write(path: str | None, write) -> None:
-    """Call write on stdout, or on the file at path."""
+def _write_text(chunks, path: str | None) -> None:
+    """Write the strings of chunks, joined in batches rather than into one
+    string, to stdout or to the file at path."""
+    chunks = iter(chunks)
+
+    def write(fh) -> None:
+        while text := "".join(islice(chunks, 1 << 16)):
+            fh.write(text)
+
     if path is None:
-        write(sys.stdout)
-        return
+        return write(sys.stdout)
     try:
         with open(path, "w") as fh:
             write(fh)
@@ -66,21 +72,8 @@ def _write(path: str | None, write) -> None:
         raise InputError(f"cannot write {path}: {err}") from err
 
 
-def _write_text(text: str, path: str | None) -> None:
-    _write(path, lambda fh: fh.write(text))
-
-
 def _emit(doc: dict, path: str | None) -> None:
-    """doc as JSON with a two-space indent, written in batches of the
-    encoder's chunks rather than one string of them all."""
-
-    def dump(fh) -> None:
-        chunks = json.JSONEncoder(indent=2).iterencode(doc)
-        while text := "".join(islice(chunks, 1 << 16)):
-            fh.write(text)
-        fh.write("\n")
-
-    _write(path, dump)
+    _write_text(chain(json.JSONEncoder(indent=2).iterencode(doc), "\n"), path)
 
 
 def _load(path: str) -> Shadow:
@@ -98,13 +91,13 @@ def cmd_build(args) -> int:
     if args.construction == "bn":
         from .udot import build_bn
 
-        _write_text(dumps_shadow(build_bn(args.n)), args.output)
+        _write_text([dumps_shadow(build_bn(args.n))], args.output)
         return 0
     if args.construction == "clebsch":
         from .clebsch import check_clebsch_max, window_shadow
 
         check_clebsch_max(args.max)
-        _write_text(dumps_shadow(window_shadow(args.max)), args.output)
+        _write_text([dumps_shadow(window_shadow(args.max))], args.output)
         return 0
     from .schur import schur_report
 
@@ -152,7 +145,7 @@ def cmd_cells(args) -> int:
         if args.kind != "two-sided":
             raise InputError("--dot draws the two-sided cell poset; use --kind two-sided")
         poset = cell_poset(s)
-        _write_text(poset_to_dot(s, poset), args.dot)
+        _write_text([poset_to_dot(s, poset)], args.dot)
     _emit(doc, args.output)
     return 0
 
@@ -208,7 +201,7 @@ def cmd_export(args) -> int:
     from .shadow import dumps_shadow
 
     s = _load(args.path)
-    _write_text(dumps_shadow(s), args.output)
+    _write_text([dumps_shadow(s)], args.output)
     return 0
 
 

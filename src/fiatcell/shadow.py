@@ -49,7 +49,7 @@ class Element:
     is_identity: bool = False
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Decomposition:
     """Formal N-combination of elements sharing one (source, target) pair.
 
@@ -57,12 +57,10 @@ class Decomposition:
     read-only mapping over a copy of the given one.
     """
 
-    terms: Mapping[Element, int]
+    terms: Mapping[Element, int] = field(default_factory=dict)
 
-    # sets terms once; the generated __init__ plus a __post_init__ would set
-    # it twice, and a loaded shadow builds one decomposition per table row
-    def __init__(self, terms: Mapping[Element, int] | None = None) -> None:
-        object.__setattr__(self, "terms", MappingProxyType(dict(terms or {})))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms or {})))
 
     @staticmethod
     def zero() -> "Decomposition":
@@ -92,10 +90,9 @@ class IntView(NamedTuple):
     a flat (id, mult, id, mult, ...) tuple in the entry's term order, and
     None when the pair has no entry; _build_view checked every entry. order
     lists the entries' positions a * n + b in table order. by_target lists,
-    for each object, the ids of the elements with that target, in element
-    order. star is the involution as the id of each element's image, None
-    where a map has no image among the elements and with one entry more for
-    keys outside them; star is None for no involution.
+    per object, the ids of the elements with that target. star is None or
+    the involution as each element's image id: None for no image, and one
+    entry more for keys that are not elements.
     """
 
     source: tuple[int, ...]
@@ -110,15 +107,13 @@ class Shadow:
     """Objects, elements in canonical order, the composition table, an
     optional involution and the partial flag.
 
-    A shadow holds its table on element ids (_view, an IntView), and
-    validation, the associativity sweep and the cell engine read only that.
-    The builders and the loader make it from entries on ids (_on_ids),
-    checked on first use; a hand-built shadow keeps read-only copies of the
-    table and involution it is given and converts them on first use, through
-    the same checks. Otherwise table and involution are read-only mappings
-    derived on first access. So a cached shadow cannot be changed under its
-    other holders; dataclasses.replace derives a changed one. The cell data
-    of cells.cell_data is memoised on the shadow too.
+    Validation, the sweep and the cell engine read only the table on element
+    ids (_view, an IntView), checked on first use. The builders and the
+    loader make shadows from entries on ids (_on_ids), and their table and
+    involution are read-only mappings derived on first access; a hand-built
+    shadow keeps read-only copies of the ones it is given. So a cached shadow
+    cannot be changed under its holders; dataclasses.replace derives a
+    changed one. Cell data (cells.cell_data) is memoised on the shadow too.
     """
 
     objects: tuple[int, ...]
@@ -135,8 +130,7 @@ class Shadow:
 
     @classmethod
     def _on_ids(cls, objects, elements, entries, star, partial=False) -> Shadow:
-        """A shadow from its table as entries (a, b, row) on ids, in table
-        order with rows as in IntView, and its involution as star."""
+        """A shadow from entries (a, b, row) on ids and star, as in IntView."""
         s = object.__new__(cls)
         s._set_up(objects, elements, partial, (entries, star))
         return s
@@ -150,10 +144,20 @@ class Shadow:
         vars(self).update(given, **attributes, _by_name=by_name, _index=index, _cells={})
 
     def __getattr__(self, name: str):
-        # table and involution of a shadow made on ids, on first access
+        # the Element-level table and involution of a shadow made on ids,
+        # derived on first access
         if name not in ("table", "involution") or not vars(self).get("_ids"):
             raise AttributeError(name)
-        value = vars(self)[name] = _derived(self, name)
+        elements, (entries, star) = self.elements, self._ids
+        value = None
+        if name == "table":
+            value = {
+                (elements[a], elements[b]): Decomposition({elements[t]: m for t, m in _pairs(row)})
+                for a, b, row in entries
+            }
+        elif star is not None:
+            value = {elements[i]: elements[j] for i, j in enumerate(star) if j is not None}
+        vars(self)[name] = value = value if value is None else MappingProxyType(value)
         return value
 
     @cached_property
@@ -161,10 +165,9 @@ class Shadow:
         return _build_view(self)
 
     def element(self, name: str) -> Element:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise InputError(f"unknown element id {name!r}") from None
+        if name not in self._by_name:
+            raise InputError(f"unknown element id {name!r}")
+        return self._by_name[name]
 
     def has_element(self, e: Element) -> bool:
         return e in self._index
@@ -174,31 +177,13 @@ class Shadow:
 
 
 def _pairs(row):
-    """The (id, mult) terms of a flat row."""
-    it = iter(row)
+    it = iter(row)  # the (id, mult) terms of a flat row
     return zip(it, it)
 
 
-def _derived(s: Shadow, name: str):
-    """The Element-level table or involution of a shadow made on ids."""
-    elements = s.elements
-    entries, star = s._ids
-    if name == "involution":
-        if star is not None:
-            image = {elements[i]: elements[j] for i, j in enumerate(star) if j is not None}
-            return MappingProxyType(image)
-        return None
-    table = {
-        (elements[a], elements[b]): Decomposition({elements[t]: m for t, m in _pairs(row)})
-        for a, b, row in entries
-    }
-    return MappingProxyType(table)
-
-
 def _table_ids(s: Shadow) -> tuple:
-    """The entries (a, b, row) and star of s as given, unchecked: those of a
-    shadow made on ids, or the table and involution of a hand-built one,
-    each entry converted as it is read (KeyError on a non-element)."""
+    """The entries (a, b, row) and star of s, unchecked; a hand-built table
+    converts entry by entry as it is read (KeyError on a non-element)."""
     if s._ids is not None:
         return s._ids
     index = s._index
@@ -206,8 +191,7 @@ def _table_ids(s: Shadow) -> tuple:
         (index[a], index[b], tuple(x for e, m in d.terms.items() for x in (index[e], m)))
         for (a, b), d in s.table.items()
     )
-    inv = s.involution
-    star = None
+    star, inv = None, s.involution
     if inv is not None:
         star = tuple(index.get(inv.get(e)) for e in s.elements)
         if len(inv) != len(star):  # a key outside the elements
@@ -257,10 +241,9 @@ def compose(s: Shadow, a: Element, b: Element) -> Decomposition:
     zero; exact products of the unwindowed structure must be computed at the
     formula level instead.
     """
-    if not s.has_element(a):
-        raise InputError(f"unknown element id {a.name!r}")
-    if not s.has_element(b):
-        raise InputError(f"unknown element id {b.name!r}")
+    for e in (a, b):
+        if not s.has_element(e):
+            raise InputError(f"unknown element id {e.name!r}")
     if a.source != b.target:
         return Decomposition.zero()
     row = s._view.rows[s.index_of(a) * len(s.elements) + s.index_of(b)]
@@ -449,16 +432,10 @@ def check_associativity(s: Shadow) -> AssociativityReport:
             ks += bc[1::2]
             ends.append(len(us))
         one_each = ends == list(range(1, len(ends) + 1))
-        c_rows.append(
-            (
-                _pick(us),
-                None if all(k == 1 for k in ks) else ks,
-                None if one_each else _pick(ends),
-            )
-        )
+        ones = all(k == 1 for k in ks)
+        c_rows.append((_pick(us), None if ones else ks, None if one_each else _pick(ends)))
 
-    checked = 0
-    skipped = 0
+    checked = skipped = 0
     failure = None
     for a in range(n):
         a_row = a * n
@@ -516,11 +493,6 @@ def _witness(s: Shadow, triple, left: dict[int, int], right: dict[int, int]) -> 
     }
 
 
-def _named(s: Shadow, terms: Mapping[Element, int]) -> dict[str, int]:
-    """terms keyed by element name, in element order."""
-    return {e.name: m for e, m in sorted(terms.items(), key=lambda t: s.index_of(t[0]))}
-
-
 FORMAT_VERSION = 1
 
 # The largest shadow file load_shadow accepts: elements, and terms summed
@@ -550,14 +522,10 @@ def shadow_to_dict(s: Shadow) -> dict:
     data["involution"] = None
     if star is not None:
         data["involution"] = {names[i]: names[j] for i, j in enumerate(star) if j is not None}
-    data["table"] = [
-        {
-            "left": names[a],
-            "right": names[b],
-            "result": {names[t]: m for t, m in sorted(_pairs(row))},
-        }
-        for a, b, row in sorted(entries)
-    ]
+    data["table"] = table = []
+    for a, b, row in sorted(entries):
+        result = {names[t]: m for t, m in sorted(_pairs(row))}
+        table.append({"left": names[a], "right": names[b], "result": result})
     return data
 
 
@@ -597,11 +565,9 @@ def shadow_from_dict(data: dict) -> Shadow:
             inv_data = _json(inv_data, dict)
             image = {index[k]: index[v] for k, v in inv_data.items()}
             star = tuple(map(image.get, range(n)))
-        entries = []
-        seen = set()
+        entries, seen = [], set()
         for row in data["table"]:
-            a = index[row["left"]]
-            b = index[row["right"]]
+            a, b = index[row["left"]], index[row["right"]]
             if a * n + b in seen:
                 raise InputError(f"duplicate table row ({elements[a].name}, {elements[b].name})")
             seen.add(a * n + b)
@@ -648,9 +614,7 @@ def _check_file_size(data: dict, path: str) -> None:
     elements, table = data.get("elements"), data.get("table")
     n = len(elements) if isinstance(elements, list) else 0
     if n > FILE_LIMIT_ELEMENTS:
-        raise InputError(
-            f"{path} has {n} elements, more than the limit of {FILE_LIMIT_ELEMENTS}"
-        )
+        raise InputError(f"{path} has {n} elements, more than the limit of {FILE_LIMIT_ELEMENTS}")
     rows = table if isinstance(table, list) else ()
     terms = sum(
         len(row["result"])
@@ -658,6 +622,5 @@ def _check_file_size(data: dict, path: str) -> None:
         if isinstance(row, dict) and isinstance(row.get("result"), dict)
     )
     if terms > FILE_LIMIT_TERMS:
-        raise InputError(
-            f"{path} has {terms} table terms, more than the limit of {FILE_LIMIT_TERMS}"
-        )
+        limit = f"more than the limit of {FILE_LIMIT_TERMS}"
+        raise InputError(f"{path} has {terms} table terms, {limit}")

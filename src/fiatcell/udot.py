@@ -61,11 +61,11 @@ from .shadow import (
     Element,
     InputError,
     Shadow,
-    _named,
     _pairs,
     check_associativity,
     compose,
     compose_left,
+    shadow_to_dict,
 )
 
 DESK_LIMIT = 8
@@ -412,15 +412,7 @@ def build_bn(n: int) -> Shadow:
     for i in range(n + 1):
         for j in range(n + 1):
             monomials.extend(basis[(i, j)])
-    elements = tuple(
-        Element(
-            name=m.name,
-            source=m.source,
-            target=m.target,
-            is_identity=m.is_identity,
-        )
-        for m in monomials
-    )
+    elements = tuple(Element(m.name, m.source, m.target, m.is_identity) for m in monomials)
     index = {m: k for k, m in enumerate(monomials)}
     expansions = [_fe_expansion(n, m) for m in monomials]
     by_source: dict[int, list[int]] = {}
@@ -485,6 +477,11 @@ def bn_element_monomials(n: int) -> dict[str, DPMonomial]:
         for m in mons:
             out[m.name] = m
     return out
+
+
+def _named(s: Shadow, terms: dict[Element, int]) -> dict[str, int]:
+    """terms keyed by element name, in element order."""
+    return {e.name: m for e, m in sorted(terms.items(), key=lambda t: s.index_of(t[0]))}
 
 
 def verify_relations(n: int) -> list[dict]:
@@ -736,12 +733,7 @@ def shift_shadow(s: Shadow, mons: dict[str, DPMonomial], delta: int) -> Shadow:
     def shift_elt(e: Element) -> Element:
         m = mons[e.name]
         sm = dp(m.kind, m.fpow, m.epow, m.base + delta)
-        return Element(
-            name=sm.name,
-            source=sm.source,
-            target=sm.target,
-            is_identity=sm.is_identity,
-        )
+        return Element(sm.name, sm.source, sm.target, sm.is_identity)
 
     n = len(s.elements)
     _, _, rows, order, star = s._view
@@ -763,29 +755,16 @@ def recursion_check(n: int) -> dict:
     big = build_bn(n)
     shifted = shift_shadow(build_bn(n - 2), bn_element_monomials(n - 2), 1)
     top_cell = cell_partition(big, "two-sided").class_of(big.element("1_0"))
-    quotient = quotient_by_upset(big, top_cell)
-    # each entry of the shifted table against the quotient's entry of the
-    # same pair, on the quotient's ids, terms in any order
-    q_id = [quotient._index.get(e) for e in shifted.elements]
-    q_n, s_n = len(quotient.elements), len(shifted.elements)
-    q_view, s_view = quotient._view, shifted._view
-    witnesses = []
-    for at in s_view.order:
-        a, b = divmod(at, s_n)
-        qa, qb = q_id[a], q_id[b]
-        entry = None if qa is None or qb is None else q_view.rows[qa * q_n + qb]
-        terms = {q_id[t]: m for t, m in _pairs(s_view.rows[at])}
-        if entry is None or dict(_pairs(entry)) != terms:
-            names = shifted.elements[a].name, shifted.elements[b].name
-            witnesses.append({"pair": list(names)})
-    # with the same elements, ids agree: equal when entries, objects and involution do
-    same = (quotient.objects, quotient.elements, quotient.partial, q_view.star) == (
-        shifted.objects,
-        shifted.elements,
-        shifted.partial,
-        s_view.star,
-    )
-    if witnesses or not same or sorted(q_view.order) != sorted(s_view.order):
+    # both in file form: element names, rows and terms in id order
+    quotient = shadow_to_dict(quotient_by_upset(big, top_cell))
+    shifted = shadow_to_dict(shifted)
+    entries = {(row["left"], row["right"]): row["result"] for row in quotient["table"]}
+    witnesses = [
+        {"pair": [row["left"], row["right"]]}
+        for row in shifted["table"]
+        if entries.get((row["left"], row["right"])) != row["result"]
+    ]
+    if quotient != shifted:
         witnesses.append({"quotient": "differs from shifted lower-rank shadow"})
     return check("rank-reduction-index-shift", not witnesses, witnesses)
 

@@ -25,7 +25,7 @@ from fiatcell import (
     validate_shadow,
     window_shadow,
 )
-from fiatcell import shadow, udot
+from fiatcell import udot
 from fiatcell.cli import main
 from fiatcell.shadow import shadow_from_dict, shadow_to_dict
 
@@ -645,8 +645,14 @@ def test_bn_suite_and_file_verbs_never_build_the_element_table(monkeypatch, tmp_
     path = tmp_path / "bn4.json"
     save_shadow(build_bn(4), str(path))
     derived = []
-    derive = shadow._derived
-    monkeypatch.setattr(shadow, "_derived", lambda s, name: derived.append(name) or derive(s, name))
+    derive = Shadow.__getattr__
+
+    def counting_getattr(self, name):
+        if name in ("table", "involution"):
+            derived.append(name)
+        return derive(self, name)
+
+    monkeypatch.setattr(Shadow, "__getattr__", counting_getattr)
     made = []
     init = Decomposition.__init__
 
