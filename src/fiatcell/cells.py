@@ -216,16 +216,12 @@ def is_strongly_regular(s: Shadow, two_sided_cell: frozenset[Element]) -> Regula
         for cls in cell_partition(s, "right").classes
         if cls & two_sided_cell
     ]
-    for i, li in enumerate(left):
-        for j, lj in enumerate(left):
-            if i == j:
-                continue
-            a = min(li, key=s.index_of)
-            b = min(lj, key=s.index_of)
-            if not ideals[s.index_of(b)] & ~ideals[s.index_of(a)]:
-                return RegularityResult(
-                    ok=False, witness=("comparable-left-cells", a.name, b.name)
-                )
+    first = [min(map(s.index_of, li)) for li in left]
+    for a in first:
+        for b in first:
+            if a != b and not ideals[b] & ~ideals[a]:
+                names = s.elements[a].name, s.elements[b].name
+                return RegularityResult(ok=False, witness=("comparable-left-cells", *names))
     for li in left:
         for rj in right:
             inter = li & rj

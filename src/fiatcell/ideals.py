@@ -12,9 +12,9 @@ from .cells import CellPoset, _bits, cell_data
 from .shadow import Element, InputError, Shadow, _pairs
 
 # The most thick ideals antichains lists: those of 14 incomparable cells
-# above a bottom one, 2**14 + 1. A poset with k incomparable cells has 2**k;
-# the `ideals` verb lists them at 1.1 s and 60 MB as a child process on a
-# 2-core VM, and at 2**16 + 1 took 5.4 s and 197 MB (README, "Every limit").
+# above a bottom one, 2**14 + 1. The `ideals` verb lists that many in 0.9 s
+# and 61 MB as a child process on a 2-core VM; each further incomparable
+# cell doubles the count (README, "Every limit").
 IDEALS_LIMIT = 2**14 + 1
 
 
