@@ -107,13 +107,13 @@ class Shadow:
     """Objects, elements in canonical order, the composition table, an
     optional involution and the partial flag.
 
-    Validation, the sweep and the cell engine read only the table on element
-    ids (_view, an IntView), checked on first use. The builders and the
-    loader make shadows from entries on ids (_on_ids), and their table and
-    involution are read-only mappings derived on first access; a hand-built
-    shadow keeps read-only copies of the ones it is given. So a cached shadow
-    cannot be changed under its holders; dataclasses.replace derives a
-    changed one. Cell data (cells.cell_data) is memoised on the shadow too.
+    Validation, the sweep and the cell engine read only the table on ids
+    (_view, an IntView), checked on first use. Builders and the loader make
+    shadows from entries on ids (_on_ids), whose table and involution are
+    read-only mappings derived on first access; a hand-built shadow keeps
+    read-only copies of the ones it is given. No holder can change a cached
+    shadow; dataclasses.replace derives a changed one. Cell data
+    (cells.cell_data) is memoised on the shadow too.
     """
 
     objects: tuple[int, ...]
@@ -136,8 +136,7 @@ class Shadow:
         return s
 
     def _set_up(self, objects, elements, partial, ids, **given) -> None:
-        # frozen, so the instance dict is filled directly; _ids holds the
-        # (entries, star) of a shadow made on ids, _cells the cell data
+        # frozen: fill the instance dict; _ids is (entries, star) on ids, or None
         by_name = {e.name: e for e in elements}
         index = {e: i for i, e in enumerate(elements)}
         attributes = dict(objects=objects, elements=elements, partial=partial, _ids=ids)
@@ -165,9 +164,10 @@ class Shadow:
         return _build_view(self)
 
     def element(self, name: str) -> Element:
-        if name not in self._by_name:
-            raise InputError(f"unknown element id {name!r}")
-        return self._by_name[name]
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise InputError(f"unknown element id {name!r}") from None
 
     def has_element(self, e: Element) -> bool:
         return e in self._index
