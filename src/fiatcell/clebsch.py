@@ -10,6 +10,8 @@ command line builds and verifies windows up to CLEBSCH_LIMIT.
 
 from __future__ import annotations
 
+from operator import add, sub
+
 from .checks import check
 from .shadow import Element, InputError, Shadow, check_associativity
 
@@ -68,25 +70,50 @@ def single_cell_check(max_value: int) -> bool:
     return True
 
 
+def _run(terms: tuple[int, ...]) -> tuple[int, int] | None:
+    """(lo, hi) when the terms are exactly lo, lo + 2, ..., hi, each listed
+    once; None otherwise (repeated or missing terms, or no terms)."""
+    if terms:
+        lo, hi = min(terms), max(terms)
+        if sorted(terms) == list(range(lo, hi + 1, 2)):
+            return lo, hi
+    return None
+
+
 def associativity_unbounded(max_value: int) -> tuple[bool, tuple | None]:
     """Associativity of the fusion rule with multiplicities, for all triples
     up to the bound, evaluated without any window.
 
-    cg_op is called once for each m, n <= 2 * max_value, which covers every
-    product of a product. Each result is read as a multiset (a term listed
-    twice counts twice) and packed into one integer, the sum of
-    2 ** (width * x) over its terms x. (a b) c is then the sum of packed[t][c]
-    over t in a b, and a (b c) the sum of packed[a][u] over u in b c. A slot
-    of such a sum is at most longest * heaviest: the most terms of one product
-    a b or b c, times a bound on the multiplicity of one term anywhere in the
-    table (one more than the repeated terms of its entry). width is the bit
-    length of that bound, so no slot carries into the next and two sums are
-    equal exactly when their multiplicity vectors are.
-    Triples run in lexicographic order; the first that fails is the witness.
+    cg_op is called once for each m, n <= 2 * max_value with m or n at most
+    max_value, which covers every product of a product. Each result is read
+    as a multiset (a term listed twice counts twice) and packed into one
+    integer, the sum of 2 ** (width * x) over its terms x. (a b) c is then
+    the sum of packed[t][c] over t in a b, and a (b c) the sum of
+    packed[a][u] over u in b c. A slot of such a sum is at most
+    longest * heaviest: the most terms of one product a b or b c, times a
+    bound on the multiplicity of one term in any entry read (one more than
+    the repeated terms of that entry). width is the bit length of that
+    bound, so no slot carries into the next and two sums are equal exactly
+    when their multiplicity vectors are.
+
+    The sums are compared a whole row of c at a time. A product whose terms
+    are one run lo, lo + 2, ..., hi, each listed once (as cg_op gives them),
+    sums as the difference of two step-2 prefix sums of packed: over column
+    c for a b, over row a for b c. The prefix sums themselves may carry
+    between slots, but integer subtraction is exact, so each difference is
+    the very integer the term-by-term sum gives, slots and all. Any other
+    product is summed term by term. Rows run in lexicographic order of
+    (a, b), and a row that differs is read c by c, so the witness is the
+    first failing triple in lexicographic order.
     """
     outer = range(max_value + 1)
     table = range(2 * max_value + 1)
-    terms = [[tuple(cg_op(m, n)) for n in table] for m in table]
+    cut = max_value + 1
+    # an entry with both factors above max_value is never read
+    terms = [
+        [tuple(cg_op(m, n)) if m < cut or n < cut else () for n in table]
+        for m in table
+    ]
     longest = max(len(terms[a][b]) for a in outer for b in outer)
     heaviest = max(len(ts) - len(set(ts)) + 1 for row in terms for ts in row)
     width = (longest * heaviest).bit_length()
@@ -94,13 +121,40 @@ def associativity_unbounded(max_value: int) -> tuple[bool, tuple | None]:
     slot = [1 << (width * x) for x in range(top + 1)]
     packed = [[sum(map(slot.__getitem__, ts)) for ts in row] for row in terms]
     columns = [[row[c] for row in packed].__getitem__ for c in outer]
+    # below[j]: the c-row of sums of packed[t][c] over t < j, t = j (mod 2)
+    below = [[0] * cut] * 2
+    for row in packed:
+        below.append(list(map(add, below[-2], row[:cut])))
+    runs = [[_run(ts) for ts in row[:cut]] for row in terms[:cut]]
+    # per b, the prefix indexes that give b c for every c, when all are runs
+    picks = [
+        None if None in row else ([hi + 2 for _, hi in row], [lo for lo, _ in row])
+        for row in runs
+    ]
     for a in outer:
-        row_a = packed[a].__getitem__
+        row_a = packed[a]
+        # prefix_a[j]: the sum of packed[a][u] over u < j, u = j (mod 2)
+        prefix_a = [0, 0]
+        for x in row_a:
+            prefix_a.append(prefix_a[-2] + x)
+        at = prefix_a.__getitem__
         for b in outer:
-            ab = terms[a][b]
-            for c, (column_c, bc) in enumerate(zip(columns, terms[b])):
-                if sum(map(column_c, ab)) != sum(map(row_a, bc)):
-                    return False, (a, b, c)
+            if runs[a][b]:
+                lo, hi = runs[a][b]
+                left = list(map(sub, below[hi + 2], below[lo]))
+            else:
+                left = [sum(map(column_c, terms[a][b])) for column_c in columns]
+            if picks[b]:
+                tops, bottoms = picks[b]
+                right = list(map(sub, map(at, tops), map(at, bottoms)))
+            else:
+                right = [
+                    at(run[1] + 2) - at(run[0]) if run else sum(map(row_a.__getitem__, bc))
+                    for run, bc in zip(runs[b], terms[b])
+                ]
+            if left != right:
+                c = next(c for c in outer if left[c] != right[c])
+                return False, (a, b, c)
     return True, None
 
 

@@ -18,6 +18,11 @@ from .shadow import Element, InputError, Shadow, _pairs
 IDEALS_LIMIT = 2**14 + 1
 
 
+def _past_the_limit() -> InputError:
+    limit = f"the limit of {IDEALS_LIMIT} thick ideals"
+    return InputError(f"the cell poset has more than {limit}")
+
+
 def antichains(poset: CellPoset) -> list[tuple[int, ...]]:
     """All antichains of cell indexes, the empty one first, in a canonical
     order (by size, then lexicographically). More than IDEALS_LIMIT of them
@@ -37,8 +42,7 @@ def antichains(poset: CellPoset) -> list[tuple[int, ...]]:
         start = combo[-1] + 1 if combo else 0
         out.extend(combo + (j,) for j in range(start, n) if not blocked >> j & 1)
         if len(out) > IDEALS_LIMIT:
-            limit = f"the limit of {IDEALS_LIMIT} thick ideals"
-            raise InputError(f"the cell poset has more than {limit}")
+            raise _past_the_limit()
     return out
 
 
@@ -66,7 +70,9 @@ def upsets_by_enumeration(poset: CellPoset) -> list[frozenset[int]]:
 
     Up-sets are grown from the empty one, adding one cell at a time whose
     strict upper bounds are all already in, so the work follows the number
-    of up-sets rather than the number of subsets.
+    of up-sets rather than the number of subsets. More than IDEALS_LIMIT of
+    them is an InputError, raised as soon as the list passes it; the count
+    is its own, not the antichains'.
     """
     grown, seen = [0], {0}
     for mask in grown:
@@ -75,6 +81,8 @@ def upsets_by_enumeration(poset: CellPoset) -> list[frozenset[int]]:
             if not above & ~bigger and bigger not in seen:
                 seen.add(bigger)
                 grown.append(bigger)
+        if len(grown) > IDEALS_LIMIT:
+            raise _past_the_limit()
     return [frozenset(_bits(mask)) for mask in sorted(grown)]
 
 

@@ -173,6 +173,9 @@ RECORDED_DIGESTS = {
     "verify clebsch --max 25": (
         "9a2cc0f8173c72fd71c1a4b8e00d14afc0a1bbe6648b88c1f80ff61283b3615c"
     ),
+    "verify clebsch --max 90": (
+        "504c19344ae8751d455a4a00dd34d022c33f810c4140b68073c7eb7753f04fae"
+    ),
     "bn4 check": (
         "ec77b35dac15719d01730b5df73b79a90740506ec716c220caecbc320ae01666"
     ),
@@ -272,6 +275,7 @@ def test_cli_outputs_match_recorded_digests(tmp_path):
     runs = {
         "verify bn --n 1..8": (["verify", "bn", "--n", "1..8"], None),
         "verify clebsch --max 25": (["verify", "clebsch", "--max", "25"], None),
+        "verify clebsch --max 90": (["verify", "clebsch", "--max", "90"], None),
     }
     files = {"bn4": (["bn", "--n", "4"], "1_1"), "cg6": (["clebsch", "--max", "6"], "2")}
     for stem, (build, element) in files.items():

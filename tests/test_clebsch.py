@@ -115,6 +115,28 @@ def test_set_level_fault_has_the_reference_witness(monkeypatch, max_value):
     assert associativity_unbounded(max_value) == expected
 
 
+def _shifted_run(m, n):
+    """Every product still a run, not associative: 3 1 is {0, 2}, not {2, 4}."""
+    terms = cg_op(m, n)
+    return frozenset(x - 2 for x in terms) if (m, n) == (3, 1) else terms
+
+
+def _one_gap(m, n):
+    """2 2 is {0, 4}: the only product that is not a run, so the rows of
+    (a, 2) compare prefix differences and one term-by-term sum."""
+    return frozenset({0, 4}) if (m, n) == (2, 2) else cg_op(m, n)
+
+
+@pytest.mark.parametrize("rule", [_shifted_run, _one_gap])
+@pytest.mark.parametrize("max_value", range(1, 9))
+def test_row_comparison_has_the_reference_witness(monkeypatch, rule, max_value):
+    expected = _multiset(rule, max_value)
+    # from K = 2 the changed product is read
+    assert expected[0] == (max_value < 2)
+    monkeypatch.setattr(clebsch, "cg_op", rule)
+    assert associativity_unbounded(max_value) == expected
+
+
 @pytest.mark.parametrize("max_value", [2, 6])
 def test_repeated_terms_cannot_overflow_a_slot(monkeypatch, max_value):
     # every term K + 2 times scales both sides by (K + 2)^2: still

@@ -19,6 +19,7 @@ from fiatcell import (
     validate_shadow,
     window_shadow,
 )
+from fiatcell.ideals import IDEALS_LIMIT
 from fiatcell.udot import bn_element_monomials, shift_shadow
 
 
@@ -178,6 +179,18 @@ def test_family_orders_match_subset_scans(build, sizes):
         s = build(size)
         poset = cell_poset(s)
         assert_matches_references(poset, reference_relation(s, poset))
+
+
+def test_upset_enumeration_refuses_past_the_ideal_limit():
+    def bottom_below(k):
+        # x0 below k incomparable cells: 2**k + 1 up-sets
+        relation = {(i, i) for i in range(k + 1)} | {(0, j) for j in range(1, k + 1)}
+        return cell_poset(order_shadow(k + 1, relation))
+
+    assert IDEALS_LIMIT == 2**14 + 1
+    assert len(upsets_by_enumeration(bottom_below(14))) == 2**14 + 1
+    with pytest.raises(InputError, match=f"more than the limit of {IDEALS_LIMIT} thick ideals"):
+        upsets_by_enumeration(bottom_below(15))
 
 
 def test_thick_ideal_count_matches_upsets():
