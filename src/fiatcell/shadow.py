@@ -384,10 +384,15 @@ def _pack(s: Shadow, rows, order) -> tuple[list[int], int]:
     mass = max((sum(rows[at][1::2]) for at in order), default=0)
     width = (mass * mass).bit_length()
     absent = -1 << (width * max(slots.values(), default=0))
+    shift = [width * k for k in slot]
     n = len(s.elements)
     packed = [absent] * (n * n)
     for at in order:
-        packed[at] = sum(m << width * slot[t] for t, m in _pairs(rows[at]))
+        row = rows[at]
+        if len(row) == 2:  # one term, the common case
+            packed[at] = row[1] << shift[row[0]]
+        else:
+            packed[at] = sum(m << shift[t] for t, m in _pairs(row))
     return packed, absent
 
 
@@ -404,23 +409,43 @@ def check_associativity(s: Shadow) -> AssociativityReport:
     c with target source(b). When the two are equal and neither took in an
     absent entry, every triple of the row is checked; otherwise the row is
     walked triple by triple.
+
+    On a full table validation has already proved some rows; they are
+    counted as checked without being swept, so checked still counts every
+    composable triple. Identities act strictly, so every triple whose a or b
+    is an identity holds. The involution is a self-inverse anti-homomorphism
+    on every entry, so (a b) c and a (b c) are the stars of c* (b* a*) and
+    (c* b*) a*: a triple fails exactly when its dual (c*, b*, a*) does. A
+    row whose middle b has star[b] < b is not swept, since the dual of each
+    of its triples lies in a row whose middle b* has star[b*] > b*. The
+    failing triples are then exactly those found plus their duals, and the
+    witness is the first of them. A partial shadow sweeps every row: its
+    involution is checked only on the entries whose dual is present.
     """
     try:
         validate_shadow(s)
-        source, by_target, rows, order, _ = s._view
+        source, by_target, rows, order, star = s._view
     except StructureError as err:
         return AssociativityReport(status="structural-error", message=str(err))
 
     n = len(s.elements)
+    full = not s.partial
+    dual = star if full else None
+    # full tables only: the rows (a, b) with identity[a] or proved[b] are proved
+    identity = [full and e.is_identity for e in s.elements]
+    proved = [x or (dual is not None and dual[b] < b) for b, x in enumerate(identity)]
     packed, absent = _pack(s, rows, order)
     # cols[t]: t c packed, for each c with target source(t)
     cols = [[packed[t * n + c] for c in by_target[source[t]]] for t in range(n)]
     # b's c-row as flat terms, an absent b c as the term (n, 1): a pick of
     # their ids from an a-row, their multiplicities (None when all are 1)
     # and a pick of the prefix sums that end each c's terms (None when each
-    # c has one term)
-    c_rows = []
+    # c has one term); None for a proved middle
+    c_rows: list[tuple | None] = []
     for b in range(n):
+        if proved[b]:
+            c_rows.append(None)
+            continue
         us: list[int] = []
         ks: list[int] = []
         ends = []
@@ -436,7 +461,7 @@ def check_associativity(s: Shadow) -> AssociativityReport:
         c_rows.append((_pick(us), None if ones else ks, None if one_each else _pick(ends)))
 
     checked = skipped = 0
-    failure = None
+    first = (n, n, n)  # the first failing triple; past every triple until one fails
     for a in range(n):
         a_row = a * n
         a_packed = packed[a_row : a_row + n]
@@ -446,6 +471,9 @@ def check_associativity(s: Shadow) -> AssociativityReport:
             cs = by_target[source[b]]
             if ab is None:
                 skipped += len(cs)
+                continue
+            if identity[a] or proved[b]:
+                checked += len(cs)
                 continue
             # (a b) c for each c
             scaled = [cols[t] if m == 1 else [m * x for x in cols[t]] for t, m in _pairs(ab)]
@@ -473,15 +501,17 @@ def check_associativity(s: Shadow) -> AssociativityReport:
                     skipped += 1
                     continue
                 checked += 1
-                if x != y and failure is None:
-                    left_terms = _combine(rows, ab, c, n)
-                    right_terms = _combine(rows, rows[b * n + c], a_row, 1)
-                    failure = _witness(s, (a, b, c), left_terms, right_terms)
-    if failure is not None:
-        return AssociativityReport(
-            status="fail", checked=checked, skipped=skipped, failure=failure
-        )
-    return AssociativityReport(status="pass", checked=checked, skipped=skipped)
+                if x != y:
+                    first = min(first, (a, b, c))
+                    if dual is not None:
+                        first = min(first, (dual[c], dual[b], dual[a]))
+    if first[0] == n:
+        return AssociativityReport(status="pass", checked=checked, skipped=skipped)
+    a, b, c = first
+    left_terms = _combine(rows, rows[a * n + b], c, n)
+    right_terms = _combine(rows, rows[b * n + c], a * n, 1)
+    failure = _witness(s, first, left_terms, right_terms)
+    return AssociativityReport(status="fail", checked=checked, skipped=skipped, failure=failure)
 
 
 def _witness(s: Shadow, triple, left: dict[int, int], right: dict[int, int]) -> dict:

@@ -413,7 +413,8 @@ def build_bn(n: int) -> Shadow:
         for j in range(n + 1):
             monomials.extend(basis[(i, j)])
     elements = tuple(Element(m.name, m.source, m.target, m.is_identity) for m in monomials)
-    index = {m: k for k, m in enumerate(monomials)}
+    # monomials by (kind, fpow, epow, base), the fields of a DPMonomial
+    index = {(m.kind, m.fpow, m.epow, m.base): k for k, m in enumerate(monomials)}
     expansions = [_fe_expansion(n, m) for m in monomials]
     by_source: dict[int, list[int]] = {}
     for k, m in enumerate(monomials):
@@ -425,18 +426,18 @@ def build_bn(n: int) -> Shadow:
         terms: itself on an FE-quadrant pair, else exchanged to EF form by
         F^(b) E^(a) 1_i = sum_j C(b - a - w, j) E^(a-j) F^(b-j) 1_i."""
         if f == 0 or e == 0 or 2 * i + f - e < n:
-            mons = ((dp("fe", f, e, i), 1),)
+            keys: tuple = ((("fe", f, e, i), 1),)
         else:
             top = f - e - weight(n, i)
-            mons = tuple(
-                (dp("ef", f - j, e - j, i), c)
+            keys = tuple(
+                (("ef" if j < min(e, f) else "fe", f - j, e - j, i), c)
                 for j in range(max(0, i + f - n), min(e, f) + 1)
                 if (c := gen_binom(top, j))
             )
-        for m, _ in mons:
-            if m not in index:
-                raise ConsistencyError(f"{m.name} is not a basis monomial")
-        return tuple((index[m], c) for m, c in mons)
+        for key, _ in keys:
+            if key not in index:
+                raise ConsistencyError(f"{dp(*key).name} is not a basis monomial")
+        return tuple((index[key], c) for key, c in keys)
 
     entries = []
     for kb, b_mon in enumerate(monomials):
@@ -466,7 +467,8 @@ def build_bn(n: int) -> Shadow:
                 if out[k]:
                     row += (k, out[k])
             entries.append((ka, kb, tuple(row)))
-    star = tuple(index[m.star()] for m in monomials)
+    # m.star() by its key: pure monomials are kind "fe" either way
+    star = tuple(index[(m.kind, m.epow, m.fpow, m.target)] for m in monomials)
     return Shadow._on_ids(tuple(range(n + 1)), elements, entries, star)
 
 

@@ -227,6 +227,12 @@ RECORDED_DIGESTS = {
     "non-associative check": (
         "818a25aa45e4322877f8b89f3f464d0fd160b77bf1262d42c8226a194a217291"
     ),
+    "non-associative check with involution": (
+        "58a9b1cdf64c0cc5819f8544abaac2b848b1e3786b14d7f5acf18deb5eedb337"
+    ),
+    "bn8 check": (
+        "ad6ade0f60e2187c0630650ca17d0d5e3c72b8e161a83c52a52e55bf140f3591"
+    ),
     "verify schur": (
         "1a2dd1dcc2124377f66bd79c018f04377e9084fd9899bb3b3f800c9d1a62df26"
     ),
@@ -260,6 +266,21 @@ def _non_associative_shadow():
     return Shadow(objects=(0,), elements=(e, t, u), table=table)
 
 
+def _non_associative_shadow_with_involution():
+    # x* = y; every product is 0 but y x = e, so (x y) x = 0 while
+    # x (y x) = x: the first failing triple has the middle y, whose star x
+    # comes first, and is the dual of (y, x, y)
+    e = Element("e", 0, 0, is_identity=True)
+    x = Element("x", 0, 0)
+    y = Element("y", 0, 0)
+    table = {(a, b): Decomposition() for a in (x, y) for b in (x, y)}
+    for a in (e, x, y):
+        table[(a, e)] = Decomposition({a: 1})
+        table[(e, a)] = Decomposition({a: 1})
+    table[(y, x)] = Decomposition({e: 1})
+    return Shadow(objects=(0,), elements=(e, x, y), table=table, involution={e: e, x: y, y: x})
+
+
 def _cli_digest(argv, written=None):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -291,6 +312,12 @@ def test_cli_outputs_match_recorded_digests(tmp_path):
     path = tmp_path / "toy.json"
     save_shadow(_non_associative_shadow(), str(path))
     runs["non-associative check"] = (["check", str(path)], None)
+    path = tmp_path / "dual.json"
+    save_shadow(_non_associative_shadow_with_involution(), str(path))
+    runs["non-associative check with involution"] = (["check", str(path)], None)
+    path = tmp_path / "bn8.json"
+    assert main(["build", "bn", "--n", "8", "-o", str(path)]) == 0
+    runs["bn8 check"] = (["check", str(path)], None)
     runs["verify schur"] = (["verify", "schur"], None)
     runs["verify schur --n 1..2 --r 8"] = (["verify", "schur", "--n", "1..2", "--r", "8"], None)
     runs["verify schur --n 3 --r 8"] = (["verify", "schur", "--n", "3", "--r", "8"], None)

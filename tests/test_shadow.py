@@ -427,6 +427,85 @@ def test_sweep_matches_reference_on_families_and_seeded_corruptions():
     assert (statuses.count("pass"), statuses.count("fail")) == (32, 32)
 
 
+def _dual_corrupted(s, rng):
+    """s with a term t in its hom space added to a non-identity entry (a, b)
+    and t* added to (b*, a*), so that the involution is still an
+    anti-homomorphism; a self-dual entry gets both."""
+    inv = s.involution
+    a, b = rng.choice(_non_identity_pairs(s))
+    t = rng.choice([e for e in s.elements if (e.source, e.target) == (b.source, a.target)])
+    table = dict(s.table)
+    table[(a, b)] += Decomposition({t: 1})
+    table[(inv[b], inv[a])] += Decomposition({inv[t]: 1})
+    return replace(s, table=table)
+
+
+def _swept_as_reference(s):
+    """Assert that check_associativity agrees with reference_sweep on s;
+    return "pass", or for a failure whether the first failing triple's
+    middle b is swept ("fail") or left to its dual because b* comes first
+    ("dual")."""
+    validate_shadow(s)
+    report = check_associativity(s)
+    status, checked, skipped, failure = reference_sweep(s)
+    assert (report.status, report.checked, report.skipped) == (status, checked, skipped)
+    assert json.dumps(report.failure) == json.dumps(failure)
+    if failure is None:
+        return "pass"
+    b = s.element(failure["triple"][1])
+    return "dual" if s.index_of(s.involution[b]) < s.index_of(b) else "fail"
+
+
+def test_sweep_with_the_involution_matches_reference_on_bn():
+    outcomes = [
+        _swept_as_reference(_dual_corrupted(build_bn(rank), random.Random(100 * rank + seed)))
+        for rank in range(1, 7)
+        for seed in range(4)
+    ]
+    # the first failure has a middle E..., whose star F... comes first
+    assert outcomes == ["dual"] * 24
+
+
+@pytest.mark.parametrize("swapped, counts", [(True, (4, 119, 5)), (False, (40, 472, 0))])
+def test_sweep_with_the_involution_matches_reference_on_two_elements(swapped, counts):
+    # every table on e, x, y with multiplicities 0 or 1 for which the
+    # involution, x* = y or x and y fixed, is an anti-homomorphism
+    x, y = Element("x", 0, 0), Element("y", 0, 0)
+    inv = {E: E, x: y, y: x} if swapped else {E: E, x: x, y: y}
+    pairs = [(x, x), (x, y), (y, x), (y, y)]
+    outcomes = []
+    for bits in range(2**12):
+        table = {
+            pair: Decomposition({t: 1 for k, t in enumerate((E, x, y)) if bits >> (3 * i + k) & 1})
+            for i, pair in enumerate(pairs)
+        }
+        s = one_object_shadow(table, elements=(E, x, y), involution=inv)
+        try:
+            validate_shadow(s)
+        except StructureError:
+            continue
+        outcomes.append(_swept_as_reference(s))
+    assert (outcomes.count("pass"), outcomes.count("fail"), outcomes.count("dual")) == counts
+
+
+def test_partial_sweep_keeps_the_rows_whose_dual_is_absent():
+    # x* = y and y y is absent, so (x x)* is not validated; y x = x + y.
+    # (x y) x = 0 but x (y x) = x x + x y = x, while the dual triple
+    # (y, x, y) needs (y x) y = x y + y y and is skipped
+    x, y = Element("x", 0, 0), Element("y", 0, 0)
+    table = {
+        (x, x): Decomposition({x: 1}),
+        (x, y): Decomposition(),
+        (y, x): Decomposition({x: 1, y: 1}),
+    }
+    s = one_object_shadow(table, elements=(E, x, y), involution={E: E, x: y, y: x}, partial=True)
+    validate_shadow(s)
+    report = check_associativity(s)
+    assert report.failure == {"triple": ["x", "y", "x"], "left": {}, "right": {"x": 1}}
+    assert reference_sweep(s) == ("fail", 20, 7, report.failure)
+    assert (report.checked, report.skipped) == (20, 7)
+
+
 def test_sweep_on_formal_zero_entries():
     zero = Decomposition.zero()
     # t t = u, and u is annihilated on both sides
