@@ -12,7 +12,8 @@ Run with: python3 demos/rsk_cells.py
 import json
 
 from fiatcell import MarginMatrix, cells_via_rsk, rsk, rsk_inverse, schur_report
-from fiatcell.schur import antidominant_pair, double_coset_count
+from fiatcell.schur import double_coset_count
+from fiatcell.tableaux import antidominant_pair
 
 
 def show_pair(pair):

@@ -24,27 +24,14 @@ _EXPORTS = {
         "poset_to_dot",
         "principal_ideal",
     ),
+    "checks": ("ConsistencyError", "FiatcellError", "InputError", "StructureError"),
     "clebsch": ("cg_op", "single_cell_check", "verify_clebsch", "window_shadow"),
     "ideals": ("antichains", "quotient_by_upset", "thick_ideals", "upsets_by_enumeration"),
-    "schur": (
-        "MarginMatrix",
-        "RskPair",
-        "Tableau",
-        "cells_via_rsk",
-        "enumerate_dominant",
-        "rsk",
-        "rsk_inverse",
-        "schur_report",
-        "verify_schur",
-    ),
+    "schur": ("enumerate_dominant", "schur_report", "verify_schur"),
     "shadow": (
-        "ConsistencyError",
         "Decomposition",
         "Element",
-        "FiatcellError",
-        "InputError",
         "Shadow",
-        "StructureError",
         "check_associativity",
         "compose",
         "compose_left",
@@ -53,6 +40,7 @@ _EXPORTS = {
         "save_shadow",
         "validate_shadow",
     ),
+    "tableaux": ("MarginMatrix", "RskPair", "Tableau", "cells_via_rsk", "rsk", "rsk_inverse"),
     "udot": (
         "DPMonomial",
         "basis_change",

@@ -12,17 +12,14 @@ from __future__ import annotations
 
 from operator import add, sub
 
-from .checks import check
+from .checks import check, check_range
 from .shadow import Element, InputError, Shadow, check_associativity
 
 CLEBSCH_LIMIT = 90
 
 
 def check_clebsch_max(max_value: int) -> None:
-    if not 0 <= max_value <= CLEBSCH_LIMIT:
-        raise InputError(
-            f"window bound must be between 0 and {CLEBSCH_LIMIT}, got {max_value}"
-        )
+    check_range("window bound", max_value, 0, CLEBSCH_LIMIT)
 
 
 def cg_op(m: int, n: int) -> frozenset[int]:
@@ -39,8 +36,7 @@ def window_shadow(max_value: int) -> Shadow:
     pair makes the shadow partial. The involution is the identity map
     (every summand is self-dual).
     """
-    if max_value < 0:
-        raise InputError("window bound must be nonnegative")
+    check_clebsch_max(max_value)
     elements = tuple(
         Element(name=str(v), source=0, target=0, is_identity=(v == 0))
         for v in range(max_value + 1)
@@ -160,6 +156,7 @@ def associativity_unbounded(max_value: int) -> tuple[bool, tuple | None]:
 
 def verify_clebsch(max_value: int) -> list[dict]:
     """Check suite for the fusion structure and its window shadow."""
+    check_clebsch_max(max_value)
     ok, witness = associativity_unbounded(max_value)
     unit_ok = all(
         cg_op(0, a) == {a} and cg_op(a, 0) == {a} for a in range(max_value + 1)

@@ -6,7 +6,9 @@ invocations produce byte-identical output. Exit codes: 0 all good, 1 a
 check reported a failure, 2 bad input or a structurally invalid file.
 
 Each verb imports what it runs when it runs, so a process loads only the
-modules of its own verb: `check` and `export` need `shadow` alone.
+modules of its own verb: `check` and `export` need `shadow` alone, and the
+schur verbs load `schur` and no shadow layer. The error types come from
+`checks`, which every verb loads anyway.
 """
 
 from __future__ import annotations
@@ -15,16 +17,12 @@ import argparse
 import json
 import sys
 from itertools import chain, islice
+from typing import TYPE_CHECKING
 
-from .checks import status
-from .shadow import (
-    ConsistencyError,
-    InputError,
-    Shadow,
-    StructureError,
-    load_shadow,
-    validate_shadow,
-)
+from .checks import ConsistencyError, InputError, StructureError, status
+
+if TYPE_CHECKING:
+    from .shadow import Shadow
 
 BN_DEFAULT_RANGE = "1..6"
 SCHUR_DEFAULT_N = "1..3"
@@ -77,6 +75,8 @@ def _emit(doc: dict, path: str | None) -> None:
 
 
 def _load(path: str) -> Shadow:
+    from .shadow import load_shadow, validate_shadow
+
     s = load_shadow(path)
     try:
         validate_shadow(s)
@@ -86,15 +86,15 @@ def _load(path: str) -> Shadow:
 
 
 def cmd_build(args) -> int:
-    from .shadow import dumps_shadow
-
     if args.construction == "bn":
+        from .shadow import dumps_shadow
         from .udot import build_bn
 
         _write_text([dumps_shadow(build_bn(args.n))], args.output)
         return 0
     if args.construction == "clebsch":
         from .clebsch import check_clebsch_max, window_shadow
+        from .shadow import dumps_shadow
 
         check_clebsch_max(args.max)
         _write_text([dumps_shadow(window_shadow(args.max))], args.output)
@@ -107,7 +107,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .shadow import check_associativity
+    from .shadow import check_associativity, load_shadow
 
     s = load_shadow(args.path)
     report = check_associativity(s)

@@ -8,33 +8,30 @@ cells are the fibers of A -> P, right cells the fibers of A -> Q, two-sided
 cells the fibers of the shape. No composition table exists at this level
 (structure constants would need canonical-basis data), so only the
 intersection half of strong regularity is checked.
+
+Everything here runs on row tuples: a matrix or a tableau is a tuple of
+row tuples. The validated dataclasses over these kernels (`MarginMatrix`,
+`Tableau`, `RskPair`, `cells_via_rsk`) live in `tableaux`, so the check
+suite and the command-line verbs load no `dataclasses`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement, groupby, product
+from itertools import accumulate, combinations_with_replacement, groupby
 from math import comb
-from typing import TYPE_CHECKING
 
-from .checks import check
-from .shadow import ConsistencyError, InputError
-
-if TYPE_CHECKING:
-    from .cells import CellPartition
+from .checks import ConsistencyError, InputError, check, check_range
 
 SCHUR_LIMIT_N = 4
 SCHUR_LIMIT_R = 8
 
 
 def check_schur_rank(n: int, r: int) -> None:
-    if not 1 <= n <= SCHUR_LIMIT_N:
-        raise InputError(f"n must be between 1 and {SCHUR_LIMIT_N}, got {n}")
-    if not 1 <= r <= SCHUR_LIMIT_R:
-        raise InputError(f"r must be between 1 and {SCHUR_LIMIT_R}, got {r}")
+    check_range("n", n, 1, SCHUR_LIMIT_N)
+    check_range("r", r, 1, SCHUR_LIMIT_R)
 
 
 def enumerate_dominant(n: int, r: int) -> list[tuple[int, ...]]:
@@ -60,28 +57,6 @@ def vector_content(v, n: int) -> tuple[int, ...]:
             raise InputError(f"entry {x} is outside 1..{n}")
         out[x - 1] += 1
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class MarginMatrix:
-    """Square nonnegative integer matrix; rows index the target-side word,
-    columns the source-side word."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        if n == 0:
-            raise InputError("empty matrix")
-        for row in self.entries:
-            if len(row) != n:
-                raise InputError("matrix is not square")
-            for x in row:
-                if x < 0:
-                    raise InputError(f"negative entry {x}")
-
-    def transpose(self) -> "MarginMatrix":
-        return MarginMatrix(tuple(zip(*self.entries)))
 
 
 @lru_cache(maxsize=None)
@@ -120,44 +95,24 @@ def _tables(mu: tuple[int, ...], nu: tuple[int, ...]) -> list[tuple[tuple[int, .
     return [prefix + _bounded(mu[-1], cols) for prefix, cols in partial]
 
 
-@dataclass(frozen=True)
-class Tableau:
-    """Semistandard Young tableau: weakly increasing rows, strictly
-    increasing columns, positive entries."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        lengths = [len(r) for r in self.rows]
-        if any(l == 0 for l in lengths):
-            raise InputError("empty tableau row")
-        if any(a < b for a, b in zip(lengths, lengths[1:])):
-            raise InputError("row lengths must weakly decrease")
-        for row in self.rows:
-            if any(x < 1 for x in row):
-                raise InputError("tableau entries must be positive")
-            if any(a > b for a, b in zip(row, row[1:])):
-                raise InputError("rows must weakly increase")
-        for i in range(1, len(self.rows)):
-            upper, lower = self.rows[i - 1], self.rows[i]
-            if any(upper[j] >= lower[j] for j in range(len(lower))):
-                raise InputError("columns must strictly increase")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self.rows)
-
-
-@dataclass(frozen=True)
-class RskPair:
-    """Insertion tableau and recording tableau of equal shape."""
-
-    p: Tableau
-    q: Tableau
-
-    def __post_init__(self) -> None:
-        if self.p.shape != self.q.shape:
-            raise InputError("tableaux have different shapes")
+def _check_tableau(rows) -> None:
+    """Raise InputError unless rows, a tuple of row tuples, form a
+    semistandard tableau: nonempty rows of weakly decreasing length,
+    positive entries, weakly increasing rows, strictly increasing columns."""
+    lengths = [len(r) for r in rows]
+    if any(l == 0 for l in lengths):
+        raise InputError("empty tableau row")
+    if any(a < b for a, b in zip(lengths, lengths[1:])):
+        raise InputError("row lengths must weakly decrease")
+    for row in rows:
+        if any(x < 1 for x in row):
+            raise InputError("tableau entries must be positive")
+        if any(a > b for a, b in zip(row, row[1:])):
+            raise InputError("rows must weakly increase")
+    for i in range(1, len(rows)):
+        upper, lower = rows[i - 1], rows[i]
+        if any(upper[j] >= lower[j] for j in range(len(lower))):
+            raise InputError("columns must strictly increase")
 
 
 def _insert(a: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple]:
@@ -205,22 +160,6 @@ def _reverse(p, q, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, entries))
 
 
-def rsk(a: MarginMatrix) -> RskPair:
-    """Row insertion of the biword: bottom letters build the insertion
-    tableau, top letters record the growth."""
-    p, q = _insert(a.entries)
-    return RskPair(p=Tableau(p), q=Tableau(q))
-
-
-def rsk_inverse(pair: RskPair, n: int) -> MarginMatrix:
-    """The unique matrix inserting to the given pair."""
-    for t in (pair.p, pair.q):
-        for row in t.rows:
-            if any(x > n for x in row):
-                raise InputError(f"tableau entry {max(row)} exceeds n={n}")
-    return MarginMatrix(_reverse(pair.p.rows, pair.q.rows, n))
-
-
 def partitions_at_most(r: int, parts: int, max_part: int | None = None):
     """Partitions of r with at most the given number of parts, largest
     first."""
@@ -251,18 +190,17 @@ def _partition(shape, n: int) -> tuple[int, ...]:
     return shape
 
 
-def ssyt_of_shape(shape, n: int) -> list[Tableau]:
-    """All semistandard tableaux of a shape with entries at most n."""
+def _ssyt_rows(shape, n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All semistandard tableaux of a shape with entries at most n, as row
+    tuples, filled cell by cell in row-major order."""
     shape = _partition(shape, n)
-    if not shape:
-        return [Tableau(())]
     rows = [[0] * c for c in shape]
     cells = [(i, j) for i, c in enumerate(shape) for j in range(c)]
-    out: list[Tableau] = []
+    out = []
 
     def fill(idx: int) -> None:
         if idx == len(cells):
-            out.append(Tableau(tuple(tuple(r) for r in rows)))
+            out.append(tuple(tuple(r) for r in rows))
             return
         i, j = cells[idx]
         lo = 1
@@ -295,48 +233,8 @@ def count_ssyt(shape, n: int) -> int:
     return num // den
 
 
-@dataclass(frozen=True)
-class RskCells:
-    """The three cell partitions of the margin-matrix basis, on row tuples."""
-
-    matrices: tuple[tuple[tuple[int, ...], ...], ...]
-    left: CellPartition
-    right: CellPartition
-    two_sided: CellPartition
-
-
-def cells_via_rsk(n: int, r: int) -> RskCells:
-    """Left cells are fibers of the insertion tableau, right cells fibers of
-    the recording tableau, two-sided cells fibers of the shape. Matrices and
-    class members are row tuples (`MarginMatrix.entries`), matrices ordered
-    by (row margins, column margins, entries), classes in the order of their
-    first members.
-    Each matrix is inserted once, each distinct P and Q validated once as a
-    `Tableau`."""
-    from .cells import CellPartition  # here, so the schur verbs skip cells
-
-    check_schur_rank(n, r)
-    margins = _margins(n, r)
-    matrices = tuple(a for mu, nu in product(margins, repeat=2) for a in _tables(mu, nu))
-    # dicts keep first-seen order, so classes come ordered by first member
-    left, right, shapes = {}, {}, {}
-    for a in matrices:
-        p, q = _insert(a)
-        shape = tuple(map(len, p))
-        if tuple(map(len, q)) != shape:
-            raise ConsistencyError(f"P and Q of {a} have different shapes")
-        left.setdefault(p, []).append(a)
-        right.setdefault(q, []).append(a)
-        shapes.setdefault(shape, []).append(a)
-    for t in (*left, *right):
-        Tableau(t)
-    kinds = (("left", left), ("right", right), ("two-sided", shapes))
-    partitions = (CellPartition(k, tuple(map(frozenset, f.values()))) for k, f in kinds)
-    return RskCells(matrices, *partitions)
-
-
 def _antidominant(a) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """`antidominant_pair` on row tuples."""
+    """`tableaux.antidominant_pair` on row tuples."""
     v: list[int] = []
     x: list[int] = []
     l = len(a)
@@ -356,17 +254,6 @@ def _pair_rows(n: int, v, x) -> tuple[tuple[int, ...], ...]:
     for vp, xp in zip(v, x):
         entries[xp - 1][vp - 1] += 1
     return tuple(map(tuple, entries))
-
-
-def antidominant_pair(a: MarginMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(dominant source vector, block-sorted target vector) of a matrix.
-
-    The source vector lists column indexes weakly decreasing; within each
-    block of equal source entries the target vector lists the matching
-    column of the matrix weakly increasing, the antidominant representative
-    of its coset.
-    """
-    return _antidominant(a.entries)
 
 
 def antidominant_count(n: int, v) -> int:
@@ -465,10 +352,12 @@ def _suite(n: int, r: int) -> tuple[list[dict], dict]:
     each bucket is distinctness over the basis. The per-shape table holds
     the matrix count, each distinct P and Q with its content, and the
     shape's least (row margins, column margins, entries) key; shapes are
-    reported in that key's order, the order of `cells_via_rsk`'s two-sided
-    classes. Each distinct P and Q is validated once as a `Tableau` of its
-    shape. The double-coset cross-check covers every margin pair at every
-    rank, with one orbit walk per pair of sorted margins."""
+    reported in that key's order, the order of the two-sided classes of
+    `tableaux.cells_via_rsk`. Each distinct P and Q is validated once as a
+    tableau of its shape (`_check_tableau`), and so is each tableau the
+    enumeration counts for the SSYT identity. The double-coset cross-check
+    covers every margin pair at every rank, with one orbit walk per pair of
+    sorted margins."""
     dominant = enumerate_dominant(n, r)
     margins = _margins(n, r)
     by_margins: dict = {}  # (row margins, column margins) -> matrices
@@ -532,7 +421,8 @@ def _suite(n: int, r: int) -> tuple[list[dict], dict]:
     for shape, (_, _, lefts, rights) in by_shape.items():
         for t in (*lefts, *rights):
             try:
-                ok = Tableau(t).shape == shape
+                _check_tableau(t)
+                ok = tuple(map(len, t)) == shape
             except InputError:
                 ok = False
             if not ok:
@@ -552,7 +442,12 @@ def _suite(n: int, r: int) -> tuple[list[dict], dict]:
             anti_bad.append({"vector": list(v)})
 
     shapes = list(partitions_at_most(r, n))
-    by_enum = {shape: len(ssyt_of_shape(shape, n)) for shape in shapes}
+    by_enum = {}
+    for shape in shapes:
+        filled = _ssyt_rows(shape, n)
+        for t in filled:
+            _check_tableau(t)
+        by_enum[shape] = len(filled)
     by_hook = {shape: count_ssyt(shape, n) for shape in shapes}
     identity_ok = (
         by_enum == by_hook

@@ -24,21 +24,7 @@ from operator import itemgetter, mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
 
-
-class FiatcellError(Exception):
-    pass
-
-
-class InputError(FiatcellError):
-    """Bad user input: unknown ids, malformed files, out-of-range sizes."""
-
-
-class StructureError(FiatcellError):
-    """A shadow violates a structural invariant."""
-
-
-class ConsistencyError(FiatcellError):
-    """An internal computation produced an impossible value."""
+from .checks import ConsistencyError, FiatcellError, InputError, StructureError  # noqa: F401
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ from .cells import (
     is_strongly_regular,
     m_values,
 )
-from .checks import check
+from .checks import check, check_range
 from .ideals import quotient_by_upset, thick_ideals, upsets_by_enumeration
 from .shadow import (
     ConsistencyError,
@@ -72,8 +72,7 @@ DESK_LIMIT = 8
 
 
 def check_bn_rank(n: int) -> None:
-    if not 1 <= n <= DESK_LIMIT:
-        raise InputError(f"rank must be between 1 and {DESK_LIMIT}, got {n}")
+    check_range("rank", n, 1, DESK_LIMIT)
 
 
 def weight(n: int, i: int) -> int:

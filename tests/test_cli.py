@@ -76,6 +76,20 @@ def test_build_bn_rejects_out_of_range(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_internal_inconsistency_exits_one(monkeypatch, capsys):
+    from fiatcell import schur
+    from fiatcell.checks import ConsistencyError
+
+    def broken(a):
+        raise ConsistencyError("insertion lost a letter")
+
+    monkeypatch.setattr(schur, "_insert", broken)
+    assert main(["build", "schur", "--n", "1", "--r", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal inconsistency: insertion lost a letter\n"
+
+
 def test_build_clebsch_zero(capsys):
     assert main(["build", "clebsch", "--max", "0"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -304,6 +318,31 @@ def test_clebsch_refuses_bound_past_limit_before_any_work(monkeypatch, capsys, v
     accepted = [verb, "clebsch", "--max", str(CLEBSCH_LIMIT)]
     err = _refused_before_work(monkeypatch, capsys, argv, accepted, f"clebsch.{work}")
     assert err == f"error: window bound must be between 0 and {CLEBSCH_LIMIT}, got {bound}\n"
+
+
+@pytest.mark.parametrize(
+    "entry, args, message",
+    [
+        ("verify_schur", (2.0, 3), "n must be an integer, got 2.0"),
+        ("verify_schur", (2, 3.0), "r must be an integer, got 3.0"),
+        ("schur_report", (True, 1), "n must be an integer, got True"),
+        ("enumerate_dominant", (1, True), "r must be an integer, got True"),
+        ("cells_via_rsk", (2.0, 3), "n must be an integer, got 2.0"),
+        ("build_bn", (2.0,), "rank must be an integer, got 2.0"),
+        ("build_bn", (True,), "rank must be an integer, got True"),
+        ("verify_bn", (2.0,), "rank must be an integer, got 2.0"),
+        ("window_shadow", (2.0,), "window bound must be an integer, got 2.0"),
+        ("window_shadow", (False,), "window bound must be an integer, got False"),
+        ("verify_clebsch", (3.0,), "window bound must be an integer, got 3.0"),
+    ],
+)
+def test_rank_guards_refuse_non_integers(entry, args, message):
+    # built first: a cache keyed by value alone would hand 2.0 and True these
+    # shadows without reaching the guard
+    build_bn(1), build_bn(2)
+    with pytest.raises(InputError) as err:
+        getattr(fiatcell, entry)(*args)
+    assert str(err.value) == message
 
 
 def sized_file(path, elements, terms):

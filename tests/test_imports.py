@@ -1,6 +1,7 @@
 """The package's import surface: `import fiatcell` loads no submodule, each
-command-line verb loads only the modules it runs, and the public names are
-the same objects as in their home modules."""
+command-line verb loads only the modules it runs (the schur verbs no shadow
+layer and no `dataclasses`), and the public names are the same objects as
+in their home modules."""
 
 import importlib
 import json
@@ -27,27 +28,14 @@ PUBLIC = {
         "poset_to_dot",
         "principal_ideal",
     ],
+    "checks": ["ConsistencyError", "FiatcellError", "InputError", "StructureError"],
     "clebsch": ["cg_op", "single_cell_check", "verify_clebsch", "window_shadow"],
     "ideals": ["antichains", "quotient_by_upset", "thick_ideals", "upsets_by_enumeration"],
-    "schur": [
-        "MarginMatrix",
-        "RskPair",
-        "Tableau",
-        "cells_via_rsk",
-        "enumerate_dominant",
-        "rsk",
-        "rsk_inverse",
-        "schur_report",
-        "verify_schur",
-    ],
+    "schur": ["enumerate_dominant", "schur_report", "verify_schur"],
     "shadow": [
-        "ConsistencyError",
         "Decomposition",
         "Element",
-        "FiatcellError",
-        "InputError",
         "Shadow",
-        "StructureError",
         "check_associativity",
         "compose",
         "compose_left",
@@ -56,6 +44,7 @@ PUBLIC = {
         "save_shadow",
         "validate_shadow",
     ],
+    "tableaux": ["MarginMatrix", "RskPair", "Tableau", "cells_via_rsk", "rsk", "rsk_inverse"],
     "udot": [
         "DPMonomial",
         "basis_change",
@@ -83,6 +72,13 @@ def test_public_names_are_unchanged():
     assert "__version__" in dir(fiatcell)
 
 
+def test_error_types_are_one_class_each():
+    from fiatcell import checks, shadow
+
+    for name in PUBLIC["checks"]:
+        assert getattr(fiatcell, name) is getattr(checks, name) is getattr(shadow, name)
+
+
 def test_unknown_name_is_an_attribute_error():
     assert not hasattr(fiatcell, "no_such_name")
     with pytest.raises(AttributeError, match="no_such_name"):
@@ -100,10 +96,14 @@ def test_submodules_still_import_from_the_package():
     assert fiatcell.udot is udot
 
 
+# top-level packages whose modules the import tests report
+WATCHED = ("fiatcell", "dataclasses")
+
+
 def _loaded(env, code, *argv):
-    """The sorted fiatcell.* modules a child process holds after `code`."""
+    """The sorted modules of WATCHED a child process holds after `code`."""
     code += "\nimport json, sys"
-    code += "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'fiatcell')))"
+    code += f"\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {WATCHED})))"
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
     )
@@ -115,19 +115,29 @@ def test_import_loads_no_submodule(child_env):
     assert _loaded(child_env, "import fiatcell") == ["fiatcell"]
 
 
-BASE = {"fiatcell", "fiatcell.cli", "fiatcell.checks", "fiatcell.shadow"}
-CELLS = {"fiatcell.cells"}
+def test_error_types_load_only_checks(child_env):
+    assert _loaded(child_env, "from fiatcell import InputError") == ["fiatcell", "fiatcell.checks"]
+
+
+BASE = {"fiatcell", "fiatcell.cli", "fiatcell.checks"}
+SHADOW = {"fiatcell.shadow", "dataclasses"}
+CELLS = SHADOW | {"fiatcell.cells"}
 IDEALS = CELLS | {"fiatcell.ideals"}
 BN = IDEALS | {"fiatcell.udot"}
-CLEBSCH = {"fiatcell.clebsch"}
+CLEBSCH = SHADOW | {"fiatcell.clebsch"}
 SCHUR = {"fiatcell.schur"}
+
+
+def _ids(x):
+    """An argv as its words; a module set by what it adds to the shadow layer."""
+    return " ".join(x) if isinstance(x, list) else "+".join(sorted(x - SHADOW)) or "base"
 
 
 @pytest.mark.parametrize(
     "argv, extra",
     [
-        (["check", "{b2}"], set()),
-        (["export", "{b2}"], set()),
+        (["check", "{b2}"], SHADOW),
+        (["export", "{b2}"], SHADOW),
         (["cells", "{b2}", "--kind", "left"], CELLS),
         (["cells", "{b2}", "--dot", "{out}.dot"], CELLS),
         (["cell-module", "{b2}", "--left-cell-of", "1_0"], CELLS),
@@ -139,7 +149,7 @@ SCHUR = {"fiatcell.schur"}
         (["build", "schur", "--n", "2", "--r", "2"], SCHUR),
         (["verify", "schur", "--n", "1..2", "--r", "1..2"], SCHUR),
     ],
-    ids=lambda x: " ".join(x) if isinstance(x, list) else "+".join(sorted(x)) or "base",
+    ids=_ids,
 )
 def test_each_verb_loads_only_its_modules(tmp_path, child_env, argv, extra):
     b2 = tmp_path / "b2.json"
@@ -148,4 +158,33 @@ def test_each_verb_loads_only_its_modules(tmp_path, child_env, argv, extra):
     argv = [a.format(b2=b2, out=out) for a in argv] + ["-o", str(out)]
     code = "import sys\nfrom fiatcell.cli import main\nassert main(sys.argv[1:]) == 0"
     assert set(_loaded(child_env, code, *argv)) == BASE | extra
+    assert out.stat().st_size > 0
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [(["verify", "schur", "--n", "1", "--r", "1"], SCHUR), (["check", "{b2}"], SHADOW)],
+    ids=_ids,
+)
+def test_python_m_loads_only_its_modules(tmp_path, child_env, argv, extra):
+    """The same through `python -m fiatcell`, runpy and `__main__`, the path
+    a user and the benchmark take; -X importtime lists every module the
+    process imports."""
+    b2 = tmp_path / "b2.json"
+    save_shadow(build_bn(2), str(b2))
+    out = tmp_path / "out"
+    argv = [a.format(b2=b2) for a in argv] + ["-o", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "fiatcell", *argv],
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert {m for m in imported if m.split(".")[0] in WATCHED} == BASE | extra
     assert out.stat().st_size > 0

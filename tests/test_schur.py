@@ -19,17 +19,16 @@ from fiatcell import (
     schur_report,
     verify_schur,
 )
-from fiatcell import schur
+from fiatcell import schur, tableaux
 from fiatcell.schur import (
     antidominant_count,
-    antidominant_pair,
     count_ssyt,
     double_coset_count,
     partitions_at_most,
-    ssyt_of_shape,
     stabilizer_composition,
     vector_content,
 )
+from fiatcell.tableaux import antidominant_pair, ssyt_of_shape
 
 
 def mm(rows):
@@ -225,7 +224,7 @@ def test_cells_match_reference(n, r):
 
 def test_cells_insert_each_matrix_once(monkeypatch):
     inserted = Counter()
-    real = schur._insert
+    real = tableaux._insert
 
     def counted(a):
         inserted[a] += 1
@@ -234,8 +233,8 @@ def test_cells_insert_each_matrix_once(monkeypatch):
     def refused(*args):
         raise AssertionError("cells_via_rsk went through a validated wrapper")
 
-    monkeypatch.setattr(schur, "_insert", counted)
-    monkeypatch.setattr(schur, "rsk", refused)
+    monkeypatch.setattr(tableaux, "_insert", counted)
+    monkeypatch.setattr(tableaux, "rsk", refused)
     cells = cells_via_rsk(3, 3)
     assert len(cells.matrices) == comb(9 + 3 - 1, 3)
     assert inserted == Counter(cells.matrices)
@@ -243,26 +242,26 @@ def test_cells_insert_each_matrix_once(monkeypatch):
 
 
 def test_cells_refuse_unequal_shapes(monkeypatch):
-    real = schur._insert
+    real = tableaux._insert
 
     def lopsided(a):
         # the last letter of Q's first row moves down to a row of its own
         p, q = real(a)
         return p, ((q[0][:-1], (q[0][-1],), *q[1:]) if len(q[0]) > 1 else q)
 
-    monkeypatch.setattr(schur, "_insert", lopsided)
+    monkeypatch.setattr(tableaux, "_insert", lopsided)
     with pytest.raises(ConsistencyError, match="different shapes"):
         cells_via_rsk(2, 2)
 
 
 def test_cells_validate_each_tableau(monkeypatch):
-    real = schur._insert
+    real = tableaux._insert
 
     def corrupted(a):
         p, q = real(a)
         return (((2, 1),) if a == ((1, 1), (0, 0)) else p), q
 
-    monkeypatch.setattr(schur, "_insert", corrupted)
+    monkeypatch.setattr(tableaux, "_insert", corrupted)
     with pytest.raises(InputError, match="weakly increase"):
         cells_via_rsk(2, 2)
 
