@@ -16,7 +16,6 @@ cell module reads them. Shadows are immutable, so the memo cannot go stale.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .shadow import (
@@ -94,8 +93,7 @@ def _ideal_bitsets(s: Shadow) -> dict[str, tuple[int, ...]]:
     return {"left": tuple(left), "right": tuple(right), "two-sided": tuple(two_sided)}
 
 
-@dataclass(frozen=True)
-class CellPartition:
+class CellPartition(NamedTuple):
     kind: str
     classes: tuple[frozenset, ...]
 
@@ -139,8 +137,7 @@ def cell_partition(s: Shadow, kind: str) -> CellPartition:
     return cell_data(s, kind).partition
 
 
-@dataclass(frozen=True)
-class CellPoset:
+class CellPoset(NamedTuple):
     """Two-sided cells with the induced order; cells indexed canonically.
 
     up[i] is the up-set of cell i as an int bitset over cell indexes: bit j
@@ -197,8 +194,7 @@ def poset_to_dot(s: Shadow, poset: CellPoset) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class RegularityResult:
+class RegularityResult(NamedTuple):
     ok: bool
     witness: tuple | None = None
 
@@ -279,8 +275,7 @@ def m_values(s: Shadow, two_sided_cell: frozenset[Element]) -> tuple[dict[Elemen
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class CellModuleMatrices:
+class CellModuleMatrices(NamedTuple):
     left_cell: frozenset[Element]
     basis: tuple[Element, ...]
     matrices: dict[Element, Matrix]

@@ -58,6 +58,7 @@ def single_cell_check(max_value: int) -> bool:
     of x and a for x = a + b, so all principal ideals of the unwindowed
     structure coincide. Checked for all a, b up to the bound without using
     any window table."""
+    check_clebsch_max(max_value)
     for a in range(max_value + 1):
         for b in range(max_value + 1):
             x = a + b

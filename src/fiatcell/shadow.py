@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter, mul, sub
@@ -27,26 +26,48 @@ from typing import NamedTuple
 from .checks import ConsistencyError, FiatcellError, InputError, StructureError  # noqa: F401
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
     name: str
     source: int
     target: int
     is_identity: bool = False
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class _Frozen:
+    """Refuses assignment to and deletion of any attribute, with the
+    messages of a frozen record; instances fill their fields through
+    object.__setattr__ or their instance dict."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Decomposition(_Frozen):
     """Formal N-combination of elements sharing one (source, target) pair.
 
     The empty decomposition is the formal zero. Immutable: terms is a
-    read-only mapping over a copy of the given one.
+    read-only mapping over a copy of the given one. Two decompositions are
+    equal when their terms are; like their terms, they are not hashable.
     """
 
-    terms: Mapping[Element, int] = field(default_factory=dict)
+    __slots__ = ("terms",)
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms or {})))
+    def __init__(self, terms: Mapping[Element, int] | None = None) -> None:
+        object.__setattr__(self, "terms", MappingProxyType(dict(terms or {})))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(terms={self.terms!r})"
 
     @staticmethod
     def zero() -> "Decomposition":
@@ -88,8 +109,7 @@ class IntView(NamedTuple):
     star: tuple[int | None, ...] | None
 
 
-@dataclass(frozen=True, init=False)
-class Shadow:
+class Shadow(_Frozen):
     """Objects, elements in canonical order, the composition table, an
     optional involution and the partial flag.
 
@@ -98,9 +118,13 @@ class Shadow:
     shadows from entries on ids (_on_ids), whose table and involution are
     read-only mappings derived on first access; a hand-built shadow keeps
     read-only copies of the ones it is given. No holder can change a cached
-    shadow; dataclasses.replace derives a changed one. Cell data
+    shadow; _replace derives a changed one. Two shadows are equal when
+    their five fields are; they are not hashable. Cell data
     (cells.cell_data) is memoised on the shadow too.
     """
+
+    __hash__ = None
+    _fields = ("objects", "elements", "table", "involution", "partial")
 
     objects: tuple[int, ...]
     elements: tuple[Element, ...]
@@ -144,6 +168,24 @@ class Shadow:
             value = {elements[i]: elements[j] for i, j in enumerate(star) if j is not None}
         vars(self)[name] = value = value if value is None else MappingProxyType(value)
         return value
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes) -> Shadow:
+        """A new shadow with the given fields changed, built like a
+        hand-built one from every field."""
+        kept = {name: getattr(self, name) for name in self._fields if name not in changes}
+        return type(self)(**kept, **changes)
 
     @cached_property
     def _view(self) -> IntView:
@@ -313,8 +355,7 @@ def validate_shadow(s: Shadow) -> None:
             )
 
 
-@dataclass
-class AssociativityReport:
+class AssociativityReport(NamedTuple):
     status: str  # "pass", "fail" or "structural-error"
     checked: int = 0
     skipped: int = 0

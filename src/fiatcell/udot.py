@@ -42,7 +42,7 @@ entry by entry.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb, factorial
 
@@ -91,24 +91,26 @@ def gen_binom(m: int, k: int) -> int:
     return (-1) ** k * comb(k - m - 1, k)
 
 
-@dataclass(frozen=True)
-class DPMonomial:
+class DPMonomial(namedtuple("DPMonomial", "kind fpow epow base")):
     """A monomial F^(fpow) E^(epow) 1_base (kind "fe", E applied first) or
     E^(epow) F^(fpow) 1_base (kind "ef", F applied first). Pure monomials
-    and identities are always stored with kind "fe"."""
+    and identities are always stored with kind "fe". A monomial is the
+    tuple (kind, fpow, epow, base), checked when built, _replace included."""
 
-    kind: str
-    fpow: int
-    epow: int
-    base: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("fe", "ef"):
-            raise ConsistencyError(f"bad monomial kind {self.kind!r}")
-        if self.fpow < 0 or self.epow < 0:
+    def __new__(cls, kind: str, fpow: int, epow: int, base: int) -> DPMonomial:
+        if kind not in ("fe", "ef"):
+            raise ConsistencyError(f"bad monomial kind {kind!r}")
+        if fpow < 0 or epow < 0:
             raise ConsistencyError("negative divided power")
-        if (self.fpow == 0 or self.epow == 0) and self.kind != "fe":
+        if (fpow == 0 or epow == 0) and kind != "fe":
             raise ConsistencyError("pure monomials are canonically kind fe")
+        return super().__new__(cls, kind, fpow, epow, base)
+
+    @classmethod
+    def _make(cls, iterable) -> DPMonomial:
+        return cls(*iterable)
 
     @property
     def source(self) -> int:
@@ -301,6 +303,7 @@ def pair_basis(n: int, i: int, j: int) -> tuple[DPMonomial, ...]:
 
 
 def bn_basis(n: int) -> dict[tuple[int, int], tuple[DPMonomial, ...]]:
+    check_bn_rank(n)
     return {
         (i, j): pair_basis(n, i, j)
         for i in range(n + 1)
@@ -412,8 +415,9 @@ def build_bn(n: int) -> Shadow:
         for j in range(n + 1):
             monomials.extend(basis[(i, j)])
     elements = tuple(Element(m.name, m.source, m.target, m.is_identity) for m in monomials)
-    # monomials by (kind, fpow, epow, base), the fields of a DPMonomial
-    index = {(m.kind, m.fpow, m.epow, m.base): k for k, m in enumerate(monomials)}
+    # monomials by id; a DPMonomial is the tuple (kind, fpow, epow, base),
+    # so a plain tuple of its fields finds it
+    index = {m: k for k, m in enumerate(monomials)}
     expansions = [_fe_expansion(n, m) for m in monomials]
     by_source: dict[int, list[int]] = {}
     for k, m in enumerate(monomials):
@@ -556,6 +560,7 @@ def defining_action(n: int) -> dict[Element, int]:
     blocks do not run between its element's endpoints. That the action is
     multiplicative on the table is checked by verify_bn's
     defining-action-multiplicative record, not here."""
+    check_bn_rank(n)
     mons = bn_element_monomials(n)
     action: dict[Element, int] = {}
     for e in build_bn(n).elements:
@@ -751,6 +756,7 @@ def recursion_check(n: int) -> dict:
     """Rank reduction: shifting the rank-(n-2) shadow up by one object must
     reproduce the rank-n shadow with its maximal cell deleted, both product
     by product and as a whole quotient shadow."""
+    check_bn_rank(n)
     if n < 3:
         raise InputError("rank reduction needs n >= 3")
     big = build_bn(n)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from fiatcell import (
@@ -194,7 +192,7 @@ def test_b2_m_values():
 
 def test_m_values_requires_involution():
     # copy: build_bn caches, and the cached shadow must stay pristine
-    s = replace(build_bn(2), involution=None)
+    s = build_bn(2)._replace(involution=None)
     with pytest.raises(InputError, match="involution"):
         m_values(s, cell_partition(s, "two-sided").classes[0])
 

@@ -334,6 +334,22 @@ def test_clebsch_refuses_bound_past_limit_before_any_work(monkeypatch, capsys, v
         ("window_shadow", (2.0,), "window bound must be an integer, got 2.0"),
         ("window_shadow", (False,), "window bound must be an integer, got False"),
         ("verify_clebsch", (3.0,), "window bound must be an integer, got 3.0"),
+        ("bn_basis", (2.0,), "rank must be an integer, got 2.0"),
+        ("bn_basis", (True,), "rank must be an integer, got True"),
+        ("bn_basis", (-1,), "rank must be between 1 and 8, got -1"),
+        ("bn_basis", (9,), "rank must be between 1 and 8, got 9"),
+        ("defining_action", (2.0,), "rank must be an integer, got 2.0"),
+        ("defining_action", (True,), "rank must be an integer, got True"),
+        ("defining_action", (-1,), "rank must be between 1 and 8, got -1"),
+        ("defining_action", (9,), "rank must be between 1 and 8, got 9"),
+        ("recursion_check", (2.0,), "rank must be an integer, got 2.0"),
+        ("recursion_check", (True,), "rank must be an integer, got True"),
+        ("recursion_check", (-1,), "rank must be between 1 and 8, got -1"),
+        ("recursion_check", (9,), "rank must be between 1 and 8, got 9"),
+        ("single_cell_check", (2.0,), "window bound must be an integer, got 2.0"),
+        ("single_cell_check", (True,), "window bound must be an integer, got True"),
+        ("single_cell_check", (-3,), "window bound must be between 0 and 90, got -3"),
+        ("single_cell_check", (91,), "window bound must be between 0 and 90, got 91"),
     ],
 )
 def test_rank_guards_refuse_non_integers(entry, args, message):

@@ -1,7 +1,7 @@
 """The package's import surface: `import fiatcell` loads no submodule, each
 command-line verb loads only the modules it runs (the schur verbs no shadow
-layer and no `dataclasses`), and the public names are the same objects as
-in their home modules."""
+layer, and no verb `dataclasses` or `inspect`), and the public names are
+the same objects as in their home modules."""
 
 import importlib
 import json
@@ -97,7 +97,7 @@ def test_submodules_still_import_from_the_package():
 
 
 # top-level packages whose modules the import tests report
-WATCHED = ("fiatcell", "dataclasses")
+WATCHED = ("fiatcell", "dataclasses", "inspect")
 
 
 def _loaded(env, code, *argv):
@@ -120,7 +120,7 @@ def test_error_types_load_only_checks(child_env):
 
 
 BASE = {"fiatcell", "fiatcell.cli", "fiatcell.checks"}
-SHADOW = {"fiatcell.shadow", "dataclasses"}
+SHADOW = {"fiatcell.shadow"}
 CELLS = SHADOW | {"fiatcell.cells"}
 IDEALS = CELLS | {"fiatcell.ideals"}
 BN = IDEALS | {"fiatcell.udot"}
@@ -163,7 +163,11 @@ def test_each_verb_loads_only_its_modules(tmp_path, child_env, argv, extra):
 
 @pytest.mark.parametrize(
     "argv, extra",
-    [(["verify", "schur", "--n", "1", "--r", "1"], SCHUR), (["check", "{b2}"], SHADOW)],
+    [
+        (["verify", "schur", "--n", "1", "--r", "1"], SCHUR),
+        (["check", "{b2}"], SHADOW),
+        (["verify", "bn", "--n", "1"], BN),
+    ],
     ids=_ids,
 )
 def test_python_m_loads_only_its_modules(tmp_path, child_env, argv, extra):

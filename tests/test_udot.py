@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from itertools import product
 from math import comb, factorial
@@ -72,12 +71,23 @@ def test_gen_binom_edges():
 def test_monomial_canonical_kind():
     assert dp("ef", 0, 2, 3).kind == "fe"
     assert dp("ef", 2, 0, 3).kind == "fe"
-    with pytest.raises(ConsistencyError):
-        DPMonomial("ef", 0, 2, 3)
-    with pytest.raises(ConsistencyError):
-        DPMonomial("fe", -1, 0, 0)
-    with pytest.raises(ConsistencyError):
-        DPMonomial("xy", 1, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: DPMonomial("ef", 0, 2, 3), "pure monomials are canonically kind fe"),
+        (lambda: DPMonomial("fe", -1, 0, 0), "negative divided power"),
+        (lambda: DPMonomial(kind="fe", fpow=1, epow=-1, base=0), "negative divided power"),
+        (lambda: DPMonomial("xy", 1, 1, 0), "bad monomial kind 'xy'"),
+        (lambda: dp("ef", 1, 2, 3)._replace(fpow=0), "pure monomials are canonically kind fe"),
+    ],
+    ids=["pure-ef", "negative-f", "negative-e", "kind", "replaced"],
+)
+def test_monomials_are_checked_however_built(make, message):
+    with pytest.raises(ConsistencyError) as err:
+        make()
+    assert str(err.value) == message
 
 
 def test_monomial_names():
@@ -342,12 +352,8 @@ def test_defining_action_entries():
 def test_defining_action_refuses_element_off_its_monomial(monkeypatch):
     s = build_bn(2)
     f = s.element("F0^(1)")
-    elements = tuple(
-        dataclasses.replace(e, target=2) if e == f else e for e in s.elements
-    )
-    monkeypatch.setattr(
-        udot, "build_bn", lambda n: dataclasses.replace(s, elements=elements)
-    )
+    elements = tuple(e._replace(target=2) if e == f else e for e in s.elements)
+    monkeypatch.setattr(udot, "build_bn", lambda n: s._replace(elements=elements))
     with pytest.raises(ConsistencyError, match=r"F0\^\(1\) runs 0 -> 1, not 0 -> 2"):
         defining_action(2)
 
@@ -385,7 +391,7 @@ def test_verify_bn_reports_non_multiplicative_action(monkeypatch):
         k for k in s.table if (k[0].name, k[1].name) == ("E1^(1)", "F0^(1)")
     )
     table = {**s.table, key: Decomposition({s.element("1_0"): 3})}
-    monkeypatch.setattr(udot, "build_bn", lambda n: dataclasses.replace(s, table=table))
+    monkeypatch.setattr(udot, "build_bn", lambda n: s._replace(table=table))
     records = {c["check"]: c for c in verify_bn(2)}
     assert records["defining-action-multiplicative"] == {
         "check": "defining-action-multiplicative",
@@ -406,7 +412,7 @@ def test_verify_bn_lists_cell_module_basis_on_name_mismatch(monkeypatch):
     elements = list(s.elements)
     i, j = elements.index(s.element("F0^(1)")), elements.index(s.element("F0^(2)"))
     elements[i], elements[j] = elements[j], elements[i]
-    shuffled = dataclasses.replace(s, elements=tuple(elements))
+    shuffled = s._replace(elements=tuple(elements))
     monkeypatch.setattr(udot, "build_bn", lambda n: shuffled)
     records = {c["check"]: c for c in verify_bn(2)}
     assert records["cell-module-is-defining-action"] == {
@@ -437,7 +443,7 @@ def test_verify_bn_lists_cell_module_basis_on_name_mismatch(monkeypatch):
 def test_cells_report_names_first_failing_pair_of_cells(monkeypatch, corrupt, witness):
     s = build_bn(2)
     real = udot.cell_poset(s)
-    poset = dataclasses.replace(real, up=corrupt(real.up))
+    poset = real._replace(up=corrupt(real.up))
     monkeypatch.setattr(udot, "cell_poset", lambda s: poset)
     records = {c["check"]: c for c in bn_cells_report(2)}
     record = records["cell-poset-chain-top-at-identity-0"]
@@ -483,7 +489,7 @@ def test_rank_reduction_reports_altered_product(monkeypatch):
     }
     terms = {s.element("F0^(1)E1^(1)"): 1, s.element("1_1"): 3}
     table = {**s.table, key: Decomposition(terms)}
-    altered = dataclasses.replace(s, table=table)
+    altered = s._replace(table=table)
     monkeypatch.setattr(udot, "build_bn", lambda n: altered if n == 4 else real(n))
     assert recursion_check(4) == {
         "check": "rank-reduction-index-shift",
