@@ -334,10 +334,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except StructureError as err:
+    except (InputError, StructureError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ConsistencyError as err:

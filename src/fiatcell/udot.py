@@ -2,15 +2,17 @@
 
 Objects are 0..n, thought of as weight spaces (object i has weight n - 2i).
 E-steps move an object down by one, F-steps up by one; anything leaving
-0..n is zero. A word of divided-power blocks is straightened to normal form
-with three rules: adjacent like blocks merge with a binomial coefficient,
-and an E-block acting after an F-block is exchanged via
+0..n is zero. A word of divided-power blocks is straightened to FE-normal
+form by one recursive rule: drop the word if its path leaves 0..n, else
+rewrite its first reducible pair of blocks and recurse on each result.
+Adjacent like blocks merge with a binomial coefficient, and an E-block
+acting after an F-block is exchanged via
 
     E^(a) F^(b) 1_i  =  sum_j C(a - b + w, j) F^(b-j) E^(a-j) 1_i
 
-with w the weight of the source object i. Coefficients along the way live
-in Z: on hom-pairs with i + j >= n the FE-ordered monomials are virtual
-classes and honest multiplicities only appear after changing to the
+with w the weight of the F-block's source object i. Coefficients along the
+way live in Z: on hom-pairs with i + j >= n the FE-ordered monomials are
+virtual classes and honest multiplicities only appear after changing to the
 EF-ordered basis. The indecomposables of the hom-pair (i, j) are exactly
 the in-range monomials of the quadrant orientation (FE when i + j < n,
 EF when i + j >= n), min(i, j, n-i, n-j) + 1 of them.
@@ -44,6 +46,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial
 
 from .cells import (
@@ -169,38 +172,6 @@ def dp(kind: str, fpow: int, epow: int, base: int) -> DPMonomial:
 UVector = dict[DPMonomial, int]
 
 
-def _word_in_range(n: int, word: tuple[tuple[str, int], ...], base: int) -> bool:
-    obj = base
-    if not 0 <= obj <= n:
-        return False
-    for letter, p in reversed(word):
-        obj = obj + p if letter == "F" else obj - p
-        if not 0 <= obj <= n:
-            return False
-    return True
-
-
-def _word_sources(word: tuple[tuple[str, int], ...], base: int) -> list[int]:
-    """Source object of each block, in writing order."""
-    out = [0] * len(word)
-    obj = base
-    for q in range(len(word) - 1, -1, -1):
-        out[q] = obj
-        letter, p = word[q]
-        obj = obj + p if letter == "F" else obj - p
-    return out
-
-
-def _reducible_positions(word: tuple[tuple[str, int], ...]) -> list[int]:
-    pos = []
-    for p in range(len(word) - 1):
-        l1, _ = word[p]
-        l2, _ = word[p + 1]
-        if l1 == l2 or (l1 == "E" and l2 == "F"):
-            pos.append(p)
-    return pos
-
-
 def normalize_blocks(
     n: int,
     blocks,
@@ -209,70 +180,53 @@ def normalize_blocks(
 ) -> UVector:
     """Straighten a block word to FE-normal form over Z.
 
-    Words containing an out-of-range block are zero and dropped as soon as
-    they appear. With rng given, the rewriting position is chosen at random;
-    the result does not depend on the choices (tested), so the default is a
-    deterministic leftmost strategy.
+    blocks are (letter, power) pairs in writing order, base is the source
+    object. Each block must be E or F with a nonnegative int power; zero
+    powers are then dropped. _straighten rewrites one reducible pair and
+    recurses on each result, dropping a word as soon as its path leaves
+    0..n. With rng given, the pair is chosen at random; the result does not
+    depend on the choices (tested), so the default is the leftmost pair.
     """
-    word = tuple((letter, int(p)) for letter, p in blocks if p)
-    for letter, p in word:
-        if letter not in ("E", "F") or p < 1:
-            raise InputError(f"bad block ({letter!r}, {p})")
-    if not _word_in_range(n, word, base):
-        return {}
-    pending: dict[tuple, int] = {word: 1}
+    check_bn_rank(n)
+    check_range("object", base, 0, n)
+    word = []
+    for letter, p in blocks:
+        if letter not in ("E", "F") or not isinstance(p, int) or isinstance(p, bool) or p < 0:
+            raise InputError(f"bad block ({letter!r}, {p!r})")
+        if p:
+            word.append((letter, p))
     done: UVector = {}
-    while pending:
-        if rng is None:
-            word, coeff = pending.popitem()
-        else:
-            word = rng.choice(sorted(pending))
-            coeff = pending.pop(word)
-        positions = _reducible_positions(word)
-        if not positions:
-            mon = _normal_word_to_monomial(word, base)
-            done[mon] = done.get(mon, 0) + coeff
-            if done[mon] == 0:
-                del done[mon]
-            continue
-        p = positions[0] if rng is None else rng.choice(positions)
-        l1, p1 = word[p]
-        l2, p2 = word[p + 1]
-        if l1 == l2:
-            merged = word[:p] + ((l1, p1 + p2),) + word[p + 2 :]
-            _accumulate(pending, merged, coeff * gen_binom(p1 + p2, p1), n, base)
-        else:
-            # E^(p1) after F^(p2), exchanged at the F-block's source object
-            m = _word_sources(word, base)[p + 1]
-            w = weight(n, m)
-            for j in range(min(p1, p2) + 1):
-                c = gen_binom(p1 - p2 + w, j)
-                if c == 0:
-                    continue
-                middle = tuple(
-                    (l, q) for l, q in (("F", p2 - j), ("E", p1 - j)) if q
-                )
-                new_word = word[:p] + middle + word[p + 2 :]
-                _accumulate(pending, new_word, coeff * c, n, base)
+    _straighten(n, tuple(word), base, 1, done, rng)
     return done
 
 
-def _accumulate(pending: dict, word: tuple, coeff: int, n: int, base: int) -> None:
-    if coeff == 0 or not _word_in_range(n, word, base):
+def _straighten(n: int, word: tuple, base: int, coeff: int, done: UVector, rng) -> None:
+    """Add coeff times the FE-normal form of word, from object base, into
+    done. A pair of blocks is reducible unless it reads F E: like blocks
+    merge by a binomial, and an E-block after an F-block is exchanged at the
+    F-block's source object, base plus the signed powers to its right."""
+    # path[k] is the source object of the k-th block from the right
+    path = list(accumulate((p if l == "F" else -p for l, p in reversed(word)), initial=base))
+    if not all(0 <= obj <= n for obj in path):
         return
-    pending[word] = pending.get(word, 0) + coeff
-    if pending[word] == 0:
-        del pending[word]
-
-
-def _normal_word_to_monomial(word: tuple, base: int) -> DPMonomial:
-    fpow = epow = 0
-    for letter, p in word:
-        if letter == "F":
-            fpow = p
-        else:
-            epow = p
-    return dp("fe", fpow, epow, base)
+    reducible = [q for q in range(len(word) - 1) if (word[q][0], word[q + 1][0]) != ("F", "E")]
+    if not reducible:
+        powers = dict(word)
+        _add(done, dp("fe", powers.get("F", 0), powers.get("E", 0), base), coeff)
+        return
+    q = reducible[0] if rng is None else rng.choice(reducible)
+    (l1, p1), (l2, p2) = word[q : q + 2]
+    head, tail = word[:q], word[q + 2 :]
+    if l1 == l2:
+        merged = head + ((l1, p1 + p2),) + tail
+        _straighten(n, merged, base, coeff * comb(p1 + p2, p1), done, rng)
+        return
+    w = weight(n, path[len(tail)])
+    for j in range(min(p1, p2) + 1):
+        c = gen_binom(p1 - p2 + w, j)
+        if c:
+            middle = tuple((l, p) for l, p in (("F", p2 - j), ("E", p1 - j)) if p)
+            _straighten(n, head + middle + tail, base, coeff * c, done, rng)
 
 
 def dp_normalize(n: int, word, base: int) -> UVector:
@@ -280,9 +234,10 @@ def dp_normalize(n: int, word, base: int) -> UVector:
 
     The word is given in writing order (leftmost letter applied last) and
     base is the source object. Coefficients live in Z; see basis_change for
-    honest multiplicities.
+    honest multiplicities. The blocks reach normalize_blocks unbuilt, so its
+    guards run before any work.
     """
-    return normalize_blocks(n, [(letter, 1) for letter in word], base)
+    return normalize_blocks(n, ((letter, 1) for letter in word), base)
 
 
 def pair_orientation(n: int, i: int, j: int) -> str:
@@ -311,24 +266,20 @@ def bn_basis(n: int) -> dict[tuple[int, int], tuple[DPMonomial, ...]]:
     }
 
 
-def basis_change(
-    n: int,
-    vec: UVector,
-    source: int | None = None,
-    target: int | None = None,
-) -> UVector:
+def basis_change(n: int, vec: UVector) -> UVector:
     """Express a Z-combination of monomials in the indecomposable basis of
     its hom-pair, exchanging FE- and EF-ordered monomials as needed.
 
-    The result must have nonnegative coefficients and land inside the basis;
-    anything else raises ConsistencyError.
+    The hom-pair is read from the vector. The result must have nonnegative
+    coefficients and land inside the basis; anything else raises
+    ConsistencyError.
     """
+    check_bn_rank(n)
     if not vec:
         return {}
-    mons = list(vec)
-    if source is None:
-        source, target = mons[0].source, mons[0].target
-    for m in mons:
+    first = next(iter(vec))
+    source, target = first.source, first.target
+    for m in vec:
         if m.source != source or m.target != target:
             raise ConsistencyError(
                 f"mixed hom-pairs in vector: {m.name} vs ({source}, {target})"
@@ -339,23 +290,15 @@ def basis_change(
         if m.fpow == 0 or m.epow == 0 or m.kind == orientation:
             _add(out, m, c)
             continue
-        w = weight(n, m.base)
-        if orientation == "fe":
-            # E^(a) F^(b) 1 -> sum_j C(a-b+w, j) F^(b-j) E^(a-j) 1
-            a, b = m.epow, m.fpow
-            for j in range(min(a, b) + 1):
-                cj = gen_binom(a - b + w, j)
-                swapped = dp("fe", b - j, a - j, m.base)
-                if cj and swapped.in_range(n):
-                    _add(out, swapped, c * cj)
-        else:
-            # F^(b) E^(a) 1 -> sum_j C(b-a-w, j) E^(a-j) F^(b-j) 1
-            a, b = m.epow, m.fpow
-            for j in range(min(a, b) + 1):
-                cj = gen_binom(b - a - w, j)
-                swapped = dp("ef", b - j, a - j, m.base)
-                if cj and swapped.in_range(n):
-                    _add(out, swapped, c * cj)
+        # E^(a) F^(b) 1 -> sum_j C(a-b+w, j) F^(b-j) E^(a-j) 1 to "fe", and
+        # F^(b) E^(a) 1 -> sum_j C(b-a-w, j) E^(a-j) F^(b-j) 1 to "ef"
+        a, b, w = m.epow, m.fpow, weight(n, m.base)
+        top = a - b + w if orientation == "fe" else b - a - w
+        for j in range(min(a, b) + 1):
+            cj = gen_binom(top, j)
+            swapped = dp(orientation, b - j, a - j, m.base)
+            if cj and swapped.in_range(n):
+                _add(out, swapped, c * cj)
     allowed = set(pair_basis(n, source, target))
     for m, c in out.items():
         if c < 0:
@@ -373,10 +316,10 @@ def _add(vec: UVector, m: DPMonomial, c: int) -> None:
 
 def compose_monomials(n: int, a: DPMonomial, b: DPMonomial) -> UVector:
     """Decomposition of "a after b" into basis monomials."""
+    check_bn_rank(n)
     if a.source != b.target:
         raise InputError(f"{a.name} and {b.name} are not composable")
-    vec = normalize_blocks(n, a.blocks + b.blocks, b.base)
-    return basis_change(n, vec, source=b.source, target=a.target)
+    return basis_change(n, normalize_blocks(n, a.blocks + b.blocks, b.base))
 
 
 def _fe_expansion(n: int, m: DPMonomial) -> tuple[tuple[int, int, int], ...]:

@@ -20,14 +20,20 @@ from fiatcell import (
     InputError,
     Shadow,
     build_bn,
+    dp,
     dumps_shadow,
     save_shadow,
+    udot,
     window_shadow,
 )
 from fiatcell.cli import main, parse_range
 from fiatcell.clebsch import CLEBSCH_LIMIT
 from fiatcell.ideals import IDEALS_LIMIT
 from fiatcell.shadow import FILE_LIMIT_ELEMENTS, FILE_LIMIT_TERMS, shadow_to_dict
+
+
+# F0^(1) and E1^(1), composable as E1^(1) after F0^(1)
+F0, E1 = dp("fe", 1, 0, 0), dp("fe", 0, 1, 1)
 
 
 def run_cli(env, *argv):
@@ -88,6 +94,20 @@ def test_internal_inconsistency_exits_one(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal inconsistency: insertion lost a letter\n"
+
+
+def test_structure_error_exits_two(monkeypatch, capsys):
+    from fiatcell import schur
+    from fiatcell.checks import StructureError
+
+    def broken(a):
+        raise StructureError("no such row")
+
+    monkeypatch.setattr(schur, "_insert", broken)
+    assert main(["build", "schur", "--n", "1", "--r", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no such row\n"
 
 
 def test_build_clebsch_zero(capsys):
@@ -350,14 +370,40 @@ def test_clebsch_refuses_bound_past_limit_before_any_work(monkeypatch, capsys, v
         ("single_cell_check", (True,), "window bound must be an integer, got True"),
         ("single_cell_check", (-3,), "window bound must be between 0 and 90, got -3"),
         ("single_cell_check", (91,), "window bound must be between 0 and 90, got 91"),
+        ("normalize_blocks", (2.0, [("F", 1)], 0), "rank must be an integer, got 2.0"),
+        ("normalize_blocks", (True, [("F", 1)], 0), "rank must be an integer, got True"),
+        ("normalize_blocks", (-1, [("F", 1)], 0), "rank must be between 1 and 8, got -1"),
+        ("normalize_blocks", (9, [("F", 1)], 0), "rank must be between 1 and 8, got 9"),
+        ("normalize_blocks", (2, [("F", 1)], 0.0), "object must be an integer, got 0.0"),
+        ("normalize_blocks", (2, [("F", 1)], True), "object must be an integer, got True"),
+        ("normalize_blocks", (2, [("F", 1)], -1), "object must be between 0 and 2, got -1"),
+        ("normalize_blocks", (2, [("F", 1)], 3), "object must be between 0 and 2, got 3"),
+        ("dp_normalize", (2.0, "EF", 0), "rank must be an integer, got 2.0"),
+        ("dp_normalize", (True, "EF", 0), "rank must be an integer, got True"),
+        ("dp_normalize", (-1, "EF", 0), "rank must be between 1 and 8, got -1"),
+        ("dp_normalize", (9, "EF", 0), "rank must be between 1 and 8, got 9"),
+        ("dp_normalize", (2, "EF", 0.0), "object must be an integer, got 0.0"),
+        ("dp_normalize", (2, "EF", False), "object must be an integer, got False"),
+        ("dp_normalize", (2, "EF", -1), "object must be between 0 and 2, got -1"),
+        ("dp_normalize", (2, "EF", 3), "object must be between 0 and 2, got 3"),
+        ("basis_change", (2.0, {F0: 1}), "rank must be an integer, got 2.0"),
+        ("basis_change", (True, {F0: 1}), "rank must be an integer, got True"),
+        ("basis_change", (-1, {F0: 1}), "rank must be between 1 and 8, got -1"),
+        ("basis_change", (9, {F0: 1}), "rank must be between 1 and 8, got 9"),
+        ("compose_monomials", (2.0, E1, F0), "rank must be an integer, got 2.0"),
+        ("compose_monomials", (True, E1, F0), "rank must be an integer, got True"),
+        ("compose_monomials", (-1, E1, F0), "rank must be between 1 and 8, got -1"),
+        ("compose_monomials", (9, E1, F0), "rank must be between 1 and 8, got 9"),
     ],
 )
 def test_rank_guards_refuse_non_integers(entry, args, message):
     # built first: a cache keyed by value alone would hand 2.0 and True these
     # shadows without reaching the guard
     build_bn(1), build_bn(2)
+    # compose_monomials is the one entry not exported at the top level
+    func = getattr(fiatcell, entry) if entry in fiatcell.__all__ else getattr(udot, entry)
     with pytest.raises(InputError) as err:
-        getattr(fiatcell, entry)(*args)
+        func(*args)
     assert str(err.value) == message
 
 

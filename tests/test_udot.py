@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fiatcell import (
     ConsistencyError,
     Decomposition,
+    FiatcellError,
     InputError,
     basis_change,
     bn_basis,
@@ -27,6 +28,7 @@ from fiatcell import (
 )
 from fiatcell import udot
 from fiatcell.udot import (
+    DESK_LIMIT,
     DPMonomial,
     bn_cells_report,
     cell_generator,
@@ -164,7 +166,7 @@ def test_normalization_order_does_not_matter(n, blocks, base, seed):
 
 
 def test_engine_composition_matches_oracle_on_basis_pairs():
-    for n in (1, 2, 3):
+    for n in range(1, DESK_LIMIT + 1):
         basis = [m for ms in bn_basis(n).values() for m in ms]
         for b in basis:
             for a in basis:
@@ -180,6 +182,59 @@ def test_normalize_rejects_bad_blocks():
         normalize_blocks(2, [("G", 1)], 0)
     with pytest.raises(InputError):
         normalize_blocks(2, [("F", -2)], 0)
+    # no power is cast, and a zero block is checked before it is dropped
+    for block, message in [
+        (("F", 1.5), "bad block ('F', 1.5)"),
+        (("F", True), "bad block ('F', True)"),
+        (("F", "2"), "bad block ('F', '2')"),
+        (("G", 0), "bad block ('G', 0)"),
+        (("E", -1), "bad block ('E', -1)"),
+    ]:
+        with pytest.raises(InputError) as err:
+            normalize_blocks(2, [("F", 1), block], 0)
+        assert str(err.value) == message
+    assert normalize_blocks(2, [("E", 0), ("F", 1), ("F", 0)], 0) == {dp("fe", 1, 0, 0): 1}
+
+
+fuzz_values = st.one_of(
+    st.integers(-2, 9),
+    st.floats(-2, 9),
+    st.booleans(),
+    st.sampled_from(["2", "E", ""]),
+)
+fuzz_letters = st.sampled_from(["E", "F", "G", "e", "", 1])
+fuzz_blocks = st.lists(st.tuples(fuzz_letters, fuzz_values), max_size=4)
+fuzz_monomials = st.builds(
+    dp,
+    st.sampled_from(["fe", "ef"]),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(-1, 9),
+)
+fuzz_calls = st.one_of(
+    st.tuples(st.just(normalize_blocks), fuzz_values, fuzz_blocks, fuzz_values),
+    st.tuples(
+        st.just(dp_normalize),
+        fuzz_values,
+        st.one_of(st.text("EFG", max_size=6), st.lists(fuzz_letters, max_size=6)),
+        fuzz_values,
+    ),
+    st.tuples(
+        st.just(basis_change),
+        fuzz_values,
+        st.dictionaries(fuzz_monomials, st.integers(-2, 3), max_size=3),
+    ),
+    st.tuples(st.just(compose_monomials), fuzz_values, fuzz_monomials, fuzz_monomials),
+)
+
+
+@given(fuzz_calls)
+def test_rewriter_refuses_bad_arguments_cleanly(call):
+    func, *args = call
+    try:
+        func(*args)
+    except FiatcellError:
+        pass
 
 
 def test_out_of_range_word_is_zero():
