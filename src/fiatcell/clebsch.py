@@ -13,7 +13,7 @@ from __future__ import annotations
 from operator import add, sub
 
 from .checks import check, check_range
-from .shadow import Element, InputError, Shadow, check_associativity
+from .shadow import Element, Shadow, check_associativity
 
 CLEBSCH_LIMIT = 90
 
@@ -23,9 +23,15 @@ def check_clebsch_max(max_value: int) -> None:
 
 
 def cg_op(m: int, n: int) -> frozenset[int]:
-    """Fusion of m and n: {|m-n|, |m-n|+2, ..., m+n}."""
-    if m < 0 or n < 0:
-        raise InputError("fusion is defined on nonnegative integers")
+    """Fusion of m and n: {|m-n|, |m-n|+2, ..., m+n}, for m and n in
+    0..2 * CLEBSCH_LIMIT, the largest factor the checks below pass."""
+    check_range("fusion factor", m, 0, 2 * CLEBSCH_LIMIT)
+    check_range("fusion factor", n, 0, 2 * CLEBSCH_LIMIT)
+    return frozenset(range(abs(m - n), m + n + 1, 2))
+
+
+def _cg_op(m: int, n: int) -> frozenset[int]:
+    # cg_op unguarded, for the checks below, whose bounds cover their factors
     return frozenset(range(abs(m - n), m + n + 1, 2))
 
 
@@ -45,7 +51,7 @@ def window_shadow(max_value: int) -> Shadow:
     partial = False
     for a in range(max_value + 1):
         for b in range(max_value + 1):
-            results = sorted(cg_op(a, b))
+            results = sorted(_cg_op(a, b))
             if results[-1] > max_value:
                 partial = True
                 continue
@@ -62,7 +68,7 @@ def single_cell_check(max_value: int) -> bool:
     for a in range(max_value + 1):
         for b in range(max_value + 1):
             x = a + b
-            if b not in cg_op(x, a) or b not in cg_op(a, x):
+            if b not in _cg_op(x, a) or b not in _cg_op(a, x):
                 return False
     return True
 
@@ -81,7 +87,7 @@ def associativity_unbounded(max_value: int) -> tuple[bool, tuple | None]:
     """Associativity of the fusion rule with multiplicities, for all triples
     up to the bound, evaluated without any window.
 
-    cg_op is called once for each m, n <= 2 * max_value with m or n at most
+    _cg_op is called once for each m, n <= 2 * max_value with m or n at most
     max_value, which covers every product of a product. Each result is read
     as a multiset (a term listed twice counts twice) and packed into one
     integer, the sum of 2 ** (width * x) over its terms x. (a b) c is then
@@ -94,7 +100,7 @@ def associativity_unbounded(max_value: int) -> tuple[bool, tuple | None]:
     when their multiplicity vectors are.
 
     The sums are compared a whole row of c at a time. A product whose terms
-    are one run lo, lo + 2, ..., hi, each listed once (as cg_op gives them),
+    are one run lo, lo + 2, ..., hi, each listed once (as _cg_op gives them),
     sums as the difference of two step-2 prefix sums of packed: over column
     c for a b, over row a for b c. The prefix sums themselves may carry
     between slots, but integer subtraction is exact, so each difference is
@@ -108,7 +114,7 @@ def associativity_unbounded(max_value: int) -> tuple[bool, tuple | None]:
     cut = max_value + 1
     # an entry with both factors above max_value is never read
     terms = [
-        [tuple(cg_op(m, n)) if m < cut or n < cut else () for n in table]
+        [tuple(_cg_op(m, n)) if m < cut or n < cut else () for n in table]
         for m in table
     ]
     longest = max(len(terms[a][b]) for a in outer for b in outer)
@@ -160,7 +166,7 @@ def verify_clebsch(max_value: int) -> list[dict]:
     check_clebsch_max(max_value)
     ok, witness = associativity_unbounded(max_value)
     unit_ok = all(
-        cg_op(0, a) == {a} and cg_op(a, 0) == {a} for a in range(max_value + 1)
+        _cg_op(0, a) == {a} and _cg_op(a, 0) == {a} for a in range(max_value + 1)
     )
     report = check_associativity(window_shadow(max_value))
     return [

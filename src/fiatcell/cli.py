@@ -5,6 +5,11 @@ reports are canonical JSON (stable ordering, no timestamps), so identical
 invocations produce byte-identical output. Exit codes: 0 all good, 1 a
 check reported a failure, 2 bad input or a structurally invalid file.
 
+The command line is read against one table, VERBS, in one pass. A usage
+error (an unknown verb, construction or option, a missing or bad value, a
+missing or extra path) prints the usage and the error on stderr and exits
+2 before any verb runs; -h or --help prints the usage.
+
 Each verb imports what it runs when it runs, so a process loads only the
 modules of its own verb: `check` and `export` need `shadow` alone, and the
 schur verbs load `schur` and no shadow layer. The error types come from
@@ -13,10 +18,11 @@ schur verbs load `schur` and no shadow layer. The error types come from
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from itertools import chain, islice
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .checks import ConsistencyError, InputError, StructureError, status
@@ -253,85 +259,137 @@ def cmd_verify(args) -> int:
     return 0 if doc["status"] == "pass" else 1
 
 
-def _add_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
+REQUIRED = ...  # the default of an option that must be given
+_OUTPUT = ("output", str, None, None)
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
+
+# verb words -> (positionals, options, command). An option maps its flag to
+# (attribute, int or str, default or REQUIRED, choices or None); every verb
+# also takes -o/--output.
+VERBS = {
+    ("build", "bn"): ((), {"--n": ("n", int, REQUIRED, None)}, cmd_build),
+    ("build", "clebsch"): ((), {"--max": ("max", int, REQUIRED, None)}, cmd_build),
+    ("build", "schur"): (
+        (), {"--n": ("n", int, REQUIRED, None), "--r": ("r", int, REQUIRED, None)}, cmd_build
+    ),
+    ("check",): (("path",), {}, cmd_check),
+    ("cells",): (
+        ("path",),
+        {
+            "--kind": ("kind", str, "two-sided", ("left", "right", "two-sided")),
+            "--dot": ("dot", str, None, None),
+        },
+        cmd_cells,
+    ),
+    ("ideals",): (("path",), {}, cmd_ideals),
+    ("cell-module",): (
+        ("path",), {"--left-cell-of": ("left_cell_of", str, REQUIRED, None)}, cmd_cell_module
+    ),
+    ("export",): (("path",), {}, cmd_export),
+    ("verify", "bn"): ((), {"--n": ("n", str, BN_DEFAULT_RANGE, None)}, cmd_verify),
+    ("verify", "clebsch"): ((), {"--max": ("max", int, CLEBSCH_DEFAULT_MAX, None)}, cmd_verify),
+    ("verify", "schur"): (
+        (),
+        {"--n": ("n", str, SCHUR_DEFAULT_N, None), "--r": ("r", str, SCHUR_DEFAULT_R, None)},
+        cmd_verify,
+    ),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fiatcell",
-        description="Build, inspect and verify multisemigroup shadows.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
+def _usage(key: tuple) -> str:
+    """The usage lines of the verbs whose words begin with key."""
+    lines = []
+    for words, (positionals, options, _) in VERBS.items():
+        if words[: len(key)] == key:
+            parts = ["fiatcell", *words, *positionals]
+            for flag, (attribute, _, default, choices) in options.items():
+                shown = f"{flag} {'{' + ','.join(choices) + '}' if choices else attribute.upper()}"
+                parts.append(shown if default is REQUIRED else f"[{shown}]")
+            lines.append(" ".join(parts) + " [-o OUTPUT]")
+    return "usage: " + "\n       ".join(lines)
 
-    build = sub.add_parser("build", help="build a named construction")
-    bsub = build.add_subparsers(dest="construction", required=True)
-    bn = bsub.add_parser("bn", help="divided-power shadow of rank n")
-    bn.add_argument("--n", type=int, required=True)
-    _add_output(bn)
-    bn.set_defaults(func=cmd_build)
-    cg = bsub.add_parser("clebsch", help="fusion window shadow on {0..K}")
-    cg.add_argument("--max", type=int, required=True)
-    _add_output(cg)
-    cg.set_defaults(func=cmd_build)
-    schur = bsub.add_parser("schur", help="margin-matrix cells report")
-    schur.add_argument("--n", type=int, required=True)
-    schur.add_argument("--r", type=int, required=True)
-    _add_output(schur)
-    schur.set_defaults(func=cmd_build)
 
-    check = sub.add_parser("check", help="validate a shadow file and sweep associativity")
-    check.add_argument("path")
-    _add_output(check)
-    check.set_defaults(func=cmd_check)
+def _fail(key: tuple, message: str):
+    print(_usage(key), f"fiatcell: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
 
-    cells = sub.add_parser("cells", help="cell partition of a shadow file")
-    cells.add_argument("path")
-    cells.add_argument(
-        "--kind", choices=("left", "right", "two-sided"), default="two-sided"
-    )
-    cells.add_argument("--dot", default=None, help="write the cell poset as DOT")
-    _add_output(cells)
-    cells.set_defaults(func=cmd_cells)
 
-    ideals = sub.add_parser("ideals", help="thick ideals of a shadow file")
-    ideals.add_argument("path")
-    _add_output(ideals)
-    ideals.set_defaults(func=cmd_ideals)
+def _choice(key: tuple, what: str, word: str, choices) -> None:
+    if word not in choices:
+        listed = ", ".join(map(repr, choices))
+        _fail(key, f"argument {what}: invalid choice: {word!r} (choose from {listed})")
 
-    cm = sub.add_parser("cell-module", help="matrices of the action on a left cell")
-    cm.add_argument("path")
-    cm.add_argument("--left-cell-of", required=True, metavar="ELEMENT")
-    _add_output(cm)
-    cm.set_defaults(func=cmd_cell_module)
 
-    export = sub.add_parser("export", help="re-serialize a shadow canonically")
-    export.add_argument("path")
-    _add_output(export)
-    export.set_defaults(func=cmd_export)
+def _option(word: str, options: dict) -> tuple[str | None, str | None]:
+    """(flag, value) for an option word, the value None when the next word
+    holds it, and (None, word) for a positional. Words are read as argparse
+    reads them, except that long options are not abbreviated."""
+    flag, equals, value = word.partition("=")
+    if word in options or word[:1] != "-" or word == "-":
+        return (word, None) if word in options else (None, word)
+    if equals and flag in options:
+        return flag, value
+    if word[1] != "-" and word[:2] in options:
+        return word[:2], word[2:]
+    return (None, word) if _NEGATIVE.match(word) or " " in word else (word, None)
 
-    verify = sub.add_parser("verify", help="run a verification suite")
-    vsub = verify.add_subparsers(dest="construction", required=True)
-    vbn = vsub.add_parser("bn")
-    vbn.add_argument("--n", default=BN_DEFAULT_RANGE, help="rank or range, e.g. 4 or 2..6")
-    _add_output(vbn)
-    vbn.set_defaults(func=cmd_verify)
-    vcg = vsub.add_parser("clebsch")
-    vcg.add_argument("--max", type=int, default=CLEBSCH_DEFAULT_MAX)
-    _add_output(vcg)
-    vcg.set_defaults(func=cmd_verify)
-    vschur = vsub.add_parser("schur")
-    vschur.add_argument("--n", default=SCHUR_DEFAULT_N)
-    vschur.add_argument("--r", default=SCHUR_DEFAULT_R)
-    _add_output(vschur)
-    vschur.set_defaults(func=cmd_verify)
 
-    return parser
+def _parse(argv) -> SimpleNamespace | None:
+    """The attributes of argv, read against VERBS in one pass; None once -h
+    or --help printed the usage. A usage error exits 2."""
+    key, words = (), iter(argv)
+    while key not in VERBS:
+        word = next(words, None)
+        if word in ("-h", "--help"):
+            print(_usage(key))
+            return None
+        what = "construction" if key else "verb"
+        if word is None:
+            _fail(key, f"the following arguments are required: {what}")
+        _choice(key, what, word, dict.fromkeys(k[len(key)] for k in VERBS if k[: len(key)] == key))
+        key += (word,)
+    positionals, options, command = VERBS[key]
+    options = {**options, "-o": _OUTPUT, "--output": _OUTPUT}
+    values = {attribute: default for attribute, _, default, _ in options.values()}
+    values.update(zip(("verb", "construction"), key), func=command)
+    given = []
+    for word in words:
+        if word in ("-h", "--help"):
+            print(_usage(key))
+            return None
+        if word == "--":
+            given += words
+            break
+        flag, value = _option(word, options)
+        if flag is None:
+            given.append(value)
+            continue
+        if flag not in options:
+            _fail(key, f"unrecognized arguments: {word}")
+        if value is None and (value := next(words, None)) is None:
+            _fail(key, f"argument {flag}: expected one argument")
+        attribute, kind, _, choices = options[flag]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _fail(key, f"argument {flag}: invalid int value: {value!r}")
+        if choices:
+            _choice(key, flag, value, choices)
+        values[attribute] = value
+    missing = list(positionals[len(given) :])
+    missing += [flag for flag, option in options.items() if values[option[0]] is REQUIRED]
+    if missing:
+        _fail(key, f"the following arguments are required: {', '.join(missing)}")
+    if len(given) > len(positionals):
+        _fail(key, f"unrecognized arguments: {' '.join(given[len(positionals) :])}")
+    return SimpleNamespace(**values, **dict(zip(positionals, given)))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        return 0
     try:
         return args.func(args)
     except (InputError, StructureError) as err:

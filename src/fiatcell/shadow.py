@@ -639,7 +639,64 @@ def shadow_from_dict(data: dict) -> Shadow:
 
 
 def dumps_shadow(s: Shadow) -> str:
-    return json.dumps(shadow_to_dict(s), indent=2) + "\n"
+    """The file text of s: the bytes of json.dumps(shadow_to_dict(s),
+    indent=2) plus a newline, without json's pure-Python indent path."""
+    return _text(shadow_to_dict(s), "") + "\n"
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _text(x, pad: str) -> str:
+    """x as indent=2 writes it on a line indented by pad. Strings are quoted
+    by json's C quoting; a value that is not a str, int, bool, dict or list
+    goes through json.dumps itself."""
+    kind = type(x)
+    if kind is str:
+        return _quote(x)
+    if kind is int:
+        return int.__repr__(x)
+    if kind is bool:
+        return "true" if x else "false"
+    if kind is dict:
+        return _members(x, pad)
+    if kind is list:
+        return _items(x, pad)
+    return json.dumps(x, indent=2).replace("\n", "\n" + pad)
+
+
+def _key(k) -> str:
+    # json turns a key that is not a str into one, or refuses it
+    return _quote(k) if type(k) is str else json.dumps({k: 0})[1:-4]
+
+
+def _members(d: dict, pad: str) -> str:
+    if not d:
+        return "{}"
+    inner = pad + "  "
+    body = f",\n{inner}".join([f"{_key(k)}: {_text(v, inner)}" for k, v in d.items()])
+    return f"{{\n{inner}{body}\n{pad}}}"
+
+
+def _items(xs: list, pad: str) -> str:
+    """A list; a list of rows with the fields of the first is written by one
+    row template, the field names quoted once."""
+    if not xs:
+        return "[]"
+    inner, fields = pad + "  ", ()
+    if type(xs[0]) is dict:
+        fields = tuple(xs[0])
+        at = inner + "  "
+        template = ",\n".join(f"{at}{_key(k).replace('%', '%%')}: %s" for k in fields)
+        template = f"{{\n{template}\n{inner}}}"
+    rows = [
+        template % tuple([_text(v, at) for v in x.values()])
+        if fields and type(x) is dict and tuple(x) == fields
+        else _text(x, inner)
+        for x in xs
+    ]
+    body = f",\n{inner}".join(rows)
+    return f"[\n{inner}{body}\n{pad}]"
 
 
 def save_shadow(s: Shadow, path: str) -> None:

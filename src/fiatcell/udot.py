@@ -72,6 +72,10 @@ from .shadow import (
 )
 
 DESK_LIMIT = 8
+# The largest total power of a word normalize_blocks straightens. A basis
+# monomial of rank n has F- and E-powers of at most n, so compose_monomials
+# passes at most 4 * DESK_LIMIT; the rewriter's cost grows steeply past it.
+WORD_LIMIT = 4 * DESK_LIMIT
 
 
 def check_bn_rank(n: int) -> None:
@@ -195,6 +199,9 @@ def normalize_blocks(
             raise InputError(f"bad block ({letter!r}, {p!r})")
         if p:
             word.append((letter, p))
+    total = sum(p for _, p in word)
+    if total > WORD_LIMIT:
+        raise InputError(f"word has total power {total}, more than the limit of {WORD_LIMIT}")
     done: UVector = {}
     _straighten(n, tuple(word), base, 1, done, rng)
     return done

@@ -111,7 +111,7 @@ def test_set_level_fault_has_the_reference_witness(monkeypatch, max_value):
     expected = _set_level(_dropped_top, max_value)
     assert not expected[0]
     assert _multiset(_dropped_top, max_value) == expected
-    monkeypatch.setattr(clebsch, "cg_op", _dropped_top)
+    monkeypatch.setattr(clebsch, "_cg_op", _dropped_top)
     assert associativity_unbounded(max_value) == expected
 
 
@@ -133,7 +133,7 @@ def test_row_comparison_has_the_reference_witness(monkeypatch, rule, max_value):
     expected = _multiset(rule, max_value)
     # from K = 2 the changed product is read
     assert expected[0] == (max_value < 2)
-    monkeypatch.setattr(clebsch, "cg_op", rule)
+    monkeypatch.setattr(clebsch, "_cg_op", rule)
     assert associativity_unbounded(max_value) == expected
 
 
@@ -143,7 +143,7 @@ def test_repeated_terms_cannot_overflow_a_slot(monkeypatch, max_value):
     # associative, with slots far above one
     rule = _repeated(cg_op, max_value + 2)
     assert _multiset(rule, max_value) == (True, None)
-    monkeypatch.setattr(clebsch, "cg_op", rule)
+    monkeypatch.setattr(clebsch, "_cg_op", rule)
     assert associativity_unbounded(max_value) == (True, None)
 
 
@@ -152,7 +152,7 @@ def test_repeated_terms_keep_a_multiplicity_fault(monkeypatch, max_value):
     rule = _repeated(_doubled_top, max_value + 2)
     assert _set_level(rule, max_value) == (True, None)
     assert _multiset(rule, max_value) == (False, (1, 1, 2))
-    monkeypatch.setattr(clebsch, "cg_op", rule)
+    monkeypatch.setattr(clebsch, "_cg_op", rule)
     assert associativity_unbounded(max_value) == (False, (1, 1, 2))
 
 
@@ -163,14 +163,14 @@ def test_slot_width_counts_multiplicities_inside_entries(monkeypatch):
     table = {(1, 0): (0, 0), (1, 1): (2,), (2, 0): (1,)}
     rule = lambda m, n: table.get((m, n), ())
     assert _multiset(rule, 1) == (False, (1, 1, 0))
-    monkeypatch.setattr(clebsch, "cg_op", rule)
+    monkeypatch.setattr(clebsch, "_cg_op", rule)
     assert associativity_unbounded(1) == (False, (1, 1, 0))
 
 
 def test_multiplicity_only_fault_fails_the_suite(monkeypatch, capsys):
     # (1 1) 2 = {0: 2, 2: 3, 4: 4} but 1 (1 2) = {0: 1, 2: 4, 4: 4}
     assert _set_level(_doubled_top, 4) == (True, None)
-    monkeypatch.setattr(clebsch, "cg_op", _doubled_top)
+    monkeypatch.setattr(clebsch, "_cg_op", _doubled_top)
     record = verify_clebsch(4)[0]
     assert record["check"] == "fusion-associativity-unbounded"
     assert record["status"] == "fail"

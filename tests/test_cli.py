@@ -394,6 +394,11 @@ def test_clebsch_refuses_bound_past_limit_before_any_work(monkeypatch, capsys, v
         ("compose_monomials", (True, E1, F0), "rank must be an integer, got True"),
         ("compose_monomials", (-1, E1, F0), "rank must be between 1 and 8, got -1"),
         ("compose_monomials", (9, E1, F0), "rank must be between 1 and 8, got 9"),
+        ("cg_op", (2.0, 1), "fusion factor must be an integer, got 2.0"),
+        ("cg_op", (1, True), "fusion factor must be an integer, got True"),
+        ("cg_op", (-1, 2), "fusion factor must be between 0 and 180, got -1"),
+        ("cg_op", (2, 2 * CLEBSCH_LIMIT + 1), "fusion factor must be between 0 and 180, got 181"),
+        ("cg_op", (10**12, 10**12), f"fusion factor must be between 0 and 180, got {10**12}"),
     ],
 )
 def test_rank_guards_refuse_non_integers(entry, args, message):
@@ -556,13 +561,104 @@ def test_unknown_verb_exits_two():
     assert exc.value.code == 2
 
 
+USAGE_ERRORS = {
+    "no verb": [],
+    "unknown verb": ["frobnicate"],
+    "no construction": ["verify"],
+    "unknown construction": ["build", "frobnicate"],
+    "unknown option": ["check", "{b2}", "--frobnicate"],
+    "abbreviated option": ["cell-module", "{b2}", "--left", "1_0"],
+    "option without a value": ["build", "bn", "--n"],
+    "output without a value": ["check", "{b2}", "-o"],
+    "missing required option": ["build", "schur", "--n", "2"],
+    "non-integer --n": ["build", "bn", "--n", "2.0"],
+    "non-integer --max": ["verify", "clebsch", "--max", "x"],
+    "--kind outside its choices": ["cells", "{b2}", "--kind", "up"],
+    "missing path": ["check"],
+    "extra path": ["check", "{b2}", "{b2}"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_errors_exit_two(tmp_path, capsys, argv):
+    b2 = tmp_path / "b2.json"
+    save_shadow(build_bn(2), str(b2))
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(b2=b2) for a in argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: fiatcell ") and "\nfiatcell: error: " in err
+
+
+def test_usage_error_names_the_fault(capsys):
+    with pytest.raises(SystemExit):
+        main(["build", "bn", "--n", "x"])
+    assert capsys.readouterr().err == (
+        "usage: fiatcell build bn --n N [-o OUTPUT]\n"
+        "fiatcell: error: argument --n: invalid int value: 'x'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, verbs, first",
+    [
+        (["-h"], 11, "build bn"),
+        (["--help"], 11, "build bn"),
+        (["verify", "-h"], 3, "verify bn"),
+        (["cells", "x", "--help"], 1, "cells path"),
+    ],
+)
+def test_help_prints_the_usage(capsys, argv, verbs, first):
+    # the usage of every verb that the words before -h leave open
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert err == "" and len(lines) == verbs
+    assert lines[0].startswith(f"usage: fiatcell {first} ")
+
+
+def test_help_exits_zero_as_a_process(child_env):
+    proc = run_cli(child_env, "--help")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "fiatcell cell-module path --left-cell-of" in proc.stdout
+
+
+@pytest.mark.parametrize("value", [["--max", "-1"], ["--max=-1"]])
+@pytest.mark.parametrize("verb", ["build", "verify"])
+def test_negative_values_reach_the_range_check(capsys, verb, value):
+    assert main([verb, "clebsch", *value]) == 2
+    message = f"error: window bound must be between 0 and {CLEBSCH_LIMIT}, got -1\n"
+    assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cells", "{b2}", "--kind", "left", "-o", "{out}"],
+        ["cells", "--kind=left", "{b2}", "--output={out}"],
+        ["cells", "--kind", "right", "--kind", "left", "{b2}", "--output", "{out}"],
+        ["cells", "-o{out}", "--kind", "left", "--", "{b2}"],
+        ["cells", "-o={out}", "{b2}", "--kind=left"],
+    ],
+)
+def test_option_spellings_agree(tmp_path, capsys, argv):
+    b2, out = tmp_path / "b2.json", tmp_path / "out.json"
+    save_shadow(build_bn(2), str(b2))
+    assert main(["cells", str(b2), "--kind", "left"]) == 0
+    expected = capsys.readouterr().out
+    assert main([a.format(b2=b2, out=out) for a in argv]) == 0
+    assert out.read_text() == expected
+
+
 def test_module_entry_point(child_env):
     proc = run_cli(child_env, "verify", "bn", "--n", "4")
     assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_runs_on_the_standard_library_alone(tmp_path):
-    # -I -S: no site-packages and no PYTHONPATH, so no third-party import works
+    # -I -S: no site-packages and no PYTHONPATH, so no third-party import
+    # works; -B, since -I ignores PYTHONDONTWRITEBYTECODE: no bytecode in src
     path = tmp_path / "b2.json"
     save_shadow(build_bn(2), str(path))
     src = str(Path(fiatcell.__file__).parent.parent)
@@ -573,7 +669,7 @@ def test_cli_runs_on_the_standard_library_alone(tmp_path):
         ["cell-module", str(path), "--left-cell-of", "F0^(1)"],
     ):
         proc = subprocess.run(
-            [sys.executable, "-I", "-S", "-c", run, *argv],
+            [sys.executable, "-I", "-S", "-B", "-c", run, *argv],
             capture_output=True,
             text=True,
         )

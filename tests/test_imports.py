@@ -1,7 +1,7 @@
 """The package's import surface: `import fiatcell` loads no submodule, each
 command-line verb loads only the modules it runs (the schur verbs no shadow
-layer, and no verb `dataclasses` or `inspect`), and the public names are
-the same objects as in their home modules."""
+layer, and no verb `dataclasses`, `inspect` or `argparse`), and the public
+names are the same objects as in their home modules."""
 
 import importlib
 import json
@@ -97,7 +97,7 @@ def test_submodules_still_import_from_the_package():
 
 
 # top-level packages whose modules the import tests report
-WATCHED = ("fiatcell", "dataclasses", "inspect")
+WATCHED = ("fiatcell", "dataclasses", "inspect", "argparse")
 
 
 def _loaded(env, code, *argv):

@@ -895,6 +895,51 @@ def test_json_roundtrip_is_identity():
         assert dumps_shadow(again) == text
 
 
+def reference_dumps(s):
+    """The file text as json's indent path writes it."""
+    return json.dumps(shadow_to_dict(s), indent=2) + "\n"
+
+
+names = st.text(st.sampled_from('ab"\\/é€\x00\n%{}'), max_size=4)
+
+
+@st.composite
+def written_shadows(draw):
+    """Hand-built shadows, not validated: names with quotes, backslashes,
+    control and non-ASCII characters, empty tables, zero entries and terms,
+    partial tables, with and without an involution."""
+    objects = tuple(range(draw(st.integers(1, 2))))
+    ends = st.sampled_from(objects)
+    elements = tuple(
+        Element(name, draw(ends), draw(ends), draw(st.booleans()))
+        for name in draw(st.lists(names, max_size=4, unique=True))
+    )
+    table, involution = {}, None
+    if elements:
+        some = st.sampled_from(elements)
+        for pair in draw(st.lists(st.tuples(some, some), unique=True)):
+            table[pair] = Decomposition(draw(st.dictionaries(some, st.integers(0, 3))))
+        if draw(st.booleans()):
+            involution = {a: draw(some) for a in draw(st.sets(some))}
+    return Shadow(objects, elements, table, involution, draw(st.booleans()))
+
+
+@settings(max_examples=200)
+@given(written_shadows())
+def test_dumps_shadow_is_json_indent_text(s):
+    assert dumps_shadow(s) == reference_dumps(s)
+
+
+def test_dumps_shadow_on_built_and_odd_shadows():
+    for s in (build_bn(1), build_bn(3), window_shadow(0), window_shadow(5), associative_toy()):
+        assert dumps_shadow(s) == reference_dumps(s)
+    # values json writes itself: a float, None and a nested list among the
+    # objects, a name that is a number, a multiplicity that is a float
+    x = Element(7, 0, 0)
+    s = Shadow((0, 1.5, None, [1, [2, {"k": "%s"}]]), (E, x), {(x, E): Decomposition({x: 2.0})}, {x: E})
+    assert dumps_shadow(s) == reference_dumps(s)
+
+
 def test_json_format_field_and_ordering():
     s = build_bn(1)
     data = shadow_to_dict(s)

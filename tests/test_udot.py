@@ -29,6 +29,7 @@ from fiatcell import (
 from fiatcell import udot
 from fiatcell.udot import (
     DESK_LIMIT,
+    WORD_LIMIT,
     DPMonomial,
     bn_cells_report,
     cell_generator,
@@ -194,6 +195,30 @@ def test_normalize_rejects_bad_blocks():
             normalize_blocks(2, [("F", 1), block], 0)
         assert str(err.value) == message
     assert normalize_blocks(2, [("E", 0), ("F", 1), ("F", 0)], 0) == {dp("fe", 1, 0, 0): 1}
+
+
+def test_word_bound_covers_every_basis_composition():
+    assert WORD_LIMIT >= 4 * DESK_LIMIT
+    for n in range(1, DESK_LIMIT + 1):
+        powers = [m.fpow + m.epow for ms in bn_basis(n).values() for m in ms]
+        assert 2 * max(powers) <= WORD_LIMIT
+
+
+def test_word_past_the_bound_is_refused_before_rewriting(monkeypatch):
+    # at the limit the word is straightened; one step past it, no rewrite runs
+    at, past = "EF" * (WORD_LIMIT // 2), "EF" * (WORD_LIMIT // 2) + "F"
+    assert as_pairs(dp_normalize(1, at, 0)) == oracle_dp_coeffs(1, at, 0)
+    calls = _counting(monkeypatch, "_straighten")
+    message = f"word has total power {WORD_LIMIT + 1}, more than the limit of {WORD_LIMIT}"
+    for call in (
+        lambda: dp_normalize(DESK_LIMIT, past, 4),
+        lambda: normalize_blocks(DESK_LIMIT, [("F", WORD_LIMIT), ("E", 1)], 0),
+        lambda: normalize_blocks(2, [("E", 0)] + [("F", 1)] * (WORD_LIMIT + 1), 0),
+    ):
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == message
+    assert calls == []
 
 
 fuzz_values = st.one_of(
