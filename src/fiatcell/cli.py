@@ -261,7 +261,6 @@ def cmd_verify(args) -> int:
 
 REQUIRED = ...  # the default of an option that must be given
 _OUTPUT = ("output", str, None, None)
-_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
 
 # verb words -> (positionals, options, command). An option maps its flag to
 # (attribute, int or str, default or REQUIRED, choices or None); every verb
@@ -331,7 +330,9 @@ def _option(word: str, options: dict) -> tuple[str | None, str | None]:
         return flag, value
     if word[1] != "-" and word[:2] in options:
         return word[:2], word[2:]
-    return (None, word) if _NEGATIVE.match(word) or " " in word else (word, None)
+    # compiled here, not at import: only a word that names no option gets here
+    negative = re.match(r"-\d+$|-\d*\.\d+$", word)
+    return (None, word) if negative or " " in word else (word, None)
 
 
 def _parse(argv) -> SimpleNamespace | None:
