@@ -933,10 +933,13 @@ def test_dumps_shadow_is_json_indent_text(s):
 def test_dumps_shadow_on_built_and_odd_shadows():
     for s in (build_bn(1), build_bn(3), window_shadow(0), window_shadow(5), associative_toy()):
         assert dumps_shadow(s) == reference_dumps(s)
-    # values json writes itself: a float, None and a nested list among the
+    # values json writes itself: a float, None and nested tuples among the
     # objects, a name that is a number, a multiplicity that is a float
     x = Element(7, 0, 0)
-    s = Shadow((0, 1.5, None, [1, [2, {"k": "%s"}]]), (E, x), {(x, E): Decomposition({x: 2.0})}, {x: E})
+    s = Shadow((0, 1.5, None, (1, (2, {"k": "%s"}))), (E, x), {(x, E): Decomposition({x: 2.0})}, {x: E})
+    assert dumps_shadow(s) == reference_dumps(s)
+    # a list of rows whose fields differ from the first row's
+    s = Shadow(({"a": 1}, {"a": 2}, {"b": 3}, {}, 4), (E,), {})
     assert dumps_shadow(s) == reference_dumps(s)
 
 
