@@ -1,10 +1,17 @@
-"""Check records, the package's error types and its integer guard.
+"""Check records, the package's error types, its integer guard and its one
+JSON writer.
 
-Every verb loads this module, so the error types live here: a verb that
-needs nothing else loads nothing else to catch them.
+Every verb loads this module, so these live here: a verb that needs nothing
+else loads nothing else to catch an error or to write its report. Every
+report and shadow file is the text of json.dumps(x, indent=2) and a
+newline, from json_pieces, written piece by piece by write_text.
 """
 
 from __future__ import annotations
+
+import json
+import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 
 class FiatcellError(Exception):
@@ -23,10 +30,14 @@ class ConsistencyError(FiatcellError):
     """An internal computation produced an impossible value."""
 
 
+def is_int(value) -> bool:
+    """An int that is not a bool: a boolean is not an integer here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_range(what: str, value, lo: int, hi: int) -> None:
-    """Raise InputError unless value is an integer in lo..hi. A boolean is
-    not an integer here, as in the file loader."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    """Raise InputError unless value is an integer (is_int) in lo..hi."""
+    if not is_int(value):
         raise InputError(f"{what} must be an integer, got {value!r}")
     if not lo <= value <= hi:
         raise InputError(f"{what} must be between {lo} and {hi}, got {value}")
@@ -45,3 +56,86 @@ def check(name: str, ok: bool, witnesses: list | None = None, **extra) -> dict:
 def status(records: list[dict]) -> str:
     """The overall status: "pass" when every record passed, else "fail"."""
     return "pass" if all(c["status"] == "pass" for c in records) else "fail"
+
+
+def write_text(pieces, path: str | None) -> None:
+    """Write the strings of pieces one by one to stdout, or to the file at
+    path; InputError when the file cannot be written."""
+    if path is None:
+        return sys.stdout.writelines(pieces)
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(pieces)
+    except OSError as err:
+        raise InputError(f"cannot write {path}: {err}") from err
+
+
+# the containers json writes one member or item a line, and their brackets
+_ENDS = {dict: "{}", list: "[]", tuple: "[]"}
+# the scalars written without json.dumps, strings by json's C quoting
+_SCALARS = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.get}
+
+
+def json_pieces(x):
+    """The text of json.dumps(x, indent=2) and a newline, in pieces: one per
+    member or item of x and of each container in x, every deeper value
+    written whole, so a large report is never built as one string."""
+    if type(x) not in _ENDS or not x:
+        yield _text(x, "") + "\n"
+        return
+    heads = [f"{_key(k)}: " for k in x] if type(x) is dict else [""] * len(x)
+    yield _ENDS[type(x)][0]
+    for i, value in enumerate(x.values() if type(x) is dict else x):
+        yield f"{',' if i else ''}\n  {heads[i]}"
+        if type(value) in _ENDS and value:
+            lines = _lines(value, "    ")
+            yield f"{_ENDS[type(value)][0]}\n    {next(lines)}"
+            yield from map(",\n    ".__add__, lines)
+            yield f"\n  {_ENDS[type(value)][1]}"
+        else:
+            yield _text(value, "  ")
+    yield f"\n{_ENDS[type(x)][1]}\n"
+
+
+def _text(x, pad: str) -> str:
+    """x as json.dumps(x, indent=2) writes it on a line indented by pad; a
+    value that is not a scalar of _SCALARS or a container of _ENDS goes
+    through json.dumps itself."""
+    kind = type(x)
+    if kind in _SCALARS:
+        return _SCALARS[kind](x)
+    if kind not in _ENDS:
+        return json.dumps(x, indent=2).replace("\n", "\n" + pad)
+    if not x:
+        return _ENDS[kind]
+    inner = pad + "  "
+    body = f",\n{inner}".join(_lines(x, inner))
+    return f"{_ENDS[kind][0]}\n{inner}{body}\n{pad}{_ENDS[kind][1]}"
+
+
+def _key(k) -> str:
+    # json turns a key that is not a str into one, or refuses it
+    return _quote(k) if type(k) is str else json.dumps({k: 0})[1:-4]
+
+
+def _lines(x, pad: str):
+    """The members or items of a non-empty container x, each as written on
+    a line indented by pad, one at a time: a list of scalars of one type by
+    one map, a list of rows with the fields of the first by one template."""
+    if type(x) is dict:
+        return (f"{_key(k)}: {_text(v, pad)}" for k, v in x.items())
+    kinds = set(map(type, x))
+    if len(kinds) == 1 and (kind := kinds.pop()) in _SCALARS:
+        return map(_SCALARS[kind], x)
+    fields = tuple(x[0]) if type(x[0]) is dict else ()
+    if not fields:
+        return (_text(v, pad) for v in x)
+    at = pad + "  "
+    template = ",\n".join(f"{at}{_key(k).replace('%', '%%')}: %s" for k in fields)
+    template = f"{{\n{template}\n{pad}}}"
+    return (
+        template % tuple([_text(v, at) for v in row.values()])
+        if type(row) is dict and tuple(row) == fields
+        else _text(row, pad)
+        for row in x
+    )

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Verbs: build, check, cells, ideals, cell-module, export, verify. All
-reports are canonical JSON (stable ordering, no timestamps), so identical
-invocations produce byte-identical output. Exit codes: 0 all good, 1 a
-check reported a failure, 2 bad input or a structurally invalid file.
+Verbs: build, check, cells, ideals, cell-module, export, verify. Each
+writes its JSON through one call, _emit, which streams checks.json_pieces:
+canonical JSON (stable ordering, no timestamps), so identical invocations
+produce byte-identical output. Exit codes: 0 all good, 1 a check reported
+a failure, 2 bad input or a structurally invalid file.
 
 The command line is read against one table, VERBS, in one pass. A usage
 error (an unknown verb, construction or option, a missing or bad value, a
@@ -12,20 +13,18 @@ missing or extra path) prints the usage and the error on stderr and exits
 
 Each verb imports what it runs when it runs, so a process loads only the
 modules of its own verb: `check` and `export` need `shadow` alone, and the
-schur verbs load `schur` and no shadow layer. The error types come from
-`checks`, which every verb loads anyway.
+schur verbs load `schur` and no shadow layer. The error types and the
+writer come from `checks`, which every verb loads anyway.
 """
 
 from __future__ import annotations
 
-import json
 import re
 import sys
-from itertools import chain, islice
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .checks import ConsistencyError, InputError, StructureError, status
+from .checks import ConsistencyError, InputError, StructureError, json_pieces, status, write_text
 
 if TYPE_CHECKING:
     from .shadow import Shadow
@@ -58,26 +57,9 @@ def _probes(ranks: range, limit: int) -> tuple[int, int]:
     return ranks[0], min(ranks[-1], limit + 1)
 
 
-def _write_text(chunks, path: str | None) -> None:
-    """Write the strings of chunks, joined in batches rather than into one
-    string, to stdout or to the file at path."""
-    chunks = iter(chunks)
-
-    def write(fh) -> None:
-        while text := "".join(islice(chunks, 1 << 16)):
-            fh.write(text)
-
-    if path is None:
-        return write(sys.stdout)
-    try:
-        with open(path, "w") as fh:
-            write(fh)
-    except OSError as err:
-        raise InputError(f"cannot write {path}: {err}") from err
-
-
 def _emit(doc: dict, path: str | None) -> None:
-    _write_text(chain(json.JSONEncoder(indent=2).iterencode(doc), "\n"), path)
+    """Write doc as canonical JSON, piece by piece, to stdout or to path."""
+    write_text(json_pieces(doc), path)
 
 
 def _load(path: str) -> Shadow:
@@ -91,32 +73,37 @@ def _load(path: str) -> Shadow:
     return s
 
 
+def _names(s: Shadow, elements) -> list[str]:
+    """The names of some elements of s, in element order."""
+    return [e.name for e in sorted(elements, key=s.index_of)]
+
+
 def cmd_build(args) -> int:
+    if args.construction == "schur":
+        from .schur import schur_report
+
+        report = schur_report(args.n, args.r)
+        _emit(report, args.output)
+        return 0 if status(report["checks"]) == "pass" else 1
     if args.construction == "bn":
-        from .shadow import dumps_shadow
         from .udot import build_bn
 
-        _write_text([dumps_shadow(build_bn(args.n))], args.output)
-        return 0
-    if args.construction == "clebsch":
+        s = build_bn(args.n)
+    else:
         from .clebsch import check_clebsch_max, window_shadow
-        from .shadow import dumps_shadow
 
         check_clebsch_max(args.max)
-        _write_text([dumps_shadow(window_shadow(args.max))], args.output)
-        return 0
-    from .schur import schur_report
+        s = window_shadow(args.max)
+    from .shadow import shadow_to_dict
 
-    report = schur_report(args.n, args.r)
-    _emit(report, args.output)
-    return 0 if status(report["checks"]) == "pass" else 1
+    _emit(shadow_to_dict(s), args.output)
+    return 0
 
 
 def cmd_check(args) -> int:
     from .shadow import check_associativity, load_shadow
 
-    s = load_shadow(args.path)
-    report = check_associativity(s)
+    report = check_associativity(load_shadow(args.path))
     doc = {
         "format": 1,
         "verb": "check",
@@ -142,16 +129,13 @@ def cmd_cells(args) -> int:
     doc = {
         "format": 1,
         "kind": args.kind,
-        "classes": [
-            [e.name for e in sorted(cls, key=s.index_of)]
-            for cls in partition.classes
-        ],
+        "classes": [_names(s, cls) for cls in partition.classes],
     }
     if args.dot is not None:
         if args.kind != "two-sided":
             raise InputError("--dot draws the two-sided cell poset; use --kind two-sided")
         poset = cell_poset(s)
-        _write_text([poset_to_dot(s, poset)], args.dot)
+        write_text([poset_to_dot(s, poset)], args.dot)
     _emit(doc, args.output)
     return 0
 
@@ -170,12 +154,7 @@ def cmd_ideals(args) -> int:
         "upset-enumeration-count": len(upsets),
         "status": "pass" if len(ideals) == len(upsets) else "fail",
         "ideals": [
-            {
-                "antichain": [
-                    [e.name for e in sorted(cls, key=s.index_of)] for cls in cells
-                ],
-                "members": [e.name for e in sorted(members, key=s.index_of)],
-            }
+            {"antichain": [_names(s, cls) for cls in cells], "members": _names(s, members)}
             for cells, members in ideals
         ],
     }
@@ -187,32 +166,27 @@ def cmd_cell_module(args) -> int:
     from .cells import cell_module, cell_partition
 
     s = _load(args.path)
-    e = s.element(args.left_cell_of)
-    left = cell_partition(s, "left").class_of(e)
+    left = cell_partition(s, "left").class_of(s.element(args.left_cell_of))
     cm = cell_module(s, left)
     doc = {
         "format": 1,
         "left-cell-of": args.left_cell_of,
         "basis": [b.name for b in cm.basis],
-        "matrices": {
-            a.name: cm.matrices[a]
-            for a in sorted(cm.matrices, key=s.index_of)
-        },
+        "matrices": {a.name: cm.matrices[a] for a in sorted(cm.matrices, key=s.index_of)},
     }
     _emit(doc, args.output)
     return 0
 
 
 def cmd_export(args) -> int:
-    from .shadow import dumps_shadow
+    from .shadow import shadow_to_dict
 
-    s = _load(args.path)
-    _write_text([dumps_shadow(s)], args.output)
+    _emit(shadow_to_dict(_load(args.path)), args.output)
     return 0
 
 
 def cmd_verify(args) -> int:
-    results = []
+    runs = []  # (the leading fields of a result, its checks)
     if args.construction == "bn":
         from .cells import cell_partition
         from .udot import DESK_LIMIT, build_bn, check_bn_rank, verify_bn
@@ -221,25 +195,14 @@ def cmd_verify(args) -> int:
         for n in _probes(ranks, DESK_LIMIT):
             check_bn_rank(n)
         for n in ranks:
-            s = build_bn(n)
-            checks = verify_bn(n)
-            results.append(
-                {
-                    "n": n,
-                    "elements": len(s.elements),
-                    "two-sided-cells": len(cell_partition(s, "two-sided").classes),
-                    "checks": checks,
-                    "status": status(checks),
-                }
-            )
-        doc = {"format": 1, "construction": "bn", "results": results}
+            s, checks = build_bn(n), verify_bn(n)
+            cells = len(cell_partition(s, "two-sided").classes)
+            runs.append(({"n": n, "elements": len(s.elements), "two-sided-cells": cells}, checks))
     elif args.construction == "clebsch":
         from .clebsch import check_clebsch_max, verify_clebsch
 
         check_clebsch_max(args.max)
-        checks = verify_clebsch(args.max)
-        results.append({"max": args.max, "checks": checks, "status": status(checks)})
-        doc = {"format": 1, "construction": "clebsch", "results": results}
+        runs.append(({"max": args.max}, verify_clebsch(args.max)))
     else:
         from .schur import SCHUR_LIMIT_N, SCHUR_LIMIT_R, check_schur_rank, verify_schur
 
@@ -247,13 +210,9 @@ def cmd_verify(args) -> int:
         for n in _probes(ns, SCHUR_LIMIT_N):
             for r in _probes(rs, SCHUR_LIMIT_R):
                 check_schur_rank(n, r)
-        for n in ns:
-            for r in rs:
-                checks = verify_schur(n, r)
-                results.append(
-                    {"n": n, "r": r, "checks": checks, "status": status(checks)}
-                )
-        doc = {"format": 1, "construction": "schur", "results": results}
+        runs += [({"n": n, "r": r}, verify_schur(n, r)) for n in ns for r in rs]
+    results = [{**fields, "checks": checks, "status": status(checks)} for fields, checks in runs]
+    doc = {"format": 1, "construction": args.construction, "results": results}
     doc["status"] = status(results)
     _emit(doc, args.output)
     return 0 if doc["status"] == "pass" else 1

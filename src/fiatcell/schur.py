@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, groupby
 from math import comb
 
-from .checks import ConsistencyError, InputError, check, check_range
+from .checks import ConsistencyError, InputError, check, check_range, is_int
 
 SCHUR_LIMIT_N = 4
 SCHUR_LIMIT_R = 8
@@ -178,12 +178,12 @@ def partitions_at_most(r: int, parts: int, max_part: int | None = None):
 def _partition(shape, n: int) -> tuple[int, ...]:
     """A shape as a tuple; refused unless its parts are positive, weakly
     decreasing integers and the entry bound n is a nonnegative integer."""
-    if not isinstance(n, int):
+    if not is_int(n):
         raise InputError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise InputError(f"n must not be negative, got {n}")
     shape = tuple(shape)
-    if any(not isinstance(p, int) for p in shape):
+    if not all(map(is_int, shape)):
         raise InputError(f"{shape} has a part that is not an integer")
     if any(p < 1 for p in shape) or any(a < b for a, b in zip(shape, shape[1:])):
         raise InputError(f"{shape} is not a partition")
@@ -288,7 +288,7 @@ def double_coset_count(r: int, mu, nu) -> int:
     a permutation w, and g -> w g maps the double cosets of the one onto
     those of the other, so the count is unchanged. No margin matrix is
     read."""
-    if any(not isinstance(m, int) for m in (r, *mu, *nu)):
+    if not all(map(is_int, (r, *mu, *nu))):
         raise InputError("r and the composition parts must be integers")
     if any(m < 0 for m in (*mu, *nu)):
         raise InputError("compositions must have nonnegative parts")

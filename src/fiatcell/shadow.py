@@ -24,6 +24,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .checks import ConsistencyError, FiatcellError, InputError, StructureError  # noqa: F401
+from .checks import is_int, json_pieces, write_text
 
 
 class Element(NamedTuple):
@@ -592,7 +593,7 @@ _JSON_TYPES = {int: "an integer", bool: "a boolean", str: "a string", dict: "an 
 def _json(x, kind: type):
     """x if it is a JSON value of the given type; nothing is cast, and a
     boolean is not an integer."""
-    if not isinstance(x, kind) or (kind is int and isinstance(x, bool)):
+    if not (is_int(x) if kind is int else isinstance(x, kind)):
         raise InputError(f"expected {_JSON_TYPES[kind]}, got {json.dumps(x)}")
     return x
 
@@ -639,69 +640,13 @@ def shadow_from_dict(data: dict) -> Shadow:
 
 
 def dumps_shadow(s: Shadow) -> str:
-    """The file text of s: the bytes of json.dumps(shadow_to_dict(s),
-    indent=2) plus a newline, without json's pure-Python indent path."""
-    return _text(shadow_to_dict(s), "") + "\n"
-
-
-_quote = json.encoder.encode_basestring_ascii
-
-
-def _text(x, pad: str) -> str:
-    """x as indent=2 writes it on a line indented by pad. Strings are quoted
-    by json's C quoting; a value that is not a str, int, bool, dict or list
-    goes through json.dumps itself."""
-    kind = type(x)
-    if kind is str:
-        return _quote(x)
-    if kind is int:
-        return int.__repr__(x)
-    if kind is bool:
-        return "true" if x else "false"
-    if kind is dict:
-        return _members(x, pad)
-    if kind is list:
-        return _items(x, pad)
-    return json.dumps(x, indent=2).replace("\n", "\n" + pad)
-
-
-def _key(k) -> str:
-    # json turns a key that is not a str into one, or refuses it
-    return _quote(k) if type(k) is str else json.dumps({k: 0})[1:-4]
-
-
-def _members(d: dict, pad: str) -> str:
-    if not d:
-        return "{}"
-    inner = pad + "  "
-    body = f",\n{inner}".join([f"{_key(k)}: {_text(v, inner)}" for k, v in d.items()])
-    return f"{{\n{inner}{body}\n{pad}}}"
-
-
-def _items(xs: list, pad: str) -> str:
-    """A list; a list of rows with the fields of the first is written by one
-    row template, the field names quoted once."""
-    if not xs:
-        return "[]"
-    inner, fields = pad + "  ", ()
-    if type(xs[0]) is dict:
-        fields = tuple(xs[0])
-        at = inner + "  "
-        template = ",\n".join(f"{at}{_key(k).replace('%', '%%')}: %s" for k in fields)
-        template = f"{{\n{template}\n{inner}}}"
-    rows = [
-        template % tuple([_text(v, at) for v in x.values()])
-        if fields and type(x) is dict and tuple(x) == fields
-        else _text(x, inner)
-        for x in xs
-    ]
-    body = f",\n{inner}".join(rows)
-    return f"[\n{inner}{body}\n{pad}]"
+    """The file text of s: json.dumps(shadow_to_dict(s), indent=2), a newline."""
+    return "".join(json_pieces(shadow_to_dict(s)))
 
 
 def save_shadow(s: Shadow, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_shadow(s))
+    """Write the file text of s to path; InputError if it cannot be written."""
+    write_text(json_pieces(shadow_to_dict(s)), path)
 
 
 def load_shadow(path: str) -> Shadow:

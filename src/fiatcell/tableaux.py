@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING
 
-from .checks import ConsistencyError, InputError
+from .checks import ConsistencyError, InputError, is_int
 from .schur import (
     _antidominant,
     _check_tableau,
@@ -86,6 +86,8 @@ def rsk(a: MarginMatrix) -> RskPair:
 
 def rsk_inverse(pair: RskPair, n: int) -> MarginMatrix:
     """The unique matrix inserting to the given pair."""
+    if not is_int(n):
+        raise InputError(f"n must be an integer, got {n!r}")
     for t in (pair.p, pair.q):
         for row in t.rows:
             if any(x > n for x in row):

@@ -56,7 +56,7 @@ from .cells import (
     is_strongly_regular,
     m_values,
 )
-from .checks import check, check_range
+from .checks import check, check_range, is_int
 from .ideals import quotient_by_upset, thick_ideals, upsets_by_enumeration
 from .shadow import (
     ConsistencyError,
@@ -195,7 +195,7 @@ def normalize_blocks(
     check_range("object", base, 0, n)
     word = []
     for letter, p in blocks:
-        if letter not in ("E", "F") or not isinstance(p, int) or isinstance(p, bool) or p < 0:
+        if letter not in ("E", "F") or not is_int(p) or p < 0:
             raise InputError(f"bad block ({letter!r}, {p!r})")
         if p:
             word.append((letter, p))

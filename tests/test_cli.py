@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -26,6 +27,8 @@ from fiatcell import (
     udot,
     window_shadow,
 )
+from fiatcell import cli
+from fiatcell.checks import json_pieces
 from fiatcell.cli import main, parse_range
 from fiatcell.clebsch import CLEBSCH_LIMIT
 from fiatcell.ideals import IDEALS_LIMIT
@@ -340,67 +343,134 @@ def test_clebsch_refuses_bound_past_limit_before_any_work(monkeypatch, capsys, v
     assert err == f"error: window bound must be between 0 and {CLEBSCH_LIMIT}, got {bound}\n"
 
 
-@pytest.mark.parametrize(
-    "entry, args, message",
-    [
-        ("verify_schur", (2.0, 3), "n must be an integer, got 2.0"),
-        ("verify_schur", (2, 3.0), "r must be an integer, got 3.0"),
-        ("schur_report", (True, 1), "n must be an integer, got True"),
-        ("enumerate_dominant", (1, True), "r must be an integer, got True"),
-        ("cells_via_rsk", (2.0, 3), "n must be an integer, got 2.0"),
-        ("build_bn", (2.0,), "rank must be an integer, got 2.0"),
-        ("build_bn", (True,), "rank must be an integer, got True"),
-        ("verify_bn", (2.0,), "rank must be an integer, got 2.0"),
-        ("window_shadow", (2.0,), "window bound must be an integer, got 2.0"),
-        ("window_shadow", (False,), "window bound must be an integer, got False"),
-        ("verify_clebsch", (3.0,), "window bound must be an integer, got 3.0"),
-        ("bn_basis", (2.0,), "rank must be an integer, got 2.0"),
-        ("bn_basis", (True,), "rank must be an integer, got True"),
-        ("bn_basis", (-1,), "rank must be between 1 and 8, got -1"),
-        ("bn_basis", (9,), "rank must be between 1 and 8, got 9"),
-        ("defining_action", (2.0,), "rank must be an integer, got 2.0"),
-        ("defining_action", (True,), "rank must be an integer, got True"),
-        ("defining_action", (-1,), "rank must be between 1 and 8, got -1"),
-        ("defining_action", (9,), "rank must be between 1 and 8, got 9"),
-        ("recursion_check", (2.0,), "rank must be an integer, got 2.0"),
-        ("recursion_check", (True,), "rank must be an integer, got True"),
-        ("recursion_check", (-1,), "rank must be between 1 and 8, got -1"),
-        ("recursion_check", (9,), "rank must be between 1 and 8, got 9"),
-        ("single_cell_check", (2.0,), "window bound must be an integer, got 2.0"),
-        ("single_cell_check", (True,), "window bound must be an integer, got True"),
-        ("single_cell_check", (-3,), "window bound must be between 0 and 90, got -3"),
-        ("single_cell_check", (91,), "window bound must be between 0 and 90, got 91"),
-        ("normalize_blocks", (2.0, [("F", 1)], 0), "rank must be an integer, got 2.0"),
-        ("normalize_blocks", (True, [("F", 1)], 0), "rank must be an integer, got True"),
-        ("normalize_blocks", (-1, [("F", 1)], 0), "rank must be between 1 and 8, got -1"),
-        ("normalize_blocks", (9, [("F", 1)], 0), "rank must be between 1 and 8, got 9"),
-        ("normalize_blocks", (2, [("F", 1)], 0.0), "object must be an integer, got 0.0"),
-        ("normalize_blocks", (2, [("F", 1)], True), "object must be an integer, got True"),
-        ("normalize_blocks", (2, [("F", 1)], -1), "object must be between 0 and 2, got -1"),
-        ("normalize_blocks", (2, [("F", 1)], 3), "object must be between 0 and 2, got 3"),
-        ("dp_normalize", (2.0, "EF", 0), "rank must be an integer, got 2.0"),
-        ("dp_normalize", (True, "EF", 0), "rank must be an integer, got True"),
-        ("dp_normalize", (-1, "EF", 0), "rank must be between 1 and 8, got -1"),
-        ("dp_normalize", (9, "EF", 0), "rank must be between 1 and 8, got 9"),
-        ("dp_normalize", (2, "EF", 0.0), "object must be an integer, got 0.0"),
-        ("dp_normalize", (2, "EF", False), "object must be an integer, got False"),
-        ("dp_normalize", (2, "EF", -1), "object must be between 0 and 2, got -1"),
-        ("dp_normalize", (2, "EF", 3), "object must be between 0 and 2, got 3"),
-        ("basis_change", (2.0, {F0: 1}), "rank must be an integer, got 2.0"),
-        ("basis_change", (True, {F0: 1}), "rank must be an integer, got True"),
-        ("basis_change", (-1, {F0: 1}), "rank must be between 1 and 8, got -1"),
-        ("basis_change", (9, {F0: 1}), "rank must be between 1 and 8, got 9"),
-        ("compose_monomials", (2.0, E1, F0), "rank must be an integer, got 2.0"),
-        ("compose_monomials", (True, E1, F0), "rank must be an integer, got True"),
-        ("compose_monomials", (-1, E1, F0), "rank must be between 1 and 8, got -1"),
-        ("compose_monomials", (9, E1, F0), "rank must be between 1 and 8, got 9"),
-        ("cg_op", (2.0, 1), "fusion factor must be an integer, got 2.0"),
-        ("cg_op", (1, True), "fusion factor must be an integer, got True"),
-        ("cg_op", (-1, 2), "fusion factor must be between 0 and 180, got -1"),
-        ("cg_op", (2, 2 * CLEBSCH_LIMIT + 1), "fusion factor must be between 0 and 180, got 181"),
-        ("cg_op", (10**12, 10**12), f"fusion factor must be between 0 and 180, got {10**12}"),
-    ],
-)
+# one 1 x 1 RSK pair, for rsk_inverse's bound
+PAIR = fiatcell.rsk(fiatcell.MarginMatrix(((1,),)))
+
+# entry -> bad arguments and the message each is refused with
+GUARDS = [
+    ("verify_schur", (2.0, 3), "n must be an integer, got 2.0"),
+    ("verify_schur", (2, 3.0), "r must be an integer, got 3.0"),
+    ("schur_report", (True, 1), "n must be an integer, got True"),
+    ("enumerate_dominant", (1, True), "r must be an integer, got True"),
+    ("cells_via_rsk", (2.0, 3), "n must be an integer, got 2.0"),
+    ("build_bn", (2.0,), "rank must be an integer, got 2.0"),
+    ("build_bn", (True,), "rank must be an integer, got True"),
+    ("verify_bn", (2.0,), "rank must be an integer, got 2.0"),
+    ("window_shadow", (2.0,), "window bound must be an integer, got 2.0"),
+    ("window_shadow", (False,), "window bound must be an integer, got False"),
+    ("verify_clebsch", (3.0,), "window bound must be an integer, got 3.0"),
+    ("bn_basis", (2.0,), "rank must be an integer, got 2.0"),
+    ("bn_basis", (True,), "rank must be an integer, got True"),
+    ("bn_basis", (-1,), "rank must be between 1 and 8, got -1"),
+    ("bn_basis", (9,), "rank must be between 1 and 8, got 9"),
+    ("defining_action", (2.0,), "rank must be an integer, got 2.0"),
+    ("defining_action", (True,), "rank must be an integer, got True"),
+    ("defining_action", (-1,), "rank must be between 1 and 8, got -1"),
+    ("defining_action", (9,), "rank must be between 1 and 8, got 9"),
+    ("recursion_check", (2.0,), "rank must be an integer, got 2.0"),
+    ("recursion_check", (True,), "rank must be an integer, got True"),
+    ("recursion_check", (-1,), "rank must be between 1 and 8, got -1"),
+    ("recursion_check", (9,), "rank must be between 1 and 8, got 9"),
+    ("single_cell_check", (2.0,), "window bound must be an integer, got 2.0"),
+    ("single_cell_check", (True,), "window bound must be an integer, got True"),
+    ("single_cell_check", (-3,), "window bound must be between 0 and 90, got -3"),
+    ("single_cell_check", (91,), "window bound must be between 0 and 90, got 91"),
+    ("normalize_blocks", (2.0, [("F", 1)], 0), "rank must be an integer, got 2.0"),
+    ("normalize_blocks", (True, [("F", 1)], 0), "rank must be an integer, got True"),
+    ("normalize_blocks", (-1, [("F", 1)], 0), "rank must be between 1 and 8, got -1"),
+    ("normalize_blocks", (9, [("F", 1)], 0), "rank must be between 1 and 8, got 9"),
+    ("normalize_blocks", (2, [("F", 1)], 0.0), "object must be an integer, got 0.0"),
+    ("normalize_blocks", (2, [("F", 1)], True), "object must be an integer, got True"),
+    ("normalize_blocks", (2, [("F", 1)], -1), "object must be between 0 and 2, got -1"),
+    ("normalize_blocks", (2, [("F", 1)], 3), "object must be between 0 and 2, got 3"),
+    ("dp_normalize", (2.0, "EF", 0), "rank must be an integer, got 2.0"),
+    ("dp_normalize", (True, "EF", 0), "rank must be an integer, got True"),
+    ("dp_normalize", (-1, "EF", 0), "rank must be between 1 and 8, got -1"),
+    ("dp_normalize", (9, "EF", 0), "rank must be between 1 and 8, got 9"),
+    ("dp_normalize", (2, "EF", 0.0), "object must be an integer, got 0.0"),
+    ("dp_normalize", (2, "EF", False), "object must be an integer, got False"),
+    ("dp_normalize", (2, "EF", -1), "object must be between 0 and 2, got -1"),
+    ("dp_normalize", (2, "EF", 3), "object must be between 0 and 2, got 3"),
+    ("basis_change", (2.0, {F0: 1}), "rank must be an integer, got 2.0"),
+    ("basis_change", (True, {F0: 1}), "rank must be an integer, got True"),
+    ("basis_change", (-1, {F0: 1}), "rank must be between 1 and 8, got -1"),
+    ("basis_change", (9, {F0: 1}), "rank must be between 1 and 8, got 9"),
+    ("compose_monomials", (2.0, E1, F0), "rank must be an integer, got 2.0"),
+    ("compose_monomials", (True, E1, F0), "rank must be an integer, got True"),
+    ("compose_monomials", (-1, E1, F0), "rank must be between 1 and 8, got -1"),
+    ("compose_monomials", (9, E1, F0), "rank must be between 1 and 8, got 9"),
+    ("cg_op", (2.0, 1), "fusion factor must be an integer, got 2.0"),
+    ("cg_op", (1, True), "fusion factor must be an integer, got True"),
+    ("cg_op", (-1, 2), "fusion factor must be between 0 and 180, got -1"),
+    ("cg_op", (2, 2 * CLEBSCH_LIMIT + 1), "fusion factor must be between 0 and 180, got 181"),
+    ("cg_op", (10**12, 10**12), f"fusion factor must be between 0 and 180, got {10**12}"),
+    ("verify_relations", (2.0,), "rank must be an integer, got 2.0"),
+    ("verify_relations", (True,), "rank must be an integer, got True"),
+    ("verify_relations", (-1,), "rank must be between 1 and 8, got -1"),
+    ("verify_relations", (9,), "rank must be between 1 and 8, got 9"),
+    ("rsk_inverse", (PAIR, 1.0), "n must be an integer, got 1.0"),
+    ("rsk_inverse", (PAIR, True), "n must be an integer, got True"),
+]
+
+# exported callables that take no integer
+TAKE_NO_INTEGER = {
+    "CellPartition",
+    "ConsistencyError",
+    "FiatcellError",
+    "InputError",
+    "RskPair",
+    "StructureError",
+    "antichains",
+    "cell_module",
+    "cell_partition",
+    "cell_poset",
+    "check_associativity",
+    "compose",
+    "compose_left",
+    "decomposition_matrix_identity",
+    "dumps_shadow",
+    "is_strongly_regular",
+    "load_shadow",
+    "m_values",
+    "poset_to_dot",
+    "principal_ideal",
+    "quotient_by_upset",
+    "rsk",
+    "save_shadow",
+    "thick_ideals",
+    "upsets_by_enumeration",
+    "validate_shadow",
+}
+
+# exported records and arithmetic whose integers are data, not a rank, a
+# bound or an object index checked against a rank: object ids, entries and
+# multiplicities (checked where a shadow, a matrix or a tableau is
+# validated), bitsets, divided powers and binomial arguments
+INTEGERS_AS_DATA = {
+    "CellModuleMatrices",
+    "CellPoset",
+    "DPMonomial",
+    "Decomposition",
+    "Element",
+    "MarginMatrix",
+    "Shadow",
+    "Tableau",
+    "dp",
+    "gen_binom",
+}
+
+
+def test_every_exported_callable_is_guarded_or_listed():
+    guarded = {entry for entry, _, _ in GUARDS}
+    lists = [guarded, TAKE_NO_INTEGER, INTEGERS_AS_DATA]
+    exported = {name for name in fiatcell.__all__ if callable(getattr(fiatcell, name))}
+    for name in sorted(exported):
+        assert sum(name in names for names in lists) == 1, name
+    # compose_monomials is the one guarded entry not exported at the top level
+    assert set().union(*lists) - exported == {"compose_monomials"}
+
+
+@pytest.mark.parametrize("entry, args, message", GUARDS)
 def test_rank_guards_refuse_non_integers(entry, args, message):
     # built first: a cache keyed by value alone would hand 2.0 and True these
     # shadows without reaching the guard
@@ -485,13 +555,13 @@ def test_file_verbs_refuse_past_size_limit(monkeypatch, capsys, tmp_path, verb, 
     assert err == f"error: {past_path} has {message}\n"
 
 
-def zero_products_file(path, k):
+def zero_products_file(path, k, product=lambda a, b: {}):
     """A shadow file on one object: the identity e and k elements whose
-    products are all zero, so k incomparable cells above e's and
-    2**k + 1 thick ideals."""
+    products a b are product(a, b); by default all zero, so k incomparable
+    cells above e's and 2**k + 1 thick ideals."""
     names = ["e"] + [f"x{i}" for i in range(1, k + 1)]
     rows = [("e", b, {b: 1}) for b in names] + [(a, "e", {a: 1}) for a in names[1:]]
-    rows += [(a, b, {}) for a, b in itertools.product(names[1:], repeat=2)]
+    rows += [(a, b, product(a, b)) for a, b in itertools.product(names[1:], repeat=2)]
     doc = {
         "format": 1,
         "objects": [0],
@@ -503,6 +573,24 @@ def zero_products_file(path, k):
     }
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_cell_module_at_the_file_bound_is_written_in_pieces(monkeypatch, tmp_path):
+    # a left-zero table (x y = x) on the identity and 169 elements: one left
+    # cell of 169, so 170 matrices of 169 x 169 entries, 50 MB of text
+    k = FILE_LIMIT_ELEMENTS - 1
+    path = zero_products_file(tmp_path / "lz.json", k, lambda a, b: {a: 1})
+    sizes, write_text = [], cli.write_text
+
+    def counted(pieces, out):
+        write_text((sizes.append(len(p)) or p for p in pieces), out)
+
+    monkeypatch.setattr(cli, "write_text", counted)
+    assert main(["cell-module", path, "--left-cell-of", "x1", "-o", os.devnull]) == 0
+    # the text of one matrix, as a report that holds only it writes it
+    one = len("".join(json_pieces({"matrices": {f"x{k}": ((1,) * k,) * k}})))
+    assert max(sizes) <= one
+    assert sum(sizes) > 150 * one
 
 
 def test_ideals_refuses_past_the_ideal_limit_before_any_output(monkeypatch, capsys, tmp_path):

@@ -307,6 +307,8 @@ REFUSED_SHAPES = [
     ((2,), 2.5, "integer"),
     ((2.0,), 3, "integer"),
     ((1.5,), 2, "integer"),
+    ((1,), True, "integer"),
+    ((True,), 2, "integer"),
 ]
 
 
@@ -383,6 +385,10 @@ def test_double_coset_guards():
         double_coset_count(3, (1.5, 1.5), (3,))
     with pytest.raises(InputError, match="integers"):
         double_coset_count(3.0, (3,), (3,))
+    # a bool is not an integer, as in check_range
+    for args in [(True, (1,), (True,)), (True, (1,), (1,)), (1, (True,), (1,)), (1, (1,), (True,))]:
+        with pytest.raises(InputError, match="integers"):
+            double_coset_count(*args)
     for (mu, nu), count in margin_counts(2, 8).items():
         assert double_coset_count(8, mu, nu) == count
 

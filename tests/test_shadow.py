@@ -2,6 +2,8 @@ import functools
 import json
 import random
 import re
+import tracemalloc
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from fiatcell import (
     window_shadow,
 )
 from fiatcell import udot
+from fiatcell.checks import json_pieces
 from fiatcell.cli import main
 from fiatcell.shadow import shadow_from_dict, shadow_to_dict
 
@@ -924,10 +927,53 @@ def written_shadows(draw):
     return Shadow(objects, elements, table, involution, draw(st.booleans()))
 
 
-@settings(max_examples=200)
-@given(written_shadows())
-def test_dumps_shadow_is_json_indent_text(s):
-    assert dumps_shadow(s) == reference_dumps(s)
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), names)
+keys = st.one_of(names, st.integers(-2, 2), st.booleans(), st.none(), st.floats(-1, 1))
+
+
+def containers(values):
+    # lists of rows are dicts whose fields may differ from the first row's
+    rows = st.dictionaries(st.sampled_from(["a", "b", "%s", 1]), values, max_size=3)
+    return st.one_of(
+        st.lists(values, max_size=4),
+        st.lists(values, max_size=4).map(tuple),
+        st.dictionaries(keys, values, max_size=4),
+        # a container json takes for a dict, which the writer passes to it
+        st.dictionaries(keys, values, min_size=1, max_size=2).map(OrderedDict),
+        st.lists(rows, max_size=4),
+        st.lists(st.integers(), max_size=4),
+    )
+
+
+json_values = st.recursive(scalars, containers, max_leaves=24)
+
+
+@settings(max_examples=400)
+@given(st.one_of(written_shadows(), json_values))
+def test_dumps_shadow_is_json_indent_text(x):
+    """The writer gives the bytes of json.dumps(x, indent=2) and a newline
+    on shadow files and on any JSON value: None, floats, tuples, dict
+    subclasses, quoted, control, non-ASCII and % strings, keys that are not
+    strings, empty containers, and rows whose fields differ from the first
+    row's."""
+    if isinstance(x, Shadow):
+        assert dumps_shadow(x) == reference_dumps(x)
+        x = shadow_to_dict(x)
+    assert "".join(json_pieces(x)) == json.dumps(x, indent=2) + "\n"
+
+
+def test_the_writer_holds_one_member_at_a_time():
+    # a report shaped like cell-module's: 100 matrices of 60 x 60 entries
+    doc = {"basis": ["a"] * 60, "matrices": {str(k): ((k % 2,) * 60,) * 60 for k in range(100)}}
+    one = len("".join(json_pieces({"matrices": {"99": doc["matrices"]["99"]}})))
+    tracemalloc.start()
+    try:
+        total = sum(map(len, json_pieces(doc)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total > 90 * one
+    assert peak < 5 * one
 
 
 def test_dumps_shadow_on_built_and_odd_shadows():
@@ -960,6 +1006,12 @@ def test_save_load_files(tmp_path):
     s = window_shadow(3)
     save_shadow(s, str(path))
     assert load_shadow(str(path)) == s
+
+
+def test_save_shadow_refuses_a_path_it_cannot_write(tmp_path):
+    for path in (tmp_path, tmp_path / "missing" / "w.json"):
+        with pytest.raises(InputError, match=f"cannot write {re.escape(str(path))}: "):
+            save_shadow(build_bn(1), str(path))
 
 
 def test_load_errors(tmp_path):
