@@ -15,7 +15,8 @@ from fiatcell import (
     recursion_check,
     verify_relations,
 )
-from fiatcell.udot import basis_change, bn_cells_report
+from fiatcell.bnverify import bn_cells_report
+from fiatcell.udot import basis_change
 
 
 def banner(text):

@@ -17,7 +17,8 @@ from fiatcell import (
     thick_ideals,
     upsets_by_enumeration,
 )
-from fiatcell.udot import bn_element_monomials, shift_shadow
+from fiatcell.bnverify import shift_shadow
+from fiatcell.udot import bn_element_monomials
 
 
 def main():

@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 # home module -> the public names it defines
 _EXPORTS = {
+    "bnverify": ("defining_action", "recursion_check", "verify_bn", "verify_relations"),
     "cells": (
         "CellModuleMatrices",
         "CellPartition",
@@ -32,7 +33,6 @@ _EXPORTS = {
         "Decomposition",
         "Element",
         "Shadow",
-        "check_associativity",
         "compose",
         "compose_left",
         "dumps_shadow",
@@ -40,20 +40,17 @@ _EXPORTS = {
         "save_shadow",
         "validate_shadow",
     ),
+    "sweep": ("check_associativity",),
     "tableaux": ("MarginMatrix", "RskPair", "Tableau", "cells_via_rsk", "rsk", "rsk_inverse"),
     "udot": (
         "DPMonomial",
         "basis_change",
         "bn_basis",
         "build_bn",
-        "defining_action",
         "dp",
         "dp_normalize",
         "gen_binom",
         "normalize_blocks",
-        "recursion_check",
-        "verify_bn",
-        "verify_relations",
     ),
 }
 

@@ -18,15 +18,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .shadow import (
-    ConsistencyError,
-    Element,
-    InputError,
-    Shadow,
-    StructureError,
-    _pairs,
-    compose,
-)
+from .checks import emit, write_text
+from .shadow import ConsistencyError, Element, InputError, Shadow, StructureError, _pairs
+from .shadow import compose, load_checked, names_of
 
 KINDS = ("left", "right", "two-sided")
 
@@ -327,3 +321,33 @@ def decomposition_matrix_identity(
         for i in size
         for j in size
     )
+
+
+def cmd_cells(args) -> int:
+    s = load_checked(args.path)
+    partition = cell_partition(s, args.kind)
+    doc = {
+        "format": 1,
+        "kind": args.kind,
+        "classes": [names_of(s, cls) for cls in partition.classes],
+    }
+    if args.dot is not None:
+        if args.kind != "two-sided":
+            raise InputError("--dot draws the two-sided cell poset; use --kind two-sided")
+        write_text([poset_to_dot(s, cell_poset(s))], args.dot)
+    emit(doc, args.output)
+    return 0
+
+
+def cmd_cell_module(args) -> int:
+    s = load_checked(args.path)
+    left = cell_partition(s, "left").class_of(s.element(args.left_cell_of))
+    cm = cell_module(s, left)
+    doc = {
+        "format": 1,
+        "left-cell-of": args.left_cell_of,
+        "basis": [b.name for b in cm.basis],
+        "matrices": {a.name: cm.matrices[a] for a in sorted(cm.matrices, key=s.index_of)},
+    }
+    emit(doc, args.output)
+    return 0

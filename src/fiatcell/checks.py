@@ -1,17 +1,21 @@
-"""Check records, the package's error types, its integer guard and its one
-JSON writer.
+"""Check records, the package's error types, its integer guard, the range
+reader and report of the verify verbs, and its one JSON writer.
 
 Every verb loads this module, so these live here: a verb that needs nothing
 else loads nothing else to catch an error or to write its report. Every
 report and shadow file is the text of json.dumps(x, indent=2) and a
-newline, from json_pieces, written piece by piece by write_text.
+newline, from json_pieces, written piece by piece by write_text; strings
+are quoted by json's C helper, so writing loads no json package.
 """
 
 from __future__ import annotations
 
-import json
 import sys
-from json.encoder import encode_basestring_ascii as _quote
+
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without json's C accelerator
+    from json.encoder import encode_basestring_ascii as _quote
 
 
 class FiatcellError(Exception):
@@ -56,6 +60,49 @@ def check(name: str, ok: bool, witnesses: list | None = None, **extra) -> dict:
 def status(records: list[dict]) -> str:
     """The overall status: "pass" when every record passed, else "fail"."""
     return "pass" if all(c["status"] == "pass" for c in records) else "fail"
+
+
+def parse_range(text: str) -> range:
+    """A single integer "4" or an inclusive range "2..6"."""
+    try:
+        if ".." in text:
+            lo_text, hi_text = text.split("..", 1)
+            lo, hi = int(lo_text), int(hi_text)
+        else:
+            lo = hi = int(text)
+    except ValueError:
+        raise InputError(f"cannot parse range {text!r}") from None
+    if hi < lo:
+        raise InputError(f"empty range {text!r}")
+    return range(lo, hi + 1)
+
+
+def probes(ranks: range, limit: int) -> tuple[int, int]:
+    """The ranks that decide whether a whole range lies in 1..limit: its
+    first rank, and the first one past limit if there is one. Checking
+    them in this order meets the first bad rank a loop over the range would."""
+    return ranks[0], min(ranks[-1], limit + 1)
+
+
+def emit_results(construction: str, runs, path: str | None) -> int:
+    """Write the report of a verify verb, one result per run (its leading
+    fields, its check records); 0 when every record passed, else 1."""
+    results = [{**fields, "checks": checks, "status": status(checks)} for fields, checks in runs]
+    doc = {"format": 1, "construction": construction, "results": results, "status": status(results)}
+    emit(doc, path)
+    return 0 if doc["status"] == "pass" else 1
+
+
+def emit(doc, path: str | None) -> None:
+    """Write doc as canonical JSON, piece by piece, to stdout or to path."""
+    write_text(json_pieces(doc), path)
+
+
+def dumps(x, **options) -> str:
+    """json.dumps, loading the json package on first use."""
+    import json
+
+    return json.dumps(x, **options)
 
 
 def write_text(pieces, path: str | None) -> None:
@@ -105,17 +152,22 @@ def _text(x, pad: str) -> str:
     if kind in _SCALARS:
         return _SCALARS[kind](x)
     if kind not in _ENDS:
-        return json.dumps(x, indent=2).replace("\n", "\n" + pad)
+        return dumps(x, indent=2).replace("\n", "\n" + pad)
     if not x:
         return _ENDS[kind]
     inner = pad + "  "
+    if kind is dict:  # most often a small map of ints, as a shadow file's results
+        members = [f"{_key(k)}: {v if type(v) is int else _text(v, inner)}" for k, v in x.items()]
+        body = f",\n{inner}".join(members)
+        return f"{{\n{inner}{body}\n{pad}}}"
+    opening, closing = _ENDS[kind]
     body = f",\n{inner}".join(_lines(x, inner))
-    return f"{_ENDS[kind][0]}\n{inner}{body}\n{pad}{_ENDS[kind][1]}"
+    return f"{opening}\n{inner}{body}\n{pad}{closing}"
 
 
 def _key(k) -> str:
     # json turns a key that is not a str into one, or refuses it
-    return _quote(k) if type(k) is str else json.dumps({k: 0})[1:-4]
+    return _quote(k) if type(k) is str else dumps({k: 0})[1:-4]
 
 
 def _lines(x, pad: str):

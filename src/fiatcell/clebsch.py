@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from operator import add, sub
 
-from .checks import check, check_range
-from .shadow import Element, Shadow, check_associativity
+from .checks import check, check_range, emit, emit_results
+from .shadow import Element, Shadow, shadow_to_dict
 
 CLEBSCH_LIMIT = 90
 
@@ -163,6 +163,8 @@ def associativity_unbounded(max_value: int) -> tuple[bool, tuple | None]:
 
 def verify_clebsch(max_value: int) -> list[dict]:
     """Check suite for the fusion structure and its window shadow."""
+    from .sweep import check_associativity
+
     check_clebsch_max(max_value)
     ok, witness = associativity_unbounded(max_value)
     unit_ok = all(
@@ -181,3 +183,14 @@ def verify_clebsch(max_value: int) -> list[dict]:
             skipped=report.skipped,
         ),
     ]
+
+
+def cmd_build(args) -> int:
+    check_clebsch_max(args.max)
+    emit(shadow_to_dict(window_shadow(args.max)), args.output)
+    return 0
+
+
+def cmd_verify(args) -> int:
+    check_clebsch_max(args.max)
+    return emit_results("clebsch", [({"max": args.max}, verify_clebsch(args.max))], args.output)

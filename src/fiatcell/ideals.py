@@ -8,8 +8,9 @@ the quotient are images of cells of the original shadow or disappear.
 
 from __future__ import annotations
 
-from .cells import CellPoset, _bits, cell_data
-from .shadow import Element, InputError, Shadow, _pairs
+from .cells import CellPoset, _bits, cell_data, cell_poset
+from .checks import emit
+from .shadow import Element, InputError, Shadow, _pairs, names_of, load_checked
 
 # The most thick ideals antichains lists: those of 14 incomparable cells
 # above a bottom one, 2**14 + 1. The `ideals` verb lists that many in 0.9 s
@@ -139,3 +140,22 @@ def quotient_by_upset(s: Shadow, upset: frozenset[Element]) -> Shadow:
         star = tuple(new[star[i]] for i in keep) if stable else None
     elements = tuple(s.elements[i] for i in keep)
     return Shadow._on_ids(objects, elements, entries, star, s.partial)
+
+
+def cmd_ideals(args) -> int:
+    s = load_checked(args.path)
+    poset = cell_poset(s)
+    ideals = thick_ideals(poset)
+    upsets = upsets_by_enumeration(poset)
+    doc = {
+        "format": 1,
+        "count": len(ideals),
+        "upset-enumeration-count": len(upsets),
+        "status": "pass" if len(ideals) == len(upsets) else "fail",
+        "ideals": [
+            {"antichain": [names_of(s, cls) for cls in cells], "members": names_of(s, members)}
+            for cells, members in ideals
+        ],
+    }
+    emit(doc, args.output)
+    return 0 if doc["status"] == "pass" else 1

@@ -23,7 +23,8 @@ from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, groupby
 from math import comb
 
-from .checks import ConsistencyError, InputError, check, check_range, is_int
+from .checks import ConsistencyError, InputError, check, check_range, emit, emit_results
+from .checks import is_int, parse_range, probes, status
 
 SCHUR_LIMIT_N = 4
 SCHUR_LIMIT_R = 8
@@ -177,11 +178,9 @@ def partitions_at_most(r: int, parts: int, max_part: int | None = None):
 
 def _partition(shape, n: int) -> tuple[int, ...]:
     """A shape as a tuple; refused unless its parts are positive, weakly
-    decreasing integers and the entry bound n is a nonnegative integer."""
-    if not is_int(n):
-        raise InputError(f"n must be an integer, got {n!r}")
-    if n < 0:
-        raise InputError(f"n must not be negative, got {n}")
+    decreasing integers and the entry bound n is an integer in
+    0..SCHUR_LIMIT_N."""
+    check_range("n", n, 0, SCHUR_LIMIT_N)
     shape = tuple(shape)
     if not all(map(is_int, shape)):
         raise InputError(f"{shape} has a part that is not an integer")
@@ -535,3 +534,18 @@ def schur_report(n: int, r: int) -> dict:
     suite."""
     checks, counts = _suite(n, r)
     return {"format": 1, "n": n, "r": r, **counts, "checks": checks}
+
+
+def cmd_build(args) -> int:
+    report = schur_report(args.n, args.r)
+    emit(report, args.output)
+    return 0 if status(report["checks"]) == "pass" else 1
+
+
+def cmd_verify(args) -> int:
+    ns, rs = parse_range(args.n), parse_range(args.r)
+    for n in probes(ns, SCHUR_LIMIT_N):
+        for r in probes(rs, SCHUR_LIMIT_R):
+            check_schur_rank(n, r)
+    runs = [({"n": n, "r": r}, verify_schur(n, r)) for n in ns for r in rs]
+    return emit_results("schur", runs, args.output)

@@ -15,16 +15,13 @@ and read as zero, and exhaustive checks skip triples that touch them.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from functools import cached_property
-from itertools import accumulate
-from operator import itemgetter, mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .checks import ConsistencyError, FiatcellError, InputError, StructureError  # noqa: F401
-from .checks import is_int, json_pieces, write_text
+from .checks import dumps, emit, is_int, json_pieces, write_text
 
 
 class Element(NamedTuple):
@@ -356,201 +353,6 @@ def validate_shadow(s: Shadow) -> None:
             )
 
 
-class AssociativityReport(NamedTuple):
-    status: str  # "pass", "fail" or "structural-error"
-    checked: int = 0
-    skipped: int = 0
-    failure: dict | None = None
-    message: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "pass"
-
-
-def _combine(rows, row, base: int, stride: int) -> dict[int, int] | None:
-    """The sum of m * rows[base + stride * t] over the terms (t, m) of row,
-    or None when one of those entries is absent."""
-    out: dict[int, int] = {}
-    for t, m in _pairs(row):
-        entry = rows[base + stride * t]
-        if entry is None:
-            return None
-        for e, k in _pairs(entry):
-            out[e] = out.get(e, 0) + m * k
-    return out
-
-
-def _pick(indices: list[int]):
-    """itemgetter over indices that returns a tuple for any count of them."""
-    if len(indices) == 1:
-        (i,) = indices
-        return lambda row: (row[i],)
-    return itemgetter(*indices) if indices else lambda row: ()
-
-
-def _pack(s: Shadow, rows, order) -> tuple[list[int], int]:
-    """Every entry as one integer, and the integer that stands for an absent
-    one.
-
-    Each element gets a slot in its hom space (source, target), and an entry
-    packs to the sum of mult << (width * slot) over its terms. mass is the
-    largest sum of multiplicities of one entry, so a slot of a sum of m * (t c)
-    over the terms (t, m) of a b, or of k * (a u) over the terms (u, k) of b c,
-    is at most mass ** 2; width is the bit length of that, no slot carries
-    into the next, and two such sums are equal exactly when their
-    multiplicity vectors are. Every such sum is below 1 << (width * h), h the
-    size of the largest hom space; absent is minus that, so a sum that takes
-    in an absent entry is negative and one that does not is not.
-    """
-    slots: dict[tuple[int, int], int] = {}
-    slot = []
-    for e in s.elements:
-        ends = (e.source, e.target)
-        slot.append(slots.get(ends, 0))
-        slots[ends] = slot[-1] + 1
-    mass = max((sum(rows[at][1::2]) for at in order), default=0)
-    width = (mass * mass).bit_length()
-    absent = -1 << (width * max(slots.values(), default=0))
-    shift = [width * k for k in slot]
-    n = len(s.elements)
-    packed = [absent] * (n * n)
-    for at in order:
-        row = rows[at]
-        if len(row) == 2:  # one term, the common case
-            packed[at] = row[1] << shift[row[0]]
-        else:
-            packed[at] = sum(m << shift[t] for t, m in _pairs(row))
-    return packed, absent
-
-
-def check_associativity(s: Shadow) -> AssociativityReport:
-    """Exhaustively compare (a b) c with a (b c) at the multiplicity level.
-
-    Returns a report rather than raising: structural problems yield status
-    "structural-error", a genuine counterexample yields "fail" with the
-    first failing triple in canonical order. Partial shadows skip triples
-    that touch an absent table entry.
-
-    The sweep runs on the entries packed by _pack, one c-row at a time: for
-    each pair (a, b) it builds the lists of (a b) c and of a (b c) over every
-    c with target source(b). When the two are equal and neither took in an
-    absent entry, every triple of the row is checked; otherwise the row is
-    walked triple by triple.
-
-    On a full table validation has already proved some rows; they are
-    counted as checked without being swept, so checked still counts every
-    composable triple. Identities act strictly, so every triple whose a or b
-    is an identity holds. The involution is a self-inverse anti-homomorphism
-    on every entry, so (a b) c and a (b c) are the stars of c* (b* a*) and
-    (c* b*) a*: a triple fails exactly when its dual (c*, b*, a*) does. A
-    row whose middle b has star[b] < b is not swept, since the dual of each
-    of its triples lies in a row whose middle b* has star[b*] > b*. The
-    failing triples are then exactly those found plus their duals, and the
-    witness is the first of them. A partial shadow sweeps every row: its
-    involution is checked only on the entries whose dual is present.
-    """
-    try:
-        validate_shadow(s)
-        source, by_target, rows, order, star = s._view
-    except StructureError as err:
-        return AssociativityReport(status="structural-error", message=str(err))
-
-    n = len(s.elements)
-    full = not s.partial
-    dual = star if full else None
-    # full tables only: the rows (a, b) with identity[a] or proved[b] are proved
-    identity = [full and e.is_identity for e in s.elements]
-    proved = [x or (dual is not None and dual[b] < b) for b, x in enumerate(identity)]
-    packed, absent = _pack(s, rows, order)
-    # cols[t]: t c packed, for each c with target source(t)
-    cols = [[packed[t * n + c] for c in by_target[source[t]]] for t in range(n)]
-    # b's c-row as flat terms, an absent b c as the term (n, 1): a pick of
-    # their ids from an a-row, their multiplicities (None when all are 1)
-    # and a pick of the prefix sums that end each c's terms (None when each
-    # c has one term); None for a proved middle
-    c_rows: list[tuple | None] = []
-    for b in range(n):
-        if proved[b]:
-            c_rows.append(None)
-            continue
-        us: list[int] = []
-        ks: list[int] = []
-        ends = []
-        for c in by_target[source[b]]:
-            bc = rows[b * n + c]
-            if bc is None:
-                bc = (n, 1)
-            us += bc[::2]
-            ks += bc[1::2]
-            ends.append(len(us))
-        one_each = ends == list(range(1, len(ends) + 1))
-        ones = all(k == 1 for k in ks)
-        c_rows.append((_pick(us), None if ones else ks, None if one_each else _pick(ends)))
-
-    checked = skipped = 0
-    first = (n, n, n)  # the first failing triple; past every triple until one fails
-    for a in range(n):
-        a_row = a * n
-        a_packed = packed[a_row : a_row + n]
-        a_packed.append(absent)
-        for b in by_target.get(source[a], ()):
-            ab = rows[a_row + b]
-            cs = by_target[source[b]]
-            if ab is None:
-                skipped += len(cs)
-                continue
-            if identity[a] or proved[b]:
-                checked += len(cs)
-                continue
-            # (a b) c for each c
-            scaled = [cols[t] if m == 1 else [m * x for x in cols[t]] for t, m in _pairs(ab)]
-            if len(scaled) == 1:
-                left = scaled[0]
-            elif scaled:
-                left = list(map(sum, zip(*scaled)))
-            else:
-                left = [0] * len(cs)
-            # a (b c) for each c
-            pick_us, ks, pick_ends = c_rows[b]
-            values = pick_us(a_packed)
-            if ks is not None:
-                values = map(mul, values, ks)
-            if pick_ends is None:
-                right = list(values)
-            else:
-                sums = pick_ends([0, *accumulate(values)])
-                right = list(map(sub, sums, (0, *sums)))
-            if left == right and min(left) >= 0:
-                checked += len(cs)
-                continue
-            for c, x, y in zip(cs, left, right):
-                if x < 0 or y < 0:
-                    skipped += 1
-                    continue
-                checked += 1
-                if x != y:
-                    first = min(first, (a, b, c))
-                    if dual is not None:
-                        first = min(first, (dual[c], dual[b], dual[a]))
-    if first[0] == n:
-        return AssociativityReport(status="pass", checked=checked, skipped=skipped)
-    a, b, c = first
-    left_terms = _combine(rows, rows[a * n + b], c, n)
-    right_terms = _combine(rows, rows[b * n + c], a * n, 1)
-    failure = _witness(s, first, left_terms, right_terms)
-    return AssociativityReport(status="fail", checked=checked, skipped=skipped, failure=failure)
-
-
-def _witness(s: Shadow, triple, left: dict[int, int], right: dict[int, int]) -> dict:
-    elements = s.elements
-    return {
-        "triple": [elements[i].name for i in triple],
-        "left": {elements[i].name: m for i, m in sorted(left.items())},
-        "right": {elements[i].name: m for i, m in sorted(right.items())},
-    }
-
-
 FORMAT_VERSION = 1
 
 # The largest shadow file load_shadow accepts: elements, and terms summed
@@ -594,7 +396,7 @@ def _json(x, kind: type):
     """x if it is a JSON value of the given type; nothing is cast, and a
     boolean is not an integer."""
     if not (is_int(x) if kind is int else isinstance(x, kind)):
-        raise InputError(f"expected {_JSON_TYPES[kind]}, got {json.dumps(x)}")
+        raise InputError(f"expected {_JSON_TYPES[kind]}, got {dumps(x)}")
     return x
 
 
@@ -650,6 +452,8 @@ def save_shadow(s: Shadow, path: str) -> None:
 
 
 def load_shadow(path: str) -> Shadow:
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -683,3 +487,24 @@ def _check_file_size(data: dict, path: str) -> None:
     if terms > FILE_LIMIT_TERMS:
         limit = f"more than the limit of {FILE_LIMIT_TERMS}"
         raise InputError(f"{path} has {terms} table terms, {limit}")
+
+
+def load_checked(path: str) -> Shadow:
+    """The shadow in the file at path, validated; InputError naming the
+    file when it breaks a structural invariant."""
+    s = load_shadow(path)
+    try:
+        validate_shadow(s)
+    except StructureError as err:
+        raise InputError(f"{path}: {err}") from err
+    return s
+
+
+def names_of(s: Shadow, elements) -> list[str]:
+    """The names of some elements of s, in element order."""
+    return [e.name for e in sorted(elements, key=s.index_of)]
+
+
+def cmd_export(args) -> int:
+    emit(shadow_to_dict(load_checked(args.path)), args.output)
+    return 0

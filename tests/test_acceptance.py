@@ -37,7 +37,7 @@ from fiatcell import (
 from fiatcell.cli import main
 from fiatcell.clebsch import associativity_unbounded
 from fiatcell.ideals import antichains
-from fiatcell.udot import bn_cells_report
+from fiatcell.bnverify import bn_cells_report
 from udot_oracle import oracle_dp_coeffs
 
 

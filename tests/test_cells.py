@@ -16,9 +16,9 @@ from fiatcell import (
     quotient_by_upset,
     window_shadow,
 )
-from fiatcell import cells, shadow, udot
+from fiatcell import bnverify, cells, shadow
 from fiatcell.shadow import shadow_from_dict, shadow_to_dict
-from fiatcell.udot import bn_cells_report
+from fiatcell.bnverify import bn_cells_report
 
 B2_LEFT = {
     frozenset({"1_0", "F0^(1)", "F0^(2)"}),
@@ -271,7 +271,7 @@ def test_each_ideal_is_computed_once_per_shadow(monkeypatch):
             return original(t)
 
         monkeypatch.setattr(module, name, counting)
-    monkeypatch.setattr(udot, "build_bn", lambda n: s)
+    monkeypatch.setattr(bnverify, "build_bn", lambda n: s)
     assert all(c["status"] == "pass" for c in bn_cells_report(6))
     cell_poset(s)
     cell_module(s, cell_partition(s, "left").class_of(s.element("1_0")))

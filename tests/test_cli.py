@@ -27,9 +27,9 @@ from fiatcell import (
     udot,
     window_shadow,
 )
-from fiatcell import cli
-from fiatcell.checks import json_pieces
-from fiatcell.cli import main, parse_range
+from fiatcell import checks
+from fiatcell.checks import json_pieces, parse_range
+from fiatcell.cli import main
 from fiatcell.clebsch import CLEBSCH_LIMIT
 from fiatcell.ideals import IDEALS_LIMIT
 from fiatcell.shadow import FILE_LIMIT_ELEMENTS, FILE_LIMIT_TERMS, shadow_to_dict
@@ -298,7 +298,7 @@ def _refused_before_work(monkeypatch, capsys, argv, accepted, *work):
     return capsys.readouterr().err
 
 
-BN_WORK = ("udot.build_bn", "udot.verify_bn")
+BN_WORK = ("bnverify.build_bn", "bnverify.verify_bn")
 
 
 def test_verify_bn_refuses_range_past_limit_before_any_rank(monkeypatch, capsys):
@@ -410,6 +410,14 @@ GUARDS = [
     ("verify_relations", (9,), "rank must be between 1 and 8, got 9"),
     ("rsk_inverse", (PAIR, 1.0), "n must be an integer, got 1.0"),
     ("rsk_inverse", (PAIR, True), "n must be an integer, got True"),
+    ("DPMonomial", ("F", 1, 0, 0), "bad monomial kind 'F'"),
+    ("DPMonomial", ("fe", 1.0, 0, 0), "divided power must be an integer, got 1.0"),
+    ("DPMonomial", ("ef", 1, 1, True), "object must be an integer, got True"),
+    ("dp", ("fe", 1.0, 0, 0), "divided power must be an integer, got 1.0"),
+    ("dp", ("ef", 1, True, 0), "divided power must be an integer, got True"),
+    ("gen_binom", (True, 1), "binomial top must be an integer, got True"),
+    ("gen_binom", (2.0, 1), "binomial top must be an integer, got 2.0"),
+    ("gen_binom", (2, 1.0), "binomial index must be an integer, got 1.0"),
 ]
 
 # exported callables that take no integer
@@ -442,21 +450,18 @@ TAKE_NO_INTEGER = {
     "validate_shadow",
 }
 
-# exported records and arithmetic whose integers are data, not a rank, a
-# bound or an object index checked against a rank: object ids, entries and
+# exported records whose integers are data, not a rank, a bound or an
+# object index checked against a rank: object ids, entries and
 # multiplicities (checked where a shadow, a matrix or a tableau is
-# validated), bitsets, divided powers and binomial arguments
+# validated) and bitsets
 INTEGERS_AS_DATA = {
     "CellModuleMatrices",
     "CellPoset",
-    "DPMonomial",
     "Decomposition",
     "Element",
     "MarginMatrix",
     "Shadow",
     "Tableau",
-    "dp",
-    "gen_binom",
 }
 
 
@@ -580,12 +585,12 @@ def test_cell_module_at_the_file_bound_is_written_in_pieces(monkeypatch, tmp_pat
     # cell of 169, so 170 matrices of 169 x 169 entries, 50 MB of text
     k = FILE_LIMIT_ELEMENTS - 1
     path = zero_products_file(tmp_path / "lz.json", k, lambda a, b: {a: 1})
-    sizes, write_text = [], cli.write_text
+    sizes, write_text = [], checks.write_text
 
     def counted(pieces, out):
         write_text((sizes.append(len(p)) or p for p in pieces), out)
 
-    monkeypatch.setattr(cli, "write_text", counted)
+    monkeypatch.setattr(checks, "write_text", counted)
     assert main(["cell-module", path, "--left-cell-of", "x1", "-o", os.devnull]) == 0
     # the text of one matrix, as a report that holds only it writes it
     one = len("".join(json_pieces({"matrices": {f"x{k}": ((1,) * k,) * k}})))

@@ -20,7 +20,8 @@ from fiatcell import (
     window_shadow,
 )
 from fiatcell.ideals import IDEALS_LIMIT
-from fiatcell.udot import bn_element_monomials, shift_shadow
+from fiatcell.bnverify import shift_shadow
+from fiatcell.udot import bn_element_monomials
 
 
 def arrow_pair_shadow():

@@ -301,9 +301,10 @@ def test_ssyt_counting():
 
 REFUSED_SHAPES = [
     ((1, 2), 2, "not a partition"),
-    ((1,), -1, "negative"),
-    ((1, 1), -1, "negative"),
-    ((), -1, "negative"),
+    ((1,), -1, "n must be between 0 and 4, got -1"),
+    ((1, 1), -1, "n must be between 0 and 4, got -1"),
+    ((), -1, "n must be between 0 and 4, got -1"),
+    ((1,), 5, "n must be between 0 and 4, got 5"),
     ((2,), 2.5, "integer"),
     ((2.0,), 3, "integer"),
     ((1.5,), 2, "integer"),

@@ -26,7 +26,7 @@ from fiatcell import (
     validate_shadow,
     window_shadow,
 )
-from fiatcell import udot
+from fiatcell import bnverify, udot
 from fiatcell.checks import json_pieces
 from fiatcell.cli import main
 from fiatcell.shadow import shadow_from_dict, shadow_to_dict
@@ -746,8 +746,8 @@ def test_bn_suite_and_file_verbs_never_build_the_element_table(monkeypatch, tmp_
 
     monkeypatch.setattr(Decomposition, "__init__", counting_init)
     # a fresh cache: another test may have read the table of a cached shadow
-    monkeypatch.setattr(udot, "build_bn", functools.lru_cache(udot.build_bn.__wrapped__))
-    assert all(c["status"] == "pass" for c in udot.verify_bn(8))
+    monkeypatch.setattr(bnverify, "build_bn", functools.lru_cache(udot.build_bn.__wrapped__))
+    assert all(c["status"] == "pass" for c in bnverify.verify_bn(8))
     assert derived == []
     # compose builds one Decomposition per call, and only verify_bn calls it
     assert made
