@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .cells import CellPoset, _bits, cell_data, cell_poset
 from .checks import emit
-from .shadow import Element, InputError, Shadow, _pairs, names_of, load_checked
+from .shadow import Element, InputError, Shadow, _pairs, load_checked, names_of
 
 # The most thick ideals antichains lists: those of 14 incomparable cells
 # above a bottom one, 2**14 + 1. The `ideals` verb lists that many in 0.9 s
