@@ -42,7 +42,7 @@ def main():
     s = toy(absorbing, absorbing, absorbing, absorbing)
     validate_shadow(s)
     report = check_associativity(s)
-    print(f"hand-built toy: {report.status}, {report.checked} triples checked")
+    print(f"hand-built toy: {report['status']}, {report['checked']} triples checked")
 
     for e in (E, T, U):
         ideal = principal_ideal(s, e, "two-sided")
@@ -72,10 +72,11 @@ def main():
         Decomposition({E: 1}),
     )
     report = check_associativity(bad)
-    print(f"broken toy: {report.status}")
-    print(f"  first failing triple: {report.failure['triple']}")
-    print(f"  left:  {report.failure['left']}")
-    print(f"  right: {report.failure['right']}")
+    (failure,) = report["witnesses"]
+    print(f"broken toy: {report['status']}")
+    print(f"  first failing triple: {failure['triple']}")
+    print(f"  left:  {failure['left']}")
+    print(f"  right: {failure['right']}")
 
 
 if __name__ == "__main__":

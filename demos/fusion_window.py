@@ -42,8 +42,8 @@ def main():
     print(f"  2 o 2 reads as zero: {compose(s, two, two).is_zero}")
 
     report = check_associativity(s)
-    print(f"  associativity on complete triples: {report.status}, "
-          f"checked {report.checked}, skipped {report.skipped}")
+    print(f"  associativity on complete triples: {report['status']}, "
+          f"checked {report['checked']}, skipped {report['skipped']}")
 
     cells = cell_partition(s, "two-sided")
     print("  window cells (boundary artifact): "

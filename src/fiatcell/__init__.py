@@ -19,7 +19,6 @@ _EXPORTS = {
         "cell_module",
         "cell_partition",
         "cell_poset",
-        "decomposition_matrix_identity",
         "is_strongly_regular",
         "m_values",
         "poset_to_dot",

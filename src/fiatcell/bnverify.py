@@ -13,7 +13,8 @@ from __future__ import annotations
 from math import comb, factorial
 
 from .cells import cell_module, cell_partition, cell_poset, is_strongly_regular, m_values
-from .checks import ConsistencyError, check, check_range, emit_results, parse_range, probes
+from .checks import ConsistencyError, StructureError, check, check_range, emit_results
+from .checks import parse_range, probes
 from .ideals import quotient_by_upset, thick_ideals, upsets_by_enumeration
 from .shadow import Decomposition, Element, Shadow, _pairs, compose, compose_left, shadow_to_dict
 from .sweep import check_associativity
@@ -234,11 +235,9 @@ def bn_cells_report(n: int) -> list[dict]:
         check("generator-two-sided-membership", not bad_membership, bad_membership)
     )
 
-    reg_witnesses = []
-    for cls in two_sided.classes:
-        result = is_strongly_regular(s, cls)
-        if not result.ok:
-            reg_witnesses.append(list(result.witness))
+    reg_witnesses = [
+        w for cls in two_sided.classes for w in is_strongly_regular(s, cls)["witnesses"]
+    ]
     checks.append(check("strong-regularity", not reg_witnesses, reg_witnesses))
 
     m_bad = []
@@ -315,16 +314,14 @@ def recursion_check(n: int) -> dict:
 def verify_bn(n: int) -> list[dict]:
     """Full check suite for the rank-n shadow."""
     s = build_bn(n)
-    report = check_associativity(s)
-    if report.status == "structural-error":
-        return [check("structure", False, [report.message])]
+    try:
+        record = check_associativity(s)
+    except StructureError as err:
+        return [check("structure", False, [str(err)])]
+    ok = record["status"] == "pass"
     checks = [
         check("structure", True),
-        check(
-            "associativity-multiplicity-level",
-            report.ok,
-            [] if report.ok else [report.failure],
-        ),
+        check("associativity-multiplicity-level", ok, record["witnesses"]),
     ]
     checks.extend(verify_relations(n))
     action = defining_action(n)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .checks import emit, write_text
+from .checks import check, emit, write_text
 from .shadow import ConsistencyError, Element, InputError, Shadow, StructureError, _pairs
 from .shadow import compose, load_checked, names_of
 
@@ -188,15 +188,13 @@ def poset_to_dot(s: Shadow, poset: CellPoset) -> str:
     return "\n".join(lines) + "\n"
 
 
-class RegularityResult(NamedTuple):
-    ok: bool
-    witness: tuple | None = None
-
-
-def is_strongly_regular(s: Shadow, two_sided_cell: frozenset[Element]) -> RegularityResult:
+def is_strongly_regular(s: Shadow, two_sided_cell: frozenset[Element]) -> dict:
     """Check one two-sided cell: its left cells are pairwise incomparable and
-    every left-right intersection inside it is a singleton. A set that is
-    not a two-sided cell of s is an InputError."""
+    every left-right intersection inside it is a singleton. Returns the
+    check record "strong-regularity", whose one witness on failure is
+    ["comparable-left-cells", a, b] or ["intersection-size", left cell,
+    right cell, size], the cells as sorted names. A set that is not a
+    two-sided cell of s is an InputError."""
     if two_sided_cell not in cell_partition(s, "two-sided").classes:
         raise InputError("the given set is not a two-sided cell of this shadow")
     ideals, left_cells = cell_data(s, "left")
@@ -211,21 +209,15 @@ def is_strongly_regular(s: Shadow, two_sided_cell: frozenset[Element]) -> Regula
         for b in first:
             if a != b and not ideals[b] & ~ideals[a]:
                 names = s.elements[a].name, s.elements[b].name
-                return RegularityResult(ok=False, witness=("comparable-left-cells", *names))
+                return check("strong-regularity", False, [["comparable-left-cells", *names]])
     for li in left:
         for rj in right:
             inter = li & rj
             if len(inter) != 1:
-                return RegularityResult(
-                    ok=False,
-                    witness=(
-                        "intersection-size",
-                        sorted(e.name for e in li),
-                        sorted(e.name for e in rj),
-                        len(inter),
-                    ),
-                )
-    return RegularityResult(ok=True)
+                names = [sorted(e.name for e in cls) for cls in (li, rj)]
+                witness = ["intersection-size", *names, len(inter)]
+                return check("strong-regularity", False, [witness])
+    return check("strong-regularity", True)
 
 
 def m_values(s: Shadow, two_sided_cell: frozenset[Element]) -> tuple[dict[Element, int], bool]:
@@ -242,10 +234,9 @@ def m_values(s: Shadow, two_sided_cell: frozenset[Element]) -> tuple[dict[Elemen
         raise InputError("m_values requires an involution")
     cell_names = sorted(e.name for e in two_sided_cell)
     reg = is_strongly_regular(s, two_sided_cell)
-    if not reg.ok:
-        raise InputError(
-            f"cell {{{', '.join(cell_names)}}} is not strongly regular: {reg.witness}"
-        )
+    if reg["witnesses"]:
+        (witness,) = reg["witnesses"]
+        raise InputError(f"cell {{{', '.join(cell_names)}}} is not strongly regular: {witness}")
     left = cell_partition(s, "left")
     right = cell_partition(s, "right")
     values: dict[Element, int] = {}
@@ -306,21 +297,6 @@ def cell_module(s: Shadow, left_cell: frozenset[Element]) -> CellModuleMatrices:
         matrices[e] = tuple(map(tuple, matrix))
     basis = tuple(s.elements[f] for f in ids)
     return CellModuleMatrices(left_cell=left_cell, basis=basis, matrices=matrices)
-
-
-def decomposition_matrix_identity(
-    s: Shadow, cm: CellModuleMatrices, a: Element, b: Element
-) -> bool:
-    """M_a M_b equals the multiplicity-weighted sum of M_c over a after b,
-    as dense integer matrices."""
-    x, y = cm.matrices[a], cm.matrices[b]
-    terms = [(cm.matrices[c], m) for c, m in compose(s, a, b).items()]
-    size = range(len(cm.basis))
-    return all(
-        sum(x[i][k] * y[k][j] for k in size) == sum(m * z[i][j] for z, m in terms)
-        for i in size
-        for j in size
-    )
 
 
 def cmd_cells(args) -> int:

@@ -27,7 +27,7 @@ def cg_op(m: int, n: int) -> frozenset[int]:
     0..2 * CLEBSCH_LIMIT, the largest factor the checks below pass."""
     check_range("fusion factor", m, 0, 2 * CLEBSCH_LIMIT)
     check_range("fusion factor", n, 0, 2 * CLEBSCH_LIMIT)
-    return frozenset(range(abs(m - n), m + n + 1, 2))
+    return _cg_op(m, n)
 
 
 def _cg_op(m: int, n: int) -> frozenset[int]:
@@ -83,9 +83,11 @@ def _run(terms: tuple[int, ...]) -> tuple[int, int] | None:
     return None
 
 
-def associativity_unbounded(max_value: int) -> tuple[bool, tuple | None]:
+def associativity_unbounded(max_value: int) -> dict:
     """Associativity of the fusion rule with multiplicities, for all triples
-    up to the bound, evaluated without any window.
+    up to the bound, evaluated without any window: the check record
+    "fusion-associativity-unbounded", whose one witness on failure is the
+    first failing triple [a, b, c].
 
     _cg_op is called once for each m, n <= 2 * max_value with m or n at most
     max_value, which covers every product of a product. Each result is read
@@ -157,8 +159,8 @@ def associativity_unbounded(max_value: int) -> tuple[bool, tuple | None]:
                 ]
             if left != right:
                 c = next(c for c in outer if left[c] != right[c])
-                return False, (a, b, c)
-    return True, None
+                return check("fusion-associativity-unbounded", False, [[a, b, c]])
+    return check("fusion-associativity-unbounded", True)
 
 
 def verify_clebsch(max_value: int) -> list[dict]:
@@ -166,22 +168,16 @@ def verify_clebsch(max_value: int) -> list[dict]:
     from .sweep import check_associativity
 
     check_clebsch_max(max_value)
-    ok, witness = associativity_unbounded(max_value)
+    unbounded = associativity_unbounded(max_value)
     unit_ok = all(
         _cg_op(0, a) == {a} and _cg_op(a, 0) == {a} for a in range(max_value + 1)
     )
-    report = check_associativity(window_shadow(max_value))
+    window = check_associativity(window_shadow(max_value))
     return [
-        check("fusion-associativity-unbounded", ok, [] if ok else [list(witness)]),
+        unbounded,
         check("zero-is-strict-unit", unit_ok),
         check("single-cell-witness", single_cell_check(max_value)),
-        check(
-            "window-associativity-complete-triples",
-            report.ok,
-            [] if report.ok else [report.failure or report.message],
-            checked=report.checked,
-            skipped=report.skipped,
-        ),
+        {**window, "check": "window-associativity-complete-triples"},
     ]
 
 

@@ -6,22 +6,9 @@ from __future__ import annotations
 
 from itertools import accumulate
 from operator import itemgetter, mul, sub
-from typing import NamedTuple
 
-from .checks import StructureError, emit
+from .checks import StructureError, check, emit
 from .shadow import Shadow, _pairs, load_shadow, validate_shadow
-
-
-class AssociativityReport(NamedTuple):
-    status: str  # "pass", "fail" or "structural-error"
-    checked: int = 0
-    skipped: int = 0
-    failure: dict | None = None
-    message: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "pass"
 
 
 def _combine(rows, row, base: int, stride: int) -> dict[int, int] | None:
@@ -80,13 +67,14 @@ def _pack(s: Shadow, rows, order) -> tuple[list[int], int]:
     return packed, absent
 
 
-def check_associativity(s: Shadow) -> AssociativityReport:
+def check_associativity(s: Shadow) -> dict:
     """Exhaustively compare (a b) c with a (b c) at the multiplicity level.
 
-    Returns a report rather than raising: structural problems yield status
-    "structural-error", a genuine counterexample yields "fail" with the
-    first failing triple in canonical order. Partial shadows skip triples
-    that touch an absent table entry.
+    Returns the check record "associativity" with the counters checked and
+    skipped; a genuine counterexample fails it, its one witness the first
+    failing triple in canonical order with both sides. A structural problem
+    raises StructureError from validate_shadow. Partial shadows skip
+    triples that touch an absent table entry.
 
     The sweep runs on the entries packed by _pack, one c-row at a time: for
     each pair (a, b) it builds the lists of (a b) c and of a (b c) over every
@@ -106,11 +94,8 @@ def check_associativity(s: Shadow) -> AssociativityReport:
     witness is the first of them. A partial shadow sweeps every row: its
     involution is checked only on the entries whose dual is present.
     """
-    try:
-        validate_shadow(s)
-        source, by_target, rows, order, star = s._view
-    except StructureError as err:
-        return AssociativityReport(status="structural-error", message=str(err))
+    validate_shadow(s)
+    source, by_target, rows, order, star = s._view
 
     n = len(s.elements)
     full = not s.partial
@@ -189,13 +174,13 @@ def check_associativity(s: Shadow) -> AssociativityReport:
                     first = min(first, (a, b, c))
                     if dual is not None:
                         first = min(first, (dual[c], dual[b], dual[a]))
-    if first[0] == n:
-        return AssociativityReport(status="pass", checked=checked, skipped=skipped)
-    a, b, c = first
-    left_terms = _combine(rows, rows[a * n + b], c, n)
-    right_terms = _combine(rows, rows[b * n + c], a * n, 1)
-    failure = _witness(s, first, left_terms, right_terms)
-    return AssociativityReport(status="fail", checked=checked, skipped=skipped, failure=failure)
+    witnesses = []
+    if first[0] < n:
+        a, b, c = first
+        left_terms = _combine(rows, rows[a * n + b], c, n)
+        right_terms = _combine(rows, rows[b * n + c], a * n, 1)
+        witnesses.append(_witness(s, first, left_terms, right_terms))
+    return check("associativity", not witnesses, witnesses, checked=checked, skipped=skipped)
 
 
 def _witness(s: Shadow, triple, left: dict[int, int], right: dict[int, int]) -> dict:
@@ -208,19 +193,16 @@ def _witness(s: Shadow, triple, left: dict[int, int], right: dict[int, int]) -> 
 
 
 def cmd_check(args) -> int:
-    report = check_associativity(load_shadow(args.path))
-    doc = {
-        "format": 1,
-        "verb": "check",
-        "status": report.status,
-        "checked": report.checked,
-        "skipped": report.skipped,
-    }
-    if report.failure is not None:
-        doc["failure"] = report.failure
-    if report.message:
-        doc["message"] = report.message
-    emit(doc, args.output)
-    if report.status == "structural-error":
+    s = load_shadow(args.path)
+    doc = {"format": 1, "verb": "check"}
+    try:
+        record = check_associativity(s)
+    except StructureError as err:
+        doc.update(status="structural-error", checked=0, skipped=0, message=str(err))
+        emit(doc, args.output)
         return 2
-    return 0 if report.ok else 1
+    doc.update(status=record["status"], checked=record["checked"], skipped=record["skipped"])
+    if record["witnesses"]:
+        doc["failure"] = record["witnesses"][0]
+    emit(doc, args.output)
+    return 0 if record["status"] == "pass" else 1

@@ -43,6 +43,8 @@ class MarginMatrix:
             if len(row) != n:
                 raise InputError("matrix is not square")
             for x in row:
+                if not is_int(x):
+                    raise InputError(f"matrix entry must be an integer, got {x!r}")
                 if x < 0:
                     raise InputError(f"negative entry {x}")
 
@@ -58,6 +60,10 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        for row in self.rows:
+            for x in row:
+                if not is_int(x):
+                    raise InputError(f"tableau entry must be an integer, got {x!r}")
         _check_tableau(self.rows)
 
     @property

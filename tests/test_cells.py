@@ -8,7 +8,6 @@ from fiatcell import (
     cell_partition,
     cell_poset,
     compose,
-    decomposition_matrix_identity,
     is_strongly_regular,
     m_values,
     poset_to_dot,
@@ -158,16 +157,21 @@ def test_poset_to_dot():
 def test_strong_regularity_positive():
     s = build_bn(3)
     for cls in cell_partition(s, "two-sided").classes:
-        assert is_strongly_regular(s, cls).ok
+        assert is_strongly_regular(s, cls) == {
+            "check": "strong-regularity",
+            "status": "pass",
+            "witnesses": [],
+        }
 
 
 def test_strong_regularity_negative_witness():
     s = window_shadow(2)
     cell = frozenset({s.element("0"), s.element("1")})
     result = is_strongly_regular(s, cell)
-    assert not result.ok
-    assert result.witness[0] == "intersection-size"
-    assert result.witness[3] == 2
+    assert result["status"] == "fail"
+    (witness,) = result["witnesses"]
+    assert witness[0] == "intersection-size"
+    assert witness[3] == 2
 
 
 def test_window_cells_boundary_artifact():
@@ -245,12 +249,17 @@ def test_single_step_lowering_matrices():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_matrices_decompose_like_the_table(n):
+    # M_a M_b is the sum of m M_c over the terms (c, m) of a after b
     s = build_bn(n)
     for cls in cell_partition(s, "left").classes:
         cm = cell_module(s, cls)
-        for a in s.elements:
-            for b in s.elements:
-                assert decomposition_matrix_identity(s, cm, a, b)
+        size = range(len(cm.basis))
+        for a, x in cm.matrices.items():
+            for b, y in cm.matrices.items():
+                terms = [(cm.matrices[c], m) for c, m in compose(s, a, b).items()]
+                product = [[sum(x[i][k] * y[k][j] for k in size) for j in size] for i in size]
+                summed = [[sum(m * z[i][j] for z, m in terms) for j in size] for i in size]
+                assert product == summed, (a.name, b.name)
 
 
 def test_m_value_consistency_guard_unreachable_on_regular_cells():

@@ -16,6 +16,7 @@ from fiatcell import (
 )
 from fiatcell import clebsch
 from fiatcell.cli import main
+from fiatcell.checks import check
 from fiatcell.clebsch import associativity_unbounded
 from fiatcell.shadow import dumps_shadow, shadow_from_dict
 
@@ -51,8 +52,17 @@ def test_zero_is_a_strict_unit(a):
 
 
 def test_unbounded_associativity():
-    ok, witness = associativity_unbounded(10)
-    assert ok and witness is None
+    assert associativity_unbounded(10) == {
+        "check": "fusion-associativity-unbounded",
+        "status": "pass",
+        "witnesses": [],
+    }
+
+
+def _fusion(m, n):
+    """The fusion rule written out, so that a rule patched in for _cg_op
+    below does not call itself through cg_op."""
+    return frozenset(range(abs(m - n), m + n + 1, 2))
 
 
 def _set_level(rule, max_value):
@@ -84,15 +94,22 @@ def _multiset(rule, max_value):
     return True, None
 
 
+def _record(reference):
+    """A reference's (ok, witness) as the record associativity_unbounded
+    returns."""
+    ok, witness = reference
+    return check("fusion-associativity-unbounded", ok, [] if ok else [list(witness)])
+
+
 def _doubled_top(m, n):
     """Associative as sets, not with multiplicities: m + n twice."""
-    terms = cg_op(m, n)
+    terms = _fusion(m, n)
     return [*terms, m + n] if m and n else terms
 
 
 def _dropped_top(m, n):
     """Not associative even as sets: m + n left out when m == n."""
-    return cg_op(m, n) - {2 * m} if m == n else cg_op(m, n)
+    return _fusion(m, n) - {2 * m} if m == n else _fusion(m, n)
 
 
 def _repeated(rule, times):
@@ -103,7 +120,7 @@ def _repeated(rule, times):
 def test_packed_check_agrees_with_references(max_value):
     assert _set_level(cg_op, max_value) == (True, None)
     assert _multiset(cg_op, max_value) == (True, None)
-    assert associativity_unbounded(max_value) == (True, None)
+    assert associativity_unbounded(max_value) == _record((True, None))
 
 
 @pytest.mark.parametrize("max_value", range(1, 7))
@@ -112,19 +129,19 @@ def test_set_level_fault_has_the_reference_witness(monkeypatch, max_value):
     assert not expected[0]
     assert _multiset(_dropped_top, max_value) == expected
     monkeypatch.setattr(clebsch, "_cg_op", _dropped_top)
-    assert associativity_unbounded(max_value) == expected
+    assert associativity_unbounded(max_value) == _record(expected)
 
 
 def _shifted_run(m, n):
     """Every product still a run, not associative: 3 1 is {0, 2}, not {2, 4}."""
-    terms = cg_op(m, n)
+    terms = _fusion(m, n)
     return frozenset(x - 2 for x in terms) if (m, n) == (3, 1) else terms
 
 
 def _one_gap(m, n):
     """2 2 is {0, 4}: the only product that is not a run, so the rows of
     (a, 2) compare prefix differences and one term-by-term sum."""
-    return frozenset({0, 4}) if (m, n) == (2, 2) else cg_op(m, n)
+    return frozenset({0, 4}) if (m, n) == (2, 2) else _fusion(m, n)
 
 
 @pytest.mark.parametrize("rule", [_shifted_run, _one_gap])
@@ -134,17 +151,17 @@ def test_row_comparison_has_the_reference_witness(monkeypatch, rule, max_value):
     # from K = 2 the changed product is read
     assert expected[0] == (max_value < 2)
     monkeypatch.setattr(clebsch, "_cg_op", rule)
-    assert associativity_unbounded(max_value) == expected
+    assert associativity_unbounded(max_value) == _record(expected)
 
 
 @pytest.mark.parametrize("max_value", [2, 6])
 def test_repeated_terms_cannot_overflow_a_slot(monkeypatch, max_value):
     # every term K + 2 times scales both sides by (K + 2)^2: still
     # associative, with slots far above one
-    rule = _repeated(cg_op, max_value + 2)
+    rule = _repeated(_fusion, max_value + 2)
     assert _multiset(rule, max_value) == (True, None)
     monkeypatch.setattr(clebsch, "_cg_op", rule)
-    assert associativity_unbounded(max_value) == (True, None)
+    assert associativity_unbounded(max_value) == _record((True, None))
 
 
 @pytest.mark.parametrize("max_value", [2, 6])
@@ -153,7 +170,7 @@ def test_repeated_terms_keep_a_multiplicity_fault(monkeypatch, max_value):
     assert _set_level(rule, max_value) == (True, None)
     assert _multiset(rule, max_value) == (False, (1, 1, 2))
     monkeypatch.setattr(clebsch, "_cg_op", rule)
-    assert associativity_unbounded(max_value) == (False, (1, 1, 2))
+    assert associativity_unbounded(max_value) == _record((False, (1, 1, 2)))
 
 
 def test_slot_width_counts_multiplicities_inside_entries(monkeypatch):
@@ -164,7 +181,7 @@ def test_slot_width_counts_multiplicities_inside_entries(monkeypatch):
     rule = lambda m, n: table.get((m, n), ())
     assert _multiset(rule, 1) == (False, (1, 1, 0))
     monkeypatch.setattr(clebsch, "_cg_op", rule)
-    assert associativity_unbounded(1) == (False, (1, 1, 0))
+    assert associativity_unbounded(1) == _record((False, (1, 1, 0)))
 
 
 def test_multiplicity_only_fault_fails_the_suite(monkeypatch, capsys):
@@ -213,8 +230,8 @@ def test_window_identity_involution():
 
 def test_window_associativity_skips_boundary():
     report = check_associativity(window_shadow(6))
-    assert report.ok
-    assert report.checked > 0 and report.skipped > 0
+    assert report["status"] == "pass"
+    assert report["checked"] > 0 and report["skipped"] > 0
 
 
 def test_window_cells_regression():

@@ -20,9 +20,12 @@ from fiatcell import (
     Element,
     InputError,
     Shadow,
+    StructureError,
     build_bn,
+    check_associativity,
     dp,
     dumps_shadow,
+    load_shadow,
     save_shadow,
     udot,
     window_shadow,
@@ -157,6 +160,29 @@ def test_check_structural_error_exits_two(tmp_path, capsys):
     assert "identities" in doc["message"]
     assert main(["cells", str(path)]) == 2
     capsys.readouterr()
+
+
+def test_check_prints_the_structure_error_of_the_sweep(tmp_path, capsys):
+    path = tmp_path / "not-composable.json"
+    doc = {
+        "format": 1,
+        "partial": True,
+        "objects": [0, 1],
+        "elements": [
+            {"id": "1_0", "source": 0, "target": 0, "identity": True},
+            {"id": "1_1", "source": 1, "target": 1, "identity": True},
+            {"id": "x", "source": 0, "target": 1, "identity": False},
+        ],
+        "involution": None,
+        "table": [{"left": "x", "right": "x", "result": {}}],
+    }
+    path.write_text(json.dumps(doc))
+    with pytest.raises(StructureError) as err:
+        check_associativity(load_shadow(str(path)))
+    assert main(["check", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "structural-error"
+    assert doc["message"] == str(err.value) == "table entry (x, x) is not composable"
 
 
 def test_check_missing_and_malformed(tmp_path, capsys):
@@ -418,6 +444,12 @@ GUARDS = [
     ("gen_binom", (True, 1), "binomial top must be an integer, got True"),
     ("gen_binom", (2.0, 1), "binomial top must be an integer, got 2.0"),
     ("gen_binom", (2, 1.0), "binomial index must be an integer, got 1.0"),
+    ("MarginMatrix", (((1.0,),),), "matrix entry must be an integer, got 1.0"),
+    ("MarginMatrix", (((None,),),), "matrix entry must be an integer, got None"),
+    # rsk would never return on this matrix: the refusal is tested, not rsk
+    ("MarginMatrix", (((0, 1.5), (1, 0)),), "matrix entry must be an integer, got 1.5"),
+    ("Tableau", (((True,),),), "tableau entry must be an integer, got True"),
+    ("Tableau", (((1, 2.0),),), "tableau entry must be an integer, got 2.0"),
 ]
 
 # exported callables that take no integer
@@ -435,7 +467,6 @@ TAKE_NO_INTEGER = {
     "check_associativity",
     "compose",
     "compose_left",
-    "decomposition_matrix_identity",
     "dumps_shadow",
     "is_strongly_regular",
     "load_shadow",
@@ -452,16 +483,13 @@ TAKE_NO_INTEGER = {
 
 # exported records whose integers are data, not a rank, a bound or an
 # object index checked against a rank: object ids, entries and
-# multiplicities (checked where a shadow, a matrix or a tableau is
-# validated) and bitsets
+# multiplicities (checked where a shadow is validated) and bitsets
 INTEGERS_AS_DATA = {
     "CellModuleMatrices",
     "CellPoset",
     "Decomposition",
     "Element",
-    "MarginMatrix",
     "Shadow",
-    "Tableau",
 }
 
 

@@ -25,7 +25,6 @@ PUBLIC = {
         "cell_module",
         "cell_partition",
         "cell_poset",
-        "decomposition_matrix_identity",
         "is_strongly_regular",
         "m_values",
         "poset_to_dot",

@@ -21,12 +21,13 @@ from fiatcell import (
     compose,
     compose_left,
     dumps_shadow,
+    is_strongly_regular,
     load_shadow,
     save_shadow,
     validate_shadow,
     window_shadow,
 )
-from fiatcell import bnverify, udot
+from fiatcell import bnverify, clebsch, udot
 from fiatcell.checks import json_pieces
 from fiatcell.cli import main
 from fiatcell.shadow import shadow_from_dict, shadow_to_dict
@@ -196,22 +197,75 @@ def test_involution_fixes_identities():
 
 def test_associativity_pass_and_counts():
     report = check_associativity(build_bn(2))
-    assert report.ok
-    assert report.status == "pass"
-    assert report.checked > 0 and report.skipped == 0
+    assert report["status"] == "pass"
+    assert report["witnesses"] == []
+    assert report["checked"] > 0 and report["skipped"] == 0
 
 
 def test_associativity_failure_reported():
     report = check_associativity(non_associative_toy())
-    assert report.status == "fail"
+    assert report["status"] == "fail"
     # every triple starting with e, with (t, e) or with (t, t, e) agrees;
     # then (t t) t = u t = t while t (t t) = t u = u
-    assert report.failure == {
-        "triple": ["t", "t", "t"],
-        "left": {"t": 1},
-        "right": {"u": 1},
-    }
-    assert (report.checked, report.skipped) == (27, 0)
+    assert report["witnesses"] == [
+        {
+            "triple": ["t", "t", "t"],
+            "left": {"t": 1},
+            "right": {"u": 1},
+        }
+    ]
+    assert (report["checked"], report["skipped"]) == (27, 0)
+
+
+def _one_gap(m, n):
+    # the fusion rule with 2 2 = {0, 4}, not associative from the window 0..2
+    return frozenset({0, 4}) if (m, n) == (2, 2) else frozenset(range(abs(m - n), m + n + 1, 2))
+
+
+def _unbounded_with_a_fault(monkeypatch):
+    monkeypatch.setattr(clebsch, "_cg_op", _one_gap)
+    return clebsch.associativity_unbounded(2)
+
+
+def _comparable_left_cells(_):
+    # left ideals {t} and {t, u} inside the two-sided cell {t, u}
+    table = {(T, T): T, (T, U): U, (U, T): T, (U, U): T}
+    s = one_object_shadow({pair: Decomposition({e: 1}) for pair, e in table.items()})
+    return is_strongly_regular(s, frozenset({T, U}))
+
+
+def _first_two_sided_cell(s):
+    return is_strongly_regular(s, cell_partition(s, "two-sided").classes[0])
+
+
+@pytest.mark.parametrize(
+    "make, status",
+    [
+        (lambda _: check_associativity(associative_toy()), "pass"),
+        (lambda _: check_associativity(non_associative_toy()), "fail"),
+        (lambda _: check_associativity(window_shadow(3)), "pass"),
+        (lambda _: _first_two_sided_cell(build_bn(2)), "pass"),
+        (_comparable_left_cells, "fail"),
+        (lambda _: _first_two_sided_cell(window_shadow(2)), "fail"),
+        (lambda _: clebsch.associativity_unbounded(2), "pass"),
+        (_unbounded_with_a_fault, "fail"),
+    ],
+    ids=[
+        "associativity-pass",
+        "associativity-fail",
+        "associativity-partial",
+        "regularity-pass",
+        "comparable-left-cells",
+        "intersection-size",
+        "unbounded-pass",
+        "unbounded-fail",
+    ],
+)
+def test_law_records_lead_with_check_status_witnesses(monkeypatch, make, status):
+    record = make(monkeypatch)
+    assert list(record)[:3] == ["check", "status", "witnesses"]
+    assert record["status"] == status
+    assert (record["witnesses"] == []) == (status == "pass")
 
 
 def reference_validate(s):
@@ -291,12 +345,10 @@ def reference_validate(s):
 
 
 def reference_sweep(s):
-    """(status, checked, skipped, failure) of a sweep on Elements through
-    compose; a triple is skipped when a product it needs has no entry."""
-    try:
-        reference_validate(s)
-    except StructureError:
-        return "structural-error", 0, 0, None
+    """The record of check_associativity, from a sweep on Elements through
+    compose; a triple is skipped when a product it needs has no entry.
+    Raises StructureError where reference_validate does."""
+    reference_validate(s)
 
     def product(x, terms, on_left):
         out = {}
@@ -328,7 +380,13 @@ def reference_sweep(s):
                         "left": {e.name: left[e] for e in s.elements if e in left},
                         "right": {e.name: right[e] for e in s.elements if e in right},
                     }
-    return ("pass" if failure is None else "fail"), checked, skipped, failure
+    return {
+        "check": "associativity",
+        "status": "pass" if failure is None else "fail",
+        "witnesses": [] if failure is None else [failure],
+        "checked": checked,
+        "skipped": skipped,
+    }
 
 
 @st.composite
@@ -366,11 +424,8 @@ def random_shadows(draw):
 @settings(max_examples=60)
 @given(random_shadows())
 def test_sweep_matches_reference_on_random_shadows(s):
-    report = check_associativity(s)
-    status, checked, skipped, failure = reference_sweep(s)
-    assert (report.status, report.checked, report.skipped) == (status, checked, skipped)
-    # key order too: a witness is printed as JSON
-    assert json.dumps(report.failure) == json.dumps(failure)
+    # key order too: a record is printed as JSON
+    assert json.dumps(check_associativity(s)) == json.dumps(reference_sweep(s))
 
 
 def _non_identity_pairs(s):
@@ -418,14 +473,8 @@ def test_sweep_matches_reference_on_families_and_seeded_corruptions():
         corrupted = [f(plain, rng) for f in (_bumped, _term_added, _entry_dropped)]
         for v in [s, *filter(None, corrupted)]:
             report = check_associativity(v)
-            status, checked, skipped, failure = reference_sweep(v)
-            assert (report.status, report.checked, report.skipped) == (
-                status,
-                checked,
-                skipped,
-            )
-            assert json.dumps(report.failure) == json.dumps(failure)
-            statuses.append(status)
+            assert json.dumps(report) == json.dumps(reference_sweep(v))
+            statuses.append(report["status"])
     assert (statuses.count("pass"), statuses.count("fail")) == (32, 32)
 
 
@@ -449,11 +498,10 @@ def _swept_as_reference(s):
     ("dual")."""
     validate_shadow(s)
     report = check_associativity(s)
-    status, checked, skipped, failure = reference_sweep(s)
-    assert (report.status, report.checked, report.skipped) == (status, checked, skipped)
-    assert json.dumps(report.failure) == json.dumps(failure)
-    if failure is None:
+    assert json.dumps(report) == json.dumps(reference_sweep(s))
+    if report["status"] == "pass":
         return "pass"
+    (failure,) = report["witnesses"]
     b = s.element(failure["triple"][1])
     return "dual" if s.index_of(s.involution[b]) < s.index_of(b) else "fail"
 
@@ -503,9 +551,9 @@ def test_partial_sweep_keeps_the_rows_whose_dual_is_absent():
     s = one_object_shadow(table, elements=(E, x, y), involution={E: E, x: y, y: x}, partial=True)
     validate_shadow(s)
     report = check_associativity(s)
-    assert report.failure == {"triple": ["x", "y", "x"], "left": {}, "right": {"x": 1}}
-    assert reference_sweep(s) == ("fail", 20, 7, report.failure)
-    assert (report.checked, report.skipped) == (20, 7)
+    assert report["witnesses"] == [{"triple": ["x", "y", "x"], "left": {}, "right": {"x": 1}}]
+    assert (report["status"], report["checked"], report["skipped"]) == ("fail", 20, 7)
+    assert reference_sweep(s) == report
 
 
 def test_sweep_on_formal_zero_entries():
@@ -519,20 +567,15 @@ def test_sweep_on_formal_zero_entries():
         {(T, T): Decomposition({U: 1}), (T, U): Decomposition({U: 1}), (U, T): zero, (U, U): zero}
     )
     for s in (nilpotent, broken):
-        report = check_associativity(s)
-        status, checked, skipped, failure = reference_sweep(s)
-        assert (report.status, report.checked, report.skipped, report.failure) == (
-            status,
-            checked,
-            skipped,
-            failure,
-        )
-    assert check_associativity(nilpotent).ok
-    assert check_associativity(broken).failure == {
-        "triple": ["t", "t", "t"],
-        "left": {},
-        "right": {"u": 1},
-    }
+        assert check_associativity(s) == reference_sweep(s)
+    assert check_associativity(nilpotent)["status"] == "pass"
+    assert check_associativity(broken)["witnesses"] == [
+        {
+            "triple": ["t", "t", "t"],
+            "left": {},
+            "right": {"u": 1},
+        }
+    ]
 
 
 def test_sweep_slots_hold_mass_squared():
@@ -547,9 +590,9 @@ def test_sweep_slots_hold_mass_squared():
     table[(v, U)] = Decomposition({E: 2})
     s = one_object_shadow(table, elements=elements)
     report = check_associativity(s)
-    assert report.failure == {"triple": ["t", "u", "u"], "left": {"e": 4}, "right": {"t": 1}}
-    assert reference_sweep(s) == ("fail", 64, 0, report.failure)
-    assert (report.checked, report.skipped) == (64, 0)
+    assert report["witnesses"] == [{"triple": ["t", "u", "u"], "left": {"e": 4}, "right": {"t": 1}}]
+    assert (report["status"], report["checked"], report["skipped"]) == ("fail", 64, 0)
+    assert reference_sweep(s) == report
 
 
 def test_sweep_on_c_rows_of_one_element():
@@ -579,19 +622,21 @@ def test_sweep_on_c_rows_of_one_element():
     ]
     for s, status, checked, skipped in expected:
         report = check_associativity(s)
-        assert (report.status, report.checked, report.skipped) == (status, checked, skipped)
-        assert reference_sweep(s) == (status, checked, skipped, report.failure)
+        assert (report["status"], report["checked"], report["skipped"]) == (status, checked, skipped)
+        assert reference_sweep(s) == report
     # (y y) x = y x = 2 x but y (y x) = 2 (y x) = 4 x
-    assert check_associativity(two).failure == {
-        "triple": ["y", "y", "x"],
-        "left": {"x": 2},
-        "right": {"x": 4},
-    }
+    assert check_associativity(two)["witnesses"] == [
+        {
+            "triple": ["y", "y", "x"],
+            "left": {"x": 2},
+            "right": {"x": 4},
+        }
+    ]
 
 
 def test_window_sweep_at_the_clebsch_limit():
     report = check_associativity(window_shadow(90))
-    assert (report.status, report.checked, report.skipped) == ("pass", 129766, 623805)
+    assert (report["status"], report["checked"], report["skipped"]) == ("pass", 129766, 623805)
 
 
 def _set_multiplicity(draw, table, s, scale):
@@ -783,7 +828,7 @@ def test_cached_shadows_are_read_only():
         s.table = {}
     with pytest.raises(AttributeError, match="cannot assign to field 'terms'"):
         entry.terms = {}
-    assert check_associativity(build_bn(2)).ok
+    assert check_associativity(build_bn(2))["status"] == "pass"
 
 
 def test_construction_copies_the_given_mappings():
@@ -868,26 +913,24 @@ def test_a_term_outside_the_elements_is_a_structure_error():
         s = one_object_shadow({**associative_toy().table, **entry})
         with pytest.raises(StructureError, match=re.escape(message)):
             validate_shadow(s)
-        report = check_associativity(s)
-        assert report.status == "structural-error"
-        assert report.message == message
+        with pytest.raises(StructureError, match=re.escape(message)):
+            check_associativity(s)
         with pytest.raises(StructureError, match=re.escape(message)):
             cell_partition(s, "left")
 
 
 def test_associativity_structural_error_status():
     s = one_object_shadow({(T, T): Decomposition({T: 1, U: 1})})
-    report = check_associativity(s)
-    assert report.status == "structural-error"
-    assert "incomplete" in report.message
+    with pytest.raises(StructureError, match="incomplete"):
+        check_associativity(s)
 
 
 def test_partial_window_skips_boundary_triples():
     s = window_shadow(3)
     assert s.partial
     report = check_associativity(s)
-    assert report.ok
-    assert report.skipped > 0
+    assert report["status"] == "pass"
+    assert report["skipped"] > 0
 
 
 def test_json_roundtrip_is_identity():
