@@ -11,7 +11,14 @@ __version__ = "0.1.0"
 
 # home module -> the public names it defines
 _EXPORTS = {
-    "bnverify": ("defining_action", "recursion_check", "verify_bn", "verify_relations"),
+    "bnverify": (
+        "defining_action",
+        "is_strongly_regular",
+        "m_values",
+        "recursion_check",
+        "verify_bn",
+        "verify_relations",
+    ),
     "cells": (
         "CellModuleMatrices",
         "CellPartition",
@@ -19,8 +26,6 @@ _EXPORTS = {
         "cell_module",
         "cell_partition",
         "cell_poset",
-        "is_strongly_regular",
-        "m_values",
         "poset_to_dot",
         "principal_ideal",
     ),
@@ -34,11 +39,9 @@ _EXPORTS = {
         "Shadow",
         "compose",
         "compose_left",
-        "dumps_shadow",
-        "load_shadow",
-        "save_shadow",
         "validate_shadow",
     ),
+    "shadowfile": ("dumps_shadow", "load_shadow", "save_shadow"),
     "sweep": ("check_associativity",),
     "tableaux": ("MarginMatrix", "RskPair", "Tableau", "cells_via_rsk", "rsk", "rsk_inverse"),
     "udot": (

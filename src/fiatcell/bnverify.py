@@ -5,18 +5,19 @@ forms alone. In the defining action each element sends the line of its
 source object to that of its target by one positive integer, so
 multiplicativity is a check on integers; cell generators are written down
 in the quadrant orientation; and rank reduction compares the quotient by
-the top cell with the shifted lower-rank table entry by entry.
+the top cell with the shifted lower-rank table entry by entry. Strong
+regularity and the m-statistic, which only this suite runs, live here too.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial
 
-from .cells import cell_module, cell_partition, cell_poset, is_strongly_regular, m_values
-from .checks import ConsistencyError, StructureError, check, check_range, emit_results
-from .checks import parse_range, probes
+from .cells import cell_data, cell_module, cell_partition, cell_poset
+from .checks import ConsistencyError, InputError, StructureError, check, check_range
+from .checks import emit_results, parse_range, probes
 from .ideals import quotient_by_upset, thick_ideals, upsets_by_enumeration
-from .shadow import Decomposition, Element, Shadow, _pairs, compose, compose_left, shadow_to_dict
+from .shadow import Decomposition, Element, Shadow, _pairs, compose, compose_left
 from .sweep import check_associativity
 from .udot import DESK_LIMIT, DPMonomial, bn_element_monomials, build_bn, check_bn_rank, dp
 from .udot import pair_orientation
@@ -143,6 +144,75 @@ def cell_generator(n: int, i: int, k: int) -> DPMonomial:
 def expected_two_sided_index(n: int, i: int, k: int) -> int:
     s = n // 2
     return i - k if i <= s else n - i - k
+
+
+def is_strongly_regular(s: Shadow, two_sided_cell: frozenset[Element]) -> dict:
+    """Check one two-sided cell: its left cells are pairwise incomparable and
+    every left-right intersection inside it is a singleton. Returns the
+    check record "strong-regularity", whose one witness on failure is
+    ["comparable-left-cells", a, b] or ["intersection-size", left cell,
+    right cell, size], the cells as sorted names. A set that is not a
+    two-sided cell of s is an InputError."""
+    if two_sided_cell not in cell_partition(s, "two-sided").classes:
+        raise InputError("the given set is not a two-sided cell of this shadow")
+    ideals, left_cells = cell_data(s, "left")
+    left = [cls & two_sided_cell for cls in left_cells.classes if cls & two_sided_cell]
+    right = [
+        cls & two_sided_cell
+        for cls in cell_partition(s, "right").classes
+        if cls & two_sided_cell
+    ]
+    first = [min(map(s.index_of, li)) for li in left]
+    for a in first:
+        for b in first:
+            if a != b and not ideals[b] & ~ideals[a]:
+                names = s.elements[a].name, s.elements[b].name
+                return check("strong-regularity", False, [["comparable-left-cells", *names]])
+    for li in left:
+        for rj in right:
+            inter = li & rj
+            if len(inter) != 1:
+                names = [sorted(e.name for e in cls) for cls in (li, rj)]
+                witness = ["intersection-size", *names, len(inter)]
+                return check("strong-regularity", False, [witness])
+    return check("strong-regularity", True)
+
+
+def m_values(s: Shadow, two_sided_cell: frozenset[Element]) -> tuple[dict[Element, int], bool]:
+    """The multiplicity statistic on a strongly regular two-sided cell.
+
+    For each f in the cell, h is the unique element in the left cell of f
+    intersected with the right cell of f*, and m_f is the multiplicity of h
+    in f* after f. Returns the value map together with a flag asserting
+    constancy on right cells. A set that is not a two-sided cell is an
+    InputError.
+    """
+    star = s._view.star
+    if star is None:
+        raise InputError("m_values requires an involution")
+    cell_names = sorted(e.name for e in two_sided_cell)
+    reg = is_strongly_regular(s, two_sided_cell)
+    if reg["witnesses"]:
+        (witness,) = reg["witnesses"]
+        raise InputError(f"cell {{{', '.join(cell_names)}}} is not strongly regular: {witness}")
+    left = cell_partition(s, "left")
+    right = cell_partition(s, "right")
+    values: dict[Element, int] = {}
+    for f in sorted(two_sided_cell, key=s.index_of):
+        fstar = s.elements[star[s.index_of(f)]]
+        candidates = left.class_of(f) & right.class_of(fstar)
+        if len(candidates) != 1:
+            raise ConsistencyError(
+                f"left/right intersection for {f.name} has size {len(candidates)}"
+            )
+        (h,) = candidates
+        values[f] = compose(s, fstar, f).mult(h)
+    constant = True
+    for cls in right.classes:
+        inside = cls & two_sided_cell
+        if inside and len({values[f] for f in inside}) > 1:
+            constant = False
+    return values, constant
 
 
 def bn_cells_report(n: int) -> list[dict]:
@@ -292,6 +362,8 @@ def recursion_check(n: int) -> dict:
     """Rank reduction: shifting the rank-(n-2) shadow up by one object must
     reproduce the rank-n shadow with its maximal cell deleted, both product
     by product and as a whole quotient shadow."""
+    from .shadowfile import shadow_to_dict
+
     check_bn_rank(n)
     check_range("rank for rank reduction", n, 3, DESK_LIMIT)
     big = build_bn(n)

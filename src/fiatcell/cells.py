@@ -18,9 +18,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .checks import check, emit, write_text
-from .shadow import ConsistencyError, Element, InputError, Shadow, StructureError, _pairs
-from .shadow import compose, load_checked, names_of
+from .checks import emit, write_text
+from .shadow import Element, InputError, Shadow, StructureError, _pairs
 
 KINDS = ("left", "right", "two-sided")
 
@@ -188,75 +187,6 @@ def poset_to_dot(s: Shadow, poset: CellPoset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def is_strongly_regular(s: Shadow, two_sided_cell: frozenset[Element]) -> dict:
-    """Check one two-sided cell: its left cells are pairwise incomparable and
-    every left-right intersection inside it is a singleton. Returns the
-    check record "strong-regularity", whose one witness on failure is
-    ["comparable-left-cells", a, b] or ["intersection-size", left cell,
-    right cell, size], the cells as sorted names. A set that is not a
-    two-sided cell of s is an InputError."""
-    if two_sided_cell not in cell_partition(s, "two-sided").classes:
-        raise InputError("the given set is not a two-sided cell of this shadow")
-    ideals, left_cells = cell_data(s, "left")
-    left = [cls & two_sided_cell for cls in left_cells.classes if cls & two_sided_cell]
-    right = [
-        cls & two_sided_cell
-        for cls in cell_partition(s, "right").classes
-        if cls & two_sided_cell
-    ]
-    first = [min(map(s.index_of, li)) for li in left]
-    for a in first:
-        for b in first:
-            if a != b and not ideals[b] & ~ideals[a]:
-                names = s.elements[a].name, s.elements[b].name
-                return check("strong-regularity", False, [["comparable-left-cells", *names]])
-    for li in left:
-        for rj in right:
-            inter = li & rj
-            if len(inter) != 1:
-                names = [sorted(e.name for e in cls) for cls in (li, rj)]
-                witness = ["intersection-size", *names, len(inter)]
-                return check("strong-regularity", False, [witness])
-    return check("strong-regularity", True)
-
-
-def m_values(s: Shadow, two_sided_cell: frozenset[Element]) -> tuple[dict[Element, int], bool]:
-    """The multiplicity statistic on a strongly regular two-sided cell.
-
-    For each f in the cell, h is the unique element in the left cell of f
-    intersected with the right cell of f*, and m_f is the multiplicity of h
-    in f* after f. Returns the value map together with a flag asserting
-    constancy on right cells. A set that is not a two-sided cell is an
-    InputError.
-    """
-    star = s._view.star
-    if star is None:
-        raise InputError("m_values requires an involution")
-    cell_names = sorted(e.name for e in two_sided_cell)
-    reg = is_strongly_regular(s, two_sided_cell)
-    if reg["witnesses"]:
-        (witness,) = reg["witnesses"]
-        raise InputError(f"cell {{{', '.join(cell_names)}}} is not strongly regular: {witness}")
-    left = cell_partition(s, "left")
-    right = cell_partition(s, "right")
-    values: dict[Element, int] = {}
-    for f in sorted(two_sided_cell, key=s.index_of):
-        fstar = s.elements[star[s.index_of(f)]]
-        candidates = left.class_of(f) & right.class_of(fstar)
-        if len(candidates) != 1:
-            raise ConsistencyError(
-                f"left/right intersection for {f.name} has size {len(candidates)}"
-            )
-        (h,) = candidates
-        values[f] = compose(s, fstar, f).mult(h)
-    constant = True
-    for cls in right.classes:
-        inside = cls & two_sided_cell
-        if inside and len({values[f] for f in inside}) > 1:
-            constant = False
-    return values, constant
-
-
 Matrix = tuple[tuple[int, ...], ...]
 
 
@@ -300,6 +230,8 @@ def cell_module(s: Shadow, left_cell: frozenset[Element]) -> CellModuleMatrices:
 
 
 def cmd_cells(args) -> int:
+    from .shadowfile import load_checked, names_of
+
     s = load_checked(args.path)
     partition = cell_partition(s, args.kind)
     doc = {
@@ -316,6 +248,8 @@ def cmd_cells(args) -> int:
 
 
 def cmd_cell_module(args) -> int:
+    from .shadowfile import load_checked, names_of
+
     s = load_checked(args.path)
     left = cell_partition(s, "left").class_of(s.element(args.left_cell_of))
     cm = cell_module(s, left)

@@ -60,7 +60,7 @@ VERBS = {
         {"--left-cell-of": ("left_cell_of", str, REQUIRED, None)},
         "cells:cmd_cell_module",
     ),
-    ("export",): (("path",), {}, "shadow:cmd_export"),
+    ("export",): (("path",), {}, "shadowfile:cmd_export"),
     ("verify", "bn"): ((), {"--n": ("n", str, BN_DEFAULT_RANGE, None)}, "bnverify:cmd_verify"),
     ("verify", "clebsch"): (
         (), {"--max": ("max", int, CLEBSCH_DEFAULT_MAX, None)}, "clebsch:cmd_verify"

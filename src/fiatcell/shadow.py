@@ -21,7 +21,6 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .checks import ConsistencyError, FiatcellError, InputError, StructureError  # noqa: F401
-from .checks import dumps, emit, is_int, json_pieces, write_text
 
 
 class Element(NamedTuple):
@@ -199,7 +198,10 @@ class Shadow(_Frozen):
         return e in self._index
 
     def index_of(self, e: Element) -> int:
-        return self._index[e]
+        try:
+            return self._index[e]
+        except KeyError:
+            raise InputError(f"unknown element id {e.name!r}") from None
 
 
 def _pairs(row):
@@ -207,22 +209,45 @@ def _pairs(row):
     return zip(it, it)
 
 
+def _run(row) -> tuple[int, int, int] | None:
+    """(lo, hi, step) when the terms of a flat row are three or more ids lo,
+    lo + step, ..., hi, in increasing order, each with multiplicity 1; None
+    otherwise (fewer terms, a repeated, missing or unsorted id, or a
+    multiplicity other than 1). The sum of a run over any sequence is the
+    difference of two of its step-wise prefix sums."""
+    ids = row[::2]
+    if len(ids) > 2 and row[1::2].count(1) == len(ids):
+        lo, hi, step = ids[0], ids[-1], ids[1] - ids[0]
+        # the length first, so that a far-off hi builds no long range
+        if step > 0 and hi - lo == step * (len(ids) - 1):
+            if list(ids) == list(range(lo, hi + 1, step)):
+                return lo, hi, step
+    return None
+
+
 def _table_ids(s: Shadow) -> tuple:
     """The entries (a, b, row) and star of s, unchecked; a hand-built table
-    converts entry by entry as it is read (KeyError on a non-element)."""
+    converts entry by entry as it is read, with a StructureError at the
+    first entry that names a non-element."""
     if s._ids is not None:
         return s._ids
     index = s._index
-    entries = (
-        (index[a], index[b], tuple(x for e, m in d.terms.items() for x in (index[e], m)))
-        for (a, b), d in s.table.items()
-    )
+
+    def entries():
+        for (a, b), d in s.table.items():
+            try:
+                entry = index[a], index[b], tuple(x for e, m in d.items() for x in (index[e], m))
+            except KeyError as err:
+                name = err.args[0].name
+                raise StructureError(f"table names {name!r}, which is not an element") from None
+            yield entry
+
     star, inv = None, s.involution
     if inv is not None:
         star = tuple(index.get(inv.get(e)) for e in s.elements)
         if len(inv) != len(star):  # a key outside the elements
             star += (None,)
-    return entries, star
+    return entries(), star
 
 
 def _build_view(s: Shadow) -> IntView:
@@ -237,22 +262,19 @@ def _build_view(s: Shadow) -> IntView:
     rows: list[tuple[int, ...] | None] = [None] * (n * n)
     order: list[int] = []
     entries, star = _table_ids(s)
-    try:
-        for a, b, row in entries:
-            if source[a] != target[b]:
-                raise StructureError(f"table entry ({names[a]}, {names[b]}) is not composable")
-            for t, m in _pairs(row):
-                if m < 1:
-                    pair = f"({names[a]}, {names[b]})"
-                    raise StructureError(f"nonpositive multiplicity {m} in {pair}")
-                if source[t] != source[b] or target[t] != target[a]:
-                    raise StructureError(
-                        f"term {names[t]} of ({names[a]}, {names[b]}) has wrong source/target"
-                    )
-            rows[a * n + b] = row
-            order.append(a * n + b)
-    except KeyError as err:
-        raise StructureError(f"table names {err.args[0].name!r}, which is not an element") from None
+    for a, b, row in entries:
+        if source[a] != target[b]:
+            raise StructureError(f"table entry ({names[a]}, {names[b]}) is not composable")
+        for t, m in _pairs(row):
+            if m < 1:
+                pair = f"({names[a]}, {names[b]})"
+                raise StructureError(f"nonpositive multiplicity {m} in {pair}")
+            if source[t] != source[b] or target[t] != target[a]:
+                raise StructureError(
+                    f"term {names[t]} of ({names[a]}, {names[b]}) has wrong source/target"
+                )
+        rows[a * n + b] = row
+        order.append(a * n + b)
     by_target: dict[int, list[int]] = {}
     for i, obj in enumerate(target):
         by_target.setdefault(obj, []).append(i)
@@ -351,160 +373,3 @@ def validate_shadow(s: Shadow) -> None:
             raise StructureError(
                 f"involution is not an anti-homomorphism at ({names[a]}, {names[b]})"
             )
-
-
-FORMAT_VERSION = 1
-
-# The largest shadow file load_shadow accepts: elements, and terms summed
-# over the results of all table rows. The `check` sweep costs about
-# terms x elements and a `cell-module` report up to elements**3 entries, so
-# these keep each file verb to a few seconds (the README lists the limits
-# with their measurements). A `build bn --n 8` file (165 elements, 4,109
-# terms) and a `build clebsch --max 90` file (91 elements, 65,941 terms)
-# lie inside.
-FILE_LIMIT_ELEMENTS = 170
-FILE_LIMIT_TERMS = 70_000
-
-
-def shadow_to_dict(s: Shadow) -> dict:
-    """The file form of s: elements and the involution in element order,
-    table rows by (left, right) id and terms by id."""
-    names = [e.name for e in s.elements]
-    entries, star = _table_ids(s)
-    data: dict = {"format": FORMAT_VERSION}
-    if s.partial:
-        data["partial"] = True
-    data["objects"] = list(s.objects)
-    data["elements"] = [
-        {"id": e.name, "source": e.source, "target": e.target, "identity": e.is_identity}
-        for e in s.elements
-    ]
-    data["involution"] = None
-    if star is not None:
-        data["involution"] = {names[i]: names[j] for i, j in enumerate(star) if j is not None}
-    data["table"] = table = []
-    for a, b, row in sorted(entries):
-        result = {names[t]: m for t, m in sorted(_pairs(row))}
-        table.append({"left": names[a], "right": names[b], "result": result})
-    return data
-
-
-_JSON_TYPES = {int: "an integer", bool: "a boolean", str: "a string", dict: "an object"}
-
-
-def _json(x, kind: type):
-    """x if it is a JSON value of the given type; nothing is cast, and a
-    boolean is not an integer."""
-    if not (is_int(x) if kind is int else isinstance(x, kind)):
-        raise InputError(f"expected {_JSON_TYPES[kind]}, got {dumps(x)}")
-    return x
-
-
-def shadow_from_dict(data: dict) -> Shadow:
-    version = _json(data.get("format", FORMAT_VERSION), int)
-    if version != FORMAT_VERSION:
-        raise InputError(f"unsupported format {version}, expected {FORMAT_VERSION}")
-    try:
-        objects = tuple(_json(o, int) for o in data["objects"])
-        elements = tuple(
-            Element(
-                name=_json(row["id"], str),
-                source=_json(row["source"], int),
-                target=_json(row["target"], int),
-                is_identity=_json(row["identity"], bool),
-            )
-            for row in data["elements"]
-        )
-        index = {e.name: i for i, e in enumerate(elements)}
-        n = len(index)
-        if n != len(elements):
-            raise InputError("duplicate element ids in file")
-        inv_data = data.get("involution")
-        star = None
-        if inv_data is not None:
-            inv_data = _json(inv_data, dict)
-            image = {index[k]: index[v] for k, v in inv_data.items()}
-            star = tuple(map(image.get, range(n)))
-        entries, seen = [], set()
-        for row in data["table"]:
-            a, b = index[row["left"]], index[row["right"]]
-            if a * n + b in seen:
-                raise InputError(f"duplicate table row ({elements[a].name}, {elements[b].name})")
-            seen.add(a * n + b)
-            terms: list[int] = []
-            for k, v in _json(row["result"], dict).items():
-                terms += (index[k], _json(v, int))
-            entries.append((a, b, tuple(terms)))
-        partial = _json(data.get("partial", False), bool)
-        return Shadow._on_ids(objects, elements, entries, star, partial)
-    except (KeyError, TypeError, ValueError) as err:
-        raise InputError(f"malformed shadow JSON: {err}") from err
-
-
-def dumps_shadow(s: Shadow) -> str:
-    """The file text of s: json.dumps(shadow_to_dict(s), indent=2), a newline."""
-    return "".join(json_pieces(shadow_to_dict(s)))
-
-
-def save_shadow(s: Shadow, path: str) -> None:
-    """Write the file text of s to path; InputError if it cannot be written."""
-    write_text(json_pieces(shadow_to_dict(s)), path)
-
-
-def load_shadow(path: str) -> Shadow:
-    import json
-
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as err:
-        raise InputError(f"cannot read {path}: {err}") from err
-    # ValueError covers a syntax error, bytes that are not UTF-8 and an
-    # integer past the interpreter's digit limit; json raises
-    # RecursionError on deeply nested arrays or objects
-    except (ValueError, RecursionError) as err:
-        raise InputError(f"{path} is not valid JSON: {err}") from err
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: top level is not an object")
-    _check_file_size(data, path)
-    return shadow_from_dict(data)
-
-
-def _check_file_size(data: dict, path: str) -> None:
-    """Refuse a parsed file past FILE_LIMIT_ELEMENTS or FILE_LIMIT_TERMS
-    before any element is built. Members of the wrong type count as empty;
-    shadow_from_dict reports them."""
-    elements, table = data.get("elements"), data.get("table")
-    n = len(elements) if isinstance(elements, list) else 0
-    if n > FILE_LIMIT_ELEMENTS:
-        raise InputError(f"{path} has {n} elements, more than the limit of {FILE_LIMIT_ELEMENTS}")
-    rows = table if isinstance(table, list) else ()
-    terms = sum(
-        len(row["result"])
-        for row in rows
-        if isinstance(row, dict) and isinstance(row.get("result"), dict)
-    )
-    if terms > FILE_LIMIT_TERMS:
-        limit = f"more than the limit of {FILE_LIMIT_TERMS}"
-        raise InputError(f"{path} has {terms} table terms, {limit}")
-
-
-def load_checked(path: str) -> Shadow:
-    """The shadow in the file at path, validated; InputError naming the
-    file when it breaks a structural invariant."""
-    s = load_shadow(path)
-    try:
-        validate_shadow(s)
-    except StructureError as err:
-        raise InputError(f"{path}: {err}") from err
-    return s
-
-
-def names_of(s: Shadow, elements) -> list[str]:
-    """The names of some elements of s, in element order."""
-    return [e.name for e in sorted(elements, key=s.index_of)]
-
-
-def cmd_export(args) -> int:
-    emit(shadow_to_dict(load_checked(args.path)), args.output)
-    return 0

@@ -5,10 +5,13 @@ and `clebsch` verify suites run the sweep, so no other verb loads it.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import itemgetter, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from .checks import StructureError, check, emit
-from .shadow import Shadow, _pairs, load_shadow, validate_shadow
+from .shadow import Shadow, _pairs, _run, validate_shadow
+
+
+_NEGATIVE = (0).__gt__
 
 
 def _combine(rows, row, base: int, stride: int) -> dict[int, int] | None:
@@ -32,9 +35,23 @@ def _pick(indices: list[int]):
     return itemgetter(*indices) if indices else lambda row: ()
 
 
-def _pack(s: Shadow, rows, order) -> tuple[list[int], int]:
-    """Every entry as one integer, and the integer that stands for an absent
-    one.
+def _add_rows(x: list, y: list) -> list:
+    return list(map(add, x, y))
+
+
+def _prefix(values: list, step: int, plus=add, zero=0) -> list:
+    """out[i], for i < len(values) + step: the sum by plus, from zero, of
+    values[t] over the t < i with t = i (mod step). The sum of a run lo,
+    lo + step, ..., hi of values is then out[hi + step] - out[lo]."""
+    out = [zero] * (len(values) + step)
+    for r in range(step):
+        out[r::step] = accumulate(values[r::step], plus, initial=zero)
+    return out
+
+
+def _pack(s: Shadow, rows, order) -> tuple[list[int], int, dict]:
+    """Every entry as one integer, the integer that stands for an absent
+    one, and the runs (shadow._run) among the entries by position.
 
     Each element gets a slot in its hom space (source, target), and an entry
     packs to the sum of mult << (width * slot) over its terms. mass is the
@@ -58,13 +75,16 @@ def _pack(s: Shadow, rows, order) -> tuple[list[int], int]:
     shift = [width * k for k in slot]
     n = len(s.elements)
     packed = [absent] * (n * n)
+    runs = {}
     for at in order:
         row = rows[at]
         if len(row) == 2:  # one term, the common case
             packed[at] = row[1] << shift[row[0]]
         else:
             packed[at] = sum(m << shift[t] for t, m in _pairs(row))
-    return packed, absent
+            if len(row) > 4 and (run := _run(row)):
+                runs[at] = run
+    return packed, absent, runs
 
 
 def check_associativity(s: Shadow) -> dict:
@@ -78,9 +98,13 @@ def check_associativity(s: Shadow) -> dict:
 
     The sweep runs on the entries packed by _pack, one c-row at a time: for
     each pair (a, b) it builds the lists of (a b) c and of a (b c) over every
-    c with target source(b). When the two are equal and neither took in an
-    absent entry, every triple of the row is checked; otherwise the row is
-    walked triple by triple.
+    c with target source(b). When the two are equal, the triples whose sums
+    are negative, having taken in an absent entry, are skipped and the rest
+    checked; otherwise the row is walked triple by triple. A run entry (shadow._run, step s) is summed as
+    the difference of two step-s prefix rows (_prefix): over the packed
+    c-rows of its terms for (a b) c, over a's packed row for a (b c). The
+    difference is the very integer the term-by-term sum gives, so a sum
+    that takes in an absent entry is still negative.
 
     On a full table validation has already proved some rows; they are
     counted as checked without being swept, so checked still counts every
@@ -103,13 +127,32 @@ def check_associativity(s: Shadow) -> dict:
     # full tables only: the rows (a, b) with identity[a] or proved[b] are proved
     identity = [full and e.is_identity for e in s.elements]
     proved = [x or (dual is not None and dual[b] < b) for b, x in enumerate(identity)]
-    packed, absent = _pack(s, rows, order)
+    packed, absent, runs = _pack(s, rows, order)
     # cols[t]: t c packed, for each c with target source(t)
     cols = [[packed[t * n + c] for c in by_target[source[t]]] for t in range(n)]
+    # below[step, o]: the step-wise prefix rows of cols over the t with
+    # source o, for the runs a b of the swept rows
+    below = {}
+    for at, (lo, _, step) in runs.items():
+        a, b = divmod(at, n)
+        o = source[b]
+        if not (identity[a] or proved[b] or (step, o) in below):
+            zero = [0] * len(by_target[o])
+            terms = [cols[t] if source[t] == o else zero for t in range(n)]
+            below[step, o] = _prefix(terms, step, _add_rows, zero)
+    # start[step]: where the step-wise prefix sums of a's packed row begin in
+    # a's sums, for the steps of the runs b c of the swept rows; cut: where
+    # they end
+    start, cut = {}, 0
+    for step in sorted({step for at, (_, _, step) in runs.items() if not proved[at // n]}):
+        start[step], cut = cut, cut + n + 1 + step
     # b's c-row as flat terms, an absent b c as the term (n, 1): a pick of
-    # their ids from an a-row, their multiplicities (None when all are 1)
-    # and a pick of the prefix sums that end each c's terms (None when each
-    # c has one term); None for a proved middle
+    # the ids of the terms outside runs from an a-row, their multiplicities
+    # (None when all are 1), and, for a row without runs, a pick of the
+    # running sums that end each c's terms (None when each c has one term)
+    # or, for a row with runs, the picks of the sums that end and begin each
+    # c's sum, in a's prefix sums for a run, after cut for any other b c.
+    # None for a proved middle.
     c_rows: list[tuple | None] = []
     for b in range(n):
         if proved[b]:
@@ -118,16 +161,27 @@ def check_associativity(s: Shadow) -> dict:
         us: list[int] = []
         ks: list[int] = []
         ends = []
+        in_runs = {}  # the position in the row of each run b c, and the run
         for c in by_target[source[b]]:
-            bc = rows[b * n + c]
-            if bc is None:
-                bc = (n, 1)
-            us += bc[::2]
-            ks += bc[1::2]
+            if runs and b * n + c in runs:
+                in_runs[len(ends)] = runs[b * n + c]
+            else:
+                bc = rows[b * n + c]
+                if bc is None:
+                    bc = (n, 1)
+                us += bc[::2]
+                ks += bc[1::2]
             ends.append(len(us))
-        one_each = ends == list(range(1, len(ends) + 1))
-        ones = all(k == 1 for k in ks)
-        c_rows.append((_pick(us), None if ones else ks, None if one_each else _pick(ends)))
+        pick_us, ks = _pick(us), None if all(k == 1 for k in ks) else ks
+        if in_runs:
+            tops = [cut + end for end in ends]
+            bottoms = [cut, *tops[:-1]]
+            for j, (lo, hi, step) in in_runs.items():
+                tops[j], bottoms[j] = start[step] + hi + step, start[step] + lo
+            c_rows.append((pick_us, ks, None, (_pick(tops), _pick(bottoms))))
+        else:
+            one_each = ends == list(range(1, len(ends) + 1))
+            c_rows.append((pick_us, ks, None if one_each else _pick(ends), None))
 
     checked = skipped = 0
     first = (n, n, n)  # the first failing triple; past every triple until one fails
@@ -135,6 +189,9 @@ def check_associativity(s: Shadow) -> dict:
         a_row = a * n
         a_packed = packed[a_row : a_row + n]
         a_packed.append(absent)
+        # a's step-wise prefix sums, for the runs b c, then the running sums
+        # of the other terms of a c-row with runs
+        a_sums = [x for step in start for x in _prefix(a_packed, step)]
         for b in by_target.get(source[a], ()):
             ab = rows[a_row + b]
             cs = by_target[source[b]]
@@ -145,25 +202,40 @@ def check_associativity(s: Shadow) -> dict:
                 checked += len(cs)
                 continue
             # (a b) c for each c
-            scaled = [cols[t] if m == 1 else [m * x for x in cols[t]] for t, m in _pairs(ab)]
-            if len(scaled) == 1:
-                left = scaled[0]
-            elif scaled:
-                left = list(map(sum, zip(*scaled)))
+            if runs and (run := runs.get(a_row + b)):
+                lo, hi, step = run
+                prefix = below[step, source[b]]
+                left = list(map(sub, prefix[hi + step], prefix[lo]))
             else:
-                left = [0] * len(cs)
+                scaled = [cols[t] if m == 1 else [m * x for x in cols[t]] for t, m in _pairs(ab)]
+                if len(scaled) == 1:
+                    left = scaled[0]
+                elif scaled:
+                    left = list(map(sum, zip(*scaled)))
+                else:
+                    left = [0] * len(cs)
             # a (b c) for each c
-            pick_us, ks, pick_ends = c_rows[b]
+            pick_us, ks, pick_ends, run_picks = c_rows[b]
             values = pick_us(a_packed)
             if ks is not None:
                 values = map(mul, values, ks)
-            if pick_ends is None:
+            if run_picks is not None:
+                a_sums[cut:] = accumulate(values, initial=0)
+                pick_tops, pick_bottoms = run_picks
+                right = list(map(sub, pick_tops(a_sums), pick_bottoms(a_sums)))
+            elif pick_ends is None:
                 right = list(values)
             else:
                 sums = pick_ends([0, *accumulate(values)])
                 right = list(map(sub, sums, (0, *sums)))
-            if left == right and min(left) >= 0:
-                checked += len(cs)
+            if left == right:
+                if min(left) >= 0:
+                    checked += len(cs)
+                else:
+                    # the two sums of a triple are both negative or neither
+                    absents = sum(map(_NEGATIVE, left))
+                    checked += len(cs) - absents
+                    skipped += absents
                 continue
             for c, x, y in zip(cs, left, right):
                 if x < 0 or y < 0:
@@ -193,6 +265,8 @@ def _witness(s: Shadow, triple, left: dict[int, int], right: dict[int, int]) -> 
 
 
 def cmd_check(args) -> int:
+    from .shadowfile import load_shadow
+
     s = load_shadow(args.path)
     doc = {"format": 1, "verb": "check"}
     try:

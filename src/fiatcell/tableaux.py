@@ -28,6 +28,17 @@ if TYPE_CHECKING:
     from .cells import CellPartition
 
 
+def _check_rows(rows, what: str) -> None:
+    """Raise InputError unless rows is a tuple of row tuples of integers
+    (checks.is_int)."""
+    if not (isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)):
+        raise InputError(f"{what} must be a tuple of row tuples, got {rows!r}")
+    for row in rows:
+        for x in row:
+            if not is_int(x):
+                raise InputError(f"{what} entry must be an integer, got {x!r}")
+
+
 @dataclass(frozen=True)
 class MarginMatrix:
     """Square nonnegative integer matrix; rows index the target-side word,
@@ -36,6 +47,7 @@ class MarginMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        _check_rows(self.entries, "matrix")
         n = len(self.entries)
         if n == 0:
             raise InputError("empty matrix")
@@ -43,8 +55,6 @@ class MarginMatrix:
             if len(row) != n:
                 raise InputError("matrix is not square")
             for x in row:
-                if not is_int(x):
-                    raise InputError(f"matrix entry must be an integer, got {x!r}")
                 if x < 0:
                     raise InputError(f"negative entry {x}")
 
@@ -60,10 +70,7 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        for row in self.rows:
-            for x in row:
-                if not is_int(x):
-                    raise InputError(f"tableau entry must be an integer, got {x!r}")
+        _check_rows(self.rows, "tableau")
         _check_tableau(self.rows)
 
     @property

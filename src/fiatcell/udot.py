@@ -43,7 +43,7 @@ from itertools import accumulate
 from math import comb
 
 from .checks import ConsistencyError, InputError, check_range, emit, is_int
-from .shadow import Element, Shadow, shadow_to_dict
+from .shadow import Element, Shadow
 
 DESK_LIMIT = 8
 # The largest total power of a word normalize_blocks straightens. A basis
@@ -420,5 +420,7 @@ def bn_element_monomials(n: int) -> dict[str, DPMonomial]:
 
 
 def cmd_build(args) -> int:
+    from .shadowfile import shadow_to_dict
+
     emit(shadow_to_dict(build_bn(args.n)), args.output)
     return 0

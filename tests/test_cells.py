@@ -16,7 +16,7 @@ from fiatcell import (
     window_shadow,
 )
 from fiatcell import bnverify, cells, shadow
-from fiatcell.shadow import shadow_from_dict, shadow_to_dict
+from fiatcell.shadowfile import shadow_from_dict, shadow_to_dict
 from fiatcell.bnverify import bn_cells_report
 
 B2_LEFT = {

@@ -18,7 +18,7 @@ from fiatcell import clebsch
 from fiatcell.cli import main
 from fiatcell.checks import check
 from fiatcell.clebsch import associativity_unbounded
-from fiatcell.shadow import dumps_shadow, shadow_from_dict
+from fiatcell.shadowfile import dumps_shadow, shadow_from_dict
 
 import json
 
@@ -151,6 +151,20 @@ def test_row_comparison_has_the_reference_witness(monkeypatch, rule, max_value):
     # from K = 2 the changed product is read
     assert expected[0] == (max_value < 2)
     monkeypatch.setattr(clebsch, "_cg_op", rule)
+    assert associativity_unbounded(max_value) == _record(expected)
+
+
+def _step_four(m, n):
+    """4 4 is {0, 4, 8}: a run of step 4, which the step-2 prefix sums must
+    not sum as one."""
+    return frozenset({0, 4, 8}) if (m, n) == (4, 4) else _fusion(m, n)
+
+
+@pytest.mark.parametrize("max_value", range(4, 9))
+def test_a_run_of_another_step_is_summed_term_by_term(monkeypatch, max_value):
+    expected = _multiset(_step_four, max_value)
+    assert not expected[0]
+    monkeypatch.setattr(clebsch, "_cg_op", _step_four)
     assert associativity_unbounded(max_value) == _record(expected)
 
 

@@ -1,9 +1,11 @@
 import copy
 import hashlib
+import inspect
 import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -35,7 +37,7 @@ from fiatcell.checks import json_pieces, parse_range
 from fiatcell.cli import main
 from fiatcell.clebsch import CLEBSCH_LIMIT
 from fiatcell.ideals import IDEALS_LIMIT
-from fiatcell.shadow import FILE_LIMIT_ELEMENTS, FILE_LIMIT_TERMS, shadow_to_dict
+from fiatcell.shadowfile import FILE_LIMIT_ELEMENTS, FILE_LIMIT_TERMS, shadow_to_dict
 
 
 # F0^(1) and E1^(1), composable as E1^(1) after F0^(1)
@@ -450,6 +452,9 @@ GUARDS = [
     ("MarginMatrix", (((0, 1.5), (1, 0)),), "matrix entry must be an integer, got 1.5"),
     ("Tableau", (((True,),),), "tableau entry must be an integer, got True"),
     ("Tableau", (((1, 2.0),),), "tableau entry must be an integer, got 2.0"),
+    ("MarginMatrix", ((1,),), "matrix must be a tuple of row tuples, got (1,)"),
+    ("Tableau", ((1,),), "tableau must be a tuple of row tuples, got (1,)"),
+    ("Tableau", (None,), "tableau must be a tuple of row tuples, got None"),
 ]
 
 # exported callables that take no integer
@@ -513,6 +518,146 @@ def test_rank_guards_refuse_non_integers(entry, args, message):
     with pytest.raises(InputError) as err:
         func(*args)
     assert str(err.value) == message
+
+
+_E, _T = Element("e", 0, 0, is_identity=True), Element("t", 0, 0)
+# small shadows for the entry-point test: two bn ranks, a partial window, a
+# fiat toy (t t = e + 2 t), and two that are not valid: a missing entry and a
+# term outside the elements
+ENTRY_SHADOWS = [
+    build_bn(1),
+    build_bn(2),
+    window_shadow(3),
+    Shadow(
+        (0,),
+        (_E, _T),
+        {
+            (_E, _E): Decomposition({_E: 1}),
+            (_E, _T): Decomposition({_T: 1}),
+            (_T, _E): Decomposition({_T: 1}),
+            (_T, _T): Decomposition({_E: 1, _T: 2}),
+        },
+        {_E: _E, _T: _T},
+    ),
+    Shadow((0,), (_E, _T), {(_E, _E): Decomposition({_E: 1})}),
+    Shadow((0,), (_E,), {(_E, _E): Decomposition({Element("zz", 0, 0): 1})}),
+]
+ENTRY_ELEMENTS = sorted({e for s in ENTRY_SHADOWS for e in s.elements} | {Element("zz", 0, 0)})
+ENTRY_CELLS = [
+    cls
+    for s in ENTRY_SHADOWS[:4]
+    for kind in ("left", "right", "two-sided")
+    for cls in fiatcell.cell_partition(s, kind).classes
+]
+ENTRY_MATRICES = [
+    fiatcell.MarginMatrix(rows) for rows in (((1,),), ((0, 1), (1, 0)), ((1, 1), (0, 1)))
+]
+ENTRY_PAIRS = [fiatcell.rsk(a) for a in ENTRY_MATRICES]
+ENTRY_MONOMIALS = [dp("fe", 0, 0, 0), F0, E1, dp("ef", 1, 1, 0), dp("fe", 1, 1, 1)]
+
+
+class _InDir(str):
+    """A file name that the entry-point test resolves inside its directory."""
+
+
+# a rank, a bound or a power: small values, values past every limit, and
+# values that are not integers
+_INTEGERS = st.one_of(st.integers(-1, 4), st.sampled_from([9, 91, 181, True, 2.0, None, "2"]))
+_WORDS = st.sampled_from(["fe", "ef", "left", "right", "two-sided", "", "E", "F", None, 1])
+_ELEMENT = st.sampled_from(ENTRY_ELEMENTS)
+# a file, a file that is not JSON, a directory and two missing paths
+_PATHS = st.sampled_from(
+    [_InDir(name) for name in ("shadow.json", "garbage.json", ".", "missing.json", "no/x.json")]
+)
+_TERMS = st.dictionaries(_ELEMENT, st.integers(0, 3), max_size=3)
+_DECOMPOSITION = st.builds(Decomposition, _TERMS)
+_ELEMENT_SET = st.one_of(st.sampled_from(ENTRY_CELLS), st.frozensets(_ELEMENT, max_size=3))
+# row tuples of any depth, with entries that are not integers
+_ROWS = st.recursive(
+    st.one_of(st.integers(-1, 3), st.sampled_from([None, 1.5, True])),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=6,
+)
+
+# the values a parameter of an exported callable draws, by its annotation
+# or, when it has none, by its name: the kind of value it documents, with
+# random content
+ENTRY_ARGUMENTS = {
+    "int": _INTEGERS,
+    "str": _WORDS,
+    "bool": st.booleans(),
+    "path": _PATHS,
+    "Shadow": st.sampled_from(ENTRY_SHADOWS),
+    "Element": _ELEMENT,
+    "Decomposition": _DECOMPOSITION,
+    "Mapping[Element, int] | None": st.none() | _TERMS,
+    "frozenset[Element]": _ELEMENT_SET,
+    "CellPoset": st.sampled_from([fiatcell.cell_poset(s) for s in ENTRY_SHADOWS[:4]]),
+    "MarginMatrix": st.sampled_from(ENTRY_MATRICES),
+    "RskPair": st.sampled_from(ENTRY_PAIRS),
+    "Tableau": st.sampled_from([pair.p for pair in ENTRY_PAIRS]),
+    "tuple[tuple[int, ...], ...]": _ROWS,
+    "UVector": st.dictionaries(st.sampled_from(ENTRY_MONOMIALS), st.integers(-2, 3), max_size=3),
+    "random.Random | None": st.none() | st.integers(0, 3).map(random.Random),
+    "word": st.lists(st.sampled_from(["E", "F", "G", 1]), max_size=5),
+    "blocks": st.lists(st.tuples(st.sampled_from(["E", "F", "G"]), _INTEGERS), max_size=4),
+    # the fields of the records, which keep what they are given
+    "objects": st.lists(st.integers(0, 2), max_size=2).map(tuple),
+    "elements": st.lists(_ELEMENT, max_size=3).map(tuple),
+    "table": st.dictionaries(st.tuples(_ELEMENT, _ELEMENT), _DECOMPOSITION, max_size=3),
+    "involution": st.none() | st.dictionaries(_ELEMENT, _ELEMENT, max_size=3),
+    "partial": st.booleans(),
+    "tuple[frozenset, ...]": st.lists(_ELEMENT_SET, max_size=2).map(tuple),
+    "tuple[frozenset[Element], ...]": st.lists(_ELEMENT_SET, max_size=2).map(tuple),
+    "tuple[int, ...]": st.lists(st.integers(0, 3), max_size=3).map(tuple),
+    "tuple[tuple[int, int], ...]": st.lists(st.tuples(_INTEGERS, _INTEGERS), max_size=2).map(tuple),
+    "tuple[Element, ...]": st.lists(_ELEMENT, max_size=3).map(tuple),
+    "dict[Element, Matrix]": st.dictionaries(_ELEMENT, _ROWS, max_size=2),
+}
+# the exception classes, whose signatures cannot be read, take any values
+_ANY = st.one_of(_INTEGERS, _WORDS, _ELEMENT)
+
+
+def _arguments(func):
+    """The strategy of an argument tuple for func, one value a parameter."""
+    try:
+        parameters = inspect.signature(func).parameters.values()
+    except ValueError:
+        return st.lists(_ANY, max_size=2).map(tuple)
+    kinds = []
+    for p in parameters:
+        if p.annotation is inspect.Parameter.empty or p.name == "path":
+            kinds.append(p.name)
+        else:
+            kinds.append(getattr(p.annotation, "__forward_arg__", p.annotation))
+    return st.tuples(*(ENTRY_ARGUMENTS[kind] for kind in kinds))
+
+
+@pytest.fixture(scope="module")
+def entry_dir(tmp_path_factory):
+    """A directory with a shadow file and a file that is not JSON."""
+    path = tmp_path_factory.mktemp("entry")
+    save_shadow(build_bn(1), str(path / "shadow.json"))
+    (path / "garbage.json").write_text("{not json")
+    return path
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in fiatcell.__all__ if callable(getattr(fiatcell, name))]
+)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_exported_callables_raise_only_fiatcell_errors(entry_dir, name, data):
+    """Every exported callable, on small random arguments of the kinds it
+    documents, returns or raises a FiatcellError, as the command line exits
+    0, 1 or 2 and never with a traceback."""
+    func = getattr(fiatcell, name)
+    args = data.draw(_arguments(func), label="args")
+    args = [str(entry_dir / a) if isinstance(a, _InDir) else a for a in args]
+    try:
+        func(*args)
+    except fiatcell.FiatcellError:
+        pass
 
 
 def sized_file(path, elements, terms):
@@ -584,7 +729,7 @@ def test_file_verbs_refuse_past_size_limit(monkeypatch, capsys, tmp_path, verb, 
     at_path = sized_file(tmp_path / "at.json", *at)
     past_path = sized_file(tmp_path / "past.json", *past)
     argv, accepted = [verb[0], str(past_path), *verb[1:]], [verb[0], str(at_path), *verb[1:]]
-    err = _refused_before_work(monkeypatch, capsys, argv, accepted, "shadow.shadow_from_dict")
+    err = _refused_before_work(monkeypatch, capsys, argv, accepted, "shadowfile.shadow_from_dict")
     assert err == f"error: {past_path} has {message}\n"
 
 

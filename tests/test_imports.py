@@ -1,6 +1,7 @@
 """The package's import surface: `import fiatcell` loads no submodule, each
 command-line verb loads only the modules it runs (the schur verbs no shadow
-layer, `build bn` no cell engine, only the file verbs `json`, and no verb
+layer, `build bn` no cell engine, only the verbs that read or write a
+shadow file the file format, only the file verbs `json`, and no verb
 `dataclasses`, `inspect` or `argparse`), and the public names are the same
 objects as in their home modules, where they are defined."""
 
@@ -17,7 +18,14 @@ from fiatcell import build_bn, save_shadow
 # home module -> public names: the names exported before the package went
 # lazy, each in the module that defines it
 PUBLIC = {
-    "bnverify": ["defining_action", "recursion_check", "verify_bn", "verify_relations"],
+    "bnverify": [
+        "defining_action",
+        "is_strongly_regular",
+        "m_values",
+        "recursion_check",
+        "verify_bn",
+        "verify_relations",
+    ],
     "cells": [
         "CellModuleMatrices",
         "CellPartition",
@@ -25,8 +33,6 @@ PUBLIC = {
         "cell_module",
         "cell_partition",
         "cell_poset",
-        "is_strongly_regular",
-        "m_values",
         "poset_to_dot",
         "principal_ideal",
     ],
@@ -40,11 +46,9 @@ PUBLIC = {
         "Shadow",
         "compose",
         "compose_left",
-        "dumps_shadow",
-        "load_shadow",
-        "save_shadow",
         "validate_shadow",
     ],
+    "shadowfile": ["dumps_shadow", "load_shadow", "save_shadow"],
     "sweep": ["check_associativity"],
     "tableaux": ["MarginMatrix", "RskPair", "Tableau", "cells_via_rsk", "rsk", "rsk_inverse"],
     "udot": [
@@ -127,9 +131,11 @@ def test_error_types_load_only_checks(child_env):
 
 BASE = {"fiatcell", "fiatcell.cli", "fiatcell.checks"}
 SHADOW = {"fiatcell.shadow"}
-# what a verb that reads a file adds: the json package
+# what a verb that reads or writes a shadow file adds: the file format
+FORMAT = {"fiatcell.shadowfile"}
+# and what a verb that reads one adds besides: the json package
 JSON = {"json", "json.decoder", "json.encoder", "json.scanner"}
-FILE = SHADOW | JSON
+FILE = SHADOW | FORMAT | JSON
 SWEEP = {"fiatcell.sweep"}
 CELLS = {"fiatcell.cells"}
 IDEALS = CELLS | {"fiatcell.ideals"}
@@ -141,7 +147,7 @@ SCHUR = {"fiatcell.schur"}
 
 def _ids(x):
     """An argv as its words; a module set by what it adds to the shadow
-    layer and json."""
+    layer, the file format and json."""
     return " ".join(x) if isinstance(x, list) else "+".join(sorted(x - FILE)) or "base"
 
 
@@ -154,9 +160,10 @@ def _ids(x):
         (["cells", "{b2}", "--dot", "{out}.dot"], FILE | CELLS),
         (["cell-module", "{b2}", "--left-cell-of", "1_0"], FILE | CELLS),
         (["ideals", "{b2}"], FILE | IDEALS),
-        (["build", "bn", "--n", "2"], UDOT),
+        (["build", "bn", "--n", "2"], UDOT | FORMAT),
         (["verify", "bn", "--n", "1..2"], BN),
-        (["build", "clebsch", "--max", "3"], CLEBSCH),
+        (["verify", "bn", "--n", "3"], BN | FORMAT),
+        (["build", "clebsch", "--max", "3"], CLEBSCH | FORMAT),
         (["verify", "clebsch", "--max", "3"], CLEBSCH | SWEEP),
         (["build", "schur", "--n", "2", "--r", "2"], SCHUR),
         (["verify", "schur", "--n", "1..2", "--r", "1..2"], SCHUR),
@@ -179,7 +186,8 @@ def test_each_verb_loads_only_its_modules(tmp_path, child_env, argv, extra):
         (["verify", "schur", "--n", "1", "--r", "1"], SCHUR),
         (["check", "{b2}"], FILE | SWEEP),
         (["verify", "bn", "--n", "1"], BN),
-        (["build", "bn", "--n", "8"], UDOT),
+        (["build", "bn", "--n", "8"], UDOT | FORMAT),
+        (["verify", "clebsch"], CLEBSCH | SWEEP),
         (["cells", "{b2}"], FILE | CELLS),
     ],
     ids=_ids,

@@ -27,10 +27,11 @@ from fiatcell import (
     validate_shadow,
     window_shadow,
 )
-from fiatcell import bnverify, clebsch, udot
+from fiatcell import bnverify, clebsch, sweep, udot
 from fiatcell.checks import json_pieces
 from fiatcell.cli import main
-from fiatcell.shadow import shadow_from_dict, shadow_to_dict
+from fiatcell.shadow import _run
+from fiatcell.shadowfile import shadow_from_dict, shadow_to_dict
 
 E = Element("e", 0, 0, is_identity=True)
 T = Element("t", 0, 0)
@@ -637,6 +638,151 @@ def test_sweep_on_c_rows_of_one_element():
 def test_window_sweep_at_the_clebsch_limit():
     report = check_associativity(window_shadow(90))
     assert (report["status"], report["checked"], report["skipped"]) == ("pass", 129766, 623805)
+
+
+def test_run_test_accepts_only_runs_of_three_or_more_ones():
+    assert _run((1, 1, 3, 1, 5, 1)) == (1, 5, 2)
+    assert _run((0, 1, 3, 1, 6, 1, 9, 1)) == (0, 9, 3)
+    assert _run([4, 1, 5, 1, 6, 1]) == (4, 6, 1)
+    not_runs = [
+        (1, 1, 1, 1, 3, 1),  # a repeated term
+        (1, 1, 3, 1, 3, 1, 5, 1),
+        (1, 1, 3, 1, 7, 1),  # a missing term
+        (1, 1, 3, 1, 5, 1, 9, 1),
+        (5, 1, 3, 1, 1, 1),  # unsorted terms
+        (1, 1, 5, 1, 3, 1),
+        (1, 1, 3, 2, 5, 1),  # a multiplicity of 2
+        (1, 2, 3, 2, 5, 2),
+        (4, 1),  # a single term
+        (1, 1, 3, 1),  # two terms
+        (),
+        (0, 1, 1, 1, 10**12, 1),  # a far-off last term
+    ]
+    for row in not_runs:
+        assert _run(row) is None, row
+
+
+def test_window_sweep_matches_reference_through_the_run_path():
+    for k in range(31):
+        s = window_shadow(k)
+        runs = sweep._pack(s, s._view.rows, s._view.order)[2]
+        # from K = 4 the window has entries of three terms, 2 2 = 0 + 2 + 4
+        assert bool(runs) == (k >= 4)
+        assert json.dumps(check_associativity(s)) == json.dumps(reference_sweep(s))
+
+
+def _run_broken(s, rng, how):
+    """s, without its involution, with one entry of three or more terms
+    changed so that it is no run: an inner term moved to an id outside the
+    entry, doubled, or dropped."""
+    pairs = [p for p, d in s.table.items() if len(d.terms) >= 3]
+    pairs.sort(key=lambda p: tuple(map(s.index_of, p)))
+    pair = rng.choice(pairs)
+    terms = dict(s.table[pair].terms)
+
+    def run(terms):
+        ids = sorted((s.index_of(e), m) for e, m in terms.items())
+        return _run(tuple(x for t in ids for x in t))
+
+    inner = rng.choice(sorted(terms, key=s.index_of)[1:-1])
+    if how == "doubled":
+        terms[inner] = 2
+    else:
+        del terms[inner]
+    if how == "moved":
+        hom = [e for e in s.elements if (e.source, e.target) == (inner.source, inner.target)]
+        # not back, and not where the terms make a run of another step
+        others = [e for e in hom if e not in terms and e != inner and not run({**terms, e: 1})]
+        terms[rng.choice(others)] = 1
+    assert run(terms) is None
+    return s._replace(involution=None, table={**s.table, pair: Decomposition(terms)})
+
+
+@pytest.mark.parametrize("how", ["moved", "doubled", "dropped"])
+def test_sweep_matches_reference_on_broken_runs(how):
+    statuses = []
+    for k in (4, 7, 12, 20):
+        for seed in range(3):
+            s = _run_broken(window_shadow(k), random.Random(100 * k + seed), how)
+            report = check_associativity(s)
+            assert json.dumps(report) == json.dumps(reference_sweep(s))
+            statuses.append(report["status"])
+    assert "fail" in statuses
+
+
+def _random_run_table(rng, elements, runs):
+    """A partial table on one object: strict identities, the given entries,
+    and for every other pair of non-identities no entry, a run of three or
+    more terms with step 1, 2 or 3, or one to three terms with
+    multiplicities 1 or 2."""
+    e, rest = elements[0], elements[1:]
+    table = {}
+    for a in elements:
+        table[(a, e)] = table[(e, a)] = Decomposition({a: 1})
+    for a in rest:
+        for b in rest:
+            kind = rng.randrange(3)
+            if kind == 1:
+                step = rng.randint(1, 3)
+                lo = rng.randrange(len(rest) - 2 * step)
+                hi = rng.randrange(lo + 2 * step, len(rest), step)
+                table[(a, b)] = Decomposition(dict.fromkeys(rest[lo : hi + 1 : step], 1))
+            elif kind == 2:
+                terms = rng.sample(elements, rng.randint(1, 3))
+                table[(a, b)] = Decomposition({t: rng.randint(1, 2) for t in terms})
+    table.update(runs)
+    return Shadow(objects=(0,), elements=elements, table=table, partial=True)
+
+
+def test_sweep_matches_reference_on_a_step_three_run():
+    x = [Element(f"x{i}", 0, 0) for i in range(1, 8)]
+    elements = (E, *x)
+    # x1 x1 = x1 + x4 + x7, ids 1, 4 and 7: a run of step 3
+    step_three = {(x[0], x[0]): Decomposition(dict.fromkeys((x[0], x[3], x[6]), 1))}
+    statuses = []
+    for seed in range(20):
+        s = _random_run_table(random.Random(seed), elements, step_three)
+        runs = sweep._pack(s, s._view.rows, s._view.order)[2]
+        assert runs[1 * len(elements) + 1] == (1, 7, 3)
+        report = check_associativity(s)
+        assert json.dumps(report) == json.dumps(reference_sweep(s))
+        statuses.append(report["status"])
+    assert "fail" in statuses
+
+
+def _two_windows(k, j):
+    """window_shadow(j) on object 1, then window_shadow(k) on object 0: a
+    prefix chain of a run on object 0 passes through the elements of
+    object 1, whose c-rows are shorter when j < k."""
+    copies = [
+        (w, {e: Element(e.name + side, obj, obj, e.is_identity) for e in w.elements})
+        for w, side, obj in ((window_shadow(j), "b", 1), (window_shadow(k), "a", 0))
+    ]
+    elements = tuple(e for _, c in copies for e in c.values())
+    table = {
+        (c[a], c[b]): Decomposition({c[t]: m for t, m in d.items()})
+        for w, c in copies
+        for (a, b), d in w.table.items()
+    }
+    return Shadow((0, 1), elements, table, {e: e for e in elements}, partial=True)
+
+
+def test_sweep_matches_reference_on_runs_in_two_hom_spaces():
+    for k, j in ((4, 4), (9, 6)):
+        s = _two_windows(k, j)
+        runs = sweep._pack(s, s._view.rows, s._view.order)[2]
+        assert {step for _, _, step in runs.values()} == {2}
+        assert {s.elements[lo].source for lo, _, _ in runs.values()} == {0, 1}
+        windows = [check_associativity(window_shadow(x)) for x in (k, j)]
+        report = check_associativity(s)
+        assert json.dumps(report) == json.dumps(reference_sweep(s))
+        counts = (report["status"], report["checked"], report["skipped"])
+        assert counts == ("pass", *(sum(w[key] for w in windows) for key in ("checked", "skipped")))
+        for seed in range(3):
+            for how in ("moved", "doubled", "dropped"):
+                broken = _run_broken(s, random.Random(seed), how)
+                report = check_associativity(broken)
+                assert json.dumps(report) == json.dumps(reference_sweep(broken))
 
 
 def _set_multiplicity(draw, table, s, scale):
