@@ -14,7 +14,8 @@ missing or extra path) prints the usage and the error on stderr and exits
 A verb's command lives beside the engine it drives, and main imports its
 module only when the verb runs, so a process compiles only its own verb's
 modules: `build bn` no cell engine, the file verbs no sweep but `check`,
-the schur verbs no shadow layer, and only the file verbs the json package.
+the schur verbs no shadow layer, only the verbs that read or write a shadow
+file the file format, and only the file verbs the json package.
 """
 
 from __future__ import annotations
