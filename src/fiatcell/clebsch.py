@@ -10,7 +10,6 @@ command line builds and verifies windows up to CLEBSCH_LIMIT.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
 from operator import add, sub
 
 from .checks import check, check_range, emit, emit_results
@@ -93,9 +92,8 @@ def associativity_unbounded(max_value: int) -> dict:
     when their multiplicity vectors are.
 
     The sums are compared a whole row of c at a time. A product whose terms
-    are a step-2 run by shadow._run (three or more terms lo, lo + 2, ...,
-    hi, each listed once, as _cg_op gives them when both factors are at
-    least 2) sums as the difference of two step-2 prefix sums of packed:
+    are one run lo, lo + 2, ..., hi, each listed once (shadow._run, as _cg_op
+    gives them), sums as the difference of two step-2 prefix sums of packed:
     over column c for a b, over row a for b c. The prefix sums themselves
     may carry between slots, but integer subtraction is exact, so each
     difference is the very integer the term-by-term sum gives, slots and
@@ -112,61 +110,43 @@ def associativity_unbounded(max_value: int) -> dict:
         for m in table
     ]
     longest = max(len(terms[a][b]) for a in outer for b in outer)
-    entries = list(filter(None, chain.from_iterable(terms)))
-    # one more than the most repeated terms of one entry
-    heaviest = 1 + max(map(sub, map(len, entries), map(len, map(set, entries))), default=0)
+    heaviest = max(len(ts) - len(set(ts)) + 1 for row in terms for ts in row)
     width = (longest * heaviest).bit_length()
-    top = max(map(max, entries), default=0)
+    top = max(max(ts, default=0) for row in terms for ts in row)
     slot = [1 << (width * x) for x in range(top + 1)]
     packed = [[sum(map(slot.__getitem__, ts)) for ts in row] for row in terms]
+    columns = [[row[c] for row in packed].__getitem__ for c in outer]
     # below[j]: the c-row of sums of packed[t][c] over t < j, t = j (mod 2)
     below = [[0] * cut] * 2
     for row in packed:
         below.append(list(map(add, below[-2], row[:cut])))
-
-    def run(ts) -> tuple[int, int] | None:
-        # (lo, hi) of a step-2 run; the terms as a flat row, in order
-        row = [1] * (2 * len(ts))
-        row[::2] = sorted(ts)
-        found = _run(row)
-        return found[:2] if found and found[2] == 2 else None
-
-    runs = [[run(ts) for ts in row[:cut]] for row in terms[:cut]]
-    # per b, where each b c's sum ends and begins in a's sums: a run in the
-    # step-2 prefix sums, any other product after them, in the running sums
-    # of the terms of every product that is no run, b after b
-    base = len(table) + 2
-    ids = []
-    rights = []
-    for b in outer:
-        tops, bottoms = [], []
-        for found, bc in zip(runs[b], terms[b]):
-            if found:
-                tops.append(found[1] + 2)
-                bottoms.append(found[0])
-            else:
-                bottoms.append(base + len(ids))
-                ids += bc
-                tops.append(base + len(ids))
-        rights.append((tops, bottoms))
+    runs = [[_run(sorted(ts), 2) for ts in row[:cut]] for row in terms[:cut]]
+    # per b, the prefix indexes that give b c for every c, when all are runs
+    picks = [
+        None if None in row else ([hi + 2 for _, hi in row], [lo for lo, _ in row])
+        for row in runs
+    ]
     for a in outer:
         row_a = packed[a]
-        # sums[j], j < base: the sum of packed[a][u] over u < j, u = j (mod 2)
-        sums = [0, 0]
+        # prefix_a[j]: the sum of packed[a][u] over u < j, u = j (mod 2)
+        prefix_a = [0, 0]
         for x in row_a:
-            sums.append(sums[-2] + x)
-        sums += accumulate(map(row_a.__getitem__, ids), initial=0)
-        at = sums.__getitem__
+            prefix_a.append(prefix_a[-2] + x)
+        at = prefix_a.__getitem__
         for b in outer:
             if runs[a][b]:
                 lo, hi = runs[a][b]
                 left = list(map(sub, below[hi + 2], below[lo]))
             else:
-                left = [0] * cut
-                for t in terms[a][b]:
-                    left = list(map(add, left, packed[t]))
-            tops, bottoms = rights[b]
-            right = list(map(sub, map(at, tops), map(at, bottoms)))
+                left = [sum(map(column_c, terms[a][b])) for column_c in columns]
+            if picks[b]:
+                tops, bottoms = picks[b]
+                right = list(map(sub, map(at, tops), map(at, bottoms)))
+            else:
+                right = [
+                    at(run[1] + 2) - at(run[0]) if run else sum(map(row_a.__getitem__, bc))
+                    for run, bc in zip(runs[b], terms[b])
+                ]
             if left != right:
                 c = next(c for c in outer if left[c] != right[c])
                 return check("fusion-associativity-unbounded", False, [[a, b, c]])

@@ -209,19 +209,16 @@ def _pairs(row):
     return zip(it, it)
 
 
-def _run(row) -> tuple[int, int, int] | None:
-    """(lo, hi, step) when the terms of a flat row are three or more ids lo,
-    lo + step, ..., hi, in increasing order, each with multiplicity 1; None
-    otherwise (fewer terms, a repeated, missing or unsorted id, or a
-    multiplicity other than 1). The sum of a run over any sequence is the
+def _run(ids, step: int) -> tuple[int, int] | None:
+    """(lo, hi) when ids are exactly lo, lo + step, ..., hi, in increasing
+    order, for a step above 0; None otherwise (no ids, or a repeated,
+    missing or unsorted id). The sum of a run over any sequence is the
     difference of two of its step-wise prefix sums."""
-    ids = row[::2]
-    if len(ids) > 2 and row[1::2].count(1) == len(ids):
-        lo, hi, step = ids[0], ids[-1], ids[1] - ids[0]
+    if ids and step > 0:
+        lo, hi = ids[0], ids[-1]
         # the length first, so that a far-off hi builds no long range
-        if step > 0 and hi - lo == step * (len(ids) - 1):
-            if list(ids) == list(range(lo, hi + 1, step)):
-                return lo, hi, step
+        if hi - lo == step * (len(ids) - 1) and list(ids) == list(range(lo, hi + 1, step)):
+            return lo, hi
     return None
 
 

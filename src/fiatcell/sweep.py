@@ -51,7 +51,9 @@ def _prefix(values: list, step: int, plus=add, zero=0) -> list:
 
 def _pack(s: Shadow, rows, order) -> tuple[list[int], int, dict]:
     """Every entry as one integer, the integer that stands for an absent
-    one, and the runs (shadow._run) among the entries by position.
+    one, and the runs among the entries by position: (lo, hi, step) for an
+    entry of three or more ids lo, lo + step, ..., hi (shadow._run), each
+    with multiplicity 1.
 
     Each element gets a slot in its hom space (source, target), and an entry
     packs to the sum of mult << (width * slot) over its terms. mass is the
@@ -82,8 +84,11 @@ def _pack(s: Shadow, rows, order) -> tuple[list[int], int, dict]:
             packed[at] = row[1] << shift[row[0]]
         else:
             packed[at] = sum(m << shift[t] for t, m in _pairs(row))
-            if len(row) > 4 and (run := _run(row)):
-                runs[at] = run
+            ids = row[::2]
+            if len(ids) > 2 and row[1::2].count(1) == len(ids):
+                step = ids[1] - ids[0]
+                if run := _run(ids, step):
+                    runs[at] = (*run, step)
     return packed, absent, runs
 
 
@@ -100,11 +105,12 @@ def check_associativity(s: Shadow) -> dict:
     each pair (a, b) it builds the lists of (a b) c and of a (b c) over every
     c with target source(b). When the two are equal, the triples whose sums
     are negative, having taken in an absent entry, are skipped and the rest
-    checked; otherwise the row is walked triple by triple. A run entry (shadow._run, step s) is summed as
-    the difference of two step-s prefix rows (_prefix): over the packed
-    c-rows of its terms for (a b) c, over a's packed row for a (b c). The
-    difference is the very integer the term-by-term sum gives, so a sum
-    that takes in an absent entry is still negative.
+    checked; otherwise the row is walked triple by triple. A run entry of
+    step s (_pack) is summed as the difference of two step-s prefix rows
+    (_prefix): over the packed c-rows of its terms for (a b) c, over a's
+    packed row for a (b c). The difference is the very integer the
+    term-by-term sum gives, so a sum that takes in an absent entry is still
+    negative.
 
     On a full table validation has already proved some rows; they are
     counted as checked without being swept, so checked still counts every
@@ -148,11 +154,10 @@ def check_associativity(s: Shadow) -> dict:
         start[step], cut = cut, cut + n + 1 + step
     # b's c-row as flat terms, an absent b c as the term (n, 1): a pick of
     # the ids of the terms outside runs from an a-row, their multiplicities
-    # (None when all are 1), and, for a row without runs, a pick of the
-    # running sums that end each c's terms (None when each c has one term)
-    # or, for a row with runs, the picks of the sums that end and begin each
-    # c's sum, in a's prefix sums for a run, after cut for any other b c.
-    # None for a proved middle.
+    # (None when all are 1), and the picks of the sums that end and begin
+    # each c's sum, in a's prefix sums for a run, after cut, in the running
+    # sums of the other terms, for any other b c (None when each c has one
+    # term and there is no run). None for a proved middle.
     c_rows: list[tuple | None] = []
     for b in range(n):
         if proved[b]:
@@ -173,15 +178,14 @@ def check_associativity(s: Shadow) -> dict:
                 ks += bc[1::2]
             ends.append(len(us))
         pick_us, ks = _pick(us), None if all(k == 1 for k in ks) else ks
-        if in_runs:
-            tops = [cut + end for end in ends]
-            bottoms = [cut, *tops[:-1]]
-            for j, (lo, hi, step) in in_runs.items():
-                tops[j], bottoms[j] = start[step] + hi + step, start[step] + lo
-            c_rows.append((pick_us, ks, None, (_pick(tops), _pick(bottoms))))
-        else:
-            one_each = ends == list(range(1, len(ends) + 1))
-            c_rows.append((pick_us, ks, None if one_each else _pick(ends), None))
+        if ends == list(range(1, len(ends) + 1)):  # one term each, no run
+            c_rows.append((pick_us, ks, None))
+            continue
+        tops = [cut + end for end in ends]
+        bottoms = [cut, *tops[:-1]]
+        for j, (lo, hi, step) in in_runs.items():
+            tops[j], bottoms[j] = start[step] + hi + step, start[step] + lo
+        c_rows.append((pick_us, ks, (_pick(tops), _pick(bottoms))))
 
     checked = skipped = 0
     first = (n, n, n)  # the first failing triple; past every triple until one fails
@@ -190,7 +194,7 @@ def check_associativity(s: Shadow) -> dict:
         a_packed = packed[a_row : a_row + n]
         a_packed.append(absent)
         # a's step-wise prefix sums, for the runs b c, then the running sums
-        # of the other terms of a c-row with runs
+        # of the other terms of a c-row
         a_sums = [x for step in start for x in _prefix(a_packed, step)]
         for b in by_target.get(source[a], ()):
             ab = rows[a_row + b]
@@ -215,19 +219,16 @@ def check_associativity(s: Shadow) -> dict:
                 else:
                     left = [0] * len(cs)
             # a (b c) for each c
-            pick_us, ks, pick_ends, run_picks = c_rows[b]
+            pick_us, ks, picks = c_rows[b]
             values = pick_us(a_packed)
             if ks is not None:
                 values = map(mul, values, ks)
-            if run_picks is not None:
-                a_sums[cut:] = accumulate(values, initial=0)
-                pick_tops, pick_bottoms = run_picks
-                right = list(map(sub, pick_tops(a_sums), pick_bottoms(a_sums)))
-            elif pick_ends is None:
+            if picks is None:
                 right = list(values)
             else:
-                sums = pick_ends([0, *accumulate(values)])
-                right = list(map(sub, sums, (0, *sums)))
+                a_sums[cut:] = accumulate(values, initial=0)
+                pick_tops, pick_bottoms = picks
+                right = list(map(sub, pick_tops(a_sums), pick_bottoms(a_sums)))
             if left == right:
                 if min(left) >= 0:
                     checked += len(cs)

@@ -640,26 +640,53 @@ def test_window_sweep_at_the_clebsch_limit():
     assert (report["status"], report["checked"], report["skipped"]) == ("pass", 129766, 623805)
 
 
-def test_run_test_accepts_only_runs_of_three_or_more_ones():
-    assert _run((1, 1, 3, 1, 5, 1)) == (1, 5, 2)
-    assert _run((0, 1, 3, 1, 6, 1, 9, 1)) == (0, 9, 3)
-    assert _run([4, 1, 5, 1, 6, 1]) == (4, 6, 1)
+def test_run_test_accepts_only_evenly_spaced_ids():
+    assert _run((1, 3, 5), 2) == (1, 5)
+    assert _run([0, 3, 6, 9], 3) == (0, 9)
+    assert _run((4, 5, 6), 1) == (4, 6)
+    assert _run((4,), 2) == (4, 4)
+    assert _run((1, 3), 2) == (1, 3)
     not_runs = [
-        (1, 1, 1, 1, 3, 1),  # a repeated term
-        (1, 1, 3, 1, 3, 1, 5, 1),
-        (1, 1, 3, 1, 7, 1),  # a missing term
-        (1, 1, 3, 1, 5, 1, 9, 1),
-        (5, 1, 3, 1, 1, 1),  # unsorted terms
-        (1, 1, 5, 1, 3, 1),
-        (1, 1, 3, 2, 5, 1),  # a multiplicity of 2
-        (1, 2, 3, 2, 5, 2),
-        (4, 1),  # a single term
-        (1, 1, 3, 1),  # two terms
-        (),
-        (0, 1, 1, 1, 10**12, 1),  # a far-off last term
+        ((1, 1, 3), 2),  # a repeated id
+        ((1, 3, 3, 5), 2),
+        ((1, 3, 7), 2),  # a missing id
+        ((1, 3, 5, 9), 2),
+        ((5, 3, 1), 2),  # unsorted ids
+        ((1, 5, 3), 2),
+        ((1, 3, 5), 1),  # another step
+        ((1, 3, 5), 0),
+        ((), 2),
+        ((0, 1, 10**12), 1),  # a far-off last id
     ]
-    for row in not_runs:
-        assert _run(row) is None, row
+    for ids, step in not_runs:
+        assert _run(ids, step) is None, (ids, step)
+
+
+def test_the_sweep_marks_runs_of_three_or_more_ones():
+    x = [Element(f"x{i}", 0, 0) for i in range(1, 8)]
+    elements = (E, *x)
+
+    def d(*terms):
+        return Decomposition({x[i - 1]: m for i, m in terms})
+
+    marked = {
+        (x[0], x[0]): d((1, 1), (3, 1), (5, 1)),  # step 2
+        (x[0], x[1]): d((2, 1), (3, 1), (4, 1), (5, 1)),  # step 1
+        (x[0], x[2]): d((1, 1), (4, 1), (7, 1)),  # step 3
+    }
+    unmarked = {
+        (x[1], x[0]): d((1, 1), (3, 2), (5, 1)),  # a multiplicity of 2
+        (x[1], x[1]): d((1, 2), (3, 2), (5, 2)),
+        (x[1], x[2]): d((4, 1)),  # a single term
+        (x[1], x[3]): d((2, 1), (4, 1)),  # two terms
+        (x[1], x[4]): d((1, 1), (3, 1), (7, 1)),  # a missing term
+        (x[1], x[5]): d(),
+    }
+    s = Shadow((0,), elements, {**marked, **unmarked}, partial=True)
+    runs = sweep._pack(s, s._view.rows, s._view.order)[2]
+    # x1 has id 1: the entries (x1, x1), (x1, x2) and (x1, x3)
+    n = len(elements)
+    assert runs == {n + 1: (1, 5, 2), n + 2: (2, 5, 1), n + 3: (1, 7, 3)}
 
 
 def test_window_sweep_matches_reference_through_the_run_path():
@@ -681,8 +708,10 @@ def _run_broken(s, rng, how):
     terms = dict(s.table[pair].terms)
 
     def run(terms):
-        ids = sorted((s.index_of(e), m) for e, m in terms.items())
-        return _run(tuple(x for t in ids for x in t))
+        # a run as the sweep marks one
+        ids = sorted(map(s.index_of, terms))
+        ones = set(terms.values()) == {1}
+        return len(ids) > 2 and ones and _run(ids, ids[1] - ids[0])
 
     inner = rng.choice(sorted(terms, key=s.index_of)[1:-1])
     if how == "doubled":
@@ -694,7 +723,7 @@ def _run_broken(s, rng, how):
         # not back, and not where the terms make a run of another step
         others = [e for e in hom if e not in terms and e != inner and not run({**terms, e: 1})]
         terms[rng.choice(others)] = 1
-    assert run(terms) is None
+    assert not run(terms)
     return s._replace(involution=None, table={**s.table, pair: Decomposition(terms)})
 
 
