@@ -5,7 +5,7 @@ and `clebsch` verify suites run the sweep, so no other verb loads it.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, mul, neg, sub
 
 from .checks import StructureError, check, emit
 from .shadow import Shadow, _pairs, _run, validate_shadow
@@ -108,9 +108,10 @@ def check_associativity(s: Shadow) -> dict:
     checked; otherwise the row is walked triple by triple. A run entry of
     step s (_pack) is summed as the difference of two step-s prefix rows
     (_prefix): over the packed c-rows of its terms for (a b) c, over a's
-    packed row for a (b c). The difference is the very integer the
-    term-by-term sum gives, so a sum that takes in an absent entry is still
-    negative.
+    packed row for a (b c), where it enters the running sums of a c-row as
+    two terms, the top prefix sum and the bottom one negated. The
+    difference is the very integer the term-by-term sum gives, so a sum
+    that takes in an absent entry is still negative.
 
     On a full table validation has already proved some rows; they are
     counted as checked without being swept, so checked still counts every
@@ -146,18 +147,17 @@ def check_associativity(s: Shadow) -> dict:
             zero = [0] * len(by_target[o])
             terms = [cols[t] if source[t] == o else zero for t in range(n)]
             below[step, o] = _prefix(terms, step, _add_rows, zero)
-    # start[step]: where the step-wise prefix sums of a's packed row begin in
-    # a's sums, for the steps of the runs b c of the swept rows; cut: where
-    # they end
-    start, cut = {}, 0
+    # start[step]: where a's step-wise prefix sums begin in a's row, after
+    # its packed entries and the absent term, for the steps of the runs b c
+    # of the swept rows; their negatives follow them
+    start, end = {}, n + 1
     for step in sorted({step for at, (_, _, step) in runs.items() if not proved[at // n]}):
-        start[step], cut = cut, cut + n + 1 + step
-    # b's c-row as flat terms, an absent b c as the term (n, 1): a pick of
-    # the ids of the terms outside runs from an a-row, their multiplicities
-    # (None when all are 1), and the picks of the sums that end and begin
-    # each c's sum, in a's prefix sums for a run, after cut, in the running
-    # sums of the other terms, for any other b c (None when each c has one
-    # term and there is no run). None for a proved middle.
+        start[step], end = end, end + 2 * (n + 1 + step)
+    # b's c-row as flat terms, an absent b c as the term (n, 1) and a run b c
+    # as two terms, the top and the negated bottom of its prefix sums: a pick
+    # of their ids from a's row, their multiplicities (None when all are 1)
+    # and a pick of the running sums that end each c's terms (None when each
+    # c has one term); None for a proved middle
     c_rows: list[tuple | None] = []
     for b in range(n):
         if proved[b]:
@@ -166,10 +166,11 @@ def check_associativity(s: Shadow) -> dict:
         us: list[int] = []
         ks: list[int] = []
         ends = []
-        in_runs = {}  # the position in the row of each run b c, and the run
         for c in by_target[source[b]]:
             if runs and b * n + c in runs:
-                in_runs[len(ends)] = runs[b * n + c]
+                lo, hi, step = runs[b * n + c]
+                us += (start[step] + hi + step, start[step] + n + 1 + step + lo)
+                ks += (1, 1)
             else:
                 bc = rows[b * n + c]
                 if bc is None:
@@ -177,15 +178,9 @@ def check_associativity(s: Shadow) -> dict:
                 us += bc[::2]
                 ks += bc[1::2]
             ends.append(len(us))
-        pick_us, ks = _pick(us), None if all(k == 1 for k in ks) else ks
-        if ends == list(range(1, len(ends) + 1)):  # one term each, no run
-            c_rows.append((pick_us, ks, None))
-            continue
-        tops = [cut + end for end in ends]
-        bottoms = [cut, *tops[:-1]]
-        for j, (lo, hi, step) in in_runs.items():
-            tops[j], bottoms[j] = start[step] + hi + step, start[step] + lo
-        c_rows.append((pick_us, ks, (_pick(tops), _pick(bottoms))))
+        one_each = ends == list(range(1, len(ends) + 1))
+        ones = all(k == 1 for k in ks)
+        c_rows.append((_pick(us), None if ones else ks, None if one_each else _pick(ends)))
 
     checked = skipped = 0
     first = (n, n, n)  # the first failing triple; past every triple until one fails
@@ -193,9 +188,9 @@ def check_associativity(s: Shadow) -> dict:
         a_row = a * n
         a_packed = packed[a_row : a_row + n]
         a_packed.append(absent)
-        # a's step-wise prefix sums, for the runs b c, then the running sums
-        # of the other terms of a c-row
-        a_sums = [x for step in start for x in _prefix(a_packed, step)]
+        for prefix in [_prefix(a_packed, step) for step in start]:
+            a_packed += prefix
+            a_packed += map(neg, prefix)
         for b in by_target.get(source[a], ()):
             ab = rows[a_row + b]
             cs = by_target[source[b]]
@@ -219,16 +214,15 @@ def check_associativity(s: Shadow) -> dict:
                 else:
                     left = [0] * len(cs)
             # a (b c) for each c
-            pick_us, ks, picks = c_rows[b]
+            pick_us, ks, pick_ends = c_rows[b]
             values = pick_us(a_packed)
             if ks is not None:
                 values = map(mul, values, ks)
-            if picks is None:
+            if pick_ends is None:
                 right = list(values)
             else:
-                a_sums[cut:] = accumulate(values, initial=0)
-                pick_tops, pick_bottoms = picks
-                right = list(map(sub, pick_tops(a_sums), pick_bottoms(a_sums)))
+                sums = pick_ends([0, *accumulate(values)])
+                right = list(map(sub, sums, (0, *sums)))
             if left == right:
                 if min(left) >= 0:
                     checked += len(cs)

@@ -649,8 +649,10 @@ def test_run_test_accepts_only_evenly_spaced_ids():
     not_runs = [
         ((1, 1, 3), 2),  # a repeated id
         ((1, 3, 3, 5), 2),
+        ((1, 1, 5), 2),
         ((1, 3, 7), 2),  # a missing id
         ((1, 3, 5, 9), 2),
+        ((1, 4, 5), 2),
         ((5, 3, 1), 2),  # unsorted ids
         ((1, 5, 3), 2),
         ((1, 3, 5), 1),  # another step
