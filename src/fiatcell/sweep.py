@@ -84,10 +84,10 @@ def _pack(s: Shadow, rows, order) -> tuple[list[int], int, dict]:
             packed[at] = row[1] << shift[row[0]]
         else:
             packed[at] = sum(m << shift[t] for t, m in _pairs(row))
-            ids = row[::2]
-            if len(ids) > 2 and row[1::2].count(1) == len(ids):
-                step = ids[1] - ids[0]
-                if run := _run(ids, step):
+            # three or more terms, each with multiplicity 1
+            if len(row) > 4 and row[1::2].count(1) * 2 == len(row):
+                step = row[2] - row[0]
+                if run := _run(row[::2], step):
                     runs[at] = (*run, step)
     return packed, absent, runs
 
