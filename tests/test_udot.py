@@ -11,6 +11,7 @@ from fiatcell import (
     Decomposition,
     FiatcellError,
     InputError,
+    Shadow,
     basis_change,
     bn_basis,
     build_bn,
@@ -580,6 +581,192 @@ def test_rank_reduction_reports_altered_product(monkeypatch):
             {"pair": ["E2^(1)", "F1^(1)"]},
             {"quotient": "differs from shifted lower-rank shadow"},
         ],
+    }
+
+
+def _on_ids_copy(n, entry=None, star=None, elements=None, objects=None):
+    """A fresh copy of build_bn(n) made on ids, sharing no memo with the
+    cached shadow. entry is (left, right, {name: mult}): that entry and its
+    dual are replaced, so the copy still passes validation. star is
+    (name, image name): one image of the involution changed. elements maps
+    a name to a new name."""
+    s = build_bn(n)
+    ids = {e.name: i for i, e in enumerate(s.elements)}
+    entries, involution = list(s._ids[0]), list(s._ids[1])
+    if entry is not None:
+        left, right, terms = entry
+        a, b = ids[left], ids[right]
+        row = tuple(x for name, m in terms.items() for x in (ids[name], m))
+        dual = tuple(x for t, m in zip(row[::2], row[1::2]) for x in (involution[t], m))
+        new = {(a, b): row, (involution[b], involution[a]): dual}
+        entries = [(x, y, new.get((x, y), r)) for x, y, r in entries]
+    if star is not None:
+        name, image = star
+        involution[ids[name]] = ids[image]
+    named = elements or {}
+    renamed = tuple(e._replace(name=named.get(e.name, e.name)) for e in s.elements)
+    return Shadow._on_ids(objects or s.objects, renamed, entries, tuple(involution))
+
+
+def _patch_rank(monkeypatch, n, copy):
+    real = udot.build_bn
+    monkeypatch.setattr(bnverify, "build_bn", lambda k: copy if k == n else real(k))
+
+
+# the records verify_bn gives on one corrupted entry (and its dual), in
+# report order; every record named here that is not listed passes
+PINNED_RECORDS = (
+    "exchange-relation",
+    "merge-relation",
+    "defining-action-multiplicative",
+    "cell-module-is-defining-action",
+    "m-constant-on-right-cells",
+    "m-value-identity-multiplicity-formula",
+    "rank-reduction-index-shift",
+)
+QUOTIENT_DIFFERS = {"quotient": "differs from shifted lower-rank shadow"}
+CORRUPTED_ENTRIES = [
+    (
+        (4, "E2^(1)", "F1^(1)", {"F0^(1)E1^(1)": 1, "1_1": 3}),
+        {
+            "exchange-relation": [
+                {
+                    "i": 1,
+                    "left": {"1_1": 4, "F0^(1)E1^(1)": 1},
+                    "right": {"1_1": 3, "F0^(1)E1^(1)": 1},
+                }
+            ],
+            "defining-action-multiplicative": [
+                "defining action is not multiplicative at (E2^(1), F1^(1))"
+            ],
+            "m-constant-on-right-cells": [
+                {
+                    "1_1": 1, "F1^(1)": 3, "F1^(2)": 1, "E2^(1)": 1, "E3^(1)F2^(1)": 2,
+                    "F2^(1)": 1, "E3^(2)": 1, "E3^(1)": 2, "1_3": 1,
+                }
+            ],
+            "m-value-identity-multiplicity-formula": [
+                {"pair": [2, 1], "expected": 3, "got": [2, 3]}
+            ],
+            "rank-reduction-index-shift": [{"pair": ["E2^(1)", "F1^(1)"]}, QUOTIENT_DIFFERS],
+        },
+    ),
+    (
+        (4, "E1^(1)", "F0^(1)", {"1_0": 5}),
+        {
+            "exchange-relation": [{"i": 0, "left": {"1_0": 5}, "right": {"1_0": 4}}],
+            "defining-action-multiplicative": [
+                "defining action is not multiplicative at (E1^(1), F0^(1))"
+            ],
+            "cell-module-is-defining-action": [{"element": "E1^(1)"}],
+            "m-constant-on-right-cells": [
+                {
+                    "1_0": 1, "F0^(1)": 5, "F0^(2)": 6, "F0^(3)": 4, "F0^(4)": 1,
+                    "E1^(1)": 1, "F0^(1)E1^(1)": 4, "F0^(2)E1^(1)": 6, "E4^(1)F1^(3)": 4,
+                    "F1^(3)": 1, "E2^(2)": 1, "F0^(1)E2^(2)": 4, "E4^(2)F2^(2)": 6,
+                    "E4^(1)F2^(2)": 4, "F2^(2)": 1, "E3^(3)": 1, "E4^(3)F3^(1)": 4,
+                    "E4^(2)F3^(1)": 6, "E4^(1)F3^(1)": 4, "F3^(1)": 1, "E4^(4)": 1,
+                    "E4^(3)": 4, "E4^(2)": 6, "E4^(1)": 4, "1_4": 1,
+                }
+            ],
+            "m-value-identity-multiplicity-formula": [
+                {"pair": [1, 0], "expected": 5, "got": [4, 5]}
+            ],
+        },
+    ),
+    (
+        (4, "E2^(1)", "E3^(1)", {"E3^(2)": 3}),
+        {
+            "merge-relation": [
+                {"family": "F", "i": 1, "k": 2},
+                {"family": "F", "i": 1, "k": 3},
+                {"family": "E", "i": 3, "k": 2},
+                {"family": "E", "i": 3, "k": 3},
+            ],
+            "defining-action-multiplicative": [
+                "defining action is not multiplicative at (F2^(1), F1^(1))"
+            ],
+            "rank-reduction-index-shift": [
+                {"pair": ["E2^(1)", "E3^(1)"]},
+                {"pair": ["F2^(1)", "F1^(1)"]},
+                QUOTIENT_DIFFERS,
+            ],
+        },
+    ),
+    (
+        (3, "F1^(1)", "F0^(1)", {"F0^(2)": 3}),
+        {
+            "merge-relation": [
+                {"family": "F", "i": 0, "k": 2},
+                {"family": "F", "i": 0, "k": 3},
+                {"family": "E", "i": 2, "k": 2},
+            ],
+            "defining-action-multiplicative": [
+                "defining action is not multiplicative at (F1^(1), F0^(1))"
+            ],
+            "cell-module-is-defining-action": [{"element": "F1^(1)"}],
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, failing", CORRUPTED_ENTRIES, ids=["exchange", "identity-term", "merge-E", "merge-F"]
+)
+def test_verify_bn_records_on_a_corrupted_entry(monkeypatch, entry, failing):
+    n, *changed = entry
+    _patch_rank(monkeypatch, n, _on_ids_copy(n, entry=changed))
+    records = [c for c in verify_bn(n) if c["check"] in PINNED_RECORDS]
+    expected = [
+        {
+            "check": name,
+            "status": "fail" if name in failing else "pass",
+            "witnesses": failing.get(name, []),
+        }
+        for name in PINNED_RECORDS
+        if n >= 3 or name != "rank-reduction-index-shift"
+    ]
+    # the witnesses' key order is the report's byte order
+    assert [list(map(str, r["witnesses"])) for r in records] == [
+        list(map(str, r["witnesses"])) for r in expected
+    ]
+    assert records == expected
+
+
+@pytest.mark.parametrize(
+    "n, change, witnesses",
+    [
+        # an image of the top cell outside it: the quotient drops its
+        # involution, and every product still agrees
+        (3, dict(star=("F0^(1)", "1_1")), [QUOTIENT_DIFFERS]),
+        (4, dict(objects=(0, 1, 2, 3, 4, 5)), [QUOTIENT_DIFFERS]),
+        # a renamed element: each shifted product that names it, or has it as
+        # a term, is missing from the quotient or reads differently there
+        (
+            4,
+            dict(elements={"E3^(1)F2^(1)": "X"}),
+            [
+                {"pair": ["F1^(1)", "E2^(1)"]},
+                {"pair": ["E2^(1)", "E3^(1)F2^(1)"]},
+                {"pair": ["1_2", "E3^(1)F2^(1)"]},
+                {"pair": ["E3^(1)F2^(1)", "F1^(1)"]},
+                {"pair": ["E3^(1)F2^(1)", "1_2"]},
+                {"pair": ["E3^(1)F2^(1)", "E3^(1)F2^(1)"]},
+                {"pair": ["E3^(1)F2^(1)", "E3^(1)"]},
+                {"pair": ["F2^(1)", "E3^(1)F2^(1)"]},
+                {"pair": ["E3^(1)", "F2^(1)"]},
+                QUOTIENT_DIFFERS,
+            ],
+        ),
+    ],
+    ids=["involution", "objects", "element-name"],
+)
+def test_rank_reduction_reports_the_whole_quotient(monkeypatch, n, change, witnesses):
+    _patch_rank(monkeypatch, n, _on_ids_copy(n, **change))
+    assert recursion_check(n) == {
+        "check": "rank-reduction-index-shift",
+        "status": "fail",
+        "witnesses": witnesses,
     }
 
 
