@@ -640,6 +640,43 @@ def test_window_sweep_at_the_clebsch_limit():
     assert (report["status"], report["checked"], report["skipped"]) == ("pass", 129766, 623805)
 
 
+V = Element("v", 0, 0)
+# t t = u, every other product of t, u and v is v, and u u = 2 v: (t t) u =
+# u u = 2 v while t (t u) = t v = v
+ONE_TERM_FIRST = {
+    (T, T): {U: 1},
+    (T, U): {V: 1},
+    (T, V): {V: 1},
+    (U, T): {V: 1},
+    (U, U): {V: 2},
+    (U, V): {V: 1},
+    (V, T): {V: 1},
+    (V, U): {V: 1},
+    (V, V): {V: 1},
+}
+
+
+@pytest.mark.parametrize(
+    "absent, status, checked, skipped",
+    [((), "fail", 64, 0), (((V, T),), "fail", 51, 13), (((U, U), (V, T)), "pass", 43, 21)],
+    ids=["full", "partial-failing", "partial-passing"],
+)
+def test_sweep_on_a_first_failing_row_of_one_term(absent, status, checked, skipped):
+    # the row (t, t) has the one term u with multiplicity 1; on a partial
+    # table the triples that need an absent entry are skipped
+    table = {
+        pair: Decomposition(terms) for pair, terms in ONE_TERM_FIRST.items() if pair not in absent
+    }
+    s = one_object_shadow(table, elements=(E, T, U, V), partial=bool(absent))
+    report = check_associativity(s)
+    assert (report["status"], report["checked"], report["skipped"]) == (status, checked, skipped)
+    if status == "fail":
+        assert report["witnesses"] == [
+            {"triple": ["t", "t", "u"], "left": {"v": 2}, "right": {"v": 1}}
+        ]
+    assert reference_sweep(s) == report
+
+
 def test_run_test_accepts_only_evenly_spaced_ids():
     assert _run((1, 3, 5), 2) == (1, 5)
     assert _run([0, 3, 6, 9], 3) == (0, 9)
