@@ -143,11 +143,12 @@ class Shadow(_Frozen):
         return s
 
     def _set_up(self, objects, elements, partial, ids, **given) -> None:
-        # frozen: fill the instance dict; _ids is (entries, star) on ids, or None
-        by_name = {e.name: e for e in elements}
+        # frozen: fill the instance dict; _ids is (entries, star) on ids, or
+        # None; _id_of maps each element name to its id, _index each element
+        id_of = {e.name: i for i, e in enumerate(elements)}
         index = {e: i for i, e in enumerate(elements)}
         attributes = dict(objects=objects, elements=elements, partial=partial, _ids=ids)
-        vars(self).update(given, **attributes, _by_name=by_name, _index=index, _cells={})
+        vars(self).update(given, **attributes, _id_of=id_of, _index=index, _cells={})
 
     def __getattr__(self, name: str):
         # the Element-level table and involution of a shadow made on ids,
@@ -190,7 +191,7 @@ class Shadow(_Frozen):
 
     def element(self, name: str) -> Element:
         try:
-            return self._by_name[name]
+            return self.elements[self._id_of[name]]
         except KeyError:
             raise InputError(f"unknown element id {name!r}") from None
 

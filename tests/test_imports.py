@@ -162,7 +162,7 @@ def _ids(x):
         (["ideals", "{b2}"], FILE | IDEALS),
         (["build", "bn", "--n", "2"], UDOT | FORMAT),
         (["verify", "bn", "--n", "1..2"], BN),
-        (["verify", "bn", "--n", "3"], BN | FORMAT),
+        (["verify", "bn", "--n", "3"], BN),
         (["build", "clebsch", "--max", "3"], CLEBSCH | FORMAT),
         (["verify", "clebsch", "--max", "3"], CLEBSCH | SWEEP),
         (["build", "schur", "--n", "2", "--r", "2"], SCHUR),
