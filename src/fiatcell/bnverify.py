@@ -30,15 +30,6 @@ def _result(row, names) -> dict[str, int]:
     return {names[t]: m for t, m in _pairs(row)}
 
 
-def _cells_by_id(s: Shadow, kind: str) -> list[frozenset[Element]]:
-    """The cell of the given kind that holds each element, by id: cells are
-    the classes of equal ideals, in the order of their first members
-    (cells.cell_data)."""
-    ideals, partition = cell_data(s, kind)
-    cell = dict(zip(dict.fromkeys(ideals), partition.classes))
-    return [cell[ideal] for ideal in ideals]
-
-
 def verify_relations(n: int) -> list[dict]:
     """The defining exchange and merge relations, evaluated in the table.
 
@@ -150,7 +141,7 @@ def is_strongly_regular(s: Shadow, two_sided_cell: frozenset[Element]) -> dict:
     two-sided cell of s is an InputError."""
     if two_sided_cell not in cell_partition(s, "two-sided").classes:
         raise InputError("the given set is not a two-sided cell of this shadow")
-    ideals, left_cells = cell_data(s, "left")
+    ideals, left_cells, _ = cell_data(s, "left")
     left = [cls & two_sided_cell for cls in left_cells.classes if cls & two_sided_cell]
     right = [
         cls & two_sided_cell
@@ -190,7 +181,7 @@ def m_values(s: Shadow, two_sided_cell: frozenset[Element]) -> tuple[dict[Elemen
     if reg["witnesses"]:
         (witness,) = reg["witnesses"]
         raise InputError(f"cell {{{', '.join(cell_names)}}} is not strongly regular: {witness}")
-    left, right = _cells_by_id(s, "left"), _cells_by_id(s, "right")
+    left, right = cell_data(s, "left").cell_of, cell_data(s, "right").cell_of
     rows, n = s._view.rows, len(s.elements)
     values: dict[Element, int] = {}
     for f in sorted(map(s.index_of, two_sided_cell)):
@@ -233,7 +224,7 @@ def bn_cells_report(n: int) -> list[dict]:
     two_sided = cell_partition(s, "two-sided")
     left = cell_partition(s, "left")
     right = cell_partition(s, "right")
-    left_of, right_of, two_sided_of = (_cells_by_id(s, kind) for kind in KINDS)
+    left_of, right_of, two_sided_of = (cell_data(s, kind).cell_of for kind in KINDS)
     identity_cells = [two_sided_of[at[f"1_{m}"]] for m in range(half + 1)]
     ok_two_sided = len(two_sided.classes) == half + 1 == len(set(identity_cells))
     witness = [] if ok_two_sided else [len(two_sided.classes)]
@@ -337,7 +328,7 @@ def recursion_check(n: int) -> dict:
     check_bn_rank(n)
     check_range("rank for rank reduction", n, 3, DESK_LIMIT)
     big, small = build_bn(n), build_bn(n - 2)
-    quotient = quotient_by_upset(big, _cells_by_id(big, "two-sided")[big._id_of["1_0"]])
+    quotient = quotient_by_upset(big, cell_data(big, "two-sided").cell_of[big._id_of["1_0"]])
     shifted = _shifted_elements(small, element_basis(n - 2), 1)
     names, shifted_names = ([e.name for e in x] for x in (quotient.elements, shifted))
     (entries, star), (shifted_entries, shifted_star) = map(_table_ids, (quotient, small))
@@ -395,7 +386,7 @@ def verify_bn(n: int) -> list[dict]:
             break
     checks.append(check("defining-action-multiplicative", not product_bad, product_bad))
 
-    cm = cell_module(s, _cells_by_id(s, "left")[s._id_of["1_0"]])
+    cm = cell_module(s, cell_data(s, "left").cell_of[s._id_of["1_0"]])
     names = [e.name for e in cm.basis]
     if names != ["1_0"] + [f"F0^({k})" for k in range(1, n + 1)]:
         module_bad = [{"basis": names}]

@@ -99,10 +99,11 @@ class CellPartition(NamedTuple):
 
 class CellData(NamedTuple):
     """The one-round ideals of one kind as int bitsets, in element order,
-    and their cells."""
+    their cells, and the cell of each element, by id."""
 
     ideals: tuple[int, ...]
     partition: CellPartition
+    cell_of: tuple[frozenset[Element], ...]
 
 
 def cell_data(s: Shadow, kind: str) -> CellData:
@@ -118,10 +119,9 @@ def cell_data(s: Shadow, kind: str) -> CellData:
             classes: dict[int, list[Element]] = {}
             for a, ideal in zip(s.elements, ideals):
                 classes.setdefault(ideal, []).append(a)
-            partition = CellPartition(
-                kind=k, classes=tuple(frozenset(cls) for cls in classes.values())
-            )
-            s._cells[k] = CellData(ideals, partition)
+            cells = {ideal: frozenset(cls) for ideal, cls in classes.items()}
+            partition = CellPartition(kind=k, classes=tuple(cells.values()))
+            s._cells[k] = CellData(ideals, partition, tuple(map(cells.__getitem__, ideals)))
     return s._cells[kind]
 
 
@@ -154,7 +154,7 @@ class CellPoset(NamedTuple):
 
 
 def cell_poset(s: Shadow) -> CellPoset:
-    ideals, partition = cell_data(s, "two-sided")
+    ideals, partition, _ = cell_data(s, "two-sided")
     cells = partition.classes
     rep_ideals = [ideals[min(s.index_of(e) for e in cls)] for cls in cells]
     up = tuple(
