@@ -809,6 +809,15 @@ def test_rank_reduction_reports_the_whole_quotient(monkeypatch, n, change, witne
     }
 
 
+def test_rank_reduction_reports_a_quotient_with_more_products(monkeypatch):
+    # the lower rank lacks one product: every product it has agrees, but
+    # the quotient has one more
+    s = build_bn(2)
+    entries, star = s._ids
+    _patch_rank(monkeypatch, 2, Shadow._on_ids(s.objects, s.elements, entries[1:], star))
+    assert recursion_check(4)["witnesses"] == [QUOTIENT_DIFFERS]
+
+
 def test_verify_bn_runs_no_rewriter(monkeypatch):
     # the suite holds no name of the rewriter, so it could reach it only
     # through udot, where it is counted
