@@ -11,7 +11,6 @@ regularity and the m-statistic, which only this suite runs, live here too.
 
 from __future__ import annotations
 
-from collections import Counter
 from math import comb, factorial
 from operator import mul
 
@@ -21,13 +20,8 @@ from .checks import emit_results, parse_range, probes
 from .ideals import quotient_by_upset, thick_ideals, upsets_by_enumeration
 from .shadow import Element, Shadow, _pairs, _table_ids
 from .sweep import check_associativity
-from .udot import DESK_LIMIT, DPMonomial, build_bn, check_bn_rank, dp, element_basis
+from .udot import DESK_LIMIT, DPMonomial, bn_element_monomials, build_bn, check_bn_rank, dp
 from .udot import pair_orientation
-
-
-def _result(row, names) -> dict[str, int]:
-    """The terms of a flat row by element name, in the row's order."""
-    return {names[t]: m for t, m in _pairs(row)}
 
 
 def verify_relations(n: int) -> list[dict]:
@@ -39,6 +33,7 @@ def verify_relations(n: int) -> list[dict]:
     power.
     """
     s = build_bn(n)
+    checks = []
     rows, size, at = s._view.rows, len(s.elements), s._id_of
     names = [e.name for e in s.elements]
 
@@ -65,6 +60,7 @@ def verify_relations(n: int) -> list[dict]:
         if lhs != rhs:
             left, right = ({names[t]: m for t, m in sorted(x.items())} for x in (lhs, rhs))
             bad_55.append({"i": i, "left": left, "right": right})
+    checks.append(check("exchange-relation", not bad_55, bad_55))
 
     bad_65 = []
     for i in range(n + 1):
@@ -79,8 +75,8 @@ def verify_relations(n: int) -> list[dict]:
                 chain_f = after(f_step[i + k - 1], chain_f) if k > 1 else {f_step[i]: 1}
                 if chain_f != {at[dp("fe", k, 0, i).name]: factorial(k)}:
                     bad_65.append({"family": "F", "i": i, "k": k})
-    exchange = check("exchange-relation", not bad_55, bad_55)
-    return [exchange, check("merge-relation", not bad_65, bad_65)]
+    checks.append(check("merge-relation", not bad_65, bad_65))
+    return checks
 
 
 def defining_action(n: int) -> dict[Element, int]:
@@ -93,7 +89,7 @@ def defining_action(n: int) -> dict[Element, int]:
     multiplicative on the table is checked by verify_bn's
     defining-action-multiplicative record, not here."""
     check_bn_rank(n)
-    mons = element_basis(n)
+    mons = bn_element_monomials(n)
     action: dict[Element, int] = {}
     for e in build_bn(n).elements:
         m = mons[e.name]
@@ -115,9 +111,16 @@ def defining_action(n: int) -> dict[Element, int]:
 
 
 def cell_index_pairs(n: int) -> list[tuple[int, int]]:
-    """The (i, k) pairs indexing left (equally right) cells: k runs up to
-    i for i <= n // 2 and up to n - i above."""
-    return [(i, k) for i in range(n + 1) for k in range(min(i, n - i) + 1)]
+    """The (i, k) pairs indexing left (equally right) cells."""
+    s = n // 2
+    out = []
+    for i in range(s + 1):
+        for k in range(i + 1):
+            out.append((i, k))
+    for i in range(s + 1, n + 1):
+        for k in range(n - i + 1):
+            out.append((i, k))
+    return out
 
 
 def cell_generator(n: int, i: int, k: int) -> DPMonomial:
@@ -188,8 +191,9 @@ def m_values(s: Shadow, two_sided_cell: frozenset[Element]) -> tuple[dict[Elemen
         fstar = star[f]
         candidates = left[f] & right[fstar]
         if len(candidates) != 1:
-            name = s.elements[f].name
-            raise ConsistencyError(f"left/right intersection for {name} has size {len(candidates)}")
+            raise ConsistencyError(
+                f"left/right intersection for {s.elements[f].name} has size {len(candidates)}"
+            )
         (h,) = candidates
         # f* after f; a full table has the entry (cell_data checked), a
         # partial one may lack it
@@ -212,12 +216,14 @@ def bn_cells_report(n: int) -> list[dict]:
     half = n // 2
     checks = []
 
-    by_pair = Counter((e.source, e.target) for e in s.elements)
+    by_pair: dict[tuple[int, int], int] = {}
+    for e in s.elements:
+        by_pair[(e.source, e.target)] = by_pair.get((e.source, e.target), 0) + 1
     bad_counts = [
-        {"pair": [i, j], "count": by_pair[i, j]}
+        {"pair": [i, j], "count": by_pair.get((i, j), 0)}
         for i in range(n + 1)
         for j in range(n + 1)
-        if by_pair[i, j] != min(i, j, n - i, n - j) + 1
+        if by_pair.get((i, j), 0) != min(i, j, n - i, n - j) + 1
     ]
     checks.append(check("hom-pair-basis-count", not bad_counts, bad_counts))
 
@@ -226,24 +232,46 @@ def bn_cells_report(n: int) -> list[dict]:
     right = cell_partition(s, "right")
     left_of, right_of, two_sided_of = (cell_data(s, kind).cell_of for kind in KINDS)
     identity_cells = [two_sided_of[at[f"1_{m}"]] for m in range(half + 1)]
-    ok_two_sided = len(two_sided.classes) == half + 1 == len(set(identity_cells))
-    witness = [] if ok_two_sided else [len(two_sided.classes)]
-    checks.append(check("two-sided-cells-are-identity-cells", ok_two_sided, witness))
+    ok_two_sided = (
+        len(two_sided.classes) == half + 1
+        and len(set(identity_cells)) == half + 1
+    )
+    checks.append(
+        check(
+            "two-sided-cells-are-identity-cells",
+            ok_two_sided,
+            [] if ok_two_sided else [len(two_sided.classes)],
+        )
+    )
 
     poset = cell_poset(s)
-    cells, leq = range(len(poset.cells)), poset.leq
+    cells = range(len(poset.cells))
     ids = [poset.cell_index(s.element(f"1_{m}")) for m in range(half + 1)]
-    chain_bad = [("comparable", a, b) for a in cells for b in cells if not (leq(a, b) or leq(b, a))]
-    chain_bad += [("below", c, ids[0]) for c in cells if not leq(c, ids[0])]
-    chain_bad += [
-        ("strictly below", lo, hi) for lo, hi in zip(ids[1:], ids) if not leq(lo, hi) or leq(hi, lo)
-    ]
+    chain_bad = (
+        [
+            ("comparable", a, b)
+            for a in cells
+            for b in cells
+            if not (poset.leq(a, b) or poset.leq(b, a))
+        ]
+        + [("below", c, ids[0]) for c in cells if not poset.leq(c, ids[0])]
+        + [
+            ("strictly below", lo, hi)
+            for lo, hi in zip(ids[1:], ids)
+            if not poset.leq(lo, hi) or poset.leq(hi, lo)
+        ]
+    )
     # the first failing pair, each cell named by its first element
     chain_witness = [
-        {"pair": [min(poset.cells[c], key=s.index_of).name for c in (a, b)], "expected": relation}
+        {
+            "pair": [min(poset.cells[c], key=s.index_of).name for c in (a, b)],
+            "expected": relation,
+        }
         for relation, a, b in chain_bad[:1]
     ]
-    checks.append(check("cell-poset-chain-top-at-identity-0", not chain_bad, chain_witness))
+    checks.append(
+        check("cell-poset-chain-top-at-identity-0", not chain_bad, chain_witness)
+    )
 
     pairs = cell_index_pairs(n)
     gens = {pair: at[cell_generator(n, *pair).name] for pair in pairs}
@@ -253,18 +281,26 @@ def bn_cells_report(n: int) -> list[dict]:
         len(set(gen_left.values())) == len(pairs) == len(left.classes)
         and len(set(gen_right.values())) == len(pairs) == len(right.classes)
     )
-    witness = [] if distinct_ok else [len(pairs), len(left.classes), len(right.classes)]
-    checks.append(check("cell-generators-distinct-and-complete", distinct_ok, witness))
+    checks.append(
+        check(
+            "cell-generators-distinct-and-complete",
+            distinct_ok,
+            [] if distinct_ok else [len(pairs), len(left.classes), len(right.classes)],
+        )
+    )
 
     bad_membership = []
     for (i, k), g in gens.items():
         expected = expected_two_sided_index(n, i, k)
         if two_sided_of[g] != identity_cells[expected]:
             bad_membership.append({"pair": [i, k], "generator": s.elements[g].name})
-    checks.append(check("generator-two-sided-membership", not bad_membership, bad_membership))
+    checks.append(
+        check("generator-two-sided-membership", not bad_membership, bad_membership)
+    )
 
-    regular = [is_strongly_regular(s, cls) for cls in two_sided.classes]
-    reg_witnesses = [w for record in regular for w in record["witnesses"]]
+    reg_witnesses = [
+        w for cls in two_sided.classes for w in is_strongly_regular(s, cls)["witnesses"]
+    ]
     checks.append(check("strong-regularity", not reg_witnesses, reg_witnesses))
 
     m_bad = []
@@ -286,76 +322,68 @@ def bn_cells_report(n: int) -> list[dict]:
                 expected = dict(_pairs(rows[e_elt * size + f_elt])).get(at[f"1_{k}"], 0)
                 got = {value_of[x] for x in right_of[f_elt]}
                 if got != {expected}:
-                    formula_bad.append({"pair": [i, k], "expected": expected, "got": sorted(got)})
-    checks.append(check("m-value-identity-multiplicity-formula", not formula_bad, formula_bad))
+                    formula_bad.append(
+                        {"pair": [i, k], "expected": expected, "got": sorted(got)}
+                    )
+    checks.append(
+        check("m-value-identity-multiplicity-formula", not formula_bad, formula_bad)
+    )
     return checks
-
-
-def _shifted_elements(s: Shadow, mons, delta: int) -> tuple[Element, ...]:
-    """The elements of a divided-power shadow, each translated by delta
-    objects and named as its translated monomial (mons by element name)."""
-    out = []
-    for e in s.elements:
-        m = mons[e.name]
-        sm = dp(m.kind, m.fpow, m.epow, m.base + delta)
-        out.append(Element(sm.name, sm.source, sm.target, sm.is_identity))
-    return tuple(out)
 
 
 def shift_shadow(s: Shadow, mons: dict[str, DPMonomial], delta: int) -> Shadow:
     """Transport a divided-power shadow along object translation by delta."""
+
+    def shift_elt(e: Element) -> Element:
+        m = mons[e.name]
+        sm = dp(m.kind, m.fpow, m.epow, m.base + delta)
+        return Element(sm.name, sm.source, sm.target, sm.is_identity)
+
     n = len(s.elements)
     _, _, rows, order, star = s._view
     return Shadow._on_ids(
         tuple(o + delta for o in s.objects),
-        _shifted_elements(s, mons, delta),
+        tuple(map(shift_elt, s.elements)),
         [(*divmod(at, n), rows[at]) for at in order],
         star,
         s.partial,
     )
 
 
+def _file_form(s: Shadow) -> tuple:
+    """What the file form of s records: the partial flag, the objects, the
+    elements, and the involution and the products (in id order) by element
+    name."""
+    names = [e.name for e in s.elements]
+    entries, star = _table_ids(s)
+    if star is not None:
+        star = {names[i]: names[j] for i, j in enumerate(star) if j is not None}
+    products = {
+        (names[a], names[b]): {names[t]: m for t, m in _pairs(row)}
+        for a, b, row in sorted(entries)
+    }
+    return bool(s.partial), s.objects, s.elements, star, products
+
+
 def recursion_check(n: int) -> dict:
     """Rank reduction: shifting the rank-(n-2) shadow up by one object must
     reproduce the rank-n shadow with its maximal cell deleted, both product
-    by product and as a whole quotient shadow.
-
-    Both are read on ids, as their file forms would compare: a product of
-    the shifted shadow differs when the quotient has none of the elements
-    of those names, or one whose terms differ by name; the whole differs
-    when a product does, or the quotient has more, or its objects,
-    elements, involution or partial flag differ."""
+    by product and as a whole quotient shadow."""
     check_bn_rank(n)
     check_range("rank for rank reduction", n, 3, DESK_LIMIT)
-    big, small = build_bn(n), build_bn(n - 2)
-    quotient = quotient_by_upset(big, cell_data(big, "two-sided").cell_of[big._id_of["1_0"]])
-    shifted = _shifted_elements(small, element_basis(n - 2), 1)
-    names, shifted_names = ([e.name for e in x] for x in (quotient.elements, shifted))
-    (entries, star), (shifted_entries, shifted_star) = map(_table_ids, (quotient, small))
-    products = {(a, b): row for a, b, row in entries}
-    same_ids, id_of = names == shifted_names, quotient._id_of
-    witnesses, count = [], 0
-    for a, b, row in sorted(shifted_entries):
-        count += 1
-        pair = [shifted_names[a], shifted_names[b]]
-        got = products.get((a, b) if same_ids else tuple(map(id_of.get, pair)))
-        if same_ids and got == row:
-            continue
-        if got is None or _result(got, names) != _result(row, shifted_names):
-            witnesses.append({"pair": pair})
-
-    def involution(star):
-        return star if star is None else [(i, j) for i, j in enumerate(star) if j is not None]
-
-    # with the same elements on both sides, an id names the same element
-    same = (
-        not witnesses
-        and len(products) == count
-        and (quotient.objects, quotient.elements) == (tuple(o + 1 for o in small.objects), shifted)
-        and involution(star) == involution(shifted_star)
-        and bool(quotient.partial) == bool(small.partial)
-    )
-    if not same:
+    big = build_bn(n)
+    shifted = shift_shadow(build_bn(n - 2), bn_element_monomials(n - 2), 1)
+    top_cell = cell_data(big, "two-sided").cell_of[big._id_of["1_0"]]
+    # both as their file forms would compare
+    quotient = _file_form(quotient_by_upset(big, top_cell))
+    shifted = _file_form(shifted)
+    products = quotient[-1]
+    witnesses = [
+        {"pair": list(pair)}
+        for pair, result in shifted[-1].items()
+        if products.get(pair) != result
+    ]
+    if quotient != shifted:
         witnesses.append({"quotient": "differs from shifted lower-rank shadow"})
     return check("rank-reduction-index-shift", not witnesses, witnesses)
 
@@ -408,8 +436,13 @@ def verify_bn(n: int) -> list[dict]:
     expected = n // 2 + 2
     upsets = upsets_by_enumeration(poset)
     ok_ideals = len(ideals) == expected == len(upsets)
-    witness = [] if ok_ideals else [len(ideals), expected, len(upsets)]
-    checks.append(check("thick-ideal-count", ok_ideals, witness))
+    checks.append(
+        check(
+            "thick-ideal-count",
+            ok_ideals,
+            [] if ok_ideals else [len(ideals), expected, len(upsets)],
+        )
+    )
 
     if n >= 3:
         checks.append(recursion_check(n))

@@ -201,9 +201,7 @@ def check_associativity(s: Shadow) -> dict:
                 checked += len(cs)
                 continue
             # (a b) c for each c
-            if len(ab) == 2 and ab[1] == 1:  # one term, multiplicity 1: its packed c-row
-                left = cols[ab[0]]
-            elif runs and (run := runs.get(a_row + b)):
+            if runs and (run := runs.get(a_row + b)):
                 lo, hi, step = run
                 prefix = below[step, source[b]]
                 left = list(map(sub, prefix[hi + step], prefix[lo]))
@@ -226,7 +224,7 @@ def check_associativity(s: Shadow) -> dict:
                 sums = pick_ends([0, *accumulate(values)])
                 right = list(map(sub, sums, (0, *sums)))
             if left == right:
-                if full or min(left) >= 0:  # a full table has no absent entry
+                if min(left) >= 0:
                     checked += len(cs)
                 else:
                     # the two sums of a triple are both negative or neither

@@ -38,11 +38,9 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from collections.abc import Mapping
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
-from types import MappingProxyType
 
 from .checks import ConsistencyError, InputError, check_range, emit, is_int
 from .shadow import Element, Shadow
@@ -409,28 +407,11 @@ def build_bn(n: int) -> Shadow:
             entries.append((ka, kb, tuple(row)))
     # m.star() by its key: pure monomials are kind "fe" either way
     star = tuple(index[(m.kind, m.epow, m.fpow, m.target)] for m in monomials)
-    s = Shadow._on_ids(tuple(range(n + 1)), elements, entries, star)
-    _BASES[n] = s, MappingProxyType({e.name: m for e, m in zip(elements, monomials)})
-    return s
-
-
-# rank -> the last shadow build_bn made and its monomials by element name
-_BASES: dict[int, tuple[Shadow, Mapping[str, DPMonomial]]] = {}
-
-
-def element_basis(n: int) -> Mapping[str, DPMonomial]:
-    """build_bn(n)'s monomials by element name, read-only, one mapping per
-    rank for the check suite. build_bn records it with each shadow it
-    makes; for a cached shadow that a later build outside the cache
-    displaced, it is made again from bn_basis."""
-    s = build_bn(n)
-    if _BASES.get(n, (None,))[0] is not s:
-        _BASES[n] = s, MappingProxyType(bn_element_monomials(n))
-    return _BASES[n][1]
+    return Shadow._on_ids(tuple(range(n + 1)), elements, entries, star)
 
 
 def bn_element_monomials(n: int) -> dict[str, DPMonomial]:
-    """Element id -> monomial, for the rank-n shadow; a new dict per call."""
+    """Element id -> monomial, for the rank-n shadow."""
     out = {}
     for mons in bn_basis(n).values():
         for m in mons:

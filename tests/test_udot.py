@@ -40,7 +40,6 @@ from fiatcell.udot import (
     DPMonomial,
     bn_element_monomials,
     compose_monomials,
-    element_basis,
     pair_basis,
     pair_orientation,
 )
@@ -366,41 +365,15 @@ def test_build_bn_refuses_product_outside_basis(monkeypatch):
         build_bn.__wrapped__(2)
 
 
-def test_bases_are_fresh_and_the_shared_one_read_only():
+def test_bases_are_fresh_dicts():
     n = 4
     before = bn_basis(n), bn_element_monomials(n), defining_action(n), recursion_check(n)
-    basis, mons, shared = bn_basis(n), bn_element_monomials(n), element_basis(n)
+    basis, mons = bn_basis(n), bn_element_monomials(n)
     assert basis is not bn_basis(n) and mons is not bn_element_monomials(n)
-    assert shared is element_basis(n) and shared == mons
     basis[(0, 0)] = ()
     mons["1_0"] = dp("fe", 1, 0, 0)
     del mons["F0^(1)"]
-    with pytest.raises(TypeError):
-        shared["1_0"] = dp("fe", 1, 0, 0)
     assert (bn_basis(n), bn_element_monomials(n), defining_action(n), recursion_check(n)) == before
-    # a cleared cache rebuilds the shadow, and the shared basis with it
-    build_bn.cache_clear()
-    assert (bn_basis(n), bn_element_monomials(n), defining_action(n), recursion_check(n)) == before
-    assert element_basis(n) is not shared and element_basis(n) == before[1]
-
-
-def test_shared_basis_follows_the_cached_shadow(monkeypatch):
-    n = 2
-    shared = element_basis(n)
-    # a refused build records nothing
-    real = udot.pair_basis
-    monkeypatch.setattr(
-        udot, "pair_basis", lambda n, i, j: real(n, i, j)[: 1 if (i, j) == (1, 1) else None]
-    )
-    with pytest.raises(ConsistencyError):
-        build_bn.__wrapped__(n)
-    assert element_basis(n) is shared
-    # a build outside the cache displaces the recorded basis; the cached
-    # shadow's is made again, from the basis as it now stands
-    monkeypatch.undo()
-    assert build_bn.__wrapped__(n) is not build_bn(n)
-    assert element_basis(n) is not shared and element_basis(n) == bn_element_monomials(n)
-    assert "E2^(1)F1^(1)" in element_basis(n)
 
 
 def test_b2_involution():
