@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .checks import emit, write_text
+from .checks import check_type, emit, write_text
 from .shadow import Element, InputError, Shadow, StructureError, _pairs
 
 KINDS = ("left", "right", "two-sided")
@@ -44,6 +44,7 @@ def principal_ideal(s: Shadow, a: Element, kind: str) -> frozenset[Element]:
     is again a product, so the set below is already an ideal.
     """
     _check_kind(kind)
+    check_type("shadow", s, Shadow)
     if not s.has_element(a):
         raise InputError(f"unknown element id {a.name!r}")
     ideal = cell_data(s, kind).ideals[s.index_of(a)]
@@ -111,9 +112,10 @@ def cell_data(s: Shadow, kind: str) -> CellData:
     built together on first use.
 
     Cells are the classes of equal ideals, ordered by their smallest member
-    in canonical element order.
+    in canonical element order. Anything but a Shadow is an InputError.
     """
     _check_kind(kind)
+    check_type("shadow", s, Shadow)
     if not s._cells:
         for k, ideals in _ideal_bitsets(s).items():
             classes: dict[int, list[Element]] = {}
@@ -176,6 +178,8 @@ def poset_to_dot(s: Shadow, poset: CellPoset) -> str:
 
     An edge a -> b means cell a is strictly below cell b.
     """
+    check_type("shadow", s, Shadow)
+    check_type("poset", poset, CellPoset)
     lines = ["digraph cell_poset {", "  rankdir=BT;"]
     for i, cls in enumerate(poset.cells):
         label = " | ".join(e.name for e in sorted(cls, key=s.index_of))
@@ -207,6 +211,9 @@ def cell_module(s: Shadow, left_cell: frozenset[Element]) -> CellModuleMatrices:
     need not be: the window omits the products it cannot see, a product can
     leave the cell and come back, and the matrices need not form a
     representation (on window_shadow(6), M_1 M_1 != M_0 + M_2).
+
+    Only the composable pairs (a, f) are read, and every matrix starts
+    from one shared zero matrix, whose rows are shared immutable tuples.
     """
     partition = cell_partition(s, "left")
     if left_cell not in partition.classes:
@@ -215,16 +222,27 @@ def cell_module(s: Shadow, left_cell: frozenset[Element]) -> CellModuleMatrices:
     pos = {f: i for i, f in enumerate(ids)}
     source, _, rows, _, _ = s._view
     n = len(s.elements)
+    zero = (0,) * len(ids)
+    blank = (zero,) * len(ids)
+    # the columns (j, f) of the cell, by the target of f
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for j, f in enumerate(ids):
+        columns.setdefault(s.elements[f].target, []).append((j, f))
     matrices = {}
     for a, e in enumerate(s.elements):
-        matrix = [[0] * len(ids) for _ in ids]
-        for j, f in enumerate(ids):
+        changed: dict[int, list[int]] = {}
+        for j, f in columns.get(source[a], ()):
             # a full table has every composable entry (cell_partition checked)
-            row = rows[a * n + f] if source[a] == s.elements[f].target else None
-            for h, m in _pairs(row or ()):
+            for h, m in _pairs(rows[a * n + f] or ()):
                 if h in pos:
-                    matrix[pos[h]][j] = m
-        matrices[e] = tuple(map(tuple, matrix))
+                    changed.setdefault(pos[h], list(zero))[j] = m
+        matrix = blank
+        if changed:
+            matrix = list(blank)
+            for i, row in changed.items():
+                matrix[i] = tuple(row)
+            matrix = tuple(matrix)
+        matrices[e] = matrix
     basis = tuple(s.elements[f] for f in ids)
     return CellModuleMatrices(left_cell=left_cell, basis=basis, matrices=matrices)
 

@@ -39,6 +39,12 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def check_type(what: str, value, kind: type) -> None:
+    """Raise InputError unless value is a kind."""
+    if not isinstance(value, kind):
+        raise InputError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def check_range(what: str, value, lo: int, hi: int) -> None:
     """Raise InputError unless value is an integer (is_int) in lo..hi."""
     if not is_int(value):

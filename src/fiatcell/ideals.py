@@ -9,7 +9,7 @@ the quotient are images of cells of the original shadow or disappear.
 from __future__ import annotations
 
 from .cells import CellPoset, _bits, cell_data, cell_poset
-from .checks import emit
+from .checks import check_type, emit
 from .shadow import Element, InputError, Shadow, _pairs
 
 # The most thick ideals antichains lists: those of 14 incomparable cells
@@ -32,6 +32,7 @@ def antichains(poset: CellPoset) -> list[tuple[int, ...]]:
     Each antichain is one listed before it plus a larger index incomparable
     to all its members; reading the list while it grows keeps that order.
     """
+    check_type("poset", poset, CellPoset)
     n = len(poset.cells)
     up = poset.up
     comparable = [up[i] | sum(1 << j for j in range(n) if up[j] >> i & 1) for i in range(n)]
@@ -75,6 +76,7 @@ def upsets_by_enumeration(poset: CellPoset) -> list[frozenset[int]]:
     them is an InputError, raised as soon as the list passes it; the count
     is its own, not the antichains'.
     """
+    check_type("poset", poset, CellPoset)
     grown, seen = [0], {0}
     for mask in grown:
         for i, above in enumerate(poset.up):
@@ -95,6 +97,7 @@ def quotient_by_upset(s: Shadow, upset: frozenset[Element]) -> Shadow:
     touching it. The involution descends when the set is *-stable and is
     dropped otherwise.
     """
+    check_type("shadow", s, Shadow)
     for e in upset:
         if not s.has_element(e):
             raise InputError(f"unknown element id {e.name!r}")

@@ -21,6 +21,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .checks import ConsistencyError, FiatcellError, InputError, StructureError  # noqa: F401
+from .checks import check_type
 
 
 class Element(NamedTuple):
@@ -287,6 +288,7 @@ def compose(s: Shadow, a: Element, b: Element) -> Decomposition:
     zero; exact products of the unwindowed structure must be computed at the
     formula level instead.
     """
+    check_type("shadow", s, Shadow)
     for e in (a, b):
         if not s.has_element(e):
             raise InputError(f"unknown element id {e.name!r}")
@@ -302,6 +304,7 @@ def compose(s: Shadow, a: Element, b: Element) -> Decomposition:
 
 def compose_left(s: Shadow, a: Element, d: Decomposition) -> Decomposition:
     """a after each term of d, summed with multiplicities."""
+    check_type("shadow", s, Shadow)
     out: dict[Element, int] = {}
     for t, m in d.items():
         for e, k in compose(s, a, t).items():
@@ -313,7 +316,9 @@ def validate_shadow(s: Shadow) -> None:
     """Raise StructureError on the first violated invariant: objects and
     elements first, then each table entry in the walk that builds the
     integer view, then, on the view, completeness unless the shadow is
-    partial, strict identities and the involution, element by element."""
+    partial, strict identities and the involution, element by element.
+    Anything but a Shadow is an InputError."""
+    check_type("shadow", s, Shadow)
     if len(set(s.objects)) != len(s.objects):
         raise StructureError("duplicate object ids")
     names = [e.name for e in s.elements]

@@ -8,7 +8,8 @@ below rank 3 compile none of it.
 
 from __future__ import annotations
 
-from .checks import InputError, StructureError, dumps, emit, is_int, json_pieces, write_text
+from .checks import InputError, StructureError, check_type, dumps, emit, is_int, json_pieces
+from .checks import write_text
 from .shadow import Element, Shadow, _pairs, _table_ids, validate_shadow
 
 FORMAT_VERSION = 1
@@ -27,6 +28,7 @@ FILE_LIMIT_TERMS = 70_000
 def shadow_to_dict(s: Shadow) -> dict:
     """The file form of s: elements and the involution in element order,
     table rows by (left, right) id and terms by id."""
+    check_type("shadow", s, Shadow)
     names = [e.name for e in s.elements]
     entries, star = _table_ids(s)
     data: dict = {"format": FORMAT_VERSION}

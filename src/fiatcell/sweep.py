@@ -124,8 +124,89 @@ def check_associativity(s: Shadow) -> dict:
     failing triples are then exactly those found plus their duals, and the
     witness is the first of them. A partial shadow sweeps every row: its
     involution is checked only on the entries whose dual is present.
+
+    `verify bn` reaches the same record through _associativity, which on
+    the bn tables sweeps only the rows whose middle is a single step E_i or
+    F_i, the generators of the table (Light's associativity test).
     """
     validate_shadow(s)
+    return _sweep(s, ())
+
+
+def _associativity(s: Shadow, generators) -> dict:
+    """check_associativity's record, sweeping only the rows whose middle is
+    a generator when the generators generate the table.
+
+    The generators are the given ids and their images under the
+    involution. Its hypotheses are a full table, strict identities and the
+    involution, all validated. Extend the product bilinearly to the free
+    Z-module on the elements, non-composable products reading as zero. The
+    g with (x g) y = x (g y) for all x and y then form a subring: for two
+    such g and h, (x (g h)) y = ((x g) h) y = (x g) (h y) = x (g (h y)) =
+    x ((g h) y). It holds the identities, which act strictly, and the
+    images of its members under the involution, an anti-homomorphism.
+    It is saturated over Z: the associator is trilinear and its values lie
+    in a free Z-module, so if m e is in it for some m > 0, so is e. So once
+    _closure reaches every element, every row passes when the generators'
+    rows do, and those rows are the only ones swept; the others count as
+    checked, as the identity and dual rows do. The full sweep runs instead
+    on a partial table, when the closure falls short or when a generator's
+    row fails, so the record is always check_associativity's: its status,
+    witness, checked and skipped.
+    """
+    validate_shadow(s)
+    if not s.partial:
+        others = _closure(s, generators)
+        if others is not None:
+            record = _sweep(s, others)
+            if record["status"] == "pass":
+                return record
+    return _sweep(s, ())
+
+
+def _closure(s: Shadow, generators) -> list[int] | None:
+    """The ids that are not generators (the given ids and their images
+    under the involution) when every element is generated, None otherwise.
+
+    An element is generated when it is an identity, a generator, or the
+    only term, of any multiplicity, of the entry of two generated
+    elements. One worklist pass over the integer view of a full table:
+    each element meets, when it is generated, every element generated
+    before it and itself, on both sides. Identities meet none, since they
+    act strictly.
+    """
+    source, _, rows, _, star = s._view
+    elements = s.elements
+    n = len(elements)
+    gens = set(generators)
+    if star is not None:
+        gens.update([star[g] for g in gens])
+    seen = [e.is_identity or i in gens for i, e in enumerate(elements)]
+    missing = seen.count(False)
+    todo = [g for g in sorted(gens) if not elements[g].is_identity]
+    into: dict[int, list[int]] = {}  # object -> the generated ids with that target
+    out_of: dict[int, list[int]] = {}  # object -> the generated ids with that source
+    for x in todo:
+        if not missing:
+            break
+        o, t = source[x], elements[x].target
+        into.setdefault(t, []).append(x)
+        out_of.setdefault(o, []).append(x)
+        entries = [rows[x * n + y] for y in into.get(o, ())]
+        entries += [rows[y * n + x] for y in out_of.get(t, ())]
+        for row in entries:
+            if len(row) == 2 and not seen[row[0]]:
+                seen[row[0]] = True
+                missing -= 1
+                todo.append(row[0])
+    if missing:
+        return None
+    return [b for b in range(n) if b not in gens]
+
+
+def _sweep(s: Shadow, others) -> dict:
+    """The sweep of check_associativity on a validated shadow, the rows
+    whose middle is one of the ids others counted as proved."""
     source, by_target, rows, order, star = s._view
 
     n = len(s.elements)
@@ -134,6 +215,8 @@ def check_associativity(s: Shadow) -> dict:
     # full tables only: the rows (a, b) with identity[a] or proved[b] are proved
     identity = [full and e.is_identity for e in s.elements]
     proved = [x or (dual is not None and dual[b] < b) for b, x in enumerate(identity)]
+    for b in others:
+        proved[b] = True
     packed, absent, runs = _pack(s, rows, order)
     # cols[t]: t c packed, for each c with target source(t)
     cols = [[packed[t * n + c] for c in by_target[source[t]]] for t in range(n)]

@@ -262,6 +262,29 @@ def test_matrices_decompose_like_the_table(n):
                 assert product == summed, (a.name, b.name)
 
 
+def dense_cell_module(s, left_cell):
+    """The matrices of cell_module, one compose per element and pair of
+    basis elements: entry (h, f) of a's matrix is the multiplicity of h in
+    a after f."""
+    basis = sorted(left_cell, key=s.index_of)
+    return {
+        a: tuple(tuple(compose(s, a, f).mult(h) for f in basis) for h in basis)
+        for a in s.elements
+    }
+
+
+@pytest.mark.parametrize(
+    "s",
+    [build_bn(n) for n in range(1, 7)] + [window_shadow(6), window_shadow(30)],
+    ids=[f"bn{n}" for n in range(1, 7)] + ["window6", "window30"],
+)
+def test_cell_module_matches_a_dense_reference(s):
+    for cls in cell_partition(s, "left").classes:
+        cm = cell_module(s, cls)
+        assert cm.basis == tuple(sorted(cls, key=s.index_of))
+        assert cm.matrices == dense_cell_module(s, cls)
+
+
 def test_m_value_consistency_guard_unreachable_on_regular_cells():
     s = build_bn(4)
     for cls in cell_partition(s, "two-sided").classes:

@@ -618,18 +618,35 @@ ENTRY_ARGUMENTS = {
 _ANY = st.one_of(_INTEGERS, _WORDS, _ELEMENT)
 
 
-def _arguments(func):
-    """The strategy of an argument tuple for func, one value a parameter."""
+# values of another type where a Shadow or a CellPoset is taken, a poset
+# for a shadow and a shadow for a poset among them
+WRONG_TYPES = {
+    "Shadow": st.sampled_from([5, None, "bn", ENTRY_ELEMENTS, fiatcell.cell_poset(build_bn(1))]),
+    "CellPoset": st.sampled_from([5, None, "bn", (), build_bn(1)]),
+}
+
+
+def _kinds(func):
+    """The kind of value each parameter of func takes, as ENTRY_ARGUMENTS
+    names it; None when its signature cannot be read."""
     try:
         parameters = inspect.signature(func).parameters.values()
     except ValueError:
-        return st.lists(_ANY, max_size=2).map(tuple)
+        return None
     kinds = []
     for p in parameters:
         if p.annotation is inspect.Parameter.empty or p.name == "path":
             kinds.append(p.name)
         else:
             kinds.append(getattr(p.annotation, "__forward_arg__", p.annotation))
+    return kinds
+
+
+def _arguments(func):
+    """The strategy of an argument tuple for func, one value a parameter."""
+    kinds = _kinds(func)
+    if kinds is None:
+        return st.lists(_ANY, max_size=2).map(tuple)
     return st.tuples(*(ENTRY_ARGUMENTS[kind] for kind in kinds))
 
 
@@ -650,7 +667,8 @@ def entry_dir(tmp_path_factory):
 def test_exported_callables_raise_only_fiatcell_errors(entry_dir, name, data):
     """Every exported callable, on small random arguments of the kinds it
     documents, returns or raises a FiatcellError, as the command line exits
-    0, 1 or 2 and never with a traceback."""
+    0, 1 or 2 and never with a traceback. One that takes a Shadow or a
+    CellPoset raises InputError when one of them is of another type."""
     func = getattr(fiatcell, name)
     args = data.draw(_arguments(func), label="args")
     args = [str(entry_dir / a) if isinstance(a, _InDir) else a for a in args]
@@ -658,6 +676,29 @@ def test_exported_callables_raise_only_fiatcell_errors(entry_dir, name, data):
         func(*args)
     except fiatcell.FiatcellError:
         pass
+    typed = [i for i, kind in enumerate(_kinds(func) or ()) if kind in WRONG_TYPES]
+    if typed:
+        i = data.draw(st.sampled_from(typed), label="wrong-type position")
+        args[i] = data.draw(WRONG_TYPES[_kinds(func)[i]], label="wrong type")
+        with pytest.raises(InputError):
+            func(*args)
+
+
+@pytest.mark.parametrize(
+    "name, args, message",
+    [
+        ("check_associativity", (5,), "shadow must be a Shadow, got int"),
+        ("cell_module", (5, frozenset()), "shadow must be a Shadow, got int"),
+        ("compose", (5, _E, _E), "shadow must be a Shadow, got int"),
+        ("compose_left", (None, _E, Decomposition()), "shadow must be a Shadow, got NoneType"),
+        ("thick_ideals", (5,), "poset must be a CellPoset, got int"),
+        ("poset_to_dot", (build_bn(1), build_bn(1)), "poset must be a CellPoset, got Shadow"),
+    ],
+)
+def test_shadow_and_poset_parameters_refuse_other_types(name, args, message):
+    with pytest.raises(InputError) as err:
+        getattr(fiatcell, name)(*args)
+    assert str(err.value) == message
 
 
 def sized_file(path, elements, terms):

@@ -539,6 +539,106 @@ def test_sweep_with_the_involution_matches_reference_on_two_elements(swapped, co
     assert (outcomes.count("pass"), outcomes.count("fail"), outcomes.count("dual")) == counts
 
 
+G = Element("g", 0, 0)
+H = Element("h", 0, 0)
+X = Element("x", 0, 0)
+Z = Element("z", 0, 0)
+
+
+def _generator_sweep(s, generators):
+    """The kernel's record, the ids its closure leaves to the subring
+    argument (None when it falls short) and the status of the sweep of the
+    generators' rows alone."""
+    others = sweep._closure(s, generators)
+    alone = None if others is None else sweep._sweep(s, others)["status"]
+    return sweep._associativity(s, generators), others, alone
+
+
+def test_kernel_sweeps_everything_when_the_generators_miss_an_element():
+    # every row whose middle is g holds, but z is no product of g's
+    zero = Decomposition({})
+    table = {(G, G): zero, (G, Z): zero, (Z, Z): zero, (Z, G): Decomposition({G: 1})}
+    s = one_object_shadow(table, elements=(E, G, Z))
+    record, others, alone = _generator_sweep(s, [1])
+    assert others is None
+    assert sweep._sweep(s, [2])["status"] == "pass"
+    assert record == check_associativity(s) == reference_sweep(s)
+    assert record["witnesses"] == [{"triple": ["z", "z", "g"], "left": {}, "right": {"g": 1}}]
+
+
+def test_kernel_closes_the_generators_under_the_involution():
+    # g* = h comes first, so g's row is left to h's; g g = h generates h,
+    # and the table fails at (h, h, h): (h h) h = e while h (h h) = g + h
+    table = {
+        (G, G): Decomposition({H: 1}),
+        (H, H): Decomposition({G: 1}),
+        (G, H): Decomposition({E: 1}),
+        (H, G): Decomposition({G: 1, H: 1}),
+    }
+    s = one_object_shadow(table, elements=(E, H, G), involution={E: E, G: H, H: G})
+    record, others, alone = _generator_sweep(s, [2])
+    assert others == [0] and alone == "fail"
+    assert record == check_associativity(s) == reference_sweep(s)
+    assert record["witnesses"][0]["triple"] == ["h", "h", "h"]
+
+
+def test_kernel_takes_the_full_record_when_a_generator_row_fails():
+    # g g = x generates x; the first failing triple (x, x, g) has the middle
+    # x, before every failure in g's row
+    zero = Decomposition({})
+    table = {
+        (G, G): Decomposition({X: 1}),
+        (X, X): zero,
+        (X, G): Decomposition({G: 1}),
+        (G, X): zero,
+    }
+    s = one_object_shadow(table, elements=(E, X, G))
+    record, others, alone = _generator_sweep(s, [2])
+    assert others == [0, 1] and alone == "fail"
+    assert sweep._sweep(s, others)["witnesses"][0]["triple"] == ["x", "g", "g"]
+    assert record == check_associativity(s) == reference_sweep(s)
+    assert record["witnesses"] == [{"triple": ["x", "x", "g"], "left": {}, "right": {"g": 1}}]
+
+
+@st.composite
+def _bn_with_changed_entries(draw):
+    """build_bn(2..6) made on ids with one or two entries that have no
+    identity factor changed, each with its dual, so that the copy still
+    passes validation: a self-dual entry gets a term and its star."""
+    n = draw(st.integers(2, 6))
+    s = build_bn(n)
+    entries, star = s._ids
+    rows = {(a, b): row for a, b, row in entries}
+    identity = [e.is_identity for e in s.elements]
+    pairs = sorted(pair for pair in rows if not (identity[pair[0]] or identity[pair[1]]))
+    for _ in range(draw(st.integers(1, 2))):
+        a, b = draw(st.sampled_from(pairs))
+        ends = (s.elements[b].source, s.elements[a].target)
+        hom = [i for i, e in enumerate(s.elements) if (e.source, e.target) == ends]
+        terms = draw(st.dictionaries(st.sampled_from(hom), st.integers(1, 3), max_size=2))
+        dual = (star[b], star[a])
+        starred = {star[t]: m for t, m in terms.items()}
+        if dual == (a, b):
+            terms = {t: terms.get(t, 0) + starred.get(t, 0) for t in terms.keys() | starred}
+            starred = {star[t]: m for t, m in terms.items()}
+        rows[a, b] = tuple(x for t, m in sorted(terms.items()) for x in (t, m))
+        rows[dual] = tuple(x for t, m in sorted(starred.items()) for x in (t, m))
+    changed = [(a, b, rows[a, b]) for a, b, _ in entries]
+    return n, Shadow._on_ids(s.objects, s.elements, changed, star)
+
+
+@given(_bn_with_changed_entries())
+def test_kernel_matches_the_full_sweep_on_changed_bn_tables(case):
+    n, s = case
+    validate_shadow(s)
+    steps = bnverify._single_steps(s, n)
+    record, others, alone = _generator_sweep(s, [x for step in steps for x in step.values()])
+    full = check_associativity(s)
+    assert json.dumps(record) == json.dumps(full)
+    if others is not None:
+        assert alone == full["status"]
+
+
 def test_partial_sweep_keeps_the_rows_whose_dual_is_absent():
     # x* = y and y y is absent, so (x x)* is not validated; y x = x + y.
     # (x y) x = 0 but x (y x) = x x + x y = x, while the dual triple

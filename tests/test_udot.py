@@ -474,10 +474,14 @@ def test_verify_bn_builds_defining_action_once(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_bn_cells_report_reads_m_values_once_per_class(monkeypatch, n):
-    calls = _counting(monkeypatch, bnverify, "m_values")
+    # the report's own strong-regularity record checks each class once, and
+    # the m-statistic kernel does not check it again
+    calls = _counting(monkeypatch, bnverify, "_m_values")
+    regular = _counting(monkeypatch, bnverify, "is_strongly_regular")
     assert all(c["status"] == "pass" for c in bn_cells_report(n))
     two_sided = cell_partition(build_bn(n), "two-sided")
     assert [cls for _, cls in calls] == list(two_sided.classes)
+    assert [cls for _, cls in regular] == list(two_sided.classes)
 
 
 def test_verify_bn_reports_non_multiplicative_action(monkeypatch):
