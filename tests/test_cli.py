@@ -676,10 +676,11 @@ def test_exported_callables_raise_only_fiatcell_errors(entry_dir, name, data):
         func(*args)
     except fiatcell.FiatcellError:
         pass
-    typed = [i for i, kind in enumerate(_kinds(func) or ()) if kind in WRONG_TYPES]
+    kinds = _kinds(func) or []
+    typed = [i for i, kind in enumerate(kinds) if kind in WRONG_TYPES]
     if typed:
         i = data.draw(st.sampled_from(typed), label="wrong-type position")
-        args[i] = data.draw(WRONG_TYPES[_kinds(func)[i]], label="wrong type")
+        args[i] = data.draw(WRONG_TYPES[kinds[i]], label="wrong type")
         with pytest.raises(InputError):
             func(*args)
 
