@@ -1,22 +1,21 @@
 """Tour of the rank-n divided power shadows: elements, products, the
-normal form engine, cells and the m-statistic.
+quadrant basis, cells and the m-statistic.
 
 Run with: python3 demos/divided_power_tour.py
 """
 
 from fiatcell import (
+    bn_basis,
     build_bn,
     cell_partition,
     cell_poset,
     compose,
     dp,
-    dp_normalize,
     m_values,
     recursion_check,
     verify_relations,
 )
 from fiatcell.bnverify import bn_cells_report
-from fiatcell.udot import basis_change
 
 
 def banner(text):
@@ -41,21 +40,20 @@ def main():
         terms = {e.name: m for e, m in d.items()}
         print(f"  {a} o {b} = {terms}")
 
-    banner("Normal form of a raw word")
-    # letters apply right to left: F first (0 -> 1), then E (1 -> 0)
-    vec = dp_normalize(n, "EF", 0)
-    print("  E F at object 0 normalizes to " + str({m.name: c for m, c in vec.items()}))
-    table_entry = compose(s, s.element("E1^(1)"), s.element("F0^(1)"))
-    assert {m.name: c for m, c in vec.items()} == {
-        e.name: m for e, m in table_entry.items()
-    }
-    print("  matches the table entry for E1^(1) o F0^(1)")
+    banner("The quadrant basis of rank 4")
+    # FE-ordered monomials below the antidiagonal i + j = n, EF-ordered on
+    # and above it
+    basis = bn_basis(4)
+    for pair in [(0, 0), (1, 2), (2, 2), (3, 3)]:
+        print(f"  {pair}: " + ", ".join(m.name for m in basis[pair]))
 
     banner("Virtual monomials resolve into the canonical basis")
-    # F^(1)E^(1) at object 3 is not a basis element of rank 4; rewrite it
+    # F^(1)E^(1) at object 3 is not a basis element of rank 4; as the
+    # product F2^(1) after E3^(1) the table resolves it
     virt = dp("fe", 1, 1, 3)
-    resolved = basis_change(4, {virt: 1})
-    print(f"  {virt.name} in rank 4 = " + str({m.name: c for m, c in resolved.items()}))
+    s4 = build_bn(4)
+    resolved = compose(s4, s4.element("F2^(1)"), s4.element("E3^(1)"))
+    print(f"  {virt.name} in rank 4 = " + str({e.name: m for e, m in resolved.items()}))
 
     banner("Defining relations")
     for row in verify_relations(n):

@@ -38,22 +38,12 @@ _EXPORTS = {
         "Element",
         "Shadow",
         "compose",
-        "compose_left",
         "validate_shadow",
     ),
     "shadowfile": ("dumps_shadow", "load_shadow", "save_shadow"),
     "sweep": ("check_associativity",),
     "tableaux": ("MarginMatrix", "RskPair", "Tableau", "cells_via_rsk", "rsk", "rsk_inverse"),
-    "udot": (
-        "DPMonomial",
-        "basis_change",
-        "bn_basis",
-        "build_bn",
-        "dp",
-        "dp_normalize",
-        "gen_binom",
-        "normalize_blocks",
-    ),
+    "udot": ("DPMonomial", "bn_basis", "build_bn", "dp"),
 }
 
 # public name -> home module

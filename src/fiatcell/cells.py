@@ -45,9 +45,8 @@ def principal_ideal(s: Shadow, a: Element, kind: str) -> frozenset[Element]:
     """
     _check_kind(kind)
     check_type("shadow", s, Shadow)
-    if not s.has_element(a):
-        raise InputError(f"unknown element id {a.name!r}")
-    ideal = cell_data(s, kind).ideals[s.index_of(a)]
+    k = s.index_of(a)
+    ideal = cell_data(s, kind).ideals[k]
     return frozenset(s.elements[i] for i in _bits(ideal))
 
 
@@ -215,6 +214,8 @@ def cell_module(s: Shadow, left_cell: frozenset[Element]) -> CellModuleMatrices:
     Only the composable pairs (a, f) are read, and every matrix starts
     from one shared zero matrix, whose rows are shared immutable tuples.
     """
+    check_type("shadow", s, Shadow)
+    check_type("left cell", left_cell, frozenset)
     partition = cell_partition(s, "left")
     if left_cell not in partition.classes:
         raise InputError("the given set is not a left cell of this shadow")

@@ -98,11 +98,9 @@ def quotient_by_upset(s: Shadow, upset: frozenset[Element]) -> Shadow:
     dropped otherwise.
     """
     check_type("shadow", s, Shadow)
-    for e in upset:
-        if not s.has_element(e):
-            raise InputError(f"unknown element id {e.name!r}")
-    ideals = cell_data(s, "two-sided").ideals
+    check_type("upset", upset, frozenset)
     inside = sum(1 << s.index_of(e) for e in upset)
+    ideals = cell_data(s, "two-sided").ideals
     for a in _bits(inside):
         above = ideals[a] & ~inside
         if above:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING
 
-from .checks import ConsistencyError, InputError, is_int
+from .checks import ConsistencyError, InputError, check_type, is_int
 from .schur import (
     _antidominant,
     _check_tableau,
@@ -86,6 +86,8 @@ class RskPair:
     q: Tableau
 
     def __post_init__(self) -> None:
+        check_type("insertion tableau", self.p, Tableau)
+        check_type("recording tableau", self.q, Tableau)
         if self.p.shape != self.q.shape:
             raise InputError("tableaux have different shapes")
 
@@ -93,12 +95,14 @@ class RskPair:
 def rsk(a: MarginMatrix) -> RskPair:
     """Row insertion of the biword: bottom letters build the insertion
     tableau, top letters record the growth."""
+    check_type("matrix", a, MarginMatrix)
     p, q = _insert(a.entries)
     return RskPair(p=Tableau(p), q=Tableau(q))
 
 
 def rsk_inverse(pair: RskPair, n: int) -> MarginMatrix:
     """The unique matrix inserting to the given pair."""
+    check_type("pair", pair, RskPair)
     if not is_int(n):
         raise InputError(f"n must be an integer, got {n!r}")
     for t in (pair.p, pair.q):

@@ -24,7 +24,6 @@ from fiatcell import (
     cg_op,
     check_associativity,
     defining_action,
-    dp_normalize,
     recursion_check,
     save_shadow,
     single_cell_check,
@@ -39,6 +38,7 @@ from fiatcell.clebsch import associativity_unbounded
 from fiatcell.ideals import antichains
 from fiatcell.bnverify import bn_cells_report
 from udot_oracle import oracle_dp_coeffs
+from udot_rewriter import dp_normalize
 
 
 def test_bn_associativity_and_hom_pair_counts():
@@ -343,7 +343,7 @@ RECORDED_DEMO_DIGESTS = {
         "f8a089431c248ae70cd5f2ef9859810cf58ca3721fc9eb64dfc2a5364e681e6f"
     ),
     "divided_power_tour.py": (
-        "5db2dbd3d2c95235efb7fb256579469c7d839c539884c2b294a82c134cef4bba"
+        "73103d41bc17b90e2c0d78bb766b20c87e2247a697dd2f3b2a829cbe099190f1"
     ),
     "fusion_window.py": (
         "20b233256a41721ba1a1186f9e4458d72e195b43102f1e55154dcb4e850605de"

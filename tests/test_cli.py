@@ -29,7 +29,6 @@ from fiatcell import (
     dumps_shadow,
     load_shadow,
     save_shadow,
-    udot,
     window_shadow,
 )
 from fiatcell import checks
@@ -38,6 +37,7 @@ from fiatcell.cli import main
 from fiatcell.clebsch import CLEBSCH_LIMIT
 from fiatcell.ideals import IDEALS_LIMIT
 from fiatcell.shadowfile import FILE_LIMIT_ELEMENTS, FILE_LIMIT_TERMS, shadow_to_dict
+import udot_rewriter
 
 
 # F0^(1) and E1^(1), composable as E1^(1) after F0^(1)
@@ -374,6 +374,9 @@ def test_clebsch_refuses_bound_past_limit_before_any_work(monkeypatch, capsys, v
 # one 1 x 1 RSK pair, for rsk_inverse's bound
 PAIR = fiatcell.rsk(fiatcell.MarginMatrix(((1,),)))
 
+# the divided-power rewriter, which only the tests hold (udot_rewriter)
+REWRITER = {"basis_change", "compose_monomials", "dp_normalize", "normalize_blocks"}
+
 # entry -> bad arguments and the message each is refused with
 GUARDS = [
     ("verify_schur", (2.0, 3), "n must be an integer, got 2.0"),
@@ -443,9 +446,9 @@ GUARDS = [
     ("DPMonomial", ("ef", 1, 1, True), "object must be an integer, got True"),
     ("dp", ("fe", 1.0, 0, 0), "divided power must be an integer, got 1.0"),
     ("dp", ("ef", 1, True, 0), "divided power must be an integer, got True"),
-    ("gen_binom", (True, 1), "binomial top must be an integer, got True"),
-    ("gen_binom", (2.0, 1), "binomial top must be an integer, got 2.0"),
-    ("gen_binom", (2, 1.0), "binomial index must be an integer, got 1.0"),
+    ("DPMonomial", ("fe", 1, "1", 0), "divided power must be an integer, got '1'"),
+    ("DPMonomial", ("ef", None, 1, 0), "divided power must be an integer, got None"),
+    ("dp", ("fe", 0, 0, 0.0), "object must be an integer, got 0.0"),
     ("MarginMatrix", (((1.0,),),), "matrix entry must be an integer, got 1.0"),
     ("MarginMatrix", (((None,),),), "matrix entry must be an integer, got None"),
     # rsk would never return on this matrix: the refusal is tested, not rsk
@@ -471,7 +474,6 @@ TAKE_NO_INTEGER = {
     "cell_poset",
     "check_associativity",
     "compose",
-    "compose_left",
     "dumps_shadow",
     "is_strongly_regular",
     "load_shadow",
@@ -504,8 +506,8 @@ def test_every_exported_callable_is_guarded_or_listed():
     exported = {name for name in fiatcell.__all__ if callable(getattr(fiatcell, name))}
     for name in sorted(exported):
         assert sum(name in names for names in lists) == 1, name
-    # compose_monomials is the one guarded entry not exported at the top level
-    assert set().union(*lists) - exported == {"compose_monomials"}
+    # the rewriter, which the tests hold, is the one guarded entry not exported
+    assert set().union(*lists) - exported == REWRITER
 
 
 @pytest.mark.parametrize("entry, args, message", GUARDS)
@@ -513,8 +515,8 @@ def test_rank_guards_refuse_non_integers(entry, args, message):
     # built first: a cache keyed by value alone would hand 2.0 and True these
     # shadows without reaching the guard
     build_bn(1), build_bn(2)
-    # compose_monomials is the one entry not exported at the top level
-    func = getattr(fiatcell, entry) if entry in fiatcell.__all__ else getattr(udot, entry)
+    # the rewriter is the one entry not exported: the tests hold it
+    func = getattr(udot_rewriter if entry in REWRITER else fiatcell, entry)
     with pytest.raises(InputError) as err:
         func(*args)
     assert str(err.value) == message
@@ -553,7 +555,6 @@ ENTRY_MATRICES = [
     fiatcell.MarginMatrix(rows) for rows in (((1,),), ((0, 1), (1, 0)), ((1, 1), (0, 1)))
 ]
 ENTRY_PAIRS = [fiatcell.rsk(a) for a in ENTRY_MATRICES]
-ENTRY_MONOMIALS = [dp("fe", 0, 0, 0), F0, E1, dp("ef", 1, 1, 0), dp("fe", 1, 1, 1)]
 
 
 class _InDir(str):
@@ -597,10 +598,6 @@ ENTRY_ARGUMENTS = {
     "RskPair": st.sampled_from(ENTRY_PAIRS),
     "Tableau": st.sampled_from([pair.p for pair in ENTRY_PAIRS]),
     "tuple[tuple[int, ...], ...]": _ROWS,
-    "UVector": st.dictionaries(st.sampled_from(ENTRY_MONOMIALS), st.integers(-2, 3), max_size=3),
-    "random.Random | None": st.none() | st.integers(0, 3).map(random.Random),
-    "word": st.lists(st.sampled_from(["E", "F", "G", 1]), max_size=5),
-    "blocks": st.lists(st.tuples(st.sampled_from(["E", "F", "G"]), _INTEGERS), max_size=4),
     # the fields of the records, which keep what they are given
     "objects": st.lists(st.integers(0, 2), max_size=2).map(tuple),
     "elements": st.lists(_ELEMENT, max_size=3).map(tuple),
@@ -618,11 +615,18 @@ ENTRY_ARGUMENTS = {
 _ANY = st.one_of(_INTEGERS, _WORDS, _ELEMENT)
 
 
-# values of another type where a Shadow or a CellPoset is taken, a poset
-# for a shadow and a shadow for a poset among them
+# values of another type where a Shadow, a CellPoset, an element, a cell or
+# a Schur record is taken: a poset for a shadow, a shadow for a poset, an
+# element for a cell, a cell for an element, and a matrix for a tableau
+# pair and back among them
 WRONG_TYPES = {
     "Shadow": st.sampled_from([5, None, "bn", ENTRY_ELEMENTS, fiatcell.cell_poset(build_bn(1))]),
     "CellPoset": st.sampled_from([5, None, "bn", (), build_bn(1)]),
+    "Element": st.sampled_from([5, None, "e", frozenset({_E}), Decomposition({_E: 1}), build_bn(1)]),
+    "frozenset[Element]": st.sampled_from([5, None, "cell", _E, build_bn(1)]),
+    "MarginMatrix": st.sampled_from([5, None, ((1,),), ENTRY_PAIRS[0], ENTRY_PAIRS[0].p]),
+    "RskPair": st.sampled_from([5, None, (), ENTRY_MATRICES[0], ENTRY_PAIRS[0].p]),
+    "Tableau": st.sampled_from([5, None, ((1,),), ENTRY_MATRICES[0], ENTRY_PAIRS[0]]),
 }
 
 
@@ -667,8 +671,9 @@ def entry_dir(tmp_path_factory):
 def test_exported_callables_raise_only_fiatcell_errors(entry_dir, name, data):
     """Every exported callable, on small random arguments of the kinds it
     documents, returns or raises a FiatcellError, as the command line exits
-    0, 1 or 2 and never with a traceback. One that takes a Shadow or a
-    CellPoset raises InputError when one of them is of another type."""
+    0, 1 or 2 and never with a traceback. One that takes a Shadow, a
+    CellPoset, an element, a cell or a Schur record raises InputError when
+    one of them is of another type."""
     func = getattr(fiatcell, name)
     args = data.draw(_arguments(func), label="args")
     args = [str(entry_dir / a) if isinstance(a, _InDir) else a for a in args]
@@ -676,7 +681,8 @@ def test_exported_callables_raise_only_fiatcell_errors(entry_dir, name, data):
         func(*args)
     except fiatcell.FiatcellError:
         pass
-    kinds = _kinds(func) or []
+    # the records whose fields are data keep what they are given
+    kinds = [] if name in INTEGERS_AS_DATA else _kinds(func) or []
     typed = [i for i, kind in enumerate(kinds) if kind in WRONG_TYPES]
     if typed:
         i = data.draw(st.sampled_from(typed), label="wrong-type position")
@@ -691,7 +697,7 @@ def test_exported_callables_raise_only_fiatcell_errors(entry_dir, name, data):
         ("check_associativity", (5,), "shadow must be a Shadow, got int"),
         ("cell_module", (5, frozenset()), "shadow must be a Shadow, got int"),
         ("compose", (5, _E, _E), "shadow must be a Shadow, got int"),
-        ("compose_left", (None, _E, Decomposition()), "shadow must be a Shadow, got NoneType"),
+        ("validate_shadow", (None,), "shadow must be a Shadow, got NoneType"),
         ("thick_ideals", (5,), "poset must be a CellPoset, got int"),
         ("poset_to_dot", (build_bn(1), build_bn(1)), "poset must be a CellPoset, got Shadow"),
     ],

@@ -19,7 +19,6 @@ from fiatcell import (
     cell_partition,
     check_associativity,
     compose,
-    compose_left,
     dumps_shadow,
     is_strongly_regular,
     load_shadow,
@@ -118,8 +117,14 @@ def test_missing_entry_strict_vs_partial():
 
 
 def test_compose_helpers():
+    # T after each term of 2 T + U, summed with multiplicities
     s = associative_toy()
-    assert compose_left(s, T, Decomposition({T: 2, U: 1})).terms == {U: 3}
+    total = Decomposition.zero()
+    for t, m in Decomposition({T: 2, U: 1}).items():
+        for _ in range(m):
+            total = total + compose(s, T, t)
+    assert total.terms == {U: 3}
+    assert total.mult(U) == 3 and not total.is_zero
 
 
 def test_incomplete_table_is_an_error():
@@ -537,6 +542,111 @@ def test_sweep_with_the_involution_matches_reference_on_two_elements(swapped, co
             continue
         outcomes.append(_swept_as_reference(s))
     assert (outcomes.count("pass"), outcomes.count("fail"), outcomes.count("dual")) == counts
+
+
+def _validation_message(validate, s):
+    """The StructureError message validate gives on s, or None."""
+    try:
+        validate(s)
+    except StructureError as err:
+        return str(err)
+    return None
+
+
+def _dual_entry_pairs(s):
+    """The pairs of distinct dual non-identity entries of s, as the two
+    keys in table order."""
+    keys = list(s.table)
+    at = {key: k for k, key in enumerate(keys)}
+    inv = s.involution
+    pairs = []
+    for a, b in keys:
+        dual = (inv[b], inv[a])
+        if dual in at and at[(a, b)] < at[dual] and not (a.is_identity or b.is_identity):
+            pairs.append(((a, b), dual))
+    return pairs
+
+
+def _with_entry(s, key, d):
+    table = dict(s.table)
+    table[key] = d
+    return s._replace(table=table)
+
+
+def _assert_one_sided_corruptions_match_reference(s, pairs, changes):
+    """Change one entry of each dual pair, the first in table order and then
+    the second, each way changes gives: validate_shadow fails with the
+    message the reference validator gives, which walks every entry."""
+    failed = 0
+    for pair in pairs:
+        for key in pair:
+            for change in changes(s, key):
+                corrupted = _with_entry(s, key, change)
+                want = _validation_message(reference_validate, corrupted)
+                assert _validation_message(validate_shadow, corrupted) == want, (key, want)
+                failed += want is not None
+    return failed
+
+
+def _bump_each_term(s, key):
+    terms = s.table[key].terms
+    return [Decomposition({**terms, t: terms[t] + 1}) for t in terms]
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_one_sided_corruption_of_a_dual_pair_is_reported_as_before(rank):
+    s = build_bn(rank)
+    pairs = _dual_entry_pairs(s)
+    # every first entry's dual comes later, so half of the corruptions hit
+    # the entry the loop skips
+    assert pairs and all(a != b for a, b in pairs)
+    failed = _assert_one_sided_corruptions_match_reference(s, pairs, _bump_each_term)
+    assert failed == sum(2 * len(s.table[first].terms) for first, _ in pairs)
+
+
+@pytest.mark.parametrize("swapped", [True, False])
+def test_one_sided_corruption_of_a_dual_pair_on_two_elements(swapped):
+    # every valid table on e, x, y with multiplicities 0 or 1, x* = y or x
+    # and y fixed, with one entry of its one dual pair given each other
+    # term set
+    x, y = Element("x", 0, 0), Element("y", 0, 0)
+    inv = {E: E, x: y, y: x} if swapped else {E: E, x: x, y: y}
+    pairs = [(x, x), (x, y), (y, x), (y, y)]
+    supports = [
+        Decomposition({t: 1 for k, t in enumerate((E, x, y)) if bits >> k & 1})
+        for bits in range(8)
+    ]
+    tables = failed = 0
+    for bits in range(2**12):
+        table = {pair: supports[bits >> (3 * i) & 7] for i, pair in enumerate(pairs)}
+        s = one_object_shadow(table, elements=(E, x, y), involution=inv)
+        if _validation_message(validate_shadow, s) is not None:
+            continue
+        tables += 1
+        failed += _assert_one_sided_corruptions_match_reference(
+            s,
+            _dual_entry_pairs(s),
+            lambda s, key: [d for d in supports if d != s.table[key]],
+        )
+    # each valid table has one pair of distinct dual entries, and each of
+    # the 2 x 7 changes breaks the involution
+    assert failed == tables * 14 > 0
+
+
+def test_partial_window_without_dual_entries_passes():
+    # drop the second entry of every dual pair of a window: the first
+    # entries are left without their duals, which a partial table allows
+    s = window_shadow(6)
+    pairs = _dual_entry_pairs(s)
+    assert pairs
+    table = {key: d for key, d in s.table.items() if key not in {b for _, b in pairs}}
+    windowed = s._replace(table=table)
+    assert windowed.partial and len(windowed.table) == len(s.table) - len(pairs)
+    validate_shadow(windowed)
+    reference_validate(windowed)
+    # a changed entry whose dual is absent is not compared with anything
+    first = pairs[0][0]
+    validate_shadow(_with_entry(windowed, first, windowed.table[first] + windowed.table[first]))
 
 
 G = Element("g", 0, 0)

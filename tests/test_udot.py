@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import product
 from math import comb, factorial
 
@@ -12,7 +13,6 @@ from fiatcell import (
     FiatcellError,
     InputError,
     Shadow,
-    basis_change,
     bn_basis,
     build_bn,
     cell_module,
@@ -20,9 +20,6 @@ from fiatcell import (
     compose,
     defining_action,
     dp,
-    dp_normalize,
-    gen_binom,
-    normalize_blocks,
     recursion_check,
     verify_bn,
     verify_relations,
@@ -36,14 +33,24 @@ from fiatcell.bnverify import (
 )
 from fiatcell.udot import (
     DESK_LIMIT,
-    WORD_LIMIT,
     DPMonomial,
+    _binom,
     bn_element_monomials,
-    compose_monomials,
     pair_basis,
     pair_orientation,
 )
+import udot_rewriter
 from udot_oracle import oracle_block_coeffs, oracle_dp_coeffs
+from udot_rewriter import (
+    WORD_LIMIT,
+    basis_change,
+    compose_monomials,
+    dp_normalize,
+    normalize_blocks,
+)
+
+# the rewriter's public names, which the package must not hold
+REWRITER = {"normalize_blocks", "dp_normalize", "basis_change", "compose_monomials"}
 
 B2_ELEMENT_ORDER = [
     "1_0", "F0^(1)", "F0^(2)", "E1^(1)", "1_1",
@@ -55,9 +62,12 @@ def as_pairs(vec):
     return {(m.fpow, m.epow): c for m, c in vec.items()}
 
 
+# the generalised binomial that build_bn's expansions and the rewriter use
+
+
 @given(st.integers(0, 40), st.integers(0, 12))
 def test_gen_binom_matches_comb(m, k):
-    assert gen_binom(m, k) == comb(m, k)
+    assert _binom(m, k) == comb(m, k)
 
 
 @given(st.integers(1, 20), st.integers(0, 10))
@@ -65,14 +75,14 @@ def test_gen_binom_negative_top(m, k):
     falling = 1
     for t in range(k):
         falling *= -m - t
-    assert gen_binom(-m, k) == falling // factorial(k)
+    assert _binom(-m, k) == falling // factorial(k)
     assert falling % factorial(k) == 0
 
 
 def test_gen_binom_edges():
-    assert gen_binom(3, 5) == 0
-    assert gen_binom(5, -1) == 0
-    assert gen_binom(-2, 3) == -4
+    assert _binom(3, 5) == 0
+    assert _binom(5, -1) == 0
+    assert _binom(-2, 3) == -4
 
 
 def test_monomial_canonical_kind():
@@ -212,7 +222,7 @@ def test_word_past_the_bound_is_refused_before_rewriting(monkeypatch):
     # at the limit the word is straightened; one step past it, no rewrite runs
     at, past = "EF" * (WORD_LIMIT // 2), "EF" * (WORD_LIMIT // 2) + "F"
     assert as_pairs(dp_normalize(1, at, 0)) == oracle_dp_coeffs(1, at, 0)
-    calls = _counting(monkeypatch, udot, "_straighten")
+    calls = _counting(monkeypatch, udot_rewriter, "_straighten")
     message = f"word has total power {WORD_LIMIT + 1}, more than the limit of {WORD_LIMIT}"
     for call in (
         lambda: dp_normalize(DESK_LIMIT, past, 4),
@@ -342,17 +352,40 @@ def test_build_bn_table_matches_rewriter_oracle(n):
 
 
 def test_build_bn_runs_no_rewriter(monkeypatch):
-    calls = _counting(monkeypatch, udot, "normalize_blocks")
+    # no module of the package holds a name of the rewriter, which lives in
+    # the tests; a fresh rank-8 build reaches it through none of them
+    assert not any(REWRITER & set(vars(m)) for m in _package_modules())
+    calls = _counting(monkeypatch, udot_rewriter, "normalize_blocks")
     build_bn.cache_clear()
     build_bn(8)
     assert calls == []
 
 
+def _flip_expansion(monkeypatch, name):
+    """Make build_bn expand the monomial called name with every sign flipped."""
+    real = udot._fe_expansion
+
+    def flipped(n, m):
+        terms = real(n, m)
+        return tuple((f, e, -c) for f, e, c in terms) if m.name == name else terms
+
+    monkeypatch.setattr(udot, "_fe_expansion", flipped)
+
+
 def test_build_bn_refuses_negative_product(monkeypatch):
-    real = udot.weight
-    monkeypatch.setattr(udot, "weight", lambda n, i: real(n, i) + 2)
-    with pytest.raises(ConsistencyError, match="negative multiplicity -2 at 1_1"):
+    # the first product of the flipped E2^(1)F1^(1) in table order, after
+    # F0^(1), is one FE monomial: -2 F0^(1)
+    _flip_expansion(monkeypatch, "E2^(1)F1^(1)")
+    with pytest.raises(ConsistencyError, match=r"negative multiplicity -2 at F0\^\(1\)"):
         build_bn.__wrapped__(2)
+
+
+def test_build_bn_refuses_negative_sum_of_products(monkeypatch):
+    # E3^(1)F2^(1) expands into two FE monomials at rank 3, so its products
+    # are summed: the first, after F0^(2), is -3 F0^(2)
+    _flip_expansion(monkeypatch, "E3^(1)F2^(1)")
+    with pytest.raises(ConsistencyError, match=r"negative multiplicity -3 at F0\^\(2\)"):
+        build_bn.__wrapped__(3)
 
 
 def test_build_bn_refuses_product_outside_basis(monkeypatch):
@@ -451,6 +484,10 @@ def test_defining_action_refuses_element_off_its_monomial(monkeypatch):
     monkeypatch.setattr(bnverify, "build_bn", lambda n: s._replace(elements=elements))
     with pytest.raises(ConsistencyError, match=r"F0\^\(1\) runs 0 -> 1, not 0 -> 2"):
         defining_action(2)
+
+
+def _package_modules():
+    return [m for name, m in sys.modules.items() if name.split(".")[0] == "fiatcell"]
 
 
 def _counting(monkeypatch, module, name):
@@ -786,6 +823,60 @@ def test_rank_reduction_reports_the_whole_quotient(monkeypatch, n, change, witne
     }
 
 
+def _name_keyed_record(n):
+    """recursion_check's record from the name-keyed comparison alone: every
+    shifted product that the quotient lacks or reads differently, then the
+    whole quotient."""
+    big = bnverify.build_bn(n)
+    lower = bnverify.build_bn(n - 2)
+    top = bnverify.cell_data(big, "two-sided").cell_of[big._id_of["1_0"]]
+    quotient = bnverify._file_form(bnverify.quotient_by_upset(big, top))
+    shifted = bnverify._file_form(
+        bnverify.shift_shadow(lower, bn_element_monomials(n - 2), 1)
+    )
+    witnesses = [
+        {"pair": list(pair)}
+        for pair, result in shifted[-1].items()
+        if quotient[-1].get(pair) != result
+    ]
+    if quotient != shifted:
+        witnesses.append(QUOTIENT_DIFFERS)
+    return {"check": "rank-reduction-index-shift", "status": "fail", "witnesses": witnesses}
+
+
+@pytest.mark.parametrize(
+    "n, rank, change, pairs",
+    [
+        # a self-dual product of the lower rank, and one with its dual
+        (4, 2, dict(entry=("E1^(1)", "F0^(1)", {"1_0": 3})), [["E2^(1)", "F1^(1)"]]),
+        (
+            5,
+            3,
+            dict(entry=("F1^(1)", "F0^(1)", {"F0^(2)": 3})),
+            [["E2^(1)", "E3^(1)"], ["F2^(1)", "F1^(1)"]],
+        ),
+        # a renamed element of the higher rank: the products that name it
+        (4, 4, dict(elements={"E2^(1)": "X"}), None),
+    ],
+    ids=["self-dual-product", "dual-products", "renamed-element"],
+)
+def test_rank_reduction_falls_back_to_names(monkeypatch, n, rank, change, pairs):
+    # the changed rank is a fresh copy on ids, never the cached shadow, so
+    # the quotient and the shifted shadow differ on ids and are compared by
+    # name; the record is the name-keyed one
+    forms = _counting(monkeypatch, bnverify, "_file_form")
+    assert recursion_check(n)["status"] == "pass" and forms == []
+    _patch_rank(monkeypatch, rank, _on_ids_copy(rank, **change))
+    record = recursion_check(n)
+    assert len(forms) == 2
+    assert record == _name_keyed_record(n)
+    assert record["witnesses"][-1] == QUOTIENT_DIFFERS
+    if pairs is not None:
+        assert record["witnesses"][:-1] == [{"pair": pair} for pair in pairs]
+    else:
+        assert len(record["witnesses"]) > 1
+
+
 def test_rank_reduction_reports_a_quotient_with_more_products(monkeypatch):
     # the lower rank lacks one product: every product it has agrees, but
     # the quotient has one more
@@ -796,12 +887,11 @@ def test_rank_reduction_reports_a_quotient_with_more_products(monkeypatch):
 
 
 def test_verify_bn_runs_no_rewriter(monkeypatch):
-    # the suite holds no name of the rewriter, so it could reach it only
-    # through udot, where it is counted
-    rewriter = {"normalize_blocks", "dp_normalize", "basis_change", "compose_monomials"}
-    assert not rewriter & set(vars(bnverify))
-    rewrites = _counting(monkeypatch, udot, "normalize_blocks")
-    changes = _counting(monkeypatch, udot, "basis_change")
+    # the rewriter lives in the tests, and no module of the package holds
+    # one of its names
+    assert not any(REWRITER & set(vars(m)) for m in _package_modules())
+    rewrites = _counting(monkeypatch, udot_rewriter, "normalize_blocks")
+    changes = _counting(monkeypatch, udot_rewriter, "basis_change")
     build_bn.cache_clear()
     for n in range(1, 9):
         assert all(c["status"] == "pass" for c in verify_bn(n))
