@@ -42,7 +42,8 @@ def is_int(value) -> bool:
 def check_type(what: str, value, kind: type) -> None:
     """Raise InputError unless value is a kind."""
     if not isinstance(value, kind):
-        raise InputError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise InputError(f"{what} must be {article} {kind.__name__}, got {type(value).__name__}")
 
 
 def check_range(what: str, value, lo: int, hi: int) -> None:

@@ -183,12 +183,15 @@ def _fe_expansion(n: int, m: DPMonomial) -> tuple[tuple[int, int, int], ...]:
 
 
 def _binomials(n: int) -> list[list[int]]:
-    """C(top, j) for |top| <= 4n and 0 <= j <= n, at [top][j]: row top sits
+    """C(top, j) for |top| <= 2n and 0 <= j <= n, at [top][j]: row top sits
     at index top, so a negative top reads from the end of the list, and the
-    rows of nonnegative top are Pascal's triangle. Each row comes from
-    C(top, j) = C(top, j - 1) (top - j + 1) / j, an exact division."""
+    rows of nonnegative top are Pascal's triangle. A product of two rank-n
+    basis monomials exchanges at a top e1 - f2 + w with powers and |w| at
+    most n, and merges to powers of at most n, its endpoints being in
+    range. Each row comes from C(top, j) = C(top, j - 1) (top - j + 1) / j,
+    an exact division."""
     rows = []
-    for top in (*range(4 * n + 1), *range(-4 * n, 0)):
+    for top in (*range(2 * n + 1), *range(-2 * n, 0)):
         row = [1]
         for j in range(1, n + 1):
             row.append(row[-1] * (top - j + 1) // j)

@@ -5,7 +5,6 @@ import io
 import itertools
 import json
 import os
-import random
 import subprocess
 import sys
 import tempfile
@@ -700,6 +699,14 @@ def test_exported_callables_raise_only_fiatcell_errors(entry_dir, name, data):
         ("validate_shadow", (None,), "shadow must be a Shadow, got NoneType"),
         ("thick_ideals", (5,), "poset must be a CellPoset, got int"),
         ("poset_to_dot", (build_bn(1), build_bn(1)), "poset must be a CellPoset, got Shadow"),
+        ("compose", (build_bn(1), 5, _E), "element must be an Element, got int"),
+        ("principal_ideal", (build_bn(1), "1_0", "left"), "element must be an Element, got str"),
+        ("cell_module", (build_bn(1), _E), "left cell must be a frozenset, got Element"),
+        ("m_values", (build_bn(1), [_E]), "two-sided cell must be a frozenset, got list"),
+        ("quotient_by_upset", (build_bn(1), None), "upset must be a frozenset, got NoneType"),
+        ("rsk", (((1,),),), "matrix must be a MarginMatrix, got tuple"),
+        ("rsk_inverse", (((1,),), 1), "pair must be a RskPair, got tuple"),
+        ("RskPair", (5, 5), "insertion tableau must be a Tableau, got int"),
     ],
 )
 def test_shadow_and_poset_parameters_refuse_other_types(name, args, message):
