@@ -19,7 +19,7 @@ from .checks import ConsistencyError, InputError, StructureError, check, check_r
 from .checks import emit_results, parse_range, probes
 from .ideals import quotient_by_upset, thick_ideals, upsets_by_enumeration
 from .shadow import Element, Shadow, _pairs, _table_ids
-from .sweep import _associativity
+from .sweep import check_associativity
 from .udot import DESK_LIMIT, DPMonomial, bn_element_monomials, build_bn, check_bn_rank, dp
 from .udot import pair_orientation
 
@@ -418,12 +418,10 @@ def recursion_check(n: int) -> dict:
 
 
 def verify_bn(n: int) -> list[dict]:
-    """Full check suite for the rank-n shadow. Associativity sweeps only
-    the rows whose middle is a single step, which generate the table
-    (sweep._associativity); the record is check_associativity's."""
+    """Full check suite for the rank-n shadow."""
     s = build_bn(n)
     try:
-        record = _associativity(s, [x for steps in _single_steps(s, n) for x in steps.values()])
+        record = check_associativity(s)
     except StructureError as err:
         return [check("structure", False, [str(err)])]
     ok = record["status"] == "pass"

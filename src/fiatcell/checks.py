@@ -186,7 +186,8 @@ def _lines(x, pad: str):
     kinds = set(map(type, x))
     if len(kinds) == 1 and (kind := kinds.pop()) in _SCALARS:
         return map(_SCALARS[kind], x)
-    fields = tuple(x[0]) if type(x[0]) is dict else ()
+    # str fields only: a row keyed True would match a template keyed 1
+    fields = tuple(x[0]) if type(x[0]) is dict and all(type(k) is str for k in x[0]) else ()
     if not fields:
         return (_text(v, pad) for v in x)
     at = pad + "  "

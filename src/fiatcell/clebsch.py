@@ -10,6 +10,7 @@ command line builds and verifies windows up to CLEBSCH_LIMIT.
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import add, sub
 
 from .checks import check, check_range, emit, emit_results
@@ -79,8 +80,130 @@ def associativity_unbounded(max_value: int) -> dict:
     "fusion-associativity-unbounded", whose one witness on failure is the
     first failing triple [a, b, c].
 
-    _cg_op is called once for each m, n <= 2 * max_value with m or n at most
-    max_value, which covers every product of a product. Each result is read
+    Light's test answers first (_generated_by_one). When one of its
+    premises or comparisons fails, the full comparison answers
+    (_full_comparison), so the record is always the full comparison's.
+    """
+    check_clebsch_max(max_value)
+    if _generated_by_one(max_value):
+        return check("fusion-associativity-unbounded", True)
+    return _full_comparison(max_value)
+
+
+def _generated_by_one(max_value: int) -> bool:
+    """True when every triple up to K = max_value associates, by Light's
+    test with the one generator 1; False when that is not shown.
+
+    Write m n for the sum of the terms of _cg_op(m, n), extended bilinearly
+    to the free Z-module on 0, 1, 2, ..., and A(x, g, y) = (x g) y - x (g y)
+    for the associator, which is trilinear. Every bilinear product has
+    A(x, g h, y) = A(x g, h, y) + A(x, g, h y) - A(x, g, h) y - x A(g, h, y).
+    The test reads the products whose factors are at most 2K, but (2K, 2K),
+    checks three premises on each of them:
+
+    - 0 is a strict unit: 0 n = n and m 0 = m;
+    - 1 j = (j - 1) + (j + 1), each once, for 1 <= j < K;
+    - every term of m n lies in 0..m + n;
+
+    and compares (x 1) y with x (1 y) for all x, y <= 2K - 1.
+
+    Claim: A(x, b, y) = 0 for 1 <= b <= K and x + b, y + b <= 2K. For b = 1
+    that is the comparison. For b >= 2, the second premise gives b =
+    1 (b - 1) - (b - 2), and the identity with g = 1, h = b - 1 gives
+    A(x, b, y) = A(x 1, b - 1, y) + A(x, 1, (b - 1) y) - A(x, 1, b - 1) y
+    - x A(1, b - 1, y) - A(x, b - 2, y). By the third premise every term x'
+    of x 1 has x' + b - 1 <= x + b and every term y' of (b - 1) y has
+    y' + 1 <= y + b, so each associator on the right vanishes by the claim
+    for b - 1 or 1, and the last by the claim for b - 2 or, at b = 2, by
+    the unit. For a, b, c <= K, a + b and b + c are at most 2K, and
+    A(a, 0, c) = 0 by the unit, so every triple up to K associates.
+
+    The products are read a row m at a time. One whose terms are the run
+    lo, lo + 2, ..., hi, each once, is kept only as lo and hi + 2 and
+    packed, as in _full_comparison, as the difference of two step-2 prefix
+    sums of the slots 2 ** (width * t). The run is tried at lo = |m - n|,
+    the fusion rule's, and confirmed exactly: a frozenset of k terms that
+    holds the k of the run is the run. Any other product is kept by its
+    terms and packed as the sum of its slots. A slot of (x 1) y or of x (1 y) is at
+    most longest * heaviest, the most terms of one product x 1 or 1 y
+    times the largest multiplicity of one term in any product read, and
+    width is the bit length of that, so the two sums are equal exactly
+    when their multiplicity vectors are. K = 0 is left to the full
+    comparison, which reads the one product 0 0.
+    """
+    if max_value < 1:
+        return False
+    top = 2 * max_value
+    size = top + 1
+    # the product m n at m * size + n
+    los: list[int] = []
+    ends: list[int] = []
+    others: dict[int, tuple[int, ...]] = {}  # the products that are not runs
+    heaviest = longest = 1
+    for m in range(size):
+        row = [_cg_op(m, n) for n in range(size if m < top else top)]
+        if not _exactly(row[0], m) or m == 0 and not all(map(_exactly, row, range(size))):
+            return False
+        if m == 1:
+            if not all(_exactly(row[j], j - 1, j + 1) for j in range(1, max_value)):
+                return False
+            longest = max(longest, *map(len, row))
+        longest = max(longest, len(row[1]))
+        for n, ts in enumerate(row):
+            lo = abs(m - n)
+            hi = lo + 2 * len(ts) - 2
+            if hi <= m + n and type(ts) is frozenset and ts.issuperset(range(lo, hi + 1, 2)):
+                los.append(lo)
+                ends.append(hi + 2)
+                continue
+            if ts:
+                if min(ts) < 0 or max(ts) > m + n:
+                    return False
+                heaviest = max(heaviest, *Counter(ts).values())
+            los.append(0)
+            ends.append(0)
+            others[m * size + n] = tuple(ts)
+    width = (longest * heaviest).bit_length()
+    # prefix[j]: the sum of 2 ** (width * t) over t < j, t = j (mod 2)
+    prefix = [0, 0]
+    for t in range(2 * top + 1):
+        prefix.append(prefix[-2] + (1 << (width * t)))
+    at = prefix.__getitem__
+    packed = list(map(sub, map(at, ends), map(at, los)))
+    for i, ts in others.items():
+        packed[i] = sum(1 << (width * t) for t in ts)
+    packed.append(0)  # (2K, 2K), never read
+    rows = [packed[m * size : (m + 1) * size] for m in range(size)]
+    columns = list(zip(*rows))
+
+    def terms(i: int):
+        return others[i] if i in others else range(los[i], ends[i] - 1, 2)
+
+    def total(vectors, ids) -> list[int]:
+        # the sum of vectors[i] over ids, counted with repeats, cut to top
+        out = [0] * top
+        for i in ids:
+            out = list(map(add, out, vectors[i]))
+        return out
+
+    # right[x][y] = x (1 y): the column sums, read by rows
+    right = list(zip(*[total(columns, terms(size + y)) for y in range(top)]))
+    # (x 1) y, a row at a time
+    return all(tuple(total(rows, terms(x * size + 1))) == right[x] for x in range(top))
+
+
+def _exactly(ts, *terms: int) -> bool:
+    # the product ts lists the distinct terms, each once, and nothing else
+    return len(ts) == len(terms) and all(t in ts for t in terms)
+
+
+def _full_comparison(max_value: int) -> dict:
+    """associativity_unbounded's record from every triple up to the bound.
+
+    _cg_op is called for each m, n <= reach with m or n at most max_value,
+    which covers every product of a product: reach is the largest term of a
+    product a b with a, b <= max_value, found by reading those products once
+    more, and at least 2 * max_value, the fusion rule's. Each result is read
     as a multiset (a term listed twice counts twice) and packed into one
     integer, the sum of 2 ** (width * x) over its terms x. (a b) c is then
     the sum of packed[t][c] over t in a b, and a (b c) the sum of
@@ -97,12 +220,13 @@ def associativity_unbounded(max_value: int) -> dict:
     over column c for a b, over row a for b c. The prefix sums themselves
     may carry between slots, but integer subtraction is exact, so each
     difference is the very integer the term-by-term sum gives, slots and
-    all. Any other product is summed term by term. Rows run in lexicographic order of
-    (a, b), and a row that differs is read c by c, so the witness is the
-    first failing triple in lexicographic order.
+    all. Any other product is summed term by term. Rows run in
+    lexicographic order of (a, b), and a row that differs is read c by c,
+    so the witness is the first failing triple in lexicographic order.
     """
     outer = range(max_value + 1)
-    table = range(2 * max_value + 1)
+    reach = max(2 * max_value, *(max(_cg_op(a, b), default=0) for a in outer for b in outer))
+    table = range(reach + 1)
     cut = max_value + 1
     # an entry with both factors above max_value is never read
     terms = [

@@ -93,7 +93,9 @@ def _pack(s: Shadow, rows, order) -> tuple[list[int], int, dict]:
 
 
 def check_associativity(s: Shadow) -> dict:
-    """Exhaustively compare (a b) c with a (b c) at the multiplicity level.
+    """Compare (a b) c with a (b c) at the multiplicity level, for every
+    triple or, on a full table, for the triples whose middle is a generator
+    the sweep picks itself (Light's associativity test).
 
     Returns the check record "associativity" with the counters checked and
     skipped; a genuine counterexample fails it, its one witness the first
@@ -125,38 +127,24 @@ def check_associativity(s: Shadow) -> dict:
     witness is the first of them. A partial shadow sweeps every row: its
     involution is checked only on the entries whose dual is present.
 
-    `verify bn` reaches the same record through _associativity, which on
-    the bn tables sweeps only the rows whose middle is a single step E_i or
-    F_i, the generators of the table (Light's associativity test).
-    """
-    validate_shadow(s)
-    return _sweep(s, ())
-
-
-def _associativity(s: Shadow, generators) -> dict:
-    """check_associativity's record, sweeping only the rows whose middle is
-    a generator when the generators generate the table.
-
-    The generators are the given ids and their images under the
-    involution. Its hypotheses are a full table, strict identities and the
-    involution, all validated. Extend the product bilinearly to the free
-    Z-module on the elements, non-composable products reading as zero. The
-    g with (x g) y = x (g y) for all x and y then form a subring: for two
-    such g and h, (x (g h)) y = ((x g) h) y = (x g) (h y) = x (g (h y)) =
+    Light's test. Extend the product bilinearly to the free Z-module on the
+    elements, non-composable products reading as zero. The g with
+    (x g) y = x (g y) for all x and y then form a subring: for two such g
+    and h, (x (g h)) y = ((x g) h) y = (x g) (h y) = x (g (h y)) =
     x ((g h) y). It holds the identities, which act strictly, and the
-    images of its members under the involution, an anti-homomorphism.
-    It is saturated over Z: the associator is trilinear and its values lie
-    in a free Z-module, so if m e is in it for some m > 0, so is e. So once
-    _closure reaches every element, every row passes when the generators'
-    rows do, and those rows are the only ones swept; the others count as
-    checked, as the identity and dual rows do. The full sweep runs instead
-    on a partial table, when the closure falls short or when a generator's
-    row fails, so the record is always check_associativity's: its status,
-    witness, checked and skipped.
+    images of its members under the involution, an anti-homomorphism. It is
+    saturated over Z: the associator is trilinear and its values lie in a
+    free Z-module, so if m e is in it for some m > 0, so is e. So once
+    _closure generates every element, every row passes when the
+    generators' rows do, and those rows are the only ones swept; the others
+    count as checked, as the identity and dual rows do. The full sweep runs
+    instead on a partial table, when the closure gives up or when a
+    generator's row fails, so the record is always the full sweep's: its
+    status, witness, checked and skipped.
     """
     validate_shadow(s)
     if not s.partial:
-        others = _closure(s, generators)
+        others = _closure(s)
         if others is not None:
             record = _sweep(s, others)
             if record["status"] == "pass":
@@ -164,44 +152,82 @@ def _associativity(s: Shadow, generators) -> dict:
     return _sweep(s, ())
 
 
-def _closure(s: Shadow, generators) -> list[int] | None:
-    """The ids that are not generators (the given ids and their images
-    under the involution) when every element is generated, None otherwise.
+def _closure(s: Shadow) -> list[int] | None:
+    """The ids that are not generators once every element is generated,
+    None when the closure gives up: when more than half of the elements
+    would be generators.
 
-    An element is generated when it is an identity, a generator, or the
-    only term, of any multiplicity, of the entry of two generated
-    elements. One worklist pass over the integer view of a full table:
-    each element meets, when it is generated, every element generated
-    before it and itself, on both sides. Identities meet none, since they
-    act strictly.
+    Identities are generated. An entry of two generated elements whose
+    terms are all generated but one generates that one, of any
+    multiplicity: m e is the entry minus generated terms. When nothing is
+    left to do, the lowest element not yet generated becomes a generator,
+    together with its image under the involution. One worklist pass over
+    the integer view of a full table: each element meets, once generated,
+    every element that met the others before it and itself, on both sides
+    (identities meet none, since they act strictly). An entry met with two
+    or more ungenerated terms keeps their count, counted down as they are
+    generated, and generates its last one when the count reaches one, so
+    each entry is read a bounded number of times.
     """
     source, _, rows, _, star = s._view
     elements = s.elements
     n = len(elements)
-    gens = set(generators)
-    if star is not None:
-        gens.update([star[g] for g in gens])
-    seen = [e.is_identity or i in gens for i, e in enumerate(elements)]
+    seen = [e.is_identity for e in elements]
     missing = seen.count(False)
-    todo = [g for g in sorted(gens) if not elements[g].is_identity]
-    into: dict[int, list[int]] = {}  # object -> the generated ids with that target
-    out_of: dict[int, list[int]] = {}  # object -> the generated ids with that source
-    for x in todo:
-        if not missing:
-            break
-        o, t = source[x], elements[x].target
-        into.setdefault(t, []).append(x)
-        out_of.setdefault(o, []).append(x)
-        entries = [rows[x * n + y] for y in into.get(o, ())]
-        entries += [rows[y * n + x] for y in out_of.get(t, ())]
-        for row in entries:
-            if len(row) == 2 and not seen[row[0]]:
-                seen[row[0]] = True
-                missing -= 1
-                todo.append(row[0])
-    if missing:
-        return None
-    return [b for b in range(n) if b not in gens]
+    generator = [False] * n
+    generators = 0
+    low = 0  # every id below low is generated
+    found: list[int] = []  # generated ids, not yet marked in seen
+    todo: list[int] = []  # marked ids that have not met the others
+    waiting: list[list[int]] = [[] for _ in range(n)]  # id -> the entries it is ungenerated in
+    count: dict[int, int] = {}  # entry -> its ungenerated terms, two or more when met
+    into: dict[int, list[int]] = {}  # object -> the met ids with that target
+    out_of: dict[int, list[int]] = {}  # object -> the met ids with that source
+    while missing:
+        if found:
+            u = found.pop()
+            if seen[u]:
+                continue
+            seen[u] = True
+            missing -= 1
+            todo.append(u)
+            for pos in waiting[u]:
+                count[pos] -= 1
+                if count[pos] == 1:
+                    found += [v for v in rows[pos][::2] if not seen[v]]
+        elif todo:
+            x = todo.pop()
+            o, t = source[x], elements[x].target
+            at = [x * n + y for y in into.get(o, ())]
+            at += [y * n + x for y in out_of.get(t, ())]
+            if o == t:
+                at.append(x * n + x)
+            into.setdefault(t, []).append(x)
+            out_of.setdefault(o, []).append(x)
+            for pos in at:
+                row = rows[pos]
+                if len(row) == 2:  # one term, the common case
+                    if not seen[row[0]]:
+                        found.append(row[0])
+                    continue
+                ungenerated = {u for u in row[::2] if not seen[u]}
+                if len(ungenerated) == 1:
+                    found += ungenerated
+                elif ungenerated:
+                    count[pos] = len(ungenerated)
+                    for u in ungenerated:
+                        waiting[u].append(pos)
+        else:
+            while seen[low]:
+                low += 1
+            for g in {low, low if star is None else star[low]}:
+                if not seen[g]:
+                    generator[g] = True
+                    generators += 1
+                    found.append(g)
+            if 2 * generators > n:
+                return None
+    return [b for b in range(n) if not generator[b]]
 
 
 def _sweep(s: Shadow, others) -> dict:

@@ -59,6 +59,22 @@ def test_unbounded_associativity():
     }
 
 
+@pytest.mark.parametrize(
+    "bound, message",
+    [
+        (-1, "window bound must be between 0 and 90, got -1"),
+        (91, "window bound must be between 0 and 90, got 91"),
+        (True, "window bound must be an integer, got True"),
+        (2.0, "window bound must be an integer, got 2.0"),
+        ("3", "window bound must be an integer, got '3'"),
+    ],
+)
+def test_unbounded_associativity_refuses_a_bad_bound(bound, message):
+    with pytest.raises(InputError) as err:
+        associativity_unbounded(bound)
+    assert str(err.value) == message
+
+
 def _fusion(m, n):
     """The fusion rule written out, so that a rule patched in for _cg_op
     below does not call itself through cg_op."""
@@ -196,6 +212,85 @@ def test_slot_width_counts_multiplicities_inside_entries(monkeypatch):
     assert _multiset(rule, 1) == (False, (1, 1, 0))
     monkeypatch.setattr(clebsch, "_cg_op", rule)
     assert associativity_unbounded(1) == _record((False, (1, 1, 0)))
+
+
+def _corruptions(max_value):
+    """Every single-entry corruption of the fusion rule at factors up to 2K,
+    but (2K, 2K), which neither comparison reads: the top term dropped, the
+    bottom term doubled, the top pushed past m + n, and a term of the other
+    parity added below m + n."""
+    top = 2 * max_value
+    for m in range(top + 1):
+        for n in range(top + 1):
+            if m == n == top:
+                continue
+            terms = sorted(_fusion(m, n))
+            changes = [terms[:-1], [*terms, terms[0]], [*terms[:-1], m + n + 2]]
+            if m + n:
+                changes.append([*terms, m + n - 1])
+            for changed in changes:
+                yield m, n, changed
+
+
+def _spy_on_the_full_comparison(monkeypatch):
+    """A list that gets the bound each time the full comparison runs."""
+    calls = []
+    full = clebsch._full_comparison
+    monkeypatch.setattr(clebsch, "_full_comparison", lambda k: calls.append(k) or full(k))
+    return calls
+
+
+@pytest.mark.parametrize("max_value", range(1, 7))
+def test_every_single_entry_corruption_has_the_reference_record(monkeypatch, max_value):
+    calls = _spy_on_the_full_comparison(monkeypatch)
+    cases, light = 0, []
+    for m, n, changed in _corruptions(max_value):
+        rule = lambda a, b: changed if (a, b) == (m, n) else _fusion(a, b)
+        monkeypatch.setattr(clebsch, "_cg_op", rule)
+        calls.clear()
+        assert associativity_unbounded(max_value) == _record(_multiset(rule, max_value))
+        if calls != [max_value]:
+            light.append((m, n, changed))
+        cases += 1
+    assert cases == 4 * (2 * max_value + 1) ** 2 - 5
+    # the full comparison answers for every corrupt rule but three at K = 1,
+    # which change only 1 1 and still associate on 0 and 1
+    assert light == ([(1, 1, [0]), (1, 1, [0, 2, 0]), (1, 1, [0, 2, 1])] if max_value == 1 else [])
+
+
+@pytest.mark.parametrize("max_value", [25, 90])
+def test_light_test_answers_for_the_fusion_rule(monkeypatch, max_value):
+    calls = _spy_on_the_full_comparison(monkeypatch)
+    assert associativity_unbounded(max_value) == _record((True, None))
+    assert calls == []
+
+
+def _zero_a_left_unit(m, n):
+    """0 n = n, but m 0 = 0 for m >= 1, and m n = m + n otherwise."""
+    if m == 0:
+        return frozenset({n})
+    return frozenset({m + n} if n else ())
+
+
+def _one_a_unit_on_the_rest(m, n):
+    """1 n = n 1 = n for n >= 1 and 1 0 = 0 1 = 1; otherwise the fusion rule."""
+    return frozenset({max(m, n)}) if 1 in (m, n) else _fusion(m, n)
+
+
+@pytest.mark.parametrize(
+    "rule, max_value, witness",
+    [(_zero_a_left_unit, 1, (1, 0, 1))] + [(_one_a_unit_on_the_rest, k, (1, 2, 2)) for k in range(2, 7)],
+)
+def test_each_premise_guards_the_comparison_with_one(monkeypatch, rule, max_value, witness):
+    # (x 1) y = x (1 y) for every x and y, and every term of m n is at most
+    # m + n; the first rule fails only the unit, the second only
+    # 1 j = (j - 1) + (j + 1). Neither associates: (1 0) 1 = 0 but
+    # 1 (0 1) = 2, and (1 2) 2 = 0 + 2 + 4 but 1 (2 2) = 1 + 2 + 4
+    assert _multiset(rule, max_value) == (False, witness)
+    calls = _spy_on_the_full_comparison(monkeypatch)
+    monkeypatch.setattr(clebsch, "_cg_op", rule)
+    assert associativity_unbounded(max_value) == _record((False, witness))
+    assert calls == [max_value]
 
 
 def test_multiplicity_only_fault_fails_the_suite(monkeypatch, capsys):

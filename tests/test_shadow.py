@@ -31,6 +31,7 @@ from fiatcell.checks import json_pieces
 from fiatcell.cli import main
 from fiatcell.shadow import _run
 from fiatcell.shadowfile import shadow_from_dict, shadow_to_dict
+from shadow_generators import transformation_semigroups
 
 E = Element("e", 0, 0, is_identity=True)
 T = Element("t", 0, 0)
@@ -651,63 +652,156 @@ def test_partial_window_without_dual_entries_passes():
 
 G = Element("g", 0, 0)
 H = Element("h", 0, 0)
+V = Element("v", 0, 0)
+W = Element("w", 0, 0)
 X = Element("x", 0, 0)
+Y = Element("y", 0, 0)
 Z = Element("z", 0, 0)
 
 
-def _generator_sweep(s, generators):
-    """The kernel's record, the ids its closure leaves to the subring
-    argument (None when it falls short) and the status of the sweep of the
+def _generator_sweep(s):
+    """The sweep's record, the ids its closure leaves to the subring
+    argument (None when it gives up) and the status of the sweep of the
     generators' rows alone."""
-    others = sweep._closure(s, generators)
+    others = sweep._closure(s)
     alone = None if others is None else sweep._sweep(s, others)["status"]
-    return sweep._associativity(s, generators), others, alone
+    return check_associativity(s), others, alone
 
 
 def test_kernel_sweeps_everything_when_the_generators_miss_an_element():
-    # every row whose middle is g holds, but z is no product of g's
+    # every row whose middle is g holds, but z is no product of g's: z
+    # becomes a generator too, two of three elements, and the closure gives up
     zero = Decomposition({})
     table = {(G, G): zero, (G, Z): zero, (Z, Z): zero, (Z, G): Decomposition({G: 1})}
     s = one_object_shadow(table, elements=(E, G, Z))
-    record, others, alone = _generator_sweep(s, [1])
+    record, others, alone = _generator_sweep(s)
     assert others is None
     assert sweep._sweep(s, [2])["status"] == "pass"
-    assert record == check_associativity(s) == reference_sweep(s)
+    assert record == sweep._sweep(s, ()) == reference_sweep(s)
     assert record["witnesses"] == [{"triple": ["z", "z", "g"], "left": {}, "right": {"g": 1}}]
 
 
 def test_kernel_closes_the_generators_under_the_involution():
-    # g* = h comes first, so g's row is left to h's; g g = h generates h,
-    # and the table fails at (h, h, h): (h h) h = e while h (h h) = g + h
-    table = {
-        (G, G): Decomposition({H: 1}),
-        (H, H): Decomposition({G: 1}),
-        (G, H): Decomposition({E: 1}),
-        (H, G): Decomposition({G: 1, H: 1}),
-    }
-    s = one_object_shadow(table, elements=(E, H, G), involution={E: E, G: H, H: G})
-    record, others, alone = _generator_sweep(s, [2])
-    assert others == [0] and alone == "fail"
-    assert record == check_associativity(s) == reference_sweep(s)
-    assert record["witnesses"][0]["triple"] == ["h", "h", "h"]
+    # g* = h: the lowest element g becomes a generator with h, and g h = x
+    # generates x. Without h the closure would take x and then h as well,
+    # three of four elements, and give up
+    zero = Decomposition({})
+    nonzero = {(G, H): Decomposition({X: 1})}
+    table = {(a, b): nonzero.get((a, b), zero) for a in (G, X, H) for b in (G, X, H)}
+    s = one_object_shadow(table, elements=(E, G, X, H), involution={E: E, G: H, H: G, X: X})
+    record, others, alone = _generator_sweep(s)
+    assert others == [0, 2] and alone == "pass"
+    assert record == reference_sweep(s)
 
 
 def test_kernel_takes_the_full_record_when_a_generator_row_fails():
-    # g g = x generates x; the first failing triple (x, x, g) has the middle
-    # x, before every failure in g's row
+    # g g = x and g x = y generate x and y. The first failing triple
+    # (g, x, y) has the middle x, before every failure in g's row
     zero = Decomposition({})
-    table = {
+    nonzero = {
         (G, G): Decomposition({X: 1}),
-        (X, X): zero,
-        (X, G): Decomposition({G: 1}),
-        (G, X): zero,
+        (G, X): Decomposition({Y: 1}),
+        (X, G): Decomposition({Y: 1}),
+        (Y, Y): Decomposition({X: 1, Y: 1}),
     }
-    s = one_object_shadow(table, elements=(E, X, G))
-    record, others, alone = _generator_sweep(s, [2])
-    assert others == [0, 1] and alone == "fail"
-    assert sweep._sweep(s, others)["witnesses"][0]["triple"] == ["x", "g", "g"]
-    assert record == check_associativity(s) == reference_sweep(s)
-    assert record["witnesses"] == [{"triple": ["x", "x", "g"], "left": {}, "right": {"g": 1}}]
+    table = {(a, b): nonzero.get((a, b), zero) for a in (G, X, Y) for b in (G, X, Y)}
+    s = one_object_shadow(table, elements=(E, G, X, Y))
+    record, others, alone = _generator_sweep(s)
+    assert others == [0, 2, 3] and alone == "fail"
+    assert sweep._sweep(s, others)["witnesses"][0]["triple"] == ["x", "g", "y"]
+    assert record == reference_sweep(s)
+    assert record["witnesses"] == [{"triple": ["g", "x", "y"], "left": {"x": 1, "y": 1}, "right": {}}]
+
+
+def test_closure_never_splits_an_entry_of_two_ungenerated_terms():
+    # g g = u + v generates neither u nor v: u becomes the second generator,
+    # and then v = g g - u is generated. Every row whose middle is g holds,
+    # but (g u) g = g g = u + v while g (u g) = 0
+    zero = Decomposition({})
+    nonzero = {
+        (G, G): Decomposition({U: 1, V: 1}),
+        (G, U): Decomposition({G: 1}),
+        (V, G): Decomposition({G: 1}),
+        (V, U): Decomposition({U: 1, V: 1}),
+    }
+    table = {(a, b): nonzero.get((a, b), zero) for a in (G, U, V) for b in (G, U, V)}
+    s = one_object_shadow(table, elements=(E, G, U, V))
+    record, others, alone = _generator_sweep(s)
+    assert others == [0, 3] and alone == "fail"
+    assert sweep._sweep(s, [0, 2, 3])["status"] == "pass"
+    assert record == reference_sweep(s)
+    assert record["witnesses"][0]["triple"] == ["g", "u", "g"]
+
+
+def test_closure_counts_down_the_ungenerated_terms_of_an_entry():
+    # g g = u + v waits for one of its terms; once u is a generator, u u = w
+    # and the count of g g generate the rest. Without the count v would be
+    # a third generator of five elements, and the closure would give up
+    zero = Decomposition({})
+    nonzero = {(G, G): Decomposition({U: 1, V: 1}), (U, U): Decomposition({W: 1})}
+    rest = (G, U, V, W)
+    table = {(a, b): nonzero.get((a, b), zero) for a in rest for b in rest}
+    s = one_object_shadow(table, elements=(E, *rest))
+    record, others, alone = _generator_sweep(s)
+    assert others == [0, 3, 4]
+    assert record == reference_sweep(s)
+
+
+def _left_zero(k):
+    """The table x y = x on an identity and k elements x1..xk."""
+    xs = [Element(f"x{i}", 0, 0) for i in range(1, k + 1)]
+    table = {(a, b): Decomposition({a: 1}) for a in xs for b in xs}
+    return one_object_shadow(table, elements=(E, *xs))
+
+
+def test_closure_gives_up_on_a_left_zero_table():
+    # no product generates anything, so each element becomes a generator
+    # until they pass half of the elements: the full sweep answers
+    small = _left_zero(12)
+    assert sweep._closure(small) is None
+    assert check_associativity(small) == reference_sweep(small)
+    big = _left_zero(169)
+    assert sweep._closure(big) is None
+    assert check_associativity(big) == {
+        "check": "associativity",
+        "status": "pass",
+        "witnesses": [],
+        "checked": 170**3,
+        "skipped": 0,
+    }
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_closure_on_bn_picks_generators_closed_under_the_involution(rank):
+    s = build_bn(rank)
+    star = s._view[4]
+    others = sweep._closure(s)
+    generators = set(range(len(s.elements))) - set(others)
+    assert {star[g] for g in generators} == generators
+    # the lowest-first rule takes more than the 2 n single steps E_i, F_i:
+    # F0^(2) comes before F1^(1), which would generate it
+    assert len(generators) == [2, 4, 8, 12, 18, 24, 32, 40][rank - 1]
+
+
+def _redirected(s, data):
+    """s, a full one-object shadow whose entries are one term each, with
+    one entry of two non-identities sent to another non-identity."""
+    entries, star = s._ids
+    at = data.draw(st.sampled_from([k for k, (a, b, _) in enumerate(entries) if a and b]))
+    a, b, (t, _) = entries[at]
+    term = data.draw(st.sampled_from([x for x in range(1, len(s.elements)) if x != t]))
+    changed = [*entries[:at], (a, b, (term, 1)), *entries[at + 1 :]]
+    return Shadow._on_ids(s.objects, s.elements, changed, star)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(transformation_semigroups(), st.data())
+def test_sweep_matches_reference_on_transformation_semigroups(s, data):
+    assert json.dumps(check_associativity(s)) == json.dumps(reference_sweep(s))
+    # one entry changed, which most often breaks associativity
+    if len(s.elements) > 2:
+        broken = _redirected(s, data)
+        assert json.dumps(check_associativity(broken)) == json.dumps(reference_sweep(broken))
 
 
 @st.composite
@@ -739,11 +833,10 @@ def _bn_with_changed_entries(draw):
 
 @given(_bn_with_changed_entries())
 def test_kernel_matches_the_full_sweep_on_changed_bn_tables(case):
-    n, s = case
+    _, s = case
     validate_shadow(s)
-    steps = bnverify._single_steps(s, n)
-    record, others, alone = _generator_sweep(s, [x for step in steps for x in step.values()])
-    full = check_associativity(s)
+    record, others, alone = _generator_sweep(s)
+    full = sweep._sweep(s, ())
     assert json.dumps(record) == json.dumps(full)
     if others is not None:
         assert alone == full["status"]
@@ -1562,3 +1655,10 @@ def test_loader_refuses_instead_of_fixing_up(tmp_path, capsys, corrupt, message)
     path.write_text(json.dumps(data))
     assert main(["check", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_rows_keyed_true_and_one_are_written_apart():
+    # True == 1, so a row keyed True matched the template of a first row
+    # keyed 1 and was written with the key "1"
+    x = [{1: 0}, {True: 0}]
+    assert "".join(json_pieces(x)) == json.dumps(x, indent=2) + "\n"
