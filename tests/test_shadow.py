@@ -772,7 +772,7 @@ def test_closure_gives_up_on_a_left_zero_table():
 
 
 @pytest.mark.parametrize("rank", range(1, 9))
-def test_closure_on_bn_picks_generators_closed_under_the_involution(rank):
+def test_closure_on_bn_picks_each_generator_with_its_star(rank):
     s = build_bn(rank)
     star = s._view[4]
     others = sweep._closure(s)
