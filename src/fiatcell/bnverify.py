@@ -19,7 +19,7 @@ from .checks import ConsistencyError, InputError, StructureError, check, check_r
 from .checks import emit_results, parse_range, probes
 from .ideals import quotient_by_upset, thick_ideals, upsets_by_enumeration
 from .shadow import Element, Shadow, _pairs, _table_ids
-from .sweep import check_associativity
+from .sweep import _pick, check_associativity
 from .udot import DESK_LIMIT, DPMonomial, bn_element_monomials, build_bn, check_bn_rank, dp
 from .udot import pair_orientation
 
@@ -119,15 +119,7 @@ def defining_action(n: int) -> dict[Element, int]:
 
 def cell_index_pairs(n: int) -> list[tuple[int, int]]:
     """The (i, k) pairs indexing left (equally right) cells."""
-    s = n // 2
-    out = []
-    for i in range(s + 1):
-        for k in range(i + 1):
-            out.append((i, k))
-    for i in range(s + 1, n + 1):
-        for k in range(n - i + 1):
-            out.append((i, k))
-    return out
+    return [(i, k) for i in range(n + 1) for k in range(min(i, n - i) + 1)]
 
 
 def cell_generator(n: int, i: int, k: int) -> DPMonomial:
@@ -348,19 +340,20 @@ def bn_cells_report(n: int) -> list[dict]:
     return checks
 
 
+def _shift(e: Element, mons: dict[str, DPMonomial], delta: int) -> Element:
+    """e, by its monomial in mons, moved along object translation by delta."""
+    m = mons[e.name]
+    sm = dp(m.kind, m.fpow, m.epow, m.base + delta)
+    return Element(sm.name, sm.source, sm.target, sm.is_identity)
+
+
 def shift_shadow(s: Shadow, mons: dict[str, DPMonomial], delta: int) -> Shadow:
     """Transport a divided-power shadow along object translation by delta."""
-
-    def shift_elt(e: Element) -> Element:
-        m = mons[e.name]
-        sm = dp(m.kind, m.fpow, m.epow, m.base + delta)
-        return Element(sm.name, sm.source, sm.target, sm.is_identity)
-
     n = len(s.elements)
     _, _, rows, order, star = s._view
     return Shadow._on_ids(
         tuple(o + delta for o in s.objects),
-        tuple(map(shift_elt, s.elements)),
+        tuple(_shift(e, mons, delta) for e in s.elements),
         [(*divmod(at, n), rows[at]) for at in order],
         star,
         s.partial,
@@ -382,30 +375,49 @@ def _file_form(s: Shadow) -> tuple:
     return bool(s.partial), s.objects, s.elements, star, products
 
 
-def _same_on_ids(x: Shadow, y: Shadow) -> bool:
-    """Whether x and y have the same partial flag, objects, elements, star
-    and sorted entries on ids; then their file forms are equal too."""
-    if (x.partial, x.objects, x.elements) != (y.partial, y.objects, y.elements):
+def _reduces_on_ids(big: Shadow, top: frozenset[Element], lower: Shadow, mons) -> bool:
+    """Whether top is up-closed and quotient_by_upset(big, top) equals
+    shift_shadow(lower, mons, 1) on ids, the ids of big outside top standing
+    for lower's, with neither built; then their file forms are equal too."""
+    n = len(big.elements)
+    _, _, rows, _, star = big._view
+    gone = {big._index[e] for e in top}
+    inside, ideals = sum(1 << i for i in gone), cell_data(big, "two-sided").ideals
+    keep = [i for i in range(n) if i not in gone]
+    removed = {e.source for e in top if e.is_identity}
+    objects = tuple(o for o in big.objects if o not in removed)
+    shifted = tuple(_shift(e, mons, 1) for e in lower.elements)
+    if (
+        any(ideals[a] & ~inside for a in gone)
+        or (big.partial, objects) != (lower.partial, tuple(o + 1 for o in lower.objects))
+        or tuple(map(big.elements.__getitem__, keep)) != shifted
+    ):
         return False
-    (x_entries, x_star), (y_entries, y_star) = _table_ids(x), _table_ids(y)
-    return x_star == y_star and sorted(x_entries) == sorted(y_entries)
+    new = {i: k for k, i in enumerate(keep)}
+    if star is not None:
+        star = tuple(new[star[i]] for i in keep) if all(star[i] in gone for i in gone) else None
+    # the rows of the pairs of kept ids, without their terms in top
+    table, pick = [], _pick(keep)
+    for a in keep:
+        for row in pick(rows[a * n : a * n + n]):
+            table.append(row and tuple(x for t, m in _pairs(row) if t in new for x in (new[t], m)))
+    return star == lower._view.star and table == list(lower._view.rows)
 
 
 def recursion_check(n: int) -> dict:
     """Rank reduction: shifting the rank-(n-2) shadow up by one object must
     reproduce the rank-n shadow with its maximal cell deleted, both product
-    by product and as a whole quotient shadow. Equal on ids is a pass;
-    otherwise both are compared by name, as their file forms would be, for
-    the witnesses."""
+    by product and as a whole quotient shadow. Equal on ids is a pass, with
+    neither built (_reduces_on_ids); otherwise both are built and compared
+    by name, as their file forms would be, for the witnesses."""
     check_bn_rank(n)
     check_range("rank for rank reduction", n, 3, DESK_LIMIT)
-    big = build_bn(n)
-    shifted = shift_shadow(build_bn(n - 2), bn_element_monomials(n - 2), 1)
+    big, lower, mons = build_bn(n), build_bn(n - 2), bn_element_monomials(n - 2)
     top_cell = cell_data(big, "two-sided").cell_of[big._id_of["1_0"]]
-    quotient = quotient_by_upset(big, top_cell)
-    if _same_on_ids(quotient, shifted):
+    if _reduces_on_ids(big, top_cell, lower, mons):
         return check("rank-reduction-index-shift", True)
-    quotient, shifted = _file_form(quotient), _file_form(shifted)
+    quotient = _file_form(quotient_by_upset(big, top_cell))
+    shifted = _file_form(shift_shadow(lower, mons, 1))
     products = quotient[-1]
     witnesses = [
         {"pair": list(pair)}

@@ -114,14 +114,20 @@ def dumps(x, **options) -> str:
 
 def write_text(pieces, path: str | None) -> None:
     """Write the strings of pieces one by one to stdout, or to the file at
-    path; InputError when the file cannot be written."""
-    if path is None:
-        return sys.stdout.writelines(pieces)
+    path; InputError when either cannot be written. Stdout is flushed, and
+    when that fails, a closed pipe say, it is pointed at os.devnull, so the
+    flush at exit writes nothing."""
     try:
+        if path is None:
+            sys.stdout.writelines(pieces)
+            return sys.stdout.flush()
         with open(path, "w") as fh:
             fh.writelines(pieces)
     except OSError as err:
-        raise InputError(f"cannot write {path}: {err}") from err
+        if path is None:
+            import os
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise InputError(f"cannot write {'stdout' if path is None else path}: {err}") from err
 
 
 # the containers json writes one member or item a line, and their brackets

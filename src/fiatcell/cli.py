@@ -24,7 +24,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from .checks import ConsistencyError, InputError, StructureError
+from .checks import ConsistencyError, InputError, StructureError, write_text
 
 BN_DEFAULT_RANGE = "1..6"
 SCHUR_DEFAULT_N = "1..3"
@@ -121,7 +121,7 @@ def _parse(argv) -> SimpleNamespace | None:
     while key not in VERBS:
         word = next(words, None)
         if word in ("-h", "--help"):
-            print(_usage(key))
+            write_text([_usage(key), "\n"], None)
             return None
         what = "construction" if key else "verb"
         if word is None:
@@ -135,7 +135,7 @@ def _parse(argv) -> SimpleNamespace | None:
     given = []
     for word in words:
         if word in ("-h", "--help"):
-            print(_usage(key))
+            write_text([_usage(key), "\n"], None)
             return None
         if word == "--":
             given += words
@@ -167,13 +167,13 @@ def _parse(argv) -> SimpleNamespace | None:
 
 
 def main(argv=None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else argv)
-    if args is None:
-        return 0
-    module, name = args.command.split(":")
-    # the import statement's own path, which -X importtime reports
-    command = getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
     try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return 0
+        module, name = args.command.split(":")
+        # the import statement's own path, which -X importtime reports
+        command = getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
         return command(args)
     except (InputError, StructureError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -251,9 +251,11 @@ def _build_view(s: Shadow) -> IntView:
     """The integer view, from one walk of the entries of _table_ids in table
     order that raises StructureError on the first entry whose keys are not
     composable elements, or with a term that is not an element, has a
-    nonpositive multiplicity or lacks the entry's endpoints."""
+    nonpositive multiplicity or lacks the entry's endpoints; a one-term
+    entry passes on one compare, any other is walked term by term."""
     source = tuple(e.source for e in s.elements)
     target = tuple(e.target for e in s.elements)
+    ends_of = tuple(zip(source, target))
     names = [e.name for e in s.elements]
     n = len(names)
     rows: list[tuple[int, ...] | None] = [None] * (n * n)
@@ -262,14 +264,14 @@ def _build_view(s: Shadow) -> IntView:
     for a, b, row in entries:
         if source[a] != target[b]:
             raise StructureError(f"table entry ({names[a]}, {names[b]}) is not composable")
-        for t, m in _pairs(row):
-            if m < 1:
-                pair = f"({names[a]}, {names[b]})"
-                raise StructureError(f"nonpositive multiplicity {m} in {pair}")
-            if source[t] != source[b] or target[t] != target[a]:
-                raise StructureError(
-                    f"term {names[t]} of ({names[a]}, {names[b]}) has wrong source/target"
-                )
+        ends = (source[b], target[a])
+        if len(row) != 2 or row[1] < 1 or ends_of[row[0]] != ends:
+            pair = f"({names[a]}, {names[b]})"
+            for t, m in _pairs(row):
+                if m < 1:
+                    raise StructureError(f"nonpositive multiplicity {m} in {pair}")
+                if ends_of[t] != ends:
+                    raise StructureError(f"term {names[t]} of {pair} has wrong source/target")
         rows[a * n + b] = row
         order.append(a * n + b)
     by_target: dict[int, list[int]] = {}

@@ -4,7 +4,8 @@ and `clebsch` verify suites run the sweep, so no other verb loads it.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from collections import Counter
+from itertools import accumulate, chain
 from operator import add, itemgetter, mul, neg, sub
 
 from .checks import StructureError, check, emit
@@ -33,10 +34,6 @@ def _pick(indices: list[int]):
         (i,) = indices
         return lambda row: (row[i],)
     return itemgetter(*indices) if indices else lambda row: ()
-
-
-def _add_rows(x: list, y: list) -> list:
-    return list(map(add, x, y))
 
 
 def _prefix(values: list, step: int, plus=add, zero=0) -> list:
@@ -95,7 +92,7 @@ def _pack(s: Shadow, rows, order) -> tuple[list[int], int, dict]:
 def check_associativity(s: Shadow) -> dict:
     """Compare (a b) c with a (b c) at the multiplicity level, for every
     triple or, on a full table, for the triples whose middle is a generator
-    the sweep picks itself (Light's associativity test).
+    the sweep picks itself, rare terms first (_closure; Light's test).
 
     Returns the check record "associativity" with the counters checked and
     skipped; a genuine counterexample fails it, its one witness the first
@@ -160,14 +157,15 @@ def _closure(s: Shadow) -> list[int] | None:
     Identities are generated. An entry of two generated elements whose
     terms are all generated but one generates that one, of any
     multiplicity: m e is the entry minus generated terms. When nothing is
-    left to do, the lowest element not yet generated becomes a generator,
-    together with its image under the involution. One worklist pass over
-    the integer view of a full table: each element meets, once generated,
-    every element that met the others before it and itself, on both sides
-    (identities meet none, since they act strictly). An entry met with two
-    or more ungenerated terms keeps their count, counted down as they are
-    generated, and generates its last one when the count reaches one, so
-    each entry is read a bounded number of times.
+    left to do, the element not yet generated that is a term of the fewest
+    entries, the lowest of those, becomes a generator, together with its
+    image under the involution: few products reach it. One worklist pass
+    over the integer view of a full table: each element meets, once
+    generated, every element that met the others before it and itself, on
+    both sides (identities meet none, since they act strictly). An entry
+    met with two or more ungenerated terms keeps their count, counted down
+    as they are generated, and generates its last one when the count
+    reaches one, so each entry is read a bounded number of times.
     """
     source, _, rows, _, star = s._view
     elements = s.elements
@@ -176,7 +174,8 @@ def _closure(s: Shadow) -> list[int] | None:
     missing = seen.count(False)
     generator = [False] * n
     generators = 0
-    low = 0  # every id below low is generated
+    terms = Counter(list(chain.from_iterable(filter(None, rows)))[::2])  # id -> entries it is in
+    pending = iter(sorted(range(n), key=terms.__getitem__))
     found: list[int] = []  # generated ids, not yet marked in seen
     todo: list[int] = []  # marked ids that have not met the others
     waiting: list[list[int]] = [[] for _ in range(n)]  # id -> the entries it is ungenerated in
@@ -218,9 +217,8 @@ def _closure(s: Shadow) -> list[int] | None:
                     for u in ungenerated:
                         waiting[u].append(pos)
         else:
-            while seen[low]:
-                low += 1
-            for g in {low, low if star is None else star[low]}:
+            g = next(x for x in pending if not seen[x])
+            for g in {g, g if star is None else star[g]}:
                 if not seen[g]:
                     generator[g] = True
                     generators += 1
@@ -255,7 +253,7 @@ def _sweep(s: Shadow, others) -> dict:
         if not (identity[a] or proved[b] or (step, o) in below):
             zero = [0] * len(by_target[o])
             terms = [cols[t] if source[t] == o else zero for t in range(n)]
-            below[step, o] = _prefix(terms, step, _add_rows, zero)
+            below[step, o] = _prefix(terms, step, lambda x, y: list(map(add, x, y)), zero)
     # start[step]: where a's step-wise prefix sums begin in a's row, after
     # its packed entries and the absent term, for the steps of the runs b c
     # of the swept rows; their negatives follow them

@@ -207,10 +207,10 @@ def build_bn(n: int) -> Shadow:
     Products come in closed form (module docstring): each basis monomial is
     expanded into FE form once, each pair of FE terms multiplies by the
     one-exchange, two-merge formula, and each resulting FE monomial is
-    mapped to the quadrant basis once per rank. An entry of one FE term
-    that maps to one basis term skips the sums. The binomials come from one
-    table per rank (_binomials). A negative multiplicity, or a term outside
-    the basis, raises ConsistencyError."""
+    mapped to the quadrant basis once per rank, through a table the one
+    product loop reads for every FE term. The binomials come from one table
+    per rank (_binomials). A negative multiplicity, or a term outside the
+    basis, raises ConsistencyError."""
     check_bn_rank(n)
     basis = bn_basis(n)
     monomials: list[DPMonomial] = []
@@ -226,7 +226,6 @@ def build_bn(n: int) -> Shadow:
     for k, m in enumerate(monomials):
         by_source.setdefault(m.source, []).append(k)
 
-    @lru_cache(maxsize=None)
     def to_basis(f: int, e: int, i: int) -> tuple[tuple[int, int], ...]:
         """F^(f) E^(e) 1_i, an in-range FE monomial, as (element id, coeff)
         terms: itself on an FE-quadrant pair, else exchanged to EF form by
@@ -246,32 +245,14 @@ def build_bn(n: int) -> Shadow:
         return tuple((index[key], c) for key, c in keys)
 
     binom = _binomials(n)
+    # to_basis(f, e, i) at [i][f][e], once it is read
+    memos = [[[None] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
     entries = []
     for kb, b_mon in enumerate(monomials):
-        i, xb = b_mon.base, expansions[kb]
+        i, xb, memo = b_mon.base, expansions[kb], memos[b_mon.base]
         for ka in by_source[b_mon.target]:
-            xa = expansions[ka]
-            if len(xa) == len(xb) == 1:
-                # one FE term each, and one exchange term: one FE monomial
-                (f1, e1, c1), (f2, e2, c2) = xa[0], xb[0]
-                j = min(e1, f2)
-                if j == max(0, e1 + e2 - i):
-                    f, e = f1 + f2 - j, e1 + e2 - j
-                    c = binom[e1 - f2 + n - 2 * (i - e2)][j] * c1 * c2
-                    terms = to_basis(f, e, i) if c else ()
-                    if not terms:
-                        entries.append((ka, kb, ()))
-                        continue
-                    if len(terms) == 1:
-                        ((k, ck),) = terms
-                        c *= ck * binom[f][f1] * binom[e][e2]
-                        if c < 0:
-                            name = elements[k].name
-                            raise ConsistencyError(f"negative multiplicity {c} at {name}")
-                        entries.append((ka, kb, (k, c)))
-                        continue
-            fe: dict[tuple[int, int], int] = {}
-            for f1, e1, c1 in xa:
+            out: dict[int, int] = {}
+            for f1, e1, c1 in expansions[ka]:
                 for f2, e2, c2 in xb:
                     # C(top, j) at the weight of the object i - e2
                     tops, c12 = binom[e1 - f2 + n - 2 * (i - e2)], c1 * c2
@@ -279,20 +260,16 @@ def build_bn(n: int) -> Shadow:
                         if c := tops[j]:
                             f, e = f1 + f2 - j, e1 + e2 - j
                             c *= c12 * binom[f][f1] * binom[e][e2]
-                            fe[f, e] = fe.get((f, e), 0) + c
-            out: dict[int, int] = {}
-            for (f, e), c in fe.items():
-                if c:
-                    for k, ck in to_basis(f, e, i):
-                        out[k] = out.get(k, 0) + c * ck
+                            if (terms := memo[f][e]) is None:
+                                terms = memo[f][e] = to_basis(f, e, i)
+                            for k, ck in terms:
+                                out[k] = out.get(k, 0) + c * ck
             row: list[int] = []
             for k in sorted(out):
-                if out[k] < 0:
-                    raise ConsistencyError(
-                        f"negative multiplicity {out[k]} at {elements[k].name}"
-                    )
-                if out[k]:
-                    row += (k, out[k])
+                if (m := out[k]) < 0:
+                    raise ConsistencyError(f"negative multiplicity {m} at {elements[k].name}")
+                if m:
+                    row += (k, m)
             entries.append((ka, kb, tuple(row)))
     # m.star() by its key: pure monomials are kind "fe" either way
     star = tuple(index[(m.kind, m.epow, m.fpow, m.target)] for m in monomials)

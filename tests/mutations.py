@@ -47,6 +47,8 @@ CLEBSCH = "tests/test_clebsch.py::"
 SHADOW = "tests/test_shadow.py::"
 CORRUPTIONS = CLEBSCH + "test_every_single_entry_corruption_has_the_reference_record"
 PREMISES = CLEBSCH + "test_each_premise_guards_the_comparison_with_one"
+UDOT = "tests/test_udot.py::"
+WHOLE_QUOTIENT = UDOT + "test_rank_reduction_reports_the_whole_quotient"
 
 MUTATIONS = [
     # Light's test on the fusion rule (clebsch._generated_by_one)
@@ -116,8 +118,8 @@ MUTATIONS = [
         # the sweep had when the caller passed the single steps
         "closure: the star of a new generator not added",
         "sweep.py",
-        "            for g in {low, low if star is None else star[low]}:\n",
-        "            for g in {low}:\n",
+        "            for g in {g, g if star is None else star[g]}:\n",
+        "            for g in {g}:\n",
         (SHADOW + "test_kernel_closes_the_generators_under_the_involution",),
     ),
     Mutation(
@@ -130,9 +132,16 @@ MUTATIONS = [
     Mutation(
         "closure: the check that every element is generated dropped",
         "sweep.py",
-        "        else:\n            while seen[low]:\n",
-        "        elif generators:\n            break\n        else:\n            while seen[low]:\n",
+        "        else:\n            g = next(",
+        "        elif generators:\n            break\n        else:\n            g = next(",
         (SHADOW + "test_kernel_sweeps_everything_when_the_generators_miss_an_element",),
+    ),
+    Mutation(
+        "closure: the stall pick reverted to lowest-first",
+        "sweep.py",
+        "            g = next(x for x in pending if not seen[x])\n",
+        "            g = seen.index(False)\n",
+        (SHADOW + "test_closure_on_bn_picks_each_generator_with_its_star",),
     ),
     Mutation(
         "sweep: the full sweep on a failing generator row dropped",
@@ -140,6 +149,50 @@ MUTATIONS = [
         '            if record["status"] == "pass":\n                return record\n',
         "            return record\n",
         (SHADOW + "test_kernel_takes_the_full_record_when_a_generator_row_fails",),
+    ),
+    # the view's entry check (shadow._build_view)
+    Mutation(
+        "view: the one-step compare checks only the source end",
+        "shadow.py",
+        "ends_of[row[0]] != ends:\n",
+        "ends_of[row[0]][0] != ends[0]:\n",
+        (SHADOW + "test_view_raises_the_first_fault_of_an_entry",),
+    ),
+    # rank reduction (bnverify.recursion_check): on ids, then by name
+    Mutation(
+        "rank reduction on ids: the star ignored",
+        "bnverify.py",
+        "    return star == lower._view.star and table == list(lower._view.rows)\n",
+        "    return table == list(lower._view.rows)\n",
+        (WHOLE_QUOTIENT,),
+    ),
+    Mutation(
+        "rank reduction on ids: the objects ignored",
+        "bnverify.py",
+        "        or (big.partial, objects) != (lower.partial, tuple(o + 1 for o in lower.objects))\n",
+        "        or big.partial != lower.partial\n",
+        (WHOLE_QUOTIENT,),
+    ),
+    Mutation(
+        "rank reduction by name: the involution not compared",
+        "bnverify.py",
+        "    return bool(s.partial), s.objects, s.elements, star, products\n",
+        "    return bool(s.partial), s.objects, s.elements, None, products\n",
+        (WHOLE_QUOTIENT,),
+    ),
+    Mutation(
+        "rank reduction by name: the objects not compared",
+        "bnverify.py",
+        "    return bool(s.partial), s.objects, s.elements, star, products\n",
+        "    return bool(s.partial), None, s.elements, star, products\n",
+        (WHOLE_QUOTIENT,),
+    ),
+    Mutation(
+        "rank reduction by name: a product read differently not reported",
+        "bnverify.py",
+        "        if products.get(pair) != result\n",
+        "        if pair not in products\n",
+        (UDOT + "test_rank_reduction_falls_back_to_names",),
     ),
 ]
 

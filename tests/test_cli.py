@@ -117,6 +117,36 @@ def test_structure_error_exits_two(monkeypatch, capsys):
     assert captured.err == "error: no such row\n"
 
 
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        # a file larger than a pipe's buffer: the child blocks until the
+        # read end closes, whenever that is
+        (["build", "bn", "--n", "8"], 1),
+        # the read end closes before the child, still starting up, writes
+        (["verify", "bn", "--n", "1"], 0),
+        (["verify", "schur", "--n", "1", "--r", "1"], 0),
+        (["--help"], 0),
+    ],
+    ids=["build-bn", "verify-bn", "verify-schur", "help"],
+)
+def test_a_closed_stdout_exits_two_with_one_line(child_env, argv, lines):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fiatcell", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env,
+    )
+    for _ in range(lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    # no traceback, and no "Exception ignored" from the flush at exit
+    assert err == b"error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
 def test_build_clebsch_zero(capsys):
     assert main(["build", "clebsch", "--max", "0"]) == 0
     doc = json.loads(capsys.readouterr().out)

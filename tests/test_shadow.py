@@ -2,6 +2,7 @@ import functools
 import json
 import random
 import re
+import sys
 import tracemalloc
 from collections import OrderedDict
 
@@ -165,6 +166,56 @@ def test_result_endpoints_checked():
     s = Shadow(objects=(0, 1), elements=(e0, e1, a), table=table)
     with pytest.raises(StructureError, match="wrong source/target"):
         validate_shadow(s)
+
+
+A01 = Element("a", 0, 1)
+E0 = Element("e0", 0, 0, is_identity=True)
+E1 = Element("e1", 1, 1, is_identity=True)
+
+
+@pytest.mark.parametrize("on_ids", [True, False], ids=["on-ids", "hand-built"])
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        # two faults in one entry: the first term's decides, a multiplicity
+        # before the endpoints within a term
+        (((E1, 1), (A01, 0)), "term e1 of (a, e0) has wrong source/target"),
+        (((A01, 0), (E1, 1)), "nonpositive multiplicity 0 in (a, e0)"),
+        (((E1, 0),), "nonpositive multiplicity 0 in (a, e0)"),
+        (((E1, 1),), "term e1 of (a, e0) has wrong source/target"),
+        (((E0, 1),), "term e0 of (a, e0) has wrong source/target"),
+        (((A01, 1), (E0, 2)), "term e0 of (a, e0) has wrong source/target"),
+    ],
+    ids=[
+        "endpoints-first",
+        "multiplicity-first",
+        "one-term-both",
+        "wrong-source",
+        "wrong-target",
+        "second",
+    ],
+)
+def test_view_raises_the_first_fault_of_an_entry(on_ids, terms, message):
+    elements = (E0, E1, A01)
+    table = {
+        (E0, E0): ((E0, 1),),
+        (E1, E1): ((E1, 1),),
+        (A01, E0): terms,
+        (E1, A01): ((A01, 1),),
+    }
+    if on_ids:
+        at = {e: i for i, e in enumerate(elements)}
+        entries = [
+            (at[a], at[b], tuple(x for e, m in row for x in (at[e], m)))
+            for (a, b), row in table.items()
+        ]
+        s = Shadow._on_ids((0, 1), elements, entries, None)
+    else:
+        table = {pair: Decomposition(dict(row)) for pair, row in table.items()}
+        s = Shadow(objects=(0, 1), elements=elements, table=table)
+    with pytest.raises(StructureError) as raised:
+        validate_shadow(s)
+    assert str(raised.value) == message
 
 
 def test_duplicate_names_rejected():
@@ -682,12 +733,14 @@ def test_kernel_sweeps_everything_when_the_generators_miss_an_element():
 
 
 def test_kernel_closes_the_generators_under_the_involution():
-    # g* = h: the lowest element g becomes a generator with h, and g h = x
-    # generates x. Without h the closure would take x and then h as well,
-    # three of four elements, and give up
-    zero = Decomposition({})
-    nonzero = {(G, H): Decomposition({X: 1})}
-    table = {(a, b): nonzero.get((a, b), zero) for a in (G, X, H) for b in (G, X, H)}
+    # the cyclic group of order 3 with unit x and g* = h: g, first of the
+    # elements that are terms of the fewest entries, becomes a generator
+    # together with h, though g g = h would generate h; g h = x generates x
+    power = {X: 0, G: 1, H: 2}
+    cyclic = dict(map(reversed, power.items()))
+    table = {
+        (a, b): Decomposition({cyclic[(power[a] + power[b]) % 3]: 1}) for a in power for b in power
+    }
     s = one_object_shadow(table, elements=(E, G, X, H), involution={E: E, G: H, H: G, X: X})
     record, others, alone = _generator_sweep(s)
     assert others == [0, 2] and alone == "pass"
@@ -771,16 +824,53 @@ def test_closure_gives_up_on_a_left_zero_table():
     }
 
 
+def _generators_at_return(s):
+    """sweep._closure(s) and its count of generators when it returns, read
+    from its frame."""
+    counts = []
+
+    def on_return(frame, event, arg):
+        if event == "return":
+            counts.append(frame.f_locals["generators"])
+
+    def on_call(frame, event, arg):
+        if frame.f_code is sweep._closure.__code__:
+            frame.f_trace_lines = False
+            return on_return
+        return None
+
+    tracing = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        others = sweep._closure(s)
+    finally:
+        sys.settrace(tracing)
+    return others, counts
+
+
+def test_closure_gives_up_on_the_left_zero_table_after_86_generators():
+    # every element is a term of as many entries, so ties go lowest first;
+    # no product generates anything, and the 86th generator passes half of
+    # the 170 elements
+    assert _generators_at_return(_left_zero(169)) == (None, [86])
+
+
 @pytest.mark.parametrize("rank", range(1, 9))
 def test_closure_on_bn_picks_each_generator_with_its_star(rank):
     s = build_bn(rank)
     star = s._view[4]
     others = sweep._closure(s)
     generators = set(range(len(s.elements))) - set(others)
-    assert {star[g] for g in generators} == generators
-    # the lowest-first rule takes more than the 2 n single steps E_i, F_i:
-    # F0^(2) comes before F1^(1), which would generate it
-    assert len(generators) == [2, 4, 8, 12, 18, 24, 32, 40][rank - 1]
+    # the elements that are terms of the fewest entries first: from each
+    # object i below the middle, the single step F_i and the longest power
+    # F_i^(n - 2i), with their stars E_(i+1) and E_(n-i)^(n - 2i); as many
+    # as the 2 n single steps E_i, F_i, half of them single steps
+    _, f_step = bnverify._single_steps(s, rank)
+    lower = range((rank + 1) // 2)
+    picked = {f_step[i] for i in lower}
+    picked |= {s._id_of[udot.dp("fe", rank - 2 * i, 0, i).name] for i in lower}
+    assert generators == picked | {star[g] for g in picked}
+    assert len(generators) == 2 * rank
 
 
 def _redirected(s, data):
