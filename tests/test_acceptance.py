@@ -248,6 +248,9 @@ RECORDED_DIGESTS = {
     "build schur --n 4 --r 4": (
         "a69f6ded87cd176e81f459f436054289a713d9b76c34bfb26578904838ff2dfe"
     ),
+    "build schur --n 4 --r 5": (
+        "83eb7f73eef05499c8d74aaabc6b41bd45bc97d9c394f74d11b6c5af1743bc61"
+    ),
     "build schur --n 2 --r 3 -o FILE": (
         "2416cfe774d4d7f504dfa381d4031880bf67bdfa40d1574f54aa70bdef99faac"
     ),
@@ -325,6 +328,7 @@ def test_cli_outputs_match_recorded_digests(tmp_path):
     runs["verify schur --n 1..2 --r 8"] = (["verify", "schur", "--n", "1..2", "--r", "8"], None)
     runs["verify schur --n 3 --r 8"] = (["verify", "schur", "--n", "3", "--r", "8"], None)
     runs["build schur --n 4 --r 4"] = (["build", "schur", "--n", "4", "--r", "4"], None)
+    runs["build schur --n 4 --r 5"] = (["build", "schur", "--n", "4", "--r", "5"], None)
     report = tmp_path / "schur.json"
     runs["build schur --n 2 --r 3 -o FILE"] = (
         ["build", "schur", "--n", "2", "--r", "3", "-o", str(report)],
