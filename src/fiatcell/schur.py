@@ -9,10 +9,10 @@ cells the fibers of the shape. No composition table exists at this level
 (structure constants would need canonical-basis data), so only the
 intersection half of strong regularity is checked.
 
-Everything here runs on row tuples: a matrix or a tableau is a tuple of
-row tuples. The validated dataclasses over these kernels (`MarginMatrix`,
-`Tableau`, `RskPair`, `cells_via_rsk`) live in `tableaux`, so the check
-suite and the command-line verbs load no `dataclasses`.
+A matrix here is one flat row-major tuple of its n * n entries, a tableau a
+tuple of row tuples. The validated dataclasses (`MarginMatrix`, `Tableau`,
+`RskPair`, `cells_via_rsk`) live in `tableaux`, which converts matrices to
+row tuples, so the check suite and the command-line verbs load no `dataclasses`.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement, groupby
-from math import comb
+from itertools import accumulate, combinations_with_replacement, compress, groupby, product
+from math import comb, isqrt
+from operator import itemgetter
 
 from .checks import ConsistencyError, InputError, check, check_range, emit, emit_results
 from .checks import is_int, parse_range, probes, status
@@ -80,20 +81,33 @@ def _margins(n: int, r: int) -> tuple[tuple[int, ...], ...]:
     return _bounded(r, (r,) * n)
 
 
-def _tables(mu: tuple[int, ...], nu: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+def _tables(mu: tuple[int, ...], nu: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The matrices with row sums mu and column sums nu (equal totals), as
-    row tuples in ascending order of entries: each row in turn ranges over
+    flat row-major tuples in ascending order: each row in turn ranges over
     the compositions of its sum bounded by the column sums left, and the
-    last row is what is left, the one such composition. Rows are the shared
-    tuples of the `_bounded` cache."""
+    last row is what is left, the one such composition."""
     partial = [((), nu)]
     for total in mu[:-1]:
         partial = [
-            (prefix + (row,), tuple([c - x for c, x in zip(cols, row)]))
+            (prefix + row, tuple([c - x for c, x in zip(cols, row)]))
             for prefix, cols in partial
             for row in _bounded(total, cols)
         ]
-    return [prefix + _bounded(mu[-1], cols) for prefix, cols in partial]
+    return [prefix + cols for prefix, cols in partial]
+
+
+@lru_cache(maxsize=None)
+def _layout(size: int):
+    """For flat matrices of size n * n: the (row, column) letters of the cells,
+    the transpose, and the antidominant reading (columns from the last, each
+    top-down) with its letters. At n = 1 both permutations are `tuple`."""
+    n = isqrt(size)
+    letters = tuple(product(range(1, n + 1), repeat=2))
+    if n == 1:
+        return letters, tuple, tuple, letters
+    transpose = itemgetter(*[k * n + l for l in range(n) for k in range(n)])
+    reading = itemgetter(*[k * n + l for l in range(n - 1, -1, -1) for k in range(n)])
+    return letters, transpose, reading, reading(letters)
 
 
 def _check_tableau(rows) -> None:
@@ -116,36 +130,35 @@ def _check_tableau(rows) -> None:
             raise InputError("columns must strictly increase")
 
 
-def _insert(a: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple]:
-    """Row insertion of the row-major biword of a matrix given as row
-    tuples: entry a[k][l] inserts l + 1 that many times, recorded as k + 1.
-    Returns (P, Q) as tuples of row tuples."""
+def _insert(a: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """Row insertion of the row-major biword of a flat matrix: the entry of
+    cell (k, l) inserts l that many times, recorded as k (letters from 1).
+    Only the nonzero cells are walked. Returns (P, Q) as tuples of row
+    tuples."""
     p: list[list[int]] = []
     q: list[list[int]] = []
-    for u, row in enumerate(a, 1):
-        for v, m in enumerate(row, 1):
-            while m:
-                m -= 1
-                x = v
-                for prow, qrow in zip(p, q):
-                    i = bisect_right(prow, x)
-                    if i == len(prow):
-                        prow.append(x)
-                        qrow.append(u)
-                        break
-                    x, prow[i] = prow[i], x
-                else:
-                    p.append([x])
-                    q.append([u])
+    for (u, v), m in zip(compress(_layout(len(a))[0], a), filter(None, a)):
+        for _ in range(m):
+            x = v
+            for prow, qrow in zip(p, q):
+                i = bisect_right(prow, x)
+                if i == len(prow):
+                    prow.append(x)
+                    qrow.append(u)
+                    break
+                x, prow[i] = prow[i], x
+            else:
+                p.append([x])
+                q.append([u])
     return tuple(map(tuple, p)), tuple(map(tuple, q))
 
 
-def _reverse(p, q, n: int) -> tuple[tuple[int, ...], ...]:
+def _reverse(p, q, n: int) -> tuple[int, ...]:
     """Reverse insertion of (P, Q) given as row tuples with entries in
-    1..n: the row tuples of the matrix that inserts to them. Raises
-    ConsistencyError when a bumped entry has no smaller entry above it."""
+    1..n: the flat matrix that inserts to them. Raises ConsistencyError
+    when a bumped entry has no smaller entry above it."""
     prows = [list(row) for row in p]
-    entries = [[0] * n for _ in range(n)]
+    entries = [0] * (n * n)
     # letters leave in the reverse of their recording order: the largest
     # first, and among equal ones the topmost row's from its end
     for u, up in sorted([(u, -i) for i, row in enumerate(q) for u in row], reverse=True):
@@ -157,8 +170,8 @@ def _reverse(p, q, n: int) -> tuple[tuple[int, ...], ...]:
             if idx < 0:
                 raise ConsistencyError("reverse insertion fell off the tableau")
             x, prow[idx] = prow[idx], x
-        entries[u - 1][x - 1] += 1
-    return tuple(map(tuple, entries))
+        entries[(u - 1) * n + x - 1] += 1
+    return tuple(entries)
 
 
 def partitions_at_most(r: int, parts: int, max_part: int | None = None):
@@ -233,26 +246,25 @@ def count_ssyt(shape, n: int) -> int:
 
 
 def _antidominant(a) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """`tableaux.antidominant_pair` on row tuples."""
+    """`tableaux.antidominant_pair` on a flat matrix: its nonzero cells in
+    the antidominant reading order, each repeated by its entry."""
+    _, _, reading, letters = _layout(len(a))
+    entries = reading(a)
     v: list[int] = []
     x: list[int] = []
-    l = len(a)
-    for col in reversed(tuple(zip(*a))):
-        for k, m in enumerate(col, 1):
-            if m:
-                v += [l] * m
-                x += [k] * m
-        l -= 1
+    for (k, l), m in zip(compress(letters, entries), filter(None, entries)):
+        v += [l] * m
+        x += [k] * m
     return tuple(v), tuple(x)
 
 
-def _pair_rows(n: int, v, x) -> tuple[tuple[int, ...], ...]:
-    """The matrix, as row tuples, whose entry (k, l) counts the positions
-    where v is l and x is k: the inverse of `_antidominant`."""
-    entries = [[0] * n for _ in range(n)]
+def _pair_rows(n: int, v, x) -> tuple[int, ...]:
+    """The flat matrix whose entry (k, l) counts the positions where v is l
+    and x is k: the inverse of `_antidominant`."""
+    entries = [0] * (n * n)
     for vp, xp in zip(v, x):
-        entries[xp - 1][vp - 1] += 1
-    return tuple(map(tuple, entries))
+        entries[(xp - 1) * n + vp - 1] += 1
+    return tuple(entries)
 
 
 def antidominant_count(n: int, v) -> int:
@@ -293,6 +305,7 @@ def double_coset_count(r: int, mu, nu) -> int:
         raise InputError("compositions must have nonnegative parts")
     if sum(mu) != r or sum(nu) != r:
         raise InputError("compositions must sum to r")
+    check_range("r", r, 0, SCHUR_LIMIT_R)  # the walk lists r! / prod(mu_i!) words
     return _coset_counts([(mu, nu)])[0]
 
 
@@ -341,8 +354,8 @@ def _suite(n: int, r: int) -> tuple[list[dict], dict]:
     """The check suite over one enumeration and insertion of the basis, with
     the report's counts read from the same pass.
 
-    The basis is walked one unordered margin pair {mu, nu} at a time on row
-    tuples and tuple tableaux: the (mu, nu) matrices are enumerated, the
+    The basis is walked one unordered margin pair {mu, nu} at a time on flat
+    matrices and tuple tableaux: the (mu, nu) matrices are enumerated, the
     (nu, mu) matrices are their transposes, and both are inserted once and
     checked against each other, so nothing outlives the pair but counters
     and a per-shape table. Every matrix's pair, margins, round trip and
@@ -359,6 +372,7 @@ def _suite(n: int, r: int) -> tuple[list[dict], dict]:
     sorted margins."""
     dominant = enumerate_dominant(n, r)
     margins = _margins(n, r)
+    transpose = _layout(n * n)[1]
     by_margins: dict = {}  # (row margins, column margins) -> matrices
     by_columns: Counter = Counter()  # column margins -> matrices
     by_shape: dict = {}  # shape -> [least key, matrices, {P: content}, {Q: content}]
@@ -399,20 +413,18 @@ def _suite(n: int, r: int) -> tuple[list[dict], dict]:
         for nu in margins[i:]:
             bucket = _tables(mu, nu)
             pairs = [_insert(a) for a in bucket]
+            tally(mu, nu, bucket, pairs)
             if mu == nu:
-                index = {a: j for j, a in enumerate(bucket)}
+                pair_of = dict(zip(bucket, pairs))
                 for a, (p, q) in zip(bucket, pairs):
-                    j = index.get(tuple(zip(*a)))
-                    if j is None or pairs[j] != (q, p):
+                    if pair_of.get(transpose(a)) != (q, p):
                         transpose_bad.append(a)
-                tally(mu, nu, bucket, pairs)
                 continue
-            flipped = [tuple(zip(*a)) for a in bucket]
+            flipped = list(map(transpose, bucket))
             flipped_pairs = [_insert(t) for t in flipped]
             for a, t, (p, q), swapped in zip(bucket, flipped, pairs, flipped_pairs):
                 if swapped != (q, p):
                     transpose_bad += [a, t]
-            tally(mu, nu, bucket, pairs)
             tally(nu, mu, flipped, flipped_pairs)
     matrices = sum(by_margins.values())
 
@@ -428,14 +440,12 @@ def _suite(n: int, r: int) -> tuple[list[dict], dict]:
                 tableau_bad.append({"shape": list(shape), "tableau": [list(row) for row in t]})
 
     def listed(bad) -> list:
-        """Matrices as lists, in basis order."""
-        ordered = sorted(bad, key=lambda a: (tuple(map(sum, a)), tuple(map(sum, zip(*a))), a))
-        return [list(map(list, a)) for a in ordered]
+        """Flat matrices as lists of row lists, in basis order."""
+        rows = ([list(a[k : k + n]) for k in range(0, n * n, n)] for a in bad)
+        return sorted(rows, key=lambda a: (list(map(sum, a)), list(map(sum, zip(*a))), a))
 
+    roundtrip_bad, transpose_bad, anti_bad = map(listed, (roundtrip_bad, transpose_bad, anti_bad))
     content_bad = listed(content_bad) + tableau_bad
-    roundtrip_bad = listed(roundtrip_bad)
-    transpose_bad = listed(transpose_bad)
-    anti_bad = listed(anti_bad)
     for v in dominant:
         if by_columns[vector_content(v, n)] != antidominant_count(n, v):
             anti_bad.append({"vector": list(v)})
@@ -467,9 +477,7 @@ def _suite(n: int, r: int) -> tuple[list[dict], dict]:
             }
         )
         if len(lefts) != expected or len(rights) != expected:
-            size_bad.append(
-                {"shape": list(shape), "left": len(lefts), "right": len(rights)}
-            )
+            size_bad.append({"shape": list(shape), "left": len(lefts), "right": len(rights)})
     # intersection half of strong regularity: inside one shape every left
     # cell meets every right cell in exactly one matrix, across shapes in none
     meet_bad = list(repeated)
@@ -479,26 +487,16 @@ def _suite(n: int, r: int) -> tuple[list[dict], dict]:
     margin_pairs = sorted(by_margins)
     coset_bad = []
     for (mu, nu), got in zip(margin_pairs, _coset_counts(margin_pairs)):
-        expected = by_margins[mu, nu]
-        if got != expected:
-            coset_bad.append(
-                {"row": list(mu), "col": list(nu), "orbits": got, "matrices": expected}
-            )
+        want = by_margins[mu, nu]
+        if got != want:
+            coset_bad.append({"row": list(mu), "col": list(nu), "orbits": got, "matrices": want})
 
+    dominant_ok = len(dominant) == comb(n + r - 1, r) and dominant == sorted(dominant, reverse=True)
     checks = [
-        check(
-            "dominant-vector-count",
-            len(dominant) == comb(n + r - 1, r)
-            and dominant == sorted(dominant, reverse=True),
-            [len(dominant)],
-        ),
+        check("dominant-vector-count", dominant_ok, [len(dominant)]),
         check("margin-matrix-count", matrices == comb(n * n + r - 1, r), [matrices]),
         check("rsk-content-laws", not content_bad, content_bad),
-        check(
-            "rsk-roundtrip-bijection",
-            not roundtrip_bad and not repeated,
-            roundtrip_bad,
-        ),
+        check("rsk-roundtrip-bijection", not roundtrip_bad and not repeated, roundtrip_bad),
         check(
             "ssyt-counting-identity",
             identity_ok,

@@ -1,15 +1,17 @@
 """Validated margin matrices, tableaux and RSK pairs, and the RSK cells.
 
 The typed face of the Schur layer: frozen dataclasses that check their
-invariants when built, over the row-tuple kernels of `schur`. The check
-suite and the command-line verbs run on those kernels alone and never load
-this module.
+invariants when built, over the kernels of `schur`. Matrices here are row
+tuples, as `MarginMatrix.entries`; the kernels take and give flat row-major
+tuples, and every function converts at the boundary. The check suite and
+the command-line verbs run on those kernels alone and never load this
+module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import TYPE_CHECKING
 
 from .checks import ConsistencyError, InputError, check_type, is_int
@@ -26,6 +28,16 @@ from .schur import (
 
 if TYPE_CHECKING:
     from .cells import CellPartition
+
+
+def _flat(a: "MarginMatrix") -> tuple[int, ...]:
+    """The entries of a matrix as one row-major tuple."""
+    return tuple(chain.from_iterable(a.entries))
+
+
+def _rows(flat, n: int) -> tuple[tuple[int, ...], ...]:
+    """A flat row-major matrix as a tuple of n row tuples."""
+    return tuple(zip(*[iter(flat)] * n))
 
 
 def _check_rows(rows, what: str) -> None:
@@ -96,7 +108,7 @@ def rsk(a: MarginMatrix) -> RskPair:
     """Row insertion of the biword: bottom letters build the insertion
     tableau, top letters record the growth."""
     check_type("matrix", a, MarginMatrix)
-    p, q = _insert(a.entries)
+    p, q = _insert(_flat(a))
     return RskPair(p=Tableau(p), q=Tableau(q))
 
 
@@ -109,7 +121,7 @@ def rsk_inverse(pair: RskPair, n: int) -> MarginMatrix:
         for row in t.rows:
             if any(x > n for x in row):
                 raise InputError(f"tableau entry {max(row)} exceeds n={n}")
-    return MarginMatrix(_reverse(pair.p.rows, pair.q.rows, n))
+    return MarginMatrix(_rows(_reverse(pair.p.rows, pair.q.rows, n), n))
 
 
 def ssyt_of_shape(shape, n: int) -> list[Tableau]:
@@ -125,7 +137,7 @@ def antidominant_pair(a: MarginMatrix) -> tuple[tuple[int, ...], tuple[int, ...]
     column of the matrix weakly increasing, the antidominant representative
     of its coset.
     """
-    return _antidominant(a.entries)
+    return _antidominant(_flat(a))
 
 
 @dataclass(frozen=True)
@@ -145,16 +157,19 @@ def cells_via_rsk(n: int, r: int) -> RskCells:
     by (row margins, column margins, entries), classes in the order of their
     first members.
     Each matrix is inserted once, each distinct P and Q validated once as a
-    `Tableau`."""
+    `Tableau`. Equal rows of different matrices are one shared tuple."""
     from .cells import CellPartition  # here, so importing tableaux loads no shadow
 
     check_schur_rank(n, r)
     margins = _margins(n, r)
-    matrices = tuple(a for mu, nu in product(margins, repeat=2) for a in _tables(mu, nu))
+    shared: dict = {}
+    matrices = []
     # dicts keep first-seen order, so classes come ordered by first member
     left, right, shapes = {}, {}, {}
-    for a in matrices:
-        p, q = _insert(a)
+    for flat in (a for mu, nu in product(margins, repeat=2) for a in _tables(mu, nu)):
+        a = tuple([shared.setdefault(row, row) for row in _rows(flat, n)])
+        matrices.append(a)
+        p, q = _insert(flat)
         shape = tuple(map(len, p))
         if tuple(map(len, q)) != shape:
             raise ConsistencyError(f"P and Q of {a} have different shapes")
@@ -165,4 +180,4 @@ def cells_via_rsk(n: int, r: int) -> RskCells:
         Tableau(t)
     kinds = (("left", left), ("right", right), ("two-sided", shapes))
     partitions = (CellPartition(k, tuple(map(frozenset, f.values()))) for k, f in kinds)
-    return RskCells(matrices, *partitions)
+    return RskCells(tuple(matrices), *partitions)

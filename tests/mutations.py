@@ -48,6 +48,7 @@ SHADOW = "tests/test_shadow.py::"
 CORRUPTIONS = CLEBSCH + "test_every_single_entry_corruption_has_the_reference_record"
 PREMISES = CLEBSCH + "test_each_premise_guards_the_comparison_with_one"
 UDOT = "tests/test_udot.py::"
+SCHUR = "tests/test_schur.py::"
 WHOLE_QUOTIENT = UDOT + "test_rank_reduction_reports_the_whole_quotient"
 
 MUTATIONS = [
@@ -193,6 +194,35 @@ MUTATIONS = [
         "        if products.get(pair) != result\n",
         "        if pair not in products\n",
         (UDOT + "test_rank_reduction_falls_back_to_names",),
+    ),
+    # the flat margin-matrix kernels (schur)
+    Mutation(
+        "flat matrices: the transpose is the identity",
+        "schur.py",
+        "    transpose = itemgetter(*[k * n + l for l in range(n) for k in range(n)])\n",
+        "    transpose = itemgetter(*range(size))\n",
+        (SCHUR + "test_flat_kernels_match_textbook_kernels",),
+    ),
+    Mutation(
+        "flat matrices: reverse insertion counts into the transposed cell",
+        "schur.py",
+        "        entries[(u - 1) * n + x - 1] += 1\n",
+        "        entries[(x - 1) * n + u - 1] += 1\n",
+        (SCHUR + "test_flat_kernels_match_textbook_kernels",),
+    ),
+    Mutation(
+        "flat matrices: the antidominant reading takes the first column first",
+        "schur.py",
+        "for l in range(n - 1, -1, -1) for k in range(n)",
+        "for l in range(n) for k in range(n)",
+        (SCHUR + "test_flat_kernels_match_textbook_kernels",),
+    ),
+    Mutation(
+        "flat matrices: insertion takes each nonzero cell once",
+        "schur.py",
+        "        for _ in range(m):\n",
+        "        for _ in range(min(m, 1)):\n",
+        (SCHUR + "test_flat_kernels_match_textbook_kernels",),
     ),
 ]
 

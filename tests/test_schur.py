@@ -125,6 +125,63 @@ def test_enumerate_basis_matches_reference(n, r):
     assert list(cells_via_rsk(n, r).matrices) == reference_basis(n, r)
 
 
+def flat(rows):
+    return tuple(x for row in rows for x in row)
+
+
+def textbook_rsk(rows):
+    """Row insertion of the two-line array of a matrix given as row tuples:
+    each letter bumps the leftmost larger entry of a row into the next."""
+    p, q = [], []
+    for u, row in enumerate(rows, 1):
+        for v, m in enumerate(row, 1):
+            for _ in range(m):
+                x, i = v, 0
+                while i < len(p) and any(y > x for y in p[i]):
+                    j = min(j for j, y in enumerate(p[i]) if y > x)
+                    x, p[i][j] = p[i][j], x
+                    i += 1
+                if i == len(p):
+                    p.append([])
+                    q.append([])
+                p[i].append(x)
+                q[i].append(u)
+    return tuple(map(tuple, p)), tuple(map(tuple, q))
+
+
+def textbook_antidominant(rows):
+    """The source vector lists the column of each letter weakly decreasing;
+    inside each block of one column the target vector lists the rows weakly
+    increasing (`tableaux.antidominant_pair`)."""
+    letters = [
+        (l, k) for k, row in enumerate(rows, 1) for l, m in enumerate(row, 1) for _ in range(m)
+    ]
+    letters.sort(key=lambda lk: (-lk[0], lk[1]))
+    return tuple(l for l, _ in letters), tuple(k for _, k in letters)
+
+
+@pytest.mark.parametrize("n,r", [*product((1, 2, 3), (1, 2, 3, 4)), (4, 3)])
+def test_flat_kernels_match_textbook_kernels(n, r):
+    basis = reference_basis(n, r)
+    margins = schur._margins(n, r)
+    tables = [a for mu, nu in product(margins, repeat=2) for a in schur._tables(mu, nu)]
+    assert tables == list(map(flat, basis))
+    _, transpose, _, _ = schur._layout(n * n)
+    inverse = {}  # (P, Q) -> matrix: the inverse by construction
+    for rows in basis:
+        a = flat(rows)
+        pair = textbook_rsk(rows)
+        assert schur._insert(a) == pair
+        inverse[pair] = a
+        assert transpose(a) == flat(zip(*rows))
+        v, x = textbook_antidominant(rows)
+        assert schur._antidominant(a) == (v, x)
+        assert schur._pair_rows(n, v, x) == a == flat(pair_rows(n, v, x).entries)
+    assert len(inverse) == len(basis)
+    for (p, q), a in inverse.items():
+        assert schur._reverse(p, q, n) == a
+
+
 def test_rsk_pinned_examples():
     pair = rsk(mm([[3]]))
     assert pair.p.rows == pair.q.rows == ((1, 1, 1),)
@@ -227,7 +284,7 @@ def test_cells_insert_each_matrix_once(monkeypatch):
     real = tableaux._insert
 
     def counted(a):
-        inserted[a] += 1
+        inserted[tuple(zip(*[iter(a)] * 3))] += 1  # the flat matrix as row tuples
         return real(a)
 
     def refused(*args):
@@ -259,7 +316,7 @@ def test_cells_validate_each_tableau(monkeypatch):
 
     def corrupted(a):
         p, q = real(a)
-        return (((2, 1),) if a == ((1, 1), (0, 0)) else p), q
+        return (((2, 1),) if a == (1, 1, 0, 0) else p), q
 
     monkeypatch.setattr(tableaux, "_insert", corrupted)
     with pytest.raises(InputError, match="weakly increase"):
@@ -394,6 +451,16 @@ def test_double_coset_guards():
         assert double_coset_count(8, mu, nu) == count
 
 
+def test_double_coset_refuses_r_past_the_limit_before_any_word(monkeypatch):
+    def refused(content):
+        raise AssertionError("a word was listed")
+
+    monkeypatch.setattr(schur, "_words", refused)
+    for r, mu in [(30, (15, 15)), (9, (9,)), (9, (4, 5))]:
+        with pytest.raises(InputError, match=f"r must be between 0 and 8, got {r}"):
+            double_coset_count(r, mu, mu)
+
+
 @pytest.mark.parametrize("n,r", [(2, 3), (3, 2)])
 def test_verify_schur_passes(n, r):
     checks = verify_schur(n, r)
@@ -481,7 +548,7 @@ def test_suite_validates_each_tableau(monkeypatch):
 
     def corrupted(a):
         p, q = real(a)
-        return (((2, 1),) if a == ((1, 1), (0, 0)) else p), q
+        return (((2, 1),) if a == (1, 1, 0, 0) else p), q
 
     monkeypatch.setattr(schur, "_insert", corrupted)
     (record,) = [c for c in verify_schur(2, 2) if c["check"] == "rsk-content-laws"]
@@ -494,9 +561,11 @@ def test_suite_lists_matrix_witnesses_in_basis_order(monkeypatch):
         raise ConsistencyError("reverse insertion fell off the tableau")
 
     monkeypatch.setattr(schur, "_reverse", lost)
-    (record,) = [c for c in verify_schur(2, 2) if c["check"] == "rsk-roundtrip-bijection"]
-    assert record["status"] == "fail"
-    assert record["witnesses"] == [[list(row) for row in a] for a in reference_basis(2, 2)]
+    # at n = 3 a row stride of 2 would show as well as a wrong order
+    for n, r in [(2, 2), (3, 2)]:
+        (record,) = [c for c in verify_schur(n, r) if c["check"] == "rsk-roundtrip-bijection"]
+        assert record["status"] == "fail"
+        assert record["witnesses"] == [[list(row) for row in a] for a in reference_basis(n, r)]
 
 
 def test_schur_report_shape():
