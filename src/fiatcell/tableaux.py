@@ -157,18 +157,18 @@ def cells_via_rsk(n: int, r: int) -> RskCells:
     by (row margins, column margins, entries), classes in the order of their
     first members.
     Each matrix is inserted once, each distinct P and Q validated once as a
-    `Tableau`. Equal rows of different matrices are one shared tuple."""
+    `Tableau`."""
     from .cells import CellPartition  # here, so importing tableaux loads no shadow
 
     check_schur_rank(n, r)
     margins = _margins(n, r)
-    shared: dict = {}
-    matrices = []
+    intern = {}.setdefault  # one tuple per distinct row, shared by the matrices
     # dicts keep first-seen order, so classes come ordered by first member
     left, right, shapes = {}, {}, {}
-    for flat in (a for mu, nu in product(margins, repeat=2) for a in _tables(mu, nu)):
-        a = tuple([shared.setdefault(row, row) for row in _rows(flat, n)])
-        matrices.append(a)
+
+    def filed(flat):
+        """The matrix as row tuples, added to the fibers of its P, Q and shape."""
+        a = tuple([intern(row, row) for row in _rows(flat, n)])
         p, q = _insert(flat)
         shape = tuple(map(len, p))
         if tuple(map(len, q)) != shape:
@@ -176,8 +176,11 @@ def cells_via_rsk(n: int, r: int) -> RskCells:
         left.setdefault(p, []).append(a)
         right.setdefault(q, []).append(a)
         shapes.setdefault(shape, []).append(a)
+        return a
+
+    matrices = tuple(filed(a) for mu, nu in product(margins, repeat=2) for a in _tables(mu, nu))
     for t in (*left, *right):
         Tableau(t)
     kinds = (("left", left), ("right", right), ("two-sided", shapes))
     partitions = (CellPartition(k, tuple(map(frozenset, f.values()))) for k, f in kinds)
-    return RskCells(tuple(matrices), *partitions)
+    return RskCells(matrices, *partitions)
