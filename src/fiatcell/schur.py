@@ -138,7 +138,8 @@ def _insert(a: tuple[int, ...]) -> tuple[tuple, tuple]:
     p: list[list[int]] = []
     q: list[list[int]] = []
     for (u, v), m in zip(compress(_layout(len(a))[0], a), filter(None, a)):
-        for _ in range(m):
+        while m:
+            m -= 1
             x = v
             for prow, qrow in zip(p, q):
                 i = bisect_right(prow, x)

@@ -220,8 +220,8 @@ MUTATIONS = [
     Mutation(
         "flat matrices: insertion takes each nonzero cell once",
         "schur.py",
-        "        for _ in range(m):\n",
-        "        for _ in range(min(m, 1)):\n",
+        "            m -= 1\n",
+        "            m = 0\n",
         (SCHUR + "test_flat_kernels_match_textbook_kernels",),
     ),
 ]
